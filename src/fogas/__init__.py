@@ -4,8 +4,6 @@ from .data import (
     Covariance,
     OfflineDataset,
     PsiHat,
-    Transition,
-    apply_psi_hat,
     build_covariance,
     collect_dataset,
     estimate_psi,
@@ -28,15 +26,14 @@ from .linmdp import (
     TabularPolicy,
     generate_linear_mdp,
     load_mdp,
-    policy_update_step,
     save_mdp,
+    softmax_features,
     softmax_from_logit_param,
     uniform_policy,
     validate_linear_mdp,
 )
 from .oracle import (
     PolicyEvaluation,
-    coverage_ratio,
     evaluate_policy,
     relaxed_lp_feasibility,
     solve_optimal,

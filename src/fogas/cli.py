@@ -7,7 +7,9 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import time
 
 import numpy as np
 
@@ -138,8 +140,9 @@ def _cmd_solve(args) -> int:
         mdp, len(dataset), args.seed, fogas_spec,
         record_trajectory=args.record_trajectory,
     )
+    start = time.perf_counter()
     run = solver.run_fogas(mdp, dataset, config)
-    record = _record_for_run(mdp, dataset, run)
+    record = harness.score_run(mdp, dataset, run, start)
     solver.save_run(run, args.out)
     if args.results:
         _append_record(args.results, record)
@@ -150,32 +153,7 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _record_for_run(mdp, dataset, run) -> harness.ExperimentRecord:
-    from .data import build_covariance
-    from .oracle import coverage_ratio, evaluate_policy, solve_optimal
-
-    pi_star, star_eval = solve_optimal(mdp)
-    cov = build_covariance(dataset, run.config.beta)
-    out_eval = evaluate_policy(mdp, run.output_policy)
-    if run.trajectory is not None:
-        mean_sub = harness.mean_iterate_suboptimality(mdp, run, star_eval.return_value)
-    else:
-        mean_sub = float("nan")
-    return harness.ExperimentRecord(
-        mdp_id="mdp",
-        n=len(dataset),
-        seed=run.config.seed,
-        T=run.config.T,
-        coverage_ratio=coverage_ratio(star_eval.lambda_pi, cov),
-        suboptimality=star_eval.return_value - out_eval.return_value,
-        mean_suboptimality=mean_sub,
-        wall_time_ms=0.0,
-    )
-
-
 def _append_record(path, record) -> None:
-    import os
-
     new_file = not os.path.exists(path)
     with open(path, "a") as f:
         if new_file:
@@ -191,6 +169,10 @@ def _cmd_sweep(args) -> int:
         return 2
     records = harness.run_sweep(config)
     harness.write_records(records, args.out)
+    for rec in records:
+        if rec.status != "ok":
+            print(f"n={rec.n} seed={rec.seed} {rec.status}: {rec.message}",
+                  file=sys.stderr)
     summary = harness.summarize_by_n(records)
     print("n,median_mean_suboptimality")
     for n, med in summary.items():
@@ -239,7 +221,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"file not found: {e.filename}", file=sys.stderr)
         return 1
-    except (FloatingPointError, AssertionError, ValueError) as e:
+    except (FloatingPointError, AssertionError, ValueError, RuntimeError) as e:
         print(str(e), file=sys.stderr)
         return 1
 

@@ -20,14 +20,6 @@ from .oracle import evaluate_policy
 
 
 @dataclass(frozen=True)
-class Transition:
-    x: int
-    a: int
-    r: float
-    x_next: int
-
-
-@dataclass(frozen=True)
 class OfflineDataset:
     """n sample transitions plus the feature rows of the sampled pairs."""
 
@@ -67,13 +59,6 @@ class OfflineDataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-    @property
-    def transitions(self) -> list[Transition]:
-        return [
-            Transition(int(x), int(a), float(r), int(xn))
-            for x, a, r, xn in zip(self.xs, self.actions, self.rewards, self.x_nexts)
-        ]
 
     @cached_property
     def next_state_groups(self):
@@ -179,11 +164,6 @@ def estimate_psi(dataset: OfflineDataset, beta: float) -> PsiHat:
         columns=columns,
         covariance=cov,
     )
-
-
-def apply_psi_hat(psi_hat: PsiHat, v: np.ndarray) -> np.ndarray:
-    """(1/n) Lambda^{-1} sum_i phi_i v(X'_i); linear in v, O(n) at most."""
-    return psi_hat.apply(v)
 
 
 def collect_dataset(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import OfflineDataset, PsiHat, estimate_psi
-from .linmdp import LinearMdp, SoftmaxPolicy, TabularPolicy, _stable_softmax_rows
+from .linmdp import LinearMdp, TabularPolicy, _stable_softmax_rows
 from .oracle import evaluate_policy, solve_optimal
 from .solver import FogasRun, FogasTrajectory
 
@@ -77,16 +77,14 @@ def iterate_policy_tables(
     return _stable_softmax_rows(logits)
 
 
-def build_comparators(
-    mdp: LinearMdp,
-    trajectory: FogasTrajectory,
-    alpha: float,
-    pi_star: TabularPolicy | None = None,
-) -> Comparators:
-    if pi_star is None:
-        pi_star, star_eval = solve_optimal(mdp)
-    else:
-        star_eval = evaluate_policy(mdp, pi_star)
+def evaluate_iterates(
+    mdp: LinearMdp, trajectory: FogasTrajectory, alpha: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Exact evaluation of every iterate policy pi_1..pi_T.
+
+    Returns the policy tables (T, X, A), the q-value parameters theta^{pi_t}
+    (T, d), the value functions v^{pi_t} (T, X) and the returns rho(pi_t) (T,).
+    """
     tables = iterate_policy_tables(mdp, trajectory, alpha)
     T = tables.shape[0]
     theta_stars = np.empty((T, mdp.dim))
@@ -97,6 +95,20 @@ def build_comparators(
         theta_stars[t] = ev.theta_pi
         v_stars[t] = ev.v
         rho_ts[t] = ev.return_value
+    return tables, theta_stars, v_stars, rho_ts
+
+
+def build_comparators(
+    mdp: LinearMdp,
+    trajectory: FogasTrajectory,
+    alpha: float,
+    pi_star: TabularPolicy | None = None,
+) -> Comparators:
+    if pi_star is None:
+        pi_star, star_eval = solve_optimal(mdp)
+    else:
+        star_eval = evaluate_policy(mdp, pi_star)
+    tables, theta_stars, v_stars, rho_ts = evaluate_iterates(mdp, trajectory, alpha)
     return Comparators(
         pi_star=pi_star,
         lambda_star=star_eval.lambda_pi,

@@ -8,10 +8,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import build_covariance, collect_dataset
-from .diagnostics import iterate_policy_tables
+from .data import OfflineDataset, build_covariance, collect_dataset
+from .diagnostics import evaluate_iterates
 from .linmdp import LinearMdp, TabularPolicy, generate_linear_mdp, load_mdp, uniform_policy
-from .oracle import coverage_ratio, evaluate_policy, solve_optimal
+from .oracle import evaluate_policy, solve_optimal
 from .solver import FogasConfig, FogasRun, run_fogas, theoretical_min_iterations
 
 RESULTS_HEADER = "mdp_id,n,seed,T,coverage_ratio,suboptimality,mean_suboptimality,wall_time_ms,status"
@@ -91,6 +91,7 @@ class ExperimentRecord:
     mean_suboptimality: float
     wall_time_ms: float
     status: str = "ok"
+    message: str = ""  # the exception message of a failed cell; not a CSV column
 
     def csv_row(self) -> str:
         return ",".join(
@@ -144,11 +145,38 @@ def mean_iterate_suboptimality(mdp: LinearMdp, run: FogasRun, rho_star: float) -
     """(1/T) sum_t (rho(pi*) - rho(pi_t)), exact returns from the oracle."""
     if run.trajectory is None:
         raise ValueError("run was not recorded with record_trajectory")
-    tables = iterate_policy_tables(mdp, run.trajectory, run.config.alpha)
-    total = 0.0
-    for t in range(tables.shape[0]):
-        total += rho_star - evaluate_policy(mdp, TabularPolicy(tables[t])).return_value
-    return total / tables.shape[0]
+    rho_ts = evaluate_iterates(mdp, run.trajectory, run.config.alpha)[3]
+    return float(np.mean(rho_star - rho_ts))
+
+
+def score_run(
+    mdp: LinearMdp,
+    dataset: OfflineDataset,
+    run: FogasRun,
+    start: float,
+    mdp_id: str = "mdp",
+) -> ExperimentRecord:
+    """Score a finished run against the oracle.
+
+    ``start`` is the ``time.perf_counter()`` reading the wall time counts from.
+    The mean-iterate suboptimality is NaN when the run has no trajectory.
+    """
+    _, star_eval = solve_optimal(mdp)
+    out_eval = evaluate_policy(mdp, run.output_policy)
+    mean_sub = float("nan")
+    if run.trajectory is not None:
+        mean_sub = mean_iterate_suboptimality(mdp, run, star_eval.return_value)
+    cov = build_covariance(dataset, run.config.beta)
+    return ExperimentRecord(
+        mdp_id=mdp_id,
+        n=len(dataset),
+        seed=run.config.seed,
+        T=run.config.T,
+        coverage_ratio=cov.weighted_sq_norm(star_eval.lambda_pi),
+        suboptimality=star_eval.return_value - out_eval.return_value,
+        mean_suboptimality=mean_sub,
+        wall_time_ms=(time.perf_counter() - start) * 1000.0,
+    )
 
 
 def run_cell(
@@ -163,23 +191,8 @@ def run_cell(
     """One (n, seed) cell: collect data, run the solver, score against the oracle."""
     start = time.perf_counter()
     dataset = collect_dataset(mdp, behavior, n=n, sampling_mode=sampling_mode, seed=seed)
-    config = fogas_config_from_spec(mdp, n, seed, fogas_spec)
-    run = run_fogas(mdp, dataset, config)
-
-    pi_star, star_eval = solve_optimal(mdp)
-    cov = build_covariance(dataset, run.config.beta)
-    out_eval = evaluate_policy(mdp, run.output_policy)
-    record = ExperimentRecord(
-        mdp_id=mdp_id,
-        n=n,
-        seed=seed,
-        T=run.config.T,
-        coverage_ratio=coverage_ratio(star_eval.lambda_pi, cov),
-        suboptimality=star_eval.return_value - out_eval.return_value,
-        mean_suboptimality=mean_iterate_suboptimality(mdp, run, star_eval.return_value),
-        wall_time_ms=(time.perf_counter() - start) * 1000.0,
-    )
-    return record, run
+    run = run_fogas(mdp, dataset, fogas_config_from_spec(mdp, n, seed, fogas_spec))
+    return score_run(mdp, dataset, run, start, mdp_id=mdp_id), run
 
 
 def run_sweep(config: ExperimentConfig, mdp_id: str = "mdp") -> list[ExperimentRecord]:
@@ -199,7 +212,7 @@ def run_sweep(config: ExperimentConfig, mdp_id: str = "mdp") -> list[ExperimentR
                     mdp_id=mdp_id, n=int(n), seed=int(seed), T=0,
                     coverage_ratio=float("nan"), suboptimality=float("nan"),
                     mean_suboptimality=float("nan"), wall_time_ms=0.0,
-                    status=f"error:{type(e).__name__}",
+                    status=f"error:{type(e).__name__}", message=str(e),
                 )
             records.append(record)
     return records

@@ -66,6 +66,9 @@ class LinearMdp:
             raise ValueError(f"psi must have shape ({d}, {X}), got {psi.shape}")
         if omega.shape != (d,):
             raise ValueError(f"omega must have shape ({d},), got {omega.shape}")
+        for name, arr in (("phi", phi), ("psi", psi), ("omega", omega)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "omega", omega)
@@ -88,9 +91,6 @@ class LinearMdp:
         out = np.zeros(self.num_states)
         out[self.x0] = 1.0
         return _readonly(out)
-
-    def sa_index(self, x: int, a: int) -> int:
-        return x * self.num_actions + a
 
     def state_features(self, x: int) -> np.ndarray:
         """All action feature vectors of state x, shape (A, d)."""
@@ -257,6 +257,16 @@ class SoftmaxPolicy:
         return _stable_softmax_rows(row)
 
 
+def softmax_features(phi_states: np.ndarray, scaled_param: np.ndarray) -> np.ndarray:
+    """sum_a pi(a|x) phi(x,a) per state, pi the softmax of <phi(x,a), scaled_param>.
+
+    ``phi_states`` stacks the (A, d) feature blocks of the states, shape (k, A, d);
+    the result has shape (k, d).
+    """
+    probs = _stable_softmax_rows(phi_states @ scaled_param)
+    return np.einsum("ka,kad->kd", probs, phi_states)
+
+
 def softmax_from_logit_param(mdp: LinearMdp, scaled_param: np.ndarray) -> SoftmaxPolicy:
     """Build the softmax policy pi(a|x) proportional to exp(<phi(x,a), scaled_param>)."""
     scaled_param = np.asarray(scaled_param, dtype=np.float64)
@@ -267,23 +277,6 @@ def softmax_from_logit_param(mdp: LinearMdp, scaled_param: np.ndarray) -> Softma
         num_states=mdp.num_states,
         num_actions=mdp.num_actions,
         scale_times_param=scaled_param,
-    )
-
-
-def policy_update_step(
-    prev: SoftmaxPolicy, theta_t: np.ndarray, alpha: float
-) -> SoftmaxPolicy:
-    """One entropy-regularized mirror ascent step in cumulative-parameter form.
-
-    Adds alpha * theta_t to the stored parameter; the materialized table is
-    identical to the one-step multiplicative update
-    pi'(a|x) proportional to pi(a|x) * exp(alpha * <phi(x,a), theta_t>).
-    """
-    return SoftmaxPolicy(
-        phi=prev.phi,
-        num_states=prev.num_states,
-        num_actions=prev.num_actions,
-        scale_times_param=prev.scale_times_param + alpha * np.asarray(theta_t),
     )
 
 

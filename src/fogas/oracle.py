@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 @dataclass(frozen=True)
@@ -86,39 +85,32 @@ def solve_optimal(mdp, tol: float = 1e-10):
     # policy is then tol-optimal on the normalized return scale.
     gap = tol * (1.0 - gamma) / (2.0 * gamma) if gamma > 0 else tol
 
+    # With a stochastic kernel, sweep k+1 moves q by at most gamma^k * max|r|,
+    # so the gap is reached within `sweeps` sweeps; the cap doubles that to
+    # leave room for roundoff.
+    r_max = float(np.abs(r).max())
+    sweeps = np.ceil(np.log(gap / r_max) / np.log(gamma)) if r_max > gap else 0
+    max_sweeps = 2 * int(sweeps) + 10
+
     q = np.zeros(X * A)
-    while True:
+    for _ in range(max_sweeps):
         v = q.reshape(X, A).max(axis=1)
         q_next = r + gamma * P @ v
-        if np.abs(q_next - q).max() <= gap:
-            q = q_next
-            break
+        converged = np.abs(q_next - q).max() <= gap
         q = q_next
+        if converged:
+            break
+    else:
+        raise RuntimeError(
+            f"value iteration did not converge within {max_sweeps} sweeps; "
+            "the transition kernel is not stochastic"
+        )
 
     greedy = q.reshape(X, A).argmax(axis=1)  # argmax takes the lowest index on ties
     probs = np.zeros((X, A))
     probs[np.arange(X), greedy] = 1.0
     policy = TabularPolicy(probs)
     return policy, evaluate_policy(mdp, policy)
-
-
-def coverage_ratio(lambda_star: np.ndarray, cov) -> float:
-    """Feature coverage ratio ||lambda*||^2 in the Lambda^{-1} norm.
-
-    ``cov`` may be a Covariance or a raw symmetric positive-definite matrix.
-    Uses an SPD solve rather than an explicit inverse.
-    """
-    lambda_star = np.asarray(lambda_star, dtype=np.float64)
-    if hasattr(cov, "solve"):
-        sol = cov.solve(lambda_star)
-    else:
-        mat = np.asarray(cov, dtype=np.float64)
-        try:
-            factor = scipy.linalg.cho_factor(mat)
-        except np.linalg.LinAlgError as e:
-            raise ValueError("covariance must be positive definite") from e
-        sol = scipy.linalg.cho_solve(factor, lambda_star)
-    return float(lambda_star @ sol)
 
 
 def relaxed_lp_feasibility(mdp, policy, lam: np.ndarray | None = None) -> dict:

@@ -12,12 +12,18 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .data import Covariance, OfflineDataset, PsiHat, build_covariance
-from .linmdp import LinearMdp, SoftmaxPolicy, _readonly, _stable_softmax_rows
+from .data import Covariance, OfflineDataset, PsiHat, estimate_psi
+from .linmdp import (
+    LinearMdp,
+    SoftmaxPolicy,
+    _readonly,
+    softmax_features,
+    softmax_from_logit_param,
+)
 
 BEST_RESPONSE_TIE_TOL = 1e-14
 
@@ -132,6 +138,10 @@ class FogasTrajectory:
     g_lambdas: np.ndarray  # (T, d)
     grad_sq_norms: np.ndarray  # (T,), g^T Lambda g per iteration
 
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _readonly(getattr(self, f.name)))
+
     def policy_param(self, t: int, alpha: float) -> np.ndarray:
         """alpha * theta_bar_{t-1}, the softmax parameter of iterate pi_t."""
         if not 1 <= t <= len(self.thetas):
@@ -166,38 +176,37 @@ def best_response_theta(g: np.ndarray, d_theta: float) -> np.ndarray:
 
 
 def mu_hat_features(
-    mdp: LinearMdp,
-    dataset: OfflineDataset,
-    cov: Covariance,
-    policy,
+    psi_hat: PsiHat,
+    gamma: float,
+    features_x0: np.ndarray,
+    features_next: np.ndarray,
     lam: np.ndarray,
 ) -> np.ndarray:
     """Feature expectation of the estimated occupancy mu-hat at (lambda, pi).
 
-    Equals (1-gamma) * sum_a pi(a|x0) phi(x0,a)
-    + (gamma/n) * sum_i sum_a pi(a|X'_i) phi(X'_i,a) <phi_i, Lambda^{-1} lambda>.
+    ``features_x0`` is sum_a pi(a|x0) phi(x0,a) and row j of ``features_next``
+    the same sum at ``psi_hat.observed_states[j]``. With C = Lambda^{-1} Sigma / n
+    the estimator's columns, this equals
+    (1-gamma) * features_x0 + gamma * features_next^T C^T lambda.
     """
     lam = np.asarray(lam, dtype=np.float64)
-    gamma = mdp.gamma
-    probs_x0 = _policy_probs_at(policy, mdp, mdp.x0)
-    first = (1.0 - gamma) * probs_x0 @ mdp.state_features(mdp.x0)
-
-    observed, _, summed = dataset.next_state_groups
-    bar_phi = _mean_features_under_policy(mdp, policy, observed)  # (k, d)
-    w = cov.solve(lam)
-    weights = summed.T @ w  # (k,), sum over samples grouped by next state
-    return first + (gamma / len(dataset)) * bar_phi.T @ weights
+    return (1.0 - gamma) * features_x0 + gamma * features_next.T @ (psi_hat.columns.T @ lam)
 
 
 def lambda_gradient(
     omega: np.ndarray,
     psi_hat: PsiHat,
-    v_theta_pi: np.ndarray,
+    v_next: np.ndarray,
     theta: np.ndarray,
     gamma: float,
 ) -> np.ndarray:
-    """omega + gamma * PsiHat v - theta, the ascent direction for lambda."""
-    return np.asarray(omega) + gamma * psi_hat.apply(v_theta_pi) - np.asarray(theta)
+    """omega + gamma * PsiHat v - theta, the ascent direction for lambda.
+
+    ``v_next`` holds v at ``psi_hat.observed_states``, the only states PsiHat
+    reads.
+    """
+    return np.asarray(omega) + gamma * psi_hat.columns @ np.asarray(v_next) \
+        - np.asarray(theta)
 
 
 def lambda_update(
@@ -216,23 +225,6 @@ def lambda_update(
     return (lambda_t + eta * cov.lambda_mat @ np.asarray(g)) / (1.0 + rho * eta)
 
 
-def _policy_probs_at(policy, mdp: LinearMdp, x: int) -> np.ndarray:
-    if isinstance(policy, SoftmaxPolicy):
-        return policy.probs_at(x)
-    return policy.table().probs[x]
-
-
-def _mean_features_under_policy(mdp, policy, states) -> np.ndarray:
-    """sum_a pi(a|x) phi(x,a) for each state in ``states``; shape (k, d)."""
-    phi_states = mdp.phi_by_state[states]  # (k, A, d)
-    if isinstance(policy, SoftmaxPolicy):
-        logits = np.einsum("kad,d->ka", phi_states, policy.scale_times_param)
-        probs = _stable_softmax_rows(logits)
-    else:
-        probs = policy.table().probs[states]
-    return np.einsum("ka,kad->kd", probs, phi_states)
-
-
 def run_fogas(mdp: LinearMdp, dataset: OfflineDataset, config: FogasConfig) -> FogasRun:
     """Run the full ascent loop and return the randomized-index output policy.
 
@@ -240,14 +232,12 @@ def run_fogas(mdp: LinearMdp, dataset: OfflineDataset, config: FogasConfig) -> F
     the softmax of alpha times the cumulative parameter after J-1 updates.
     """
     cfg = config.resolved(mdp, len(dataset))
-    T, d = cfg.T, mdp.dim
-    gamma = mdp.gamma
-    n = len(dataset)
+    T, d, gamma = cfg.T, mdp.dim, mdp.gamma
 
-    cov = build_covariance(dataset, cfg.beta)
-    observed, _, summed = dataset.next_state_groups  # summed: (d, k)
-    phi_obs = mdp.phi_by_state[observed]  # (k, A, d)
-    phi_x0 = mdp.state_features(mdp.x0)  # (A, d)
+    psi_hat = estimate_psi(dataset, cfg.beta)
+    cov = psi_hat.covariance
+    # Row 0: the initial state; rows 1..k: the observed next states.
+    phi_sites = mdp.phi_by_state[np.concatenate(([mdp.x0], psi_hat.observed_states))]
     grad_bound = gradient_norm_bound(cfg, mdp) + 1e-8
 
     J = int(np.random.default_rng(cfg.seed).integers(1, T + 1))
@@ -255,43 +245,33 @@ def run_fogas(mdp: LinearMdp, dataset: OfflineDataset, config: FogasConfig) -> F
     lam = np.zeros(d)
     theta_bar = np.zeros(d)
     output_param = None
-    traj_lambdas = np.empty((T, d)) if cfg.record_trajectory else None
-    traj_thetas = np.empty((T, d)) if cfg.record_trajectory else None
-    traj_theta_bars = np.empty((T, d)) if cfg.record_trajectory else None
-    traj_phimu = np.empty((T, d)) if cfg.record_trajectory else None
-    traj_g = np.empty((T, d)) if cfg.record_trajectory else None
-    traj_gnorm = np.empty(T) if cfg.record_trajectory else None
+    traj = None
+    if cfg.record_trajectory:
+        traj = {f.name: np.empty((T, d)) for f in fields(FogasTrajectory)}
+        traj["grad_sq_norms"] = np.empty(T)
 
     for t in range(1, T + 1):
+        scaled = cfg.alpha * theta_bar  # policy in force at iteration t
         if t == J:
-            output_param = cfg.alpha * theta_bar
-
-        # Policy in force at iteration t, evaluated only where needed.
-        scaled = cfg.alpha * theta_bar
-        probs_x0 = _stable_softmax_rows(phi_x0 @ scaled)
-        probs_obs = _stable_softmax_rows(np.einsum("kad,d->ka", phi_obs, scaled))
-        bar_phi = np.einsum("ka,kad->kd", probs_obs, phi_obs)  # (k, d)
+            output_param = scaled
+        features = softmax_features(phi_sites, scaled)
 
         # Value-parameter step: best response to the estimated feature occupancy.
-        w = cov.solve(lam)
-        phimu = (1.0 - gamma) * probs_x0 @ phi_x0 \
-            + (gamma / n) * bar_phi.T @ (summed.T @ w)
+        phimu = mu_hat_features(psi_hat, gamma, features[0], features[1:], lam)
         theta = best_response_theta(phimu - lam, cfg.d_theta)
 
         # Policy step in cumulative form.
         theta_bar = theta_bar + theta
 
-        # Feature-occupancy step.
-        v_obs = bar_phi @ theta  # v_{theta_t, pi_t} at observed next states
-        psi_hat_v = cov.solve(summed @ v_obs) / n
-        g = mdp.omega + gamma * psi_hat_v - theta
+        # Feature-occupancy step; v_{theta_t, pi_t} is read at observed next states.
+        g = lambda_gradient(mdp.omega, psi_hat, features[1:] @ theta, theta, gamma)
         grad_sq = float(g @ (cov.lambda_mat @ g))
         if cfg.check_gradient_bound and grad_sq > grad_bound:
             raise AssertionError(
                 f"gradient norm bound violated at iteration {t}: "
                 f"{grad_sq:.6g} > {grad_bound:.6g}"
             )
-        lam_next = (lam + cfg.eta * cov.lambda_mat @ g) / (1.0 + cfg.rho * cfg.eta)
+        lam_next = lambda_update(lam, g, cov, cfg.eta, cfg.rho)
 
         if not (
             np.all(np.isfinite(lam_next))
@@ -305,39 +285,19 @@ def run_fogas(mdp: LinearMdp, dataset: OfflineDataset, config: FogasConfig) -> F
                 f"gradient finite: {bool(np.all(np.isfinite(g)))})"
             )
 
-        if cfg.record_trajectory:
-            traj_lambdas[t - 1] = lam
-            traj_thetas[t - 1] = theta
-            traj_theta_bars[t - 1] = theta_bar
-            traj_phimu[t - 1] = phimu
-            traj_g[t - 1] = g
-            traj_gnorm[t - 1] = grad_sq
+        if traj is not None:  # values in FogasTrajectory field order
+            for buf, value in zip(traj.values(), (lam, theta, theta_bar, phimu, g, grad_sq)):
+                buf[t - 1] = value
         lam = lam_next
 
-    trajectory = None
-    if cfg.record_trajectory:
-        trajectory = FogasTrajectory(
-            lambdas=_readonly(traj_lambdas),
-            thetas=_readonly(traj_thetas),
-            theta_bars=_readonly(traj_theta_bars),
-            phi_mu_hats=_readonly(traj_phimu),
-            g_lambdas=_readonly(traj_g),
-            grad_sq_norms=_readonly(traj_gnorm),
-        )
-    output_policy = SoftmaxPolicy(
-        phi=mdp.phi,
-        num_states=mdp.num_states,
-        num_actions=mdp.num_actions,
-        scale_times_param=output_param,
-    )
     return FogasRun(
         config=cfg,
         chosen_index=J,
         lambda_final=_readonly(lam),
         theta_bar_final=_readonly(theta_bar),
         output_param=_readonly(output_param),
-        output_policy=output_policy,
-        trajectory=trajectory,
+        output_policy=softmax_from_logit_param(mdp, output_param),
+        trajectory=None if traj is None else FogasTrajectory(**traj),
     )
 
 
@@ -352,12 +312,8 @@ def save_run(run: FogasRun, path) -> None:
     }
     if run.trajectory is not None:
         doc["trajectory"] = {
-            "lambdas": run.trajectory.lambdas.tolist(),
-            "thetas": run.trajectory.thetas.tolist(),
-            "theta_bars": run.trajectory.theta_bars.tolist(),
-            "phi_mu_hats": run.trajectory.phi_mu_hats.tolist(),
-            "g_lambdas": run.trajectory.g_lambdas.tolist(),
-            "grad_sq_norms": run.trajectory.grad_sq_norms.tolist(),
+            f.name: getattr(run.trajectory, f.name).tolist()
+            for f in fields(FogasTrajectory)
         }
     with open(path, "w") as f:
         json.dump(doc, f)
@@ -367,30 +323,18 @@ def save_run(run: FogasRun, path) -> None:
 def load_run(path, mdp: LinearMdp) -> FogasRun:
     with open(path) as f:
         doc = json.load(f)
-    cfg = FogasConfig(**doc["config"])
     trajectory = None
     if "trajectory" in doc:
-        tr = doc["trajectory"]
         trajectory = FogasTrajectory(
-            lambdas=_readonly(np.array(tr["lambdas"])),
-            thetas=_readonly(np.array(tr["thetas"])),
-            theta_bars=_readonly(np.array(tr["theta_bars"])),
-            phi_mu_hats=_readonly(np.array(tr["phi_mu_hats"])),
-            g_lambdas=_readonly(np.array(tr["g_lambdas"])),
-            grad_sq_norms=_readonly(np.array(tr["grad_sq_norms"])),
+            **{k: np.array(v, dtype=np.float64) for k, v in doc["trajectory"].items()}
         )
-    output_param = np.array(doc["output_param"])
+    output_param = _readonly(np.array(doc["output_param"]))
     return FogasRun(
-        config=cfg,
+        config=FogasConfig(**doc["config"]),
         chosen_index=int(doc["chosen_index"]),
         lambda_final=_readonly(np.array(doc["lambda_final"])),
         theta_bar_final=_readonly(np.array(doc["theta_bar_final"])),
-        output_param=_readonly(output_param),
-        output_policy=SoftmaxPolicy(
-            phi=mdp.phi,
-            num_states=mdp.num_states,
-            num_actions=mdp.num_actions,
-            scale_times_param=output_param,
-        ),
+        output_param=output_param,
+        output_policy=softmax_from_logit_param(mdp, output_param),
         trajectory=trajectory,
     )

@@ -10,7 +10,6 @@ import fogas
 from fogas.data import (
     Covariance,
     OfflineDataset,
-    apply_psi_hat,
     build_covariance,
     collect_dataset,
     estimate_psi,
@@ -185,20 +184,20 @@ class TestEstimatePsi:
 class TestApplyPsiHat:
     def test_zero_vector(self, default_dataset):
         psi_hat = estimate_psi(default_dataset, beta=0.1)
-        assert np.all(apply_psi_hat(psi_hat, np.zeros(5)) == 0.0)
+        assert np.all(psi_hat.apply(np.zeros(5)) == 0.0)
 
     def test_constant_vector(self, default_dataset):
         psi_hat = estimate_psi(default_dataset, beta=0.1)
         expected = psi_hat.covariance.solve(
             default_dataset.features.sum(axis=0)) / len(default_dataset)
-        assert np.abs(apply_psi_hat(psi_hat, np.ones(5)) - expected).max() <= 1e-12
+        assert np.abs(psi_hat.apply(np.ones(5)) - expected).max() <= 1e-12
 
     def test_matches_dense_product(self, default_dataset):
         psi_hat = estimate_psi(default_dataset, beta=0.1)
         rng = np.random.default_rng(6)
         for _ in range(10):
             v = rng.normal(size=5)
-            assert np.abs(apply_psi_hat(psi_hat, v)
+            assert np.abs(psi_hat.apply(v)
                           - psi_hat.dense() @ v).max() <= 1e-12
 
     @given(st.floats(-5, 5), st.floats(-5, 5), st.integers(0, 10**6))
@@ -210,8 +209,8 @@ class TestApplyPsiHat:
         psi_hat = estimate_psi(ds, beta=0.1)
         rng = np.random.default_rng(seed)
         v, w = rng.normal(size=5), rng.normal(size=5)
-        lhs = apply_psi_hat(psi_hat, a * v + b * w)
-        rhs = a * apply_psi_hat(psi_hat, v) + b * apply_psi_hat(psi_hat, w)
+        lhs = psi_hat.apply(a * v + b * w)
+        rhs = a * psi_hat.apply(v) + b * psi_hat.apply(w)
         assert np.abs(lhs - rhs).max() <= 1e-12
 
 

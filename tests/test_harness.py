@@ -130,6 +130,7 @@ class TestSweep:
             fogas={"auto_tune": True, "T": 30, "eta": 1e250, "d_theta": 1e100})
         records = harness.run_sweep(config)
         assert all(r.status.startswith("error:") for r in records)
+        assert all(r.message for r in records)
 
     def test_summary_median(self):
         records = harness.run_sweep(self.make_config())
@@ -189,6 +190,18 @@ class TestCli:
         mdp_path.write_text(json.dumps(doc))
         assert cli_main(["validate", "--mdp", str(mdp_path)]) == 1
         assert "omega-norm" in capsys.readouterr().out
+
+    def test_nonfinite_mdp_rejected(self, tmp_path, capsys):
+        mdp_path = self.generate(tmp_path)
+        doc = json.loads(mdp_path.read_text())
+        doc["omega"][0] = float("nan")
+        mdp_path.write_text(json.dumps(doc))
+        assert cli_main(["validate", "--mdp", str(mdp_path)]) == 1
+        assert "omega must be finite" in capsys.readouterr().err
+        code = cli_main(["collect", "--mdp", str(mdp_path), "--behavior", "eps:0.1",
+                         "--n", "10", "--out", str(tmp_path / "d.csv")])
+        assert code == 1
+        assert "omega must be finite" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert cli_main(["validate", "--mdp", str(tmp_path / "nope.json")]) == 1
@@ -253,6 +266,8 @@ class TestCli:
         assert code == 0
         lines = results.read_text().strip().split("\n")
         assert len(lines) == 2 and lines[1].split(",")[1] == "128"
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert float(row["wall_time_ms"]) > 0
 
     def test_solve_requires_rates_or_auto(self, tmp_path, capsys):
         mdp_path = self.generate(tmp_path)
@@ -280,3 +295,18 @@ class TestCli:
         assert len(lines) == 5
         printed = capsys.readouterr().out
         assert "median_mean_suboptimality" in printed
+
+    def test_sweep_reports_failed_cells(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "mdp": {"states": 5, "actions": 3, "dim": 4, "gamma": 0.9,
+                    "seed": 0},
+            "n_values": [64],
+            "seeds": [0, 1],
+            "fogas": {"auto_tune": True, "T": 30, "eta": 1e250, "d_theta": 1e100},
+        }))
+        assert cli_main(["sweep", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "results.csv")]) == 1
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 2
+        assert err[0].startswith("n=64 seed=0 error:FloatingPointError: non-finite")

@@ -99,6 +99,15 @@ class TestValidation:
                 omega=default_mdp.omega, gamma=0.9, x0=0,
             )
 
+    @pytest.mark.parametrize("name", ["phi", "psi", "omega"])
+    def test_nonfinite_entries_raise(self, default_mdp, name):
+        fields = {"phi": default_mdp.phi.copy(), "psi": default_mdp.psi.copy(),
+                  "omega": default_mdp.omega.copy()}
+        fields[name].flat[0] = np.nan
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            fogas.LinearMdp(num_states=5, num_actions=3, dim=4, gamma=0.9, x0=0,
+                            **fields)
+
 
 class TestSoftmaxPolicy:
     def test_zero_param_is_uniform(self, default_mdp):
@@ -154,32 +163,30 @@ class TestSoftmaxPolicy:
 
 
 class TestPolicyUpdate:
+    """The policy step is cumulative: the solver adds theta_t to theta_bar and
+    materializes softmax(alpha * theta_bar)."""
+
     def test_zero_step_is_identity(self, default_mdp):
-        policy = fogas.softmax_from_logit_param(default_mdp, np.ones(4))
-        updated = fogas.policy_update_step(policy, np.zeros(4), alpha=0.3)
+        param = np.ones(4)
+        policy = fogas.softmax_from_logit_param(default_mdp, param)
+        updated = fogas.softmax_from_logit_param(default_mdp, param + 0.3 * np.zeros(4))
         assert np.array_equal(updated.table().probs, policy.table().probs)
 
     def test_first_step_from_uniform(self, default_mdp):
-        uniform = fogas.softmax_from_logit_param(default_mdp, np.zeros(4))
         theta = np.array([0.4, -0.2, 0.1, 0.7])
-        stepped = fogas.policy_update_step(uniform, theta, alpha=0.5)
-        direct = fogas.softmax_from_logit_param(default_mdp, 0.5 * theta)
-        assert np.abs(stepped.table().probs - direct.table().probs).max() <= 1e-15
+        stepped = fogas.softmax_from_logit_param(default_mdp, np.zeros(4) + 0.5 * theta)
+        boost = np.exp(0.5 * (default_mdp.phi @ theta)).reshape(5, 3)
+        direct = boost / boost.sum(axis=1, keepdims=True)
+        assert np.abs(stepped.table().probs - direct).max() <= 1e-15
 
-    def test_cumulative_equals_multiplicative(self, default_mdp):
-        """Ten steps in cumulative-parameter form against the explicit
-        per-step multiplicative reweighting, computed independently."""
+    def test_softmax_features_match_table(self, default_mdp):
         rng = np.random.default_rng(5)
-        alpha = 0.3
-        policy = fogas.softmax_from_logit_param(default_mdp, np.zeros(4))
-        table = np.full((5, 3), 1.0 / 3.0)
         for _ in range(10):
-            theta = rng.normal(size=4)
-            policy = fogas.policy_update_step(policy, theta, alpha)
-            boost = np.exp(alpha * (default_mdp.phi @ theta)).reshape(5, 3)
-            table = table * boost
-            table = table / table.sum(axis=1, keepdims=True)
-            assert np.abs(policy.table().probs - table).max() <= 1e-12
+            param = rng.normal(size=4)
+            table = fogas.softmax_from_logit_param(default_mdp, param).table().probs
+            expected = np.einsum("xa,xad->xd", table, default_mdp.phi_by_state)
+            out = fogas.softmax_features(default_mdp.phi_by_state, param)
+            assert np.abs(out - expected).max() <= 1e-15
 
 
 class TestTabularPolicy:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import fogas
-from fogas.oracle import coverage_ratio, evaluate_policy, relaxed_lp_feasibility, solve_optimal
+from fogas.data import Covariance
+from fogas.oracle import evaluate_policy, relaxed_lp_feasibility, solve_optimal
 
 from conftest import random_mdp, random_policy
 
@@ -136,8 +137,28 @@ class TestSolveOptimal:
         policy, _ = solve_optimal(mdp)
         assert np.all(policy.probs == [[1.0, 0.0, 0.0]])
 
+    def test_slow_discount_converges_under_cap(self):
+        _, star = solve_optimal(random_mdp(0, gamma=0.99))
+        assert np.isfinite(star.return_value)
+
+    def test_non_contracting_kernel_raises(self):
+        # p(x|x) = 1.5: value iteration diverges instead of converging.
+        mdp = fogas.LinearMdp(
+            num_states=1, num_actions=1, dim=1,
+            phi=np.ones((1, 1)), psi=np.full((1, 1), 1.5),
+            omega=np.array([0.5]), gamma=0.9, x0=0,
+        )
+        with pytest.raises(RuntimeError, match="did not converge"):
+            solve_optimal(mdp)
+
+
+def coverage_ratio(lambda_star, mat):
+    return Covariance(beta=1.0, lambda_mat=mat, n=1).weighted_sq_norm(lambda_star)
+
 
 class TestCoverageRatio:
+    """||lambda*||^2 in the Lambda^{-1} norm, as the harness scores it."""
+
     def test_zero_vector(self):
         assert coverage_ratio(np.zeros(3), np.eye(3)) == 0.0
 

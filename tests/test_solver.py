@@ -5,9 +5,13 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fogas
 from fogas.data import build_covariance, collect_dataset, estimate_psi
+from fogas.diagnostics import iterate_policy_tables
+from fogas.linmdp import softmax_features
 from fogas.solver import (
     FogasConfig,
     best_response_theta,
@@ -142,11 +146,19 @@ class TestLambdaUpdate:
             assert np.abs(closed - res.x).max() <= 1e-6
 
 
+def site_features(mdp, psi_hat, probs):
+    """sum_a pi(a|x) phi(x,a) of a policy table at x0 and the observed next states."""
+    feats = np.einsum("xa,xad->xd", probs, mdp.phi_by_state)
+    return feats[mdp.x0], feats[psi_hat.observed_states]
+
+
 class TestMuHatFeatures:
     def test_zero_lambda(self, default_mdp, default_dataset):
-        cov = build_covariance(default_dataset, beta=0.1)
+        psi_hat = estimate_psi(default_dataset, beta=0.1)
+        sites = np.concatenate(([0], psi_hat.observed_states))
+        feats = softmax_features(default_mdp.phi_by_state[sites], np.zeros(4))
+        out = mu_hat_features(psi_hat, 0.9, feats[0], feats[1:], np.zeros(4))
         policy = fogas.uniform_policy(5, 3)
-        out = mu_hat_features(default_mdp, default_dataset, cov, policy, np.zeros(4))
         expected = 0.1 * policy.probs[0] @ default_mdp.state_features(0)
         assert np.abs(out - expected).max() <= 1e-14
 
@@ -154,13 +166,14 @@ class TestMuHatFeatures:
         mdp = one_state_bandit()
         ds = collect_dataset(mdp, fogas.uniform_policy(1, 2), n=1,
                              sampling_mode="uniform", seed=0)
-        cov = build_covariance(ds, beta=1.0)
+        psi_hat = estimate_psi(ds, beta=1.0)
         lam = np.array([0.2, -0.3])
-        policy = fogas.uniform_policy(1, 2)
-        out = mu_hat_features(mdp, ds, cov, policy, lam)
+        sites = np.concatenate(([0], psi_hat.observed_states))
+        feats = softmax_features(mdp.phi_by_state[sites], np.zeros(2))
+        out = mu_hat_features(psi_hat, 0.9, feats[0], feats[1:], lam)
         # Hand evaluation: X' is the single state, pi uniform over e1, e2.
         mean_phi = np.array([0.5, 0.5])
-        inner = ds.features[0] @ np.linalg.solve(cov.lambda_mat, lam)
+        inner = ds.features[0] @ np.linalg.solve(psi_hat.covariance.lambda_mat, lam)
         expected = 0.1 * mean_phi + 0.9 * mean_phi * inner
         assert np.abs(out - expected).max() <= 1e-12
 
@@ -168,7 +181,6 @@ class TestMuHatFeatures:
         rng = np.random.default_rng(3)
         ds = collect_dataset(default_mdp, fogas.uniform_policy(5, 3), n=128,
                              sampling_mode="uniform", seed=4)
-        cov = build_covariance(ds, beta=0.2)
         psi_hat = estimate_psi(ds, beta=0.2)
         for _ in range(10):
             lam = rng.normal(size=4)
@@ -176,21 +188,24 @@ class TestMuHatFeatures:
             nu_hat = 0.1 * default_mdp.nu0 + 0.9 * psi_hat.dense().T @ lam
             mu_hat = (policy.probs * nu_hat[:, None]).ravel()
             expected = default_mdp.phi.T @ mu_hat
-            out = mu_hat_features(default_mdp, ds, cov, policy, lam)
+            feats_x0, feats_next = site_features(default_mdp, psi_hat, policy.probs)
+            out = mu_hat_features(psi_hat, 0.9, feats_x0, feats_next, lam)
             assert np.abs(out - expected).max() <= 1e-10
 
 
 class TestLambdaGradient:
     def test_theta_omega_zero_value(self, default_dataset, default_mdp):
         psi_hat = estimate_psi(default_dataset, beta=0.1)
-        g = lambda_gradient(default_mdp.omega, psi_hat, np.zeros(5),
+        k = len(psi_hat.observed_states)
+        g = lambda_gradient(default_mdp.omega, psi_hat, np.zeros(k),
                             default_mdp.omega, gamma=0.9)
         assert np.abs(g).max() <= 1e-15
 
     def test_zero_gamma_limit(self, default_dataset, default_mdp):
         psi_hat = estimate_psi(default_dataset, beta=0.1)
         theta = np.array([0.1, 0.2, 0.3, 0.4])
-        g = lambda_gradient(default_mdp.omega, psi_hat, np.ones(5), theta, gamma=0.0)
+        k = len(psi_hat.observed_states)
+        g = lambda_gradient(default_mdp.omega, psi_hat, np.ones(k), theta, gamma=0.0)
         assert np.abs(g - (default_mdp.omega - theta)).max() <= 1e-15
 
     def test_matches_finite_difference(self, default_mdp):
@@ -198,15 +213,15 @@ class TestLambdaGradient:
         lambda -> min_theta f-hat, away from best-response ties."""
         ds = collect_dataset(default_mdp, fogas.uniform_policy(5, 3), n=64,
                              sampling_mode="uniform", seed=8)
-        cov = build_covariance(ds, beta=0.3)
         psi_hat = estimate_psi(ds, beta=0.3)
         d_theta = 2.0
         rng = np.random.default_rng(9)
         policy = random_policy(5, 3, rng)
         probs = policy.probs
+        feats_x0, feats_next = site_features(default_mdp, psi_hat, probs)
 
         def value(lam):
-            phimu = mu_hat_features(default_mdp, ds, cov, policy, lam)
+            phimu = mu_hat_features(psi_hat, 0.9, feats_x0, feats_next, lam)
             theta = best_response_theta(phimu - lam, d_theta)
             q = (default_mdp.phi @ theta).reshape(5, 3)
             v = (probs * q).sum(axis=1)
@@ -215,13 +230,14 @@ class TestLambdaGradient:
 
         for _ in range(5):
             lam = rng.normal(size=4)
-            phimu = mu_hat_features(default_mdp, ds, cov, policy, lam)
+            phimu = mu_hat_features(psi_hat, 0.9, feats_x0, feats_next, lam)
             if np.linalg.norm(phimu - lam) <= 1e-6:
                 continue
             theta = best_response_theta(phimu - lam, d_theta)
             q = (default_mdp.phi @ theta).reshape(5, 3)
             v = (probs * q).sum(axis=1)
-            g = lambda_gradient(default_mdp.omega, psi_hat, v, theta, 0.9)
+            g = lambda_gradient(default_mdp.omega, psi_hat,
+                                v[psi_hat.observed_states], theta, 0.9)
             for k in range(4):
                 e = np.zeros(4)
                 e[k] = 1e-5
@@ -339,3 +355,51 @@ class TestRunSerialization:
         path = tmp_path / "run.json"
         save_run(run, path)
         assert load_run(path, default_mdp).trajectory is None
+
+
+class TestTrajectoryStepIdentities:
+    @given(
+        mdp_seed=st.integers(0, 10**6),
+        num_states=st.integers(1, 6),
+        num_actions=st.integers(1, 4),
+        dim=st.integers(1, 4),
+        T=st.integers(1, 25),
+        alpha=st.floats(0.01, 1.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_recorded_steps_obey_update_identities(
+        self, mdp_seed, num_states, num_actions, dim, T, alpha
+    ):
+        """Every recorded iterate follows from the previous one through the
+        step helpers; this pins the index bookkeeping the diagnostics use."""
+        dim = min(dim, num_states * num_actions)
+        mdp = fogas.generate_linear_mdp(num_states, num_actions, dim, 0.9, mdp_seed)
+        ds = collect_dataset(mdp, fogas.uniform_policy(num_states, num_actions),
+                             n=32, sampling_mode="uniform", seed=mdp_seed)
+        cfg = FogasConfig(T=T, seed=mdp_seed, auto_tune=True, alpha=alpha,
+                          record_trajectory=True)
+        run = run_fogas(mdp, ds, cfg)
+        cfg, tr = run.config, run.trajectory
+        psi_hat = estimate_psi(ds, cfg.beta)
+        sites = np.concatenate(([mdp.x0], psi_hat.observed_states))
+        tables = iterate_policy_tables(mdp, tr, cfg.alpha)
+
+        for t in range(T):
+            feats = softmax_features(mdp.phi_by_state[sites],
+                                     tr.policy_param(t + 1, cfg.alpha))
+            phimu = mu_hat_features(psi_hat, mdp.gamma, feats[0], feats[1:],
+                                    tr.lambdas[t])
+            assert np.abs(tr.phi_mu_hats[t] - phimu).max() <= 1e-12
+            g = lambda_gradient(mdp.omega, psi_hat, feats[1:] @ tr.thetas[t],
+                                tr.thetas[t], mdp.gamma)
+            assert np.abs(tr.g_lambdas[t] - g).max() <= 1e-12
+            if t + 1 == T:
+                break
+            lam_next = lambda_update(tr.lambdas[t], tr.g_lambdas[t],
+                                     psi_hat.covariance, cfg.eta, cfg.rho)
+            assert np.abs(tr.lambdas[t + 1] - lam_next).max() <= 1e-12
+            # Cumulative form equals the multiplicative mirror-ascent step.
+            boost = np.exp(cfg.alpha * (mdp.phi @ tr.thetas[t]))
+            table = tables[t] * boost.reshape(num_states, num_actions)
+            table /= table.sum(axis=1, keepdims=True)
+            assert np.abs(tables[t + 1] - table).max() <= 1e-12
