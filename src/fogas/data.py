@@ -8,7 +8,6 @@ reads the observed next states.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,6 +16,11 @@ import scipy.linalg
 
 from .linmdp import LinearMdp, _readonly
 from .oracle import evaluate_policy
+
+DATASET_HEADER = "x,a,r,x_next"
+# Next states are sampled this many bytes of kernel rows at a time, so the
+# scratch memory of collection does not grow with n * X.
+SAMPLE_CHUNK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -166,6 +170,22 @@ def estimate_psi(dataset: OfflineDataset, beta: float) -> PsiHat:
     )
 
 
+def _inverse_cdf(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row, the first state whose cumulative probability exceeds u.
+
+    A row summing to slightly less than 1 can leave u at or above its total;
+    such a draw goes to the last state with positive mass in that row.
+    """
+    cdf = np.cumsum(rows, axis=1)
+    hit = u[:, None] < cdf
+    out = hit.argmax(axis=1)
+    missed = np.flatnonzero(~hit[np.arange(len(out)), out])
+    if len(missed):
+        positive = rows[missed, ::-1] > 0
+        out[missed] = rows.shape[1] - 1 - positive.argmax(axis=1)
+    return out
+
+
 def collect_dataset(
     mdp: LinearMdp, behavior, n: int, sampling_mode: str, seed: int
 ) -> OfflineDataset:
@@ -189,10 +209,13 @@ def collect_dataset(
     else:
         raise ValueError(f"unknown sampling_mode {sampling_mode!r}")
 
-    rows = mdp.transition_matrix[sa]  # (n, X)
-    cdf = np.cumsum(rows, axis=1)
     u = rng.random(n)
-    x_next = (u[:, None] < cdf).argmax(axis=1)
+    x_next = np.empty(n, dtype=np.int64)
+    chunk = max(1, SAMPLE_CHUNK_BYTES // (8 * X))
+    for lo in range(0, n, chunk):
+        x_next[lo : lo + chunk] = _inverse_cdf(
+            mdp.transition_matrix[sa[lo : lo + chunk]], u[lo : lo + chunk]
+        )
     return OfflineDataset(
         xs=sa // A,
         actions=sa % A,
@@ -205,35 +228,48 @@ def collect_dataset(
 
 
 def save_dataset(dataset: OfflineDataset, path) -> None:
+    """Write the transitions as CSV: one row per sample, rewards as repr floats."""
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["x", "a", "r", "x_next"])
-        for x, a, r, xn in zip(
-            dataset.xs, dataset.actions, dataset.rewards, dataset.x_nexts
-        ):
-            writer.writerow([int(x), int(a), repr(float(r)), int(xn)])
+        f.write(DATASET_HEADER + "\r\n")
+        f.writelines(
+            f"{x},{a},{r!r},{xn}\r\n"
+            for x, a, r, xn in zip(
+                dataset.xs.tolist(),
+                dataset.actions.tolist(),
+                dataset.rewards.tolist(),
+                dataset.x_nexts.tolist(),
+            )
+        )
 
 
 def load_dataset(path, mdp: LinearMdp) -> OfflineDataset:
-    xs, actions, rewards, x_nexts = [], [], [], []
+    """Read a file written by ``save_dataset``; malformed rows raise ValueError."""
     with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header != ["x", "a", "r", "x_next"]:
+        header = f.readline().rstrip("\r\n")
+        if header != DATASET_HEADER:
             raise ValueError(f"unexpected dataset header {header!r}")
-        for row in reader:
-            xs.append(int(row[0]))
-            actions.append(int(row[1]))
-            rewards.append(float(row[2]))
-            x_nexts.append(int(row[3]))
-    xs = np.array(xs, dtype=np.int64)
-    actions = np.array(actions, dtype=np.int64)
+        lines = f.read().splitlines()
+    if not any(lines):
+        raise ValueError(f"dataset file {path} has no transitions")
+    table = np.loadtxt(
+        lines,
+        delimiter=",",
+        dtype=[("x", np.int64), ("a", np.int64), ("r", np.float64), ("x_next", np.int64)],
+        comments=None,
+        ndmin=1,
+    )
+    xs, actions = table["x"], table["a"]
+    if not (
+        np.all((xs >= 0) & (xs < mdp.num_states))
+        and np.all((actions >= 0) & (actions < mdp.num_actions))
+    ):
+        raise ValueError(f"dataset file {path} has a state or action out of range")
     sa = xs * mdp.num_actions + actions
     return OfflineDataset(
         xs=xs,
         actions=actions,
-        rewards=np.array(rewards),
-        x_nexts=np.array(x_nexts, dtype=np.int64),
+        rewards=table["r"],
+        x_nexts=table["x_next"],
         features=mdp.phi[sa],
         num_states=mdp.num_states,
         num_actions=mdp.num_actions,

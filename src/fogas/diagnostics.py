@@ -1,9 +1,10 @@
 """Trajectory diagnostics: dynamic duality gap, player regrets, and the
 gap-estimation error, together with the exact decomposition identities.
 
-Unlike the solver, these tools are free to touch the whole state space (dense
-transition-weight matrices, fully materialized policies): they exist to verify
-runs at desk scale, not to scale.
+Unlike the solver, these tools touch the whole state space: they materialize
+all T iterate policies as (T, X, A) tables and score them with one batched
+call to the rank-d oracle. Their memory grows as T*X*(A+d) and no X x X
+array is formed.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .data import OfflineDataset, PsiHat, estimate_psi
 from .linmdp import LinearMdp, TabularPolicy, _stable_softmax_rows
-from .oracle import evaluate_policy, solve_optimal
+from .oracle import evaluate_policies, evaluate_policy, solve_optimal
 from .solver import FogasRun, FogasTrajectory
 
 DECOMPOSITION_TOL = 1e-8
@@ -80,21 +81,13 @@ def iterate_policy_tables(
 def evaluate_iterates(
     mdp: LinearMdp, trajectory: FogasTrajectory, alpha: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Exact evaluation of every iterate policy pi_1..pi_T.
+    """Exact evaluation of every iterate policy pi_1..pi_T in one batched call.
 
     Returns the policy tables (T, X, A), the q-value parameters theta^{pi_t}
     (T, d), the value functions v^{pi_t} (T, X) and the returns rho(pi_t) (T,).
     """
     tables = iterate_policy_tables(mdp, trajectory, alpha)
-    T = tables.shape[0]
-    theta_stars = np.empty((T, mdp.dim))
-    v_stars = np.empty((T, mdp.num_states))
-    rho_ts = np.empty(T)
-    for t in range(T):
-        ev = evaluate_policy(mdp, TabularPolicy(tables[t]))
-        theta_stars[t] = ev.theta_pi
-        v_stars[t] = ev.v
-        rho_ts[t] = ev.return_value
+    theta_stars, _, v_stars, rho_ts = evaluate_policies(mdp, tables)
     return tables, theta_stars, v_stars, rho_ts
 
 

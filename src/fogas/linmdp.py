@@ -211,9 +211,12 @@ def uniform_policy(num_states: int, num_actions: int) -> TabularPolicy:
 
 
 def _stable_softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    # In place on one new array: the (T, X, A) iterate tables are the largest
+    # arrays the diagnostics allocate.
+    e = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 @dataclass(frozen=True)

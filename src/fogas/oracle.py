@@ -1,9 +1,14 @@
-"""Exact tabular ground-truth solvers.
+"""Exact ground-truth solvers on the rank-d structure P = Phi Psi.
 
-Everything here is allowed to touch the full state space: value functions and
-occupancy measures come from direct dense linear solves, the optimal policy
-from value iteration, and the relaxed-LP feasibility check materializes the
-exact occupancy measure. Intended for desk-scale MDPs (X*A up to ~1e4).
+Every policy evaluation reduces to d x d systems: with the policy features
+Phi_pi[x] = sum_a pi(a|x) phi(x,a) and M = I - gamma Psi Phi_pi, the q-value
+parameter is theta_pi = M^{-1} omega and the feature occupancy is
+lambda_pi = M^{-T} (1-gamma) Phi_pi[x0]. M is invertible for gamma < 1 because
+the nonzero spectrum of Psi Phi_pi is that of the stochastic kernel P_pi.
+Values and occupancies over the full state space follow in O(X*A*d), so no
+X x X array is ever formed. The optimal policy comes from value iteration
+through Phi (Psi v), and the relaxed-LP feasibility check materializes the
+exact occupancy measure.
 """
 
 from __future__ import annotations
@@ -30,46 +35,55 @@ class PolicyEvaluation:
     return_value: float
 
 
-def _policy_table(policy) -> np.ndarray:
-    return policy.table().probs
+def evaluate_policies(
+    mdp, tables: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Exact evaluation of T policies at once, ``tables`` of shape (T, X, A).
+
+    One einsum forms the policy features and one batched d x d solve per
+    equation gives theta_pi and lambda_pi. Returns theta_pi (T, d),
+    lambda_pi (T, d), the value functions v (T, X) and the returns (T,).
+    """
+    X, A, d = mdp.num_states, mdp.num_actions, mdp.dim
+    tables = np.asarray(tables, dtype=np.float64)
+    if tables.shape[1:] != (X, A):
+        raise ValueError(
+            f"policy tables must have shape (T, {X}, {A}), got {tables.shape}"
+        )
+    gamma = mdp.gamma
+    phi_pi = np.einsum("txa,xad->txd", tables, mdp.phi_by_state)  # (T, X, d)
+    M = mdp.psi @ phi_pi  # (T, d, d), made I - gamma Psi Phi_pi in place
+    M *= -gamma
+    M += np.eye(d)
+    theta_pi = np.linalg.solve(M, mdp.omega[:, None])[..., 0]
+    start = (1.0 - gamma) * phi_pi[:, mdp.x0]  # (T, d)
+    lambda_pi = np.linalg.solve(M.transpose(0, 2, 1), start[..., None])[..., 0]
+    v = np.einsum("txd,td->tx", phi_pi, theta_pi)
+    return theta_pi, lambda_pi, v, np.einsum("td,td->t", start, theta_pi)
 
 
 def evaluate_policy(mdp, policy) -> PolicyEvaluation:
-    """Solve the Bellman equation and flow condition exactly for one policy."""
-    X, A = mdp.num_states, mdp.num_actions
-    probs = _policy_table(policy)
-    if probs.shape != (X, A):
-        raise ValueError(f"policy table must have shape ({X}, {A}), got {probs.shape}")
-    P = mdp.transition_matrix  # (X*A, X)
-    r = mdp.rewards
-
-    # State-to-state kernel and reward under the policy.
-    P_pi = (probs[:, :, None] * P.reshape(X, A, X)).sum(axis=1)  # (X, X)
-    r_pi = (probs * r.reshape(X, A)).sum(axis=1)
-
-    gamma = mdp.gamma
-    v = np.linalg.solve(np.eye(X) - gamma * P_pi, r_pi)
-    q = r + gamma * P @ v
-    theta_pi = mdp.omega + gamma * mdp.psi @ v
-
-    # Flow: nu = (1-gamma) nu0 + gamma P_pi^T nu, then mu = pi o nu.
-    nu = np.linalg.solve(np.eye(X) - gamma * P_pi.T, (1.0 - gamma) * mdp.nu0)
-    mu = (probs * nu[:, None]).ravel()
-    lambda_pi = mdp.phi.T @ mu
+    """Exact values and occupancies of one policy: ``evaluate_policies`` at T=1."""
+    probs = policy.table().probs
+    theta_pi, lambda_pi, v, returns = evaluate_policies(mdp, probs[None])
+    # Flow: nu = (1-gamma) nu0 + gamma Psi^T lambda, then mu = pi o nu.
+    nu = mdp.gamma * (mdp.psi.T @ lambda_pi[0])
+    nu[mdp.x0] += 1.0 - mdp.gamma
     return PolicyEvaluation(
-        q=q,
-        v=v,
-        theta_pi=theta_pi,
-        mu=mu,
+        q=mdp.phi @ theta_pi[0],
+        v=v[0],
+        theta_pi=theta_pi[0],
+        mu=(probs * nu[:, None]).ravel(),
         nu=nu,
-        lambda_pi=lambda_pi,
-        return_value=float(mu @ r),
+        lambda_pi=lambda_pi[0],
+        return_value=float(returns[0]),
     )
 
 
 def solve_optimal(mdp, tol: float = 1e-10):
     """Value iteration to sup-norm gap tol*(1-gamma)/(2*gamma), then greedy.
 
+    Each sweep applies the kernel in factored form, q <- r + gamma Phi (Psi v).
     Returns the greedy deterministic policy (ties broken by lowest action
     index) together with its exact evaluation.
     """
@@ -78,7 +92,6 @@ def solve_optimal(mdp, tol: float = 1e-10):
     if tol <= 0:
         raise ValueError("tol must be positive")
     X, A = mdp.num_states, mdp.num_actions
-    P = mdp.transition_matrix
     r = mdp.rewards
     gamma = mdp.gamma
     # Stop when successive q iterates differ by at most this much; the greedy
@@ -95,7 +108,7 @@ def solve_optimal(mdp, tol: float = 1e-10):
     q = np.zeros(X * A)
     for _ in range(max_sweeps):
         v = q.reshape(X, A).max(axis=1)
-        q_next = r + gamma * P @ v
+        q_next = r + gamma * (mdp.phi @ (mdp.psi @ v))
         converged = np.abs(q_next - q).max() <= gap
         q = q_next
         if converged:

@@ -41,3 +41,37 @@ def random_mdp(rng_seed, num_states=5, num_actions=3, dim=4, gamma=0.9):
 def random_policy(num_states, num_actions, rng):
     probs = rng.dirichlet(np.ones(num_actions), size=num_states)
     return fogas.TabularPolicy(probs)
+
+
+def dense_evaluate_policy(mdp, probs):
+    """Reference oracle: X x X linear solves on the dense kernel P_pi.
+
+    Returns the fields of ``fogas.oracle.PolicyEvaluation`` as a dict.
+    """
+    X, A = mdp.num_states, mdp.num_actions
+    P = mdp.transition_matrix  # (X*A, X)
+    r = mdp.rewards
+    gamma = mdp.gamma
+    P_pi = (probs[:, :, None] * P.reshape(X, A, X)).sum(axis=1)  # (X, X)
+    r_pi = (probs * r.reshape(X, A)).sum(axis=1)
+    v = np.linalg.solve(np.eye(X) - gamma * P_pi, r_pi)
+    nu = np.linalg.solve(np.eye(X) - gamma * P_pi.T, (1.0 - gamma) * mdp.nu0)
+    mu = (probs * nu[:, None]).ravel()
+    return {
+        "q": r + gamma * P @ v,
+        "v": v,
+        "theta_pi": mdp.omega + gamma * mdp.psi @ v,
+        "mu": mu,
+        "nu": nu,
+        "lambda_pi": mdp.phi.T @ mu,
+        "return_value": float(mu @ r),
+    }
+
+
+def dense_greedy_policy(mdp, sweeps=2000):
+    """Reference value iteration on the dense kernel; greedy action per state."""
+    X, A = mdp.num_states, mdp.num_actions
+    q = np.zeros(X * A)
+    for _ in range(sweeps):
+        q = mdp.rewards + mdp.gamma * mdp.transition_matrix @ q.reshape(X, A).max(axis=1)
+    return q.reshape(X, A).argmax(axis=1)

@@ -1,6 +1,8 @@
 """Dataset collection, empirical covariance, and the ridge transition
 estimator, checked against naive accumulation and generic least squares."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,35 @@ class TestCollect:
     def test_rewards_match_environment(self, default_mdp, default_dataset):
         sa = default_dataset.xs * 3 + default_dataset.actions
         assert np.abs(default_dataset.rewards - default_mdp.rewards[sa]).max() <= 1e-12
+
+    def test_short_rows_never_sample_zero_mass_states(self):
+        # Every kernel row is (0, 0.25, 0.25): draws u >= 0.5 fall past the
+        # last cumulative sum and must land on the last state with mass.
+        mdp = fogas.LinearMdp(
+            num_states=3, num_actions=2, dim=1,
+            phi=np.ones((6, 1)), psi=np.array([[0.0, 0.25, 0.25]]),
+            omega=np.array([0.5]), gamma=0.9, x0=1,
+        )
+        ds = collect_dataset(mdp, fogas.uniform_policy(3, 2), n=2000,
+                             sampling_mode="uniform", seed=0)
+        counts = np.bincount(ds.x_nexts, minlength=3)
+        assert counts[0] == 0
+        assert counts[1] > 0 and counts[2] > counts[1]
+
+    @pytest.mark.parametrize("chunk_rows", [7, None])
+    def test_chunked_sampling_matches_one_block(self, chunk_rows, monkeypatch):
+        mdp = random_mdp(4, num_states=40, num_actions=3, dim=5)
+        if chunk_rows is not None:
+            monkeypatch.setattr(fogas.data, "SAMPLE_CHUNK_BYTES", chunk_rows * 8 * 40)
+        ds = collect_dataset(mdp, fogas.uniform_policy(40, 3), n=3000,
+                             sampling_mode="uniform", seed=9)
+        # The same draws through one (n, X) inverse-CDF block.
+        rng = np.random.default_rng(9)
+        sa = rng.integers(0, 120, size=3000)
+        u = rng.random(3000)
+        cdf = np.cumsum(mdp.transition_matrix[sa], axis=1)
+        assert np.array_equal(ds.xs * 3 + ds.actions, sa)
+        assert np.array_equal(ds.x_nexts, (u[:, None] < cdf).argmax(axis=1))
 
     def test_same_seed_identical(self, default_mdp):
         beh = fogas.uniform_policy(5, 3)
@@ -248,6 +279,38 @@ class TestSerialization:
         save_dataset(default_dataset, path)
         with open(path) as f:
             assert f.readline().strip() == "x,a,r,x_next"
+
+    def test_bytes_match_csv_writer(self, default_mdp, tmp_path):
+        rewards = [0.1, 1.0 / 3.0, 5e-324, 1e300, -0.0, 1e-05, 123456789.125, 1.0]
+        ds = OfflineDataset(
+            xs=np.arange(8) % 5, actions=np.arange(8) % 3,
+            rewards=np.array(rewards), x_nexts=np.arange(8)[::-1] % 5,
+            features=np.zeros((8, 4)), num_states=5, num_actions=3,
+        )
+        path = tmp_path / "data.csv"
+        save_dataset(ds, path)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(["x", "a", "r", "x_next"])
+            for x, a, r, xn in zip(ds.xs, ds.actions, ds.rewards, ds.x_nexts):
+                writer.writerow([int(x), int(a), repr(float(r)), int(xn)])
+        assert path.read_bytes() == ref.read_bytes()
+        loaded = load_dataset(path, default_mdp)
+        assert np.array_equal(loaded.rewards.view(np.int64), ds.rewards.view(np.int64))
+        assert np.array_equal(loaded.xs, ds.xs)
+        assert np.array_equal(loaded.actions, ds.actions)
+        assert np.array_equal(loaded.x_nexts, ds.x_nexts)
+
+    @pytest.mark.parametrize("body", [
+        "0,0,0.5\n", "0,0,0.5,1,2\n", "0,1.5,0.5,1\n", "0,0,x,1\n", "", "\n",
+        "5,0,0.5,1\n", "-1,0,0.5,1\n", "0,3,0.5,1\n", "0,0,0.5,5\n",
+    ])
+    def test_malformed_rows_rejected(self, default_mdp, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_text("x,a,r,x_next\n" + body)
+        with pytest.raises(ValueError):
+            load_dataset(path, default_mdp)
 
     def test_bad_header_rejected(self, default_mdp, tmp_path):
         path = tmp_path / "bad.csv"

@@ -12,6 +12,7 @@ from fogas.diagnostics import (
     duality_gap_report,
     eval_f,
     eval_f_hat,
+    evaluate_iterates,
     gap_estimation_error,
     iterate_policy_tables,
     player_regrets,
@@ -192,6 +193,17 @@ class TestIteratePolicies:
             param = traj.policy_param(t + 1, alpha)
             direct = fogas.softmax_from_logit_param(default_mdp, param)
             assert np.abs(tables[t] - direct.table().probs).max() <= 1e-12
+
+    def test_batched_evaluation_matches_per_policy(self, recorded_run, default_mdp):
+        tables, thetas, vs, rhos = evaluate_iterates(
+            default_mdp, recorded_run.trajectory, recorded_run.config.alpha
+        )
+        assert thetas.shape == (50, 4) and vs.shape == (50, 5) and rhos.shape == (50,)
+        for t in range(tables.shape[0]):
+            ev = evaluate_policy(default_mdp, fogas.TabularPolicy(tables[t]))
+            assert np.abs(thetas[t] - ev.theta_pi).max() <= 1e-12
+            assert np.abs(vs[t] - ev.v).max() <= 1e-12
+            assert abs(rhos[t] - ev.return_value) <= 1e-12
 
 
 class TestGapReport:

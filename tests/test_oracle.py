@@ -1,16 +1,28 @@
 """Exact tabular solvers checked against independent oracles:
-Monte-Carlo occupancy estimates, brute-force policy sampling, and
-explicit matrix inverses.
+Monte-Carlo occupancy estimates, brute-force policy sampling, explicit
+matrix inverses, and the dense X x X reference solver.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fogas
 from fogas.data import Covariance
-from fogas.oracle import evaluate_policy, relaxed_lp_feasibility, solve_optimal
+from fogas.oracle import (
+    evaluate_policies,
+    evaluate_policy,
+    relaxed_lp_feasibility,
+    solve_optimal,
+)
 
-from conftest import random_mdp, random_policy
+from conftest import (
+    dense_evaluate_policy,
+    dense_greedy_policy,
+    random_mdp,
+    random_policy,
+)
 
 
 def constant_reward_mdp(c, gamma=0.9, seed=0):
@@ -103,7 +115,59 @@ class TestEvaluatePolicy:
         assert np.all(np.abs(freq - ev.mu) <= 4.0 * se + 1e-4)
 
 
+class TestLowRankAgainstDense:
+    """The rank-d oracle against X x X solves on the dense kernel."""
+
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 3),
+        st.integers(1, 4),
+        st.floats(0.5, 0.95),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fields_match_dense_reference(self, X, A, d, gamma, seed):
+        d = min(d, X * A)
+        mdp = fogas.generate_linear_mdp(X, A, d, gamma, seed)
+        mdp = fogas.LinearMdp(
+            num_states=X, num_actions=A, dim=d, phi=mdp.phi, psi=mdp.psi,
+            omega=mdp.omega, gamma=gamma, x0=seed % X,
+        )
+        policy = random_policy(X, A, np.random.default_rng(seed))
+        ev = evaluate_policy(mdp, policy)
+        for name, expected in dense_evaluate_policy(mdp, policy.probs).items():
+            got = getattr(ev, name)
+            assert np.shape(got) == np.shape(expected), name
+            assert np.abs(got - expected).max() <= 1e-10, name
+
+    def test_batch_matches_single_evaluations(self):
+        mdp = random_mdp(5, num_states=7, num_actions=3, dim=4)
+        rng = np.random.default_rng(5)
+        tables = rng.dirichlet(np.ones(3), size=(6, 7))
+        batch = evaluate_policies(mdp, tables)
+        for t in range(len(tables)):
+            ev = evaluate_policy(mdp, fogas.TabularPolicy(tables[t]))
+            single = (ev.theta_pi, ev.lambda_pi, ev.v, ev.return_value)
+            for got, expected in zip(batch, single):
+                assert np.abs(got[t] - expected).max() <= 1e-12
+
+    def test_table_shape_checked(self, default_mdp):
+        with pytest.raises(ValueError, match="shape"):
+            evaluate_policies(default_mdp, np.full((2, 5, 2), 0.5))
+        with pytest.raises(ValueError, match="shape"):
+            evaluate_policy(default_mdp, fogas.uniform_policy(4, 3))
+
+
 class TestSolveOptimal:
+    def test_greedy_matches_dense_value_iteration(self):
+        for seed in range(20):
+            for X, A, d in ((5, 3, 4), (40, 4, 6)):
+                mdp = fogas.generate_linear_mdp(X, A, d, gamma=0.9, seed=seed)
+                policy, _ = solve_optimal(mdp)
+                assert np.array_equal(
+                    policy.probs.argmax(axis=1), dense_greedy_policy(mdp)
+                )
+
     def test_one_state_argmax(self):
         mdp = fogas.LinearMdp(
             num_states=1, num_actions=2, dim=2,
