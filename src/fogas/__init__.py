@@ -22,7 +22,6 @@ from .diagnostics import (
 )
 from .linmdp import (
     LinearMdp,
-    SoftmaxPolicy,
     TabularPolicy,
     generate_linear_mdp,
     load_mdp,
@@ -43,6 +42,7 @@ from .solver import (
     FogasRun,
     FogasTrajectory,
     best_response_theta,
+    canonical_d_theta,
     gradient_norm_bound,
     lambda_gradient,
     lambda_update,

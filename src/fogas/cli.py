@@ -11,8 +11,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import diagnostics, harness, linmdp, solver
 from .data import collect_dataset, load_dataset, save_dataset
 
@@ -131,7 +129,7 @@ def _cmd_solve(args) -> int:
         if args.d_theta is not None:
             fogas_spec["d_theta"] = args.d_theta
         else:
-            fogas_spec["d_theta"] = float(np.sqrt(mdp.dim) / (1.0 - mdp.gamma))
+            fogas_spec["d_theta"] = solver.canonical_d_theta(mdp)
     elif not args.auto_tune:
         print("either --auto-tune or --rates is required", file=sys.stderr)
         return 2

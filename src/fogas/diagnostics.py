@@ -3,8 +3,10 @@ gap-estimation error, together with the exact decomposition identities.
 
 Unlike the solver, these tools touch the whole state space: they materialize
 all T iterate policies as (T, X, A) tables and score them with one batched
-call to the rank-d oracle. Their memory grows as T*X*(A+d) and no X x X
-array is formed.
+call to the rank-d oracle. The reduced Lagrangian is affine in theta and in
+lambda, so the sums over iterates are array algebra on the stacked iterates,
+with no Python loop over t. Memory grows as T*X*(A+d) and no X x X array
+is formed.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from .data import OfflineDataset, PsiHat, estimate_psi
 from .linmdp import LinearMdp, TabularPolicy, _stable_softmax_rows
 from .oracle import evaluate_policies, evaluate_policy, solve_optimal
-from .solver import FogasRun, FogasTrajectory
+from .solver import FogasRun, FogasTrajectory, canonical_d_theta
 
 DECOMPOSITION_TOL = 1e-8
 IDENTITY_TOL = 1e-8
@@ -33,8 +35,7 @@ def eval_f(mdp: LinearMdp, lam: np.ndarray, policy, theta: np.ndarray) -> float:
     """The reduced Lagrangian at (lambda, pi, theta), using the true Psi."""
     lam = np.asarray(lam, dtype=np.float64)
     theta = np.asarray(theta, dtype=np.float64)
-    probs = policy.table().probs
-    v = v_of_theta_policy(mdp, probs, theta)
+    v = v_of_theta_policy(mdp, policy.probs, theta)
     return float(
         (1.0 - mdp.gamma) * v[mdp.x0]
         + lam @ (mdp.omega + mdp.gamma * mdp.psi @ v - theta)
@@ -47,8 +48,7 @@ def eval_f_hat(
     """Sample-based counterpart of the reduced Lagrangian, Psi replaced by its estimate."""
     lam = np.asarray(lam, dtype=np.float64)
     theta = np.asarray(theta, dtype=np.float64)
-    probs = policy.table().probs
-    v = v_of_theta_policy(mdp, probs, theta)
+    v = v_of_theta_policy(mdp, policy.probs, theta)
     return float(
         (1.0 - mdp.gamma) * v[mdp.x0]
         + lam @ (mdp.omega + mdp.gamma * psi_hat.apply(v) - theta)
@@ -113,21 +113,33 @@ def build_comparators(
     )
 
 
+def summed_iterate_values(
+    mdp: LinearMdp, tables: np.ndarray, thetas: np.ndarray
+) -> np.ndarray:
+    """sum_t v_{theta_t, pi_t}, shape (X,), for policy tables (T, X, A).
+
+    Contracting over t first gives sum_t pi_t(a|x) theta_t, shape (X*A, d), so
+    no (T, X, d) array is formed.
+    """
+    weighted = tables.reshape(len(tables), -1).T @ thetas
+    q_sum = np.einsum("kd,kd->k", mdp.phi, weighted)
+    return q_sum.reshape(mdp.num_states, mdp.num_actions).sum(axis=1)
+
+
 def player_regrets(
     mdp: LinearMdp, trajectory: FogasTrajectory, comparators: Comparators
 ) -> tuple[float, float, float]:
-    """The three regret sums (pi-player, lambda-player, theta-player), undivided."""
+    """The three regret sums (pi-player, lambda-player, theta-player), undivided.
+
+    The pi-player sum is <nu*, v_{sum_t theta_t, pi*} - sum_t v_{theta_t, pi_t}>,
+    since v_{theta, pi} is linear in theta.
+    """
     lam_star = comparators.lambda_star
     nu_star = (1.0 - mdp.gamma) * mdp.nu0 + mdp.gamma * mdp.psi.T @ lam_star
-    pi_star_probs = comparators.pi_star.probs
-
-    T = trajectory.thetas.shape[0]
-    regret_pi = 0.0
-    for t in range(T):
-        q_t = (mdp.phi @ trajectory.thetas[t]).reshape(mdp.num_states, mdp.num_actions)
-        diff = pi_star_probs - comparators.policy_tables[t]
-        regret_pi += float(nu_star @ (diff * q_t).sum(axis=1))
-
+    thetas = trajectory.thetas
+    v_comparator = v_of_theta_policy(mdp, comparators.pi_star.probs, thetas.sum(axis=0))
+    v_iterates = summed_iterate_values(mdp, comparators.policy_tables, thetas)
+    regret_pi = float(nu_star @ (v_comparator - v_iterates))
     regret_lambda = float(
         np.sum((lam_star[None, :] - trajectory.lambdas) * trajectory.g_lambdas)
     )
@@ -148,13 +160,11 @@ def gap_estimation_error(
 ) -> float:
     """sum_t <lambda*, (Psi - PsiHat) v_t> + sum_t <lambda_t, (PsiHat - Psi) v^{pi_t}>."""
     diff = psi_hat.dense() - mdp.psi  # (d, X)
-    T = trajectory.thetas.shape[0]
-    err = 0.0
-    for t in range(T):
-        v_t = v_of_theta_policy(mdp, comparators.policy_tables[t], trajectory.thetas[t])
-        err += float(-comparators.lambda_star @ (diff @ v_t))
-        err += float(trajectory.lambdas[t] @ (diff @ comparators.v_stars[t]))
-    return err
+    v_sum = summed_iterate_values(mdp, comparators.policy_tables, trajectory.thetas)
+    return float(
+        -comparators.lambda_star @ (diff @ v_sum)
+        + np.sum(trajectory.lambdas * (comparators.v_stars @ diff.T))
+    )
 
 
 @dataclass(frozen=True)
@@ -213,16 +223,15 @@ def duality_gap_report(
     psi_hat = estimate_psi(dataset, cfg.beta)
 
     T = trajectory.thetas.shape[0]
-    gap = 0.0
-    for t in range(T):
-        gap += eval_f(mdp, comp.lambda_star, comp.pi_star, trajectory.thetas[t])
-        gap -= eval_f(
-            mdp,
-            trajectory.lambdas[t],
-            TabularPolicy(comp.policy_tables[t]),
-            comp.theta_stars[t],
-        )
-    gap /= T
+    # f is affine in theta: the comparator side at the mean theta. The iterate
+    # side f(lambda_t, pi_t, theta^{pi_t}) reads v^{pi_t} from the oracle.
+    f_star = eval_f(mdp, comp.lambda_star, comp.pi_star, trajectory.thetas.mean(axis=0))
+    f_iterates = (1.0 - mdp.gamma) * comp.v_stars[:, mdp.x0] + np.sum(
+        trajectory.lambdas
+        * (mdp.omega + mdp.gamma * (comp.v_stars @ mdp.psi.T) - comp.theta_stars),
+        axis=1,
+    )
+    gap = f_star - float(np.mean(f_iterates))
 
     r_pi, r_lam, r_theta = player_regrets(mdp, trajectory, comp)
     err = gap_estimation_error(mdp, psi_hat, trajectory, comp)
@@ -231,10 +240,9 @@ def duality_gap_report(
     suboptimality_lhs = float(np.mean(comp.rho_star - comp.rho_ts))
     identity_residual = abs(suboptimality_lhs - gap)
 
-    canonical_d_theta = np.sqrt(mdp.dim) / (1.0 - mdp.gamma)
+    radius = canonical_d_theta(mdp)
     identity_asserted = bool(
-        abs(cfg.d_theta - canonical_d_theta)
-        <= D_THETA_MATCH_RTOL * max(1.0, canonical_d_theta)
+        abs(cfg.d_theta - radius) <= D_THETA_MATCH_RTOL * max(1.0, radius)
     )
     if check_identities:
         if decomposition_residual > DECOMPOSITION_TOL:

@@ -47,8 +47,15 @@ class ExperimentConfig:
     _KNOWN_KEYS = {
         "mdp", "behavior", "sampling_mode", "n_values", "seeds", "fogas", "output_dir",
     }
+    _GENERATOR_KEYS = ("states", "actions", "dim", "gamma")
 
     def __post_init__(self):
+        if "path" not in self.mdp:
+            missing = [key for key in self._GENERATOR_KEYS if key not in self.mdp]
+            if missing:
+                raise ValueError(
+                    f"mdp config needs a path or the generator keys; missing {missing}"
+                )
         if len(self.seeds) == 0:
             raise ValueError("seeds list must be nonempty")
         if any(n < 1 for n in self.n_values):

@@ -92,10 +92,6 @@ class LinearMdp:
         out[self.x0] = 1.0
         return _readonly(out)
 
-    def state_features(self, x: int) -> np.ndarray:
-        """All action feature vectors of state x, shape (A, d)."""
-        return self.phi[x * self.num_actions : (x + 1) * self.num_actions]
-
     @property
     def phi_by_state(self) -> np.ndarray:
         """phi reshaped to (X, A, d)."""
@@ -194,17 +190,6 @@ class TabularPolicy:
             raise ValueError("policy rows must sum to 1")
         object.__setattr__(self, "probs", probs)
 
-    @property
-    def num_states(self) -> int:
-        return self.probs.shape[0]
-
-    @property
-    def num_actions(self) -> int:
-        return self.probs.shape[1]
-
-    def table(self) -> "TabularPolicy":
-        return self
-
 
 def uniform_policy(num_states: int, num_actions: int) -> TabularPolicy:
     return TabularPolicy(np.full((num_states, num_actions), 1.0 / num_actions))
@@ -219,47 +204,6 @@ def _stable_softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e
 
 
-@dataclass(frozen=True)
-class SoftmaxPolicy:
-    """Softmax policy with logits <phi(x,a), scale_times_param>.
-
-    ``scale_times_param`` is the product of the mirror-ascent step size and
-    the cumulative value-parameter sum, so the policy is fully specified by a
-    single d-vector. Materialization subtracts the per-state maximum logit
-    before exponentiating, so parameters with norm up to ~1e6 are safe.
-    """
-
-    phi: np.ndarray  # (X*A, d)
-    num_states: int
-    num_actions: int
-    scale_times_param: np.ndarray  # (d,)
-
-    def __post_init__(self):
-        param = _readonly(self.scale_times_param)
-        if not np.all(np.isfinite(param)):
-            raise ValueError("scale_times_param must be finite")
-        if param.shape != (self.phi.shape[1],):
-            raise ValueError(
-                f"scale_times_param must have shape ({self.phi.shape[1]},), got {param.shape}"
-            )
-        object.__setattr__(self, "phi", _readonly(self.phi))
-        object.__setattr__(self, "scale_times_param", param)
-
-    def logits(self) -> np.ndarray:
-        return (self.phi @ self.scale_times_param).reshape(
-            self.num_states, self.num_actions
-        )
-
-    def table(self) -> TabularPolicy:
-        return TabularPolicy(_stable_softmax_rows(self.logits()))
-
-    def probs_at(self, x: int) -> np.ndarray:
-        row = self.phi[
-            x * self.num_actions : (x + 1) * self.num_actions
-        ] @ self.scale_times_param
-        return _stable_softmax_rows(row)
-
-
 def softmax_features(phi_states: np.ndarray, scaled_param: np.ndarray) -> np.ndarray:
     """sum_a pi(a|x) phi(x,a) per state, pi the softmax of <phi(x,a), scaled_param>.
 
@@ -270,17 +214,22 @@ def softmax_features(phi_states: np.ndarray, scaled_param: np.ndarray) -> np.nda
     return np.einsum("ka,kad->kd", probs, phi_states)
 
 
-def softmax_from_logit_param(mdp: LinearMdp, scaled_param: np.ndarray) -> SoftmaxPolicy:
-    """Build the softmax policy pi(a|x) proportional to exp(<phi(x,a), scaled_param>)."""
+def softmax_from_logit_param(mdp: LinearMdp, scaled_param: np.ndarray) -> TabularPolicy:
+    """The softmax policy pi(a|x) proportional to exp(<phi(x,a), scaled_param>).
+
+    ``scaled_param`` is the mirror-ascent step size times the cumulative
+    value-parameter sum. The per-state maximum logit is subtracted before
+    exponentiating, so parameters with norm up to ~1e6 are safe.
+    """
     scaled_param = np.asarray(scaled_param, dtype=np.float64)
+    if scaled_param.shape != (mdp.dim,):
+        raise ValueError(
+            f"scaled_param must have shape ({mdp.dim},), got {scaled_param.shape}"
+        )
     if not np.all(np.isfinite(scaled_param)):
         raise ValueError("scaled_param must be finite")
-    return SoftmaxPolicy(
-        phi=mdp.phi,
-        num_states=mdp.num_states,
-        num_actions=mdp.num_actions,
-        scale_times_param=scaled_param,
-    )
+    logits = (mdp.phi @ scaled_param).reshape(mdp.num_states, mdp.num_actions)
+    return TabularPolicy(_stable_softmax_rows(logits))
 
 
 def save_mdp(mdp: LinearMdp, path) -> None:
@@ -296,20 +245,26 @@ def save_mdp(mdp: LinearMdp, path) -> None:
         "omega": mdp.omega.tolist(),
     }
     with open(path, "w") as f:
-        json.dump(doc, f)
+        f.write(json.dumps(doc))  # one call: the C encoder
         f.write("\n")
 
 
 def load_mdp(path) -> LinearMdp:
+    """Read an MDP file; a missing or mistyped entry raises ValueError."""
     with open(path) as f:
         doc = json.load(f)
-    return LinearMdp(
-        num_states=int(doc["num_states"]),
-        num_actions=int(doc["num_actions"]),
-        dim=int(doc["dim"]),
-        phi=np.array(doc["phi"], dtype=np.float64),
-        psi=np.array(doc["psi"], dtype=np.float64),
-        omega=np.array(doc["omega"], dtype=np.float64),
-        gamma=float(doc["gamma"]),
-        x0=int(doc["x0"]),
-    )
+    try:
+        return LinearMdp(
+            num_states=int(doc["num_states"]),
+            num_actions=int(doc["num_actions"]),
+            dim=int(doc["dim"]),
+            phi=np.array(doc["phi"], dtype=np.float64),
+            psi=np.array(doc["psi"], dtype=np.float64),
+            omega=np.array(doc["omega"], dtype=np.float64),
+            gamma=float(doc["gamma"]),
+            x0=int(doc["x0"]),
+        )
+    except KeyError as e:
+        raise ValueError(f"MDP file {path} lacks the entry {e}") from None
+    except TypeError as e:
+        raise ValueError(f"MDP file {path}: {e}") from None

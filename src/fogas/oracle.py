@@ -64,7 +64,7 @@ def evaluate_policies(
 
 def evaluate_policy(mdp, policy) -> PolicyEvaluation:
     """Exact values and occupancies of one policy: ``evaluate_policies`` at T=1."""
-    probs = policy.table().probs
+    probs = policy.probs
     theta_pi, lambda_pi, v, returns = evaluate_policies(mdp, probs[None])
     # Flow: nu = (1-gamma) nu0 + gamma Psi^T lambda, then mu = pi o nu.
     nu = mdp.gamma * (mdp.psi.T @ lambda_pi[0])

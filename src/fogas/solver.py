@@ -19,7 +19,7 @@ import numpy as np
 from .data import Covariance, OfflineDataset, PsiHat, estimate_psi
 from .linmdp import (
     LinearMdp,
-    SoftmaxPolicy,
+    TabularPolicy,
     _readonly,
     softmax_features,
     softmax_from_logit_param,
@@ -86,6 +86,11 @@ class FogasConfig:
         return replace(self, **updates)
 
 
+def canonical_d_theta(mdp: LinearMdp) -> float:
+    """sqrt(d)/(1-gamma), the theta-ball radius of the theoretical schedule."""
+    return float(np.sqrt(mdp.dim) / (1.0 - mdp.gamma))
+
+
 def theoretical_rates(mdp: LinearMdp, n: int, T: int, delta: float) -> dict:
     """The full hyperparameter schedule as a dict of concrete rates."""
     d = mdp.dim
@@ -94,7 +99,7 @@ def theoretical_rates(mdp: LinearMdp, n: int, T: int, delta: float) -> dict:
     A = mdp.num_actions
     log_A = np.log(A) if A > 1 else 1.0  # degenerate single-action case
     return {
-        "d_theta": np.sqrt(d) / (1.0 - gamma),
+        "d_theta": canonical_d_theta(mdp),
         "beta": R**2 / (d * T),
         "alpha": float(np.sqrt(2.0 * (1.0 - gamma) ** 2 * log_A / (R**2 * d * T))),
         "rho": float(
@@ -142,14 +147,6 @@ class FogasTrajectory:
         for f in fields(self):
             object.__setattr__(self, f.name, _readonly(getattr(self, f.name)))
 
-    def policy_param(self, t: int, alpha: float) -> np.ndarray:
-        """alpha * theta_bar_{t-1}, the softmax parameter of iterate pi_t."""
-        if not 1 <= t <= len(self.thetas):
-            raise ValueError(f"iteration index must lie in [1, {len(self.thetas)}]")
-        if t == 1:
-            return np.zeros(self.thetas.shape[1])
-        return alpha * self.theta_bars[t - 2]
-
 
 @dataclass(frozen=True)
 class FogasRun:
@@ -158,7 +155,7 @@ class FogasRun:
     lambda_final: np.ndarray
     theta_bar_final: np.ndarray
     output_param: np.ndarray  # alpha * theta_bar_{J-1}
-    output_policy: SoftmaxPolicy
+    output_policy: TabularPolicy
     trajectory: FogasTrajectory | None
 
 
@@ -316,25 +313,55 @@ def save_run(run: FogasRun, path) -> None:
             for f in fields(FogasTrajectory)
         }
     with open(path, "w") as f:
-        json.dump(doc, f)
+        f.write(json.dumps(doc))  # one call: the C encoder
         f.write("\n")
 
 
+def _float_array(block: dict, key: str, shape: tuple) -> np.ndarray:
+    arr = _readonly(np.array(block[key], dtype=np.float64))
+    if arr.shape != shape:
+        raise ValueError(f"{key} has shape {arr.shape}, expected {shape}")
+    return arr
+
+
 def load_run(path, mdp: LinearMdp) -> FogasRun:
+    """Read a run file written by ``save_run``; a malformed file raises ValueError.
+
+    The config must be resolved and every array must match its T and the
+    MDP's dimension d.
+    """
     with open(path) as f:
         doc = json.load(f)
-    trajectory = None
-    if "trajectory" in doc:
-        trajectory = FogasTrajectory(
-            **{k: np.array(v, dtype=np.float64) for k, v in doc["trajectory"].items()}
+    d = mdp.dim
+    try:
+        config = FogasConfig(**doc["config"])
+        if not config.is_resolved:
+            raise ValueError("config has unset rates")
+        T = config.T
+        chosen_index = int(doc["chosen_index"])
+        if not 1 <= chosen_index <= T:
+            raise ValueError(f"chosen_index {chosen_index} outside [1, {T}]")
+        trajectory = None
+        if "trajectory" in doc:
+            block = doc["trajectory"]
+            shapes = {f.name: (T, d) for f in fields(FogasTrajectory)}
+            shapes["grad_sq_norms"] = (T,)
+            if set(block) != set(shapes):
+                raise ValueError(f"trajectory fields must be {sorted(shapes)}")
+            trajectory = FogasTrajectory(
+                **{key: _float_array(block, key, shape) for key, shape in shapes.items()}
+            )
+        output_param = _float_array(doc, "output_param", (d,))
+        return FogasRun(
+            config=config,
+            chosen_index=chosen_index,
+            lambda_final=_float_array(doc, "lambda_final", (d,)),
+            theta_bar_final=_float_array(doc, "theta_bar_final", (d,)),
+            output_param=output_param,
+            output_policy=softmax_from_logit_param(mdp, output_param),
+            trajectory=trajectory,
         )
-    output_param = _readonly(np.array(doc["output_param"]))
-    return FogasRun(
-        config=FogasConfig(**doc["config"]),
-        chosen_index=int(doc["chosen_index"]),
-        lambda_final=_readonly(np.array(doc["lambda_final"])),
-        theta_bar_final=_readonly(np.array(doc["theta_bar_final"])),
-        output_param=output_param,
-        output_policy=softmax_from_logit_param(mdp, output_param),
-        trajectory=trajectory,
-    )
+    except KeyError as e:
+        raise ValueError(f"run file {path} lacks the entry {e}") from None
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"run file {path}: {e}") from None

@@ -1,4 +1,5 @@
-"""Shared fixtures: a default environment, datasets, and one recorded run."""
+"""Shared fixtures (a default environment, datasets, one recorded run) and
+the dense and per-iterate references the vectorized code is tested against."""
 
 import warnings
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import fogas
+from fogas.diagnostics import eval_f, v_of_theta_policy
 
 # Auto-tuned short runs deliberately sit below the theoretical minimum
 # iteration count; the warning is expected and checked once in test_solver.
@@ -75,3 +77,37 @@ def dense_greedy_policy(mdp, sweeps=2000):
     for _ in range(sweeps):
         q = mdp.rewards + mdp.gamma * mdp.transition_matrix @ q.reshape(X, A).max(axis=1)
     return q.reshape(X, A).argmax(axis=1)
+
+
+def iterate_params(trajectory, alpha):
+    """Softmax parameters of the iterates pi_1..pi_T, shape (T, d): zero for
+    pi_1, then alpha * theta_bar_{t-1}."""
+    zero = np.zeros((1, trajectory.thetas.shape[1]))
+    return np.vstack([zero, alpha * trajectory.theta_bars[:-1]])
+
+
+def looped_gap_terms(mdp, psi_hat, trajectory, comparators):
+    """Reference: the duality-gap sums built one iterate at a time.
+
+    Each term of the gap is a reduced-Lagrangian evaluation; returns the
+    undivided sums (gap, regret_pi, regret_lambda, regret_theta, err).
+    """
+    X, A = mdp.num_states, mdp.num_actions
+    lam_star = comparators.lambda_star
+    pi_star = comparators.pi_star
+    nu_star = (1.0 - mdp.gamma) * mdp.nu0 + mdp.gamma * mdp.psi.T @ lam_star
+    diff = psi_hat.dense() - mdp.psi
+    gap = regret_pi = regret_lambda = regret_theta = err = 0.0
+    for t in range(trajectory.thetas.shape[0]):
+        theta_t, lam_t = trajectory.thetas[t], trajectory.lambdas[t]
+        pi_t = fogas.TabularPolicy(comparators.policy_tables[t])
+        theta_star_t = comparators.theta_stars[t]
+        gap += eval_f(mdp, lam_star, pi_star, theta_t)
+        gap -= eval_f(mdp, lam_t, pi_t, theta_star_t)
+        q_t = (mdp.phi @ theta_t).reshape(X, A)
+        regret_pi += nu_star @ ((pi_star.probs - pi_t.probs) * q_t).sum(axis=1)
+        regret_lambda += (lam_star - lam_t) @ trajectory.g_lambdas[t]
+        regret_theta += (theta_t - theta_star_t) @ (trajectory.phi_mu_hats[t] - lam_t)
+        v_t = v_of_theta_policy(mdp, pi_t.probs, theta_t)
+        err += -lam_star @ (diff @ v_t) + lam_t @ (diff @ comparators.v_stars[t])
+    return gap, regret_pi, regret_lambda, regret_theta, err

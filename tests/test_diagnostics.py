@@ -4,6 +4,8 @@ gap/suboptimality identities on recorded runs."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fogas
 from fogas.data import PsiHat, build_covariance, collect_dataset, estimate_psi
@@ -21,7 +23,7 @@ from fogas.diagnostics import (
 from fogas.oracle import evaluate_policy, solve_optimal
 from fogas.solver import FogasConfig, run_fogas
 
-from conftest import random_mdp, random_policy
+from conftest import iterate_params, looped_gap_terms, random_mdp, random_policy
 
 
 def exact_psi_hat(mdp, dataset, beta):
@@ -178,6 +180,51 @@ class TestGapEstimationError:
         assert abs(err - direct) <= 1e-10
 
 
+class TestLoopFreeAgainstLoops:
+    @given(
+        X=st.integers(1, 6),
+        A=st.integers(1, 3),
+        d=st.integers(1, 4),
+        gamma=st.floats(0.5, 0.95),
+        T=st.integers(1, 20),
+        d_theta=st.one_of(st.none(), st.floats(0.1, 10.0)),
+        seed=st.integers(0, 10**6),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_per_iterate_loops(self, X, A, d, gamma, T, d_theta, seed):
+        """Gap, regrets and estimation error against the per-iterate
+        reference, with the canonical or a manual radius, for the estimated
+        and the injected true Psi-hat."""
+        d = min(d, X * A)
+        base = fogas.generate_linear_mdp(X, A, d, gamma, seed)
+        mdp = fogas.LinearMdp(
+            num_states=X, num_actions=A, dim=d, phi=base.phi, psi=base.psi,
+            omega=base.omega, gamma=gamma, x0=seed % X,
+        )
+        ds = collect_dataset(mdp, fogas.uniform_policy(X, A), n=32,
+                             sampling_mode="uniform", seed=seed)
+        run = run_fogas(mdp, ds, FogasConfig(T=T, seed=seed, auto_tune=True,
+                                             d_theta=d_theta,
+                                             record_trajectory=True))
+        cfg, traj = run.config, run.trajectory
+        comp = build_comparators(mdp, traj, cfg.alpha)
+        report = duality_gap_report(run, mdp, ds, check_identities=False)
+        assert report.identity_asserted or d_theta is not None
+
+        psi_hat = estimate_psi(ds, cfg.beta)
+        gap, r_pi, r_lam, r_theta, err = looped_gap_terms(mdp, psi_hat, traj, comp)
+        got = (report.gap, report.regret_pi, report.regret_lambda,
+               report.regret_theta, report.err_psi_scaled)
+        want = (gap / T, r_pi / T, r_lam / T, r_theta / T, gamma * err / T)
+        assert np.abs(np.subtract(got, want)).max() <= 1e-10
+        assert np.abs(np.subtract(player_regrets(mdp, traj, comp),
+                                  (r_pi, r_lam, r_theta))).max() <= 1e-10
+
+        for psi_hat in (psi_hat, exact_psi_hat(mdp, ds, cfg.beta)):
+            err = looped_gap_terms(mdp, psi_hat, traj, comp)[4]
+            assert abs(gap_estimation_error(mdp, psi_hat, traj, comp) - err) <= 1e-10
+
+
 class TestIteratePolicies:
     def test_first_iterate_uniform(self, recorded_run, default_mdp):
         tables = iterate_policy_tables(default_mdp, recorded_run.trajectory,
@@ -189,10 +236,10 @@ class TestIteratePolicies:
         traj = recorded_run.trajectory
         alpha = recorded_run.config.alpha
         tables = iterate_policy_tables(default_mdp, traj, alpha)
+        params = iterate_params(traj, alpha)
         for t in (5, 20, 49):
-            param = traj.policy_param(t + 1, alpha)
-            direct = fogas.softmax_from_logit_param(default_mdp, param)
-            assert np.abs(tables[t] - direct.table().probs).max() <= 1e-12
+            direct = fogas.softmax_from_logit_param(default_mdp, params[t])
+            assert np.abs(tables[t] - direct.probs).max() <= 1e-12
 
     def test_batched_evaluation_matches_per_policy(self, recorded_run, default_mdp):
         tables, thetas, vs, rhos = evaluate_iterates(

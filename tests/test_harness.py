@@ -203,6 +203,14 @@ class TestCli:
         assert code == 1
         assert "omega must be finite" in capsys.readouterr().err
 
+    def test_mdp_missing_key_rejected(self, tmp_path, capsys):
+        mdp_path = self.generate(tmp_path)
+        doc = json.loads(mdp_path.read_text())
+        del doc["psi"]
+        mdp_path.write_text(json.dumps(doc))
+        assert cli_main(["validate", "--mdp", str(mdp_path)]) == 1
+        assert "lacks the entry 'psi'" in capsys.readouterr().err
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert cli_main(["validate", "--mdp", str(tmp_path / "nope.json")]) == 1
         assert "not found" in capsys.readouterr().err
@@ -252,6 +260,28 @@ class TestCli:
         assert code == 1
         assert "--record-trajectory" in capsys.readouterr().err
 
+    def rewrite_run(self, run_path, edit):
+        doc = json.loads(run_path.read_text())
+        edit(doc)
+        run_path.write_text(json.dumps(doc))
+
+    def diagnose(self, tmp_path, mdp_path, data_path, run_path):
+        return cli_main(["diagnose", "--mdp", str(mdp_path), "--data",
+                         str(data_path), "--run", str(run_path),
+                         "--out", str(tmp_path / "gap.csv")])
+
+    def test_run_file_unknown_config_key_rejected(self, tmp_path, capsys):
+        paths = self.pipeline(tmp_path, ("--record-trajectory",))
+        self.rewrite_run(paths[2], lambda doc: doc["config"].update(bogus=1))
+        assert self.diagnose(tmp_path, *paths) == 1
+        assert "bogus" in capsys.readouterr().err
+
+    def test_run_file_short_trajectory_rejected(self, tmp_path, capsys):
+        paths = self.pipeline(tmp_path, ("--record-trajectory",))
+        self.rewrite_run(paths[2], lambda doc: doc["trajectory"]["thetas"].pop())
+        assert self.diagnose(tmp_path, *paths) == 1
+        assert "thetas has shape (39, 4), expected (40, 4)" in capsys.readouterr().err
+
     def test_solve_manual_rates(self, tmp_path, capsys):
         mdp_path = self.generate(tmp_path)
         data_path = tmp_path / "d.csv"
@@ -295,6 +325,13 @@ class TestCli:
         assert len(lines) == 5
         printed = capsys.readouterr().out
         assert "median_mean_suboptimality" in printed
+
+    def test_sweep_incomplete_generator_rejected(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"mdp": {"states": 5}}))
+        assert cli_main(["sweep", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "results.csv")]) == 2
+        assert "missing ['actions', 'dim', 'gamma']" in capsys.readouterr().err
 
     def test_sweep_reports_failed_cells(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

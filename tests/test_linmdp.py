@@ -112,7 +112,7 @@ class TestValidation:
 class TestSoftmaxPolicy:
     def test_zero_param_is_uniform(self, default_mdp):
         policy = fogas.softmax_from_logit_param(default_mdp, np.zeros(4))
-        assert np.allclose(policy.table().probs, 1.0 / 3.0)
+        assert np.allclose(policy.probs, 1.0 / 3.0)
 
     def test_hand_computed_two_action(self):
         mdp = fogas.LinearMdp(
@@ -121,13 +121,13 @@ class TestSoftmaxPolicy:
             omega=np.array([0.5, 0.5]), gamma=0.9, x0=0,
         )
         policy = fogas.softmax_from_logit_param(mdp, np.array([np.log(2.0), 0.0]))
-        assert np.allclose(policy.table().probs, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-12)
+        assert np.allclose(policy.probs, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-12)
 
     def test_shift_invariance(self, default_mdp):
         # A common feature component shifts all logits of a state equally.
         rng = np.random.default_rng(0)
         param = rng.normal(size=4)
-        base = fogas.softmax_from_logit_param(default_mdp, param).table().probs
+        base = fogas.softmax_from_logit_param(default_mdp, param).probs
         logits = (default_mdp.phi @ param).reshape(5, 3) + 123.456
         shifted = _stable_softmax_rows(logits)
         assert np.abs(base - shifted).max() <= 1e-12
@@ -136,7 +136,7 @@ class TestSoftmaxPolicy:
         rng = np.random.default_rng(1)
         param = rng.normal(size=4)
         param *= 1e6 / np.linalg.norm(param)
-        probs = fogas.softmax_from_logit_param(default_mdp, param).table().probs
+        probs = fogas.softmax_from_logit_param(default_mdp, param).probs
         assert np.all(np.isfinite(probs))
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
@@ -144,22 +144,19 @@ class TestSoftmaxPolicy:
         with pytest.raises(ValueError):
             fogas.softmax_from_logit_param(default_mdp, np.array([np.nan] * 4))
 
+    def test_wrong_shape_param_rejected(self, default_mdp):
+        with pytest.raises(ValueError, match="shape"):
+            fogas.softmax_from_logit_param(default_mdp, np.zeros(3))
+
     @given(st.integers(min_value=0, max_value=10**6), st.floats(1e-3, 1e5))
     @settings(max_examples=25, deadline=None)
     def test_rows_sum_to_one(self, seed, scale):
         mdp = random_mdp(0)
         rng = np.random.default_rng(seed)
         param = scale * rng.normal(size=mdp.dim)
-        probs = fogas.softmax_from_logit_param(mdp, param).table().probs
+        probs = fogas.softmax_from_logit_param(mdp, param).probs
         assert probs.min() >= 0.0
         assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
-
-    def test_probs_at_matches_table(self, default_mdp):
-        rng = np.random.default_rng(2)
-        policy = fogas.softmax_from_logit_param(default_mdp, rng.normal(size=4))
-        table = policy.table().probs
-        for x in range(5):
-            assert np.allclose(policy.probs_at(x), table[x], atol=1e-15)
 
 
 class TestPolicyUpdate:
@@ -170,20 +167,20 @@ class TestPolicyUpdate:
         param = np.ones(4)
         policy = fogas.softmax_from_logit_param(default_mdp, param)
         updated = fogas.softmax_from_logit_param(default_mdp, param + 0.3 * np.zeros(4))
-        assert np.array_equal(updated.table().probs, policy.table().probs)
+        assert np.array_equal(updated.probs, policy.probs)
 
     def test_first_step_from_uniform(self, default_mdp):
         theta = np.array([0.4, -0.2, 0.1, 0.7])
         stepped = fogas.softmax_from_logit_param(default_mdp, np.zeros(4) + 0.5 * theta)
         boost = np.exp(0.5 * (default_mdp.phi @ theta)).reshape(5, 3)
         direct = boost / boost.sum(axis=1, keepdims=True)
-        assert np.abs(stepped.table().probs - direct).max() <= 1e-15
+        assert np.abs(stepped.probs - direct).max() <= 1e-15
 
     def test_softmax_features_match_table(self, default_mdp):
         rng = np.random.default_rng(5)
         for _ in range(10):
             param = rng.normal(size=4)
-            table = fogas.softmax_from_logit_param(default_mdp, param).table().probs
+            table = fogas.softmax_from_logit_param(default_mdp, param).probs
             expected = np.einsum("xa,xad->xd", table, default_mdp.phi_by_state)
             out = fogas.softmax_features(default_mdp.phi_by_state, param)
             assert np.abs(out - expected).max() <= 1e-15

@@ -25,7 +25,7 @@ from fogas.solver import (
     theoretical_min_iterations,
 )
 
-from conftest import random_mdp, random_policy
+from conftest import iterate_params, random_mdp, random_policy
 
 
 def one_state_bandit():
@@ -159,7 +159,7 @@ class TestMuHatFeatures:
         feats = softmax_features(default_mdp.phi_by_state[sites], np.zeros(4))
         out = mu_hat_features(psi_hat, 0.9, feats[0], feats[1:], np.zeros(4))
         policy = fogas.uniform_policy(5, 3)
-        expected = 0.1 * policy.probs[0] @ default_mdp.state_features(0)
+        expected = 0.1 * policy.probs[0] @ default_mdp.phi_by_state[0]
         assert np.abs(out - expected).max() <= 1e-14
 
     def test_single_sample_hand_instance(self):
@@ -251,7 +251,7 @@ class TestRunFogas:
                         FogasConfig(T=1, seed=0, auto_tune=True))
         assert run.chosen_index == 1
         assert np.all(run.output_param == 0.0)
-        assert np.allclose(run.output_policy.table().probs, 1.0 / 3.0)
+        assert np.allclose(run.output_policy.probs, 1.0 / 3.0)
 
     def test_bit_identical_determinism(self, default_mdp, default_dataset):
         cfg = FogasConfig(T=40, seed=17, auto_tune=True, record_trajectory=True)
@@ -267,7 +267,7 @@ class TestRunFogas:
     def test_output_policy_is_iterate_j(self, default_mdp, default_dataset):
         cfg = FogasConfig(T=30, seed=5, auto_tune=True, record_trajectory=True)
         run = run_fogas(default_mdp, default_dataset, cfg)
-        expected = run.trajectory.policy_param(run.chosen_index, run.config.alpha)
+        expected = iterate_params(run.trajectory, run.config.alpha)[run.chosen_index - 1]
         assert np.array_equal(run.output_param, expected)
 
     def test_chosen_index_uniform_over_iterations(self, default_mdp, default_dataset):
@@ -303,7 +303,7 @@ class TestRunFogas:
                                  seed=seed)
             run = run_fogas(mdp, ds, FogasConfig(T=t_min, seed=seed,
                                                  auto_tune=True))
-            if run.output_policy.probs_at(0)[0] > 0.55:
+            if run.output_policy.probs[0, 0] > 0.55:
                 hits += 1
         assert hits >= 8
 
@@ -317,7 +317,7 @@ class TestRunFogas:
             cfg = FogasConfig(T=2000, seed=seed, alpha=0.05, eta=0.1, rho=0.05,
                               beta=1e-3, d_theta=np.sqrt(2.0) / 0.1)
             run = run_fogas(mdp, ds, cfg)
-            assert run.output_policy.probs_at(0)[0] > 0.9
+            assert run.output_policy.probs[0, 0] > 0.9
 
     def test_runtime_scales_gently_in_n(self, default_mdp):
         """Per-iteration work is dominated by the aggregated next-state
@@ -383,10 +383,10 @@ class TestTrajectoryStepIdentities:
         psi_hat = estimate_psi(ds, cfg.beta)
         sites = np.concatenate(([mdp.x0], psi_hat.observed_states))
         tables = iterate_policy_tables(mdp, tr, cfg.alpha)
+        params = iterate_params(tr, cfg.alpha)
 
         for t in range(T):
-            feats = softmax_features(mdp.phi_by_state[sites],
-                                     tr.policy_param(t + 1, cfg.alpha))
+            feats = softmax_features(mdp.phi_by_state[sites], params[t])
             phimu = mu_hat_features(psi_hat, mdp.gamma, feats[0], feats[1:],
                                     tr.lambdas[t])
             assert np.abs(tr.phi_mu_hats[t] - phimu).max() <= 1e-12
