@@ -49,6 +49,7 @@ from .solver import (
     load_run,
     mu_hat_features,
     run_fogas,
+    run_fogas_batch,
     save_run,
     theoretical_min_iterations,
     theoretical_rates,

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .linmdp import LinearMdp, _readonly
 from .oracle import evaluate_policy
@@ -89,20 +88,24 @@ class Covariance:
         if self.beta <= 0:
             raise ValueError("beta must be positive")
         mat = _readonly(self.lambda_mat)
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("covariance matrix must be finite")
         if np.abs(mat - mat.T).max() > 1e-12:
             raise ValueError("covariance matrix must be symmetric")
         object.__setattr__(self, "lambda_mat", mat)
 
     @cached_property
-    def _factor(self):
+    def _factor(self) -> np.ndarray:
+        """The lower Cholesky factor L, Lambda = L L^T."""
         try:
-            return scipy.linalg.cho_factor(self.lambda_mat)
+            return np.linalg.cholesky(self.lambda_mat)
         except np.linalg.LinAlgError as e:
             raise ValueError("covariance must be positive definite") from e
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Return Lambda^{-1} rhs via the cached Cholesky factorization."""
-        return scipy.linalg.cho_solve(self._factor, np.asarray(rhs, dtype=np.float64))
+        """Return Lambda^{-1} rhs via the cached Cholesky factor: L^T x = L^{-1} rhs."""
+        L = self._factor
+        return np.linalg.solve(L.T, np.linalg.solve(L, np.asarray(rhs, dtype=np.float64)))
 
     def weighted_sq_norm(self, vec: np.ndarray) -> float:
         """||vec||^2 in the Lambda^{-1} norm."""

@@ -11,22 +11,30 @@ import numpy as np
 from .data import OfflineDataset, build_covariance, collect_dataset
 from .diagnostics import evaluate_iterates
 from .linmdp import LinearMdp, TabularPolicy, generate_linear_mdp, load_mdp, uniform_policy
-from .oracle import evaluate_policy, solve_optimal
-from .solver import FogasConfig, FogasRun, run_fogas, theoretical_min_iterations
+from .oracle import PolicyEvaluation, evaluate_policy, solve_optimal
+from .solver import FogasConfig, FogasRun, run_fogas_batch, theoretical_min_iterations
+
+# solve_optimal's result: the optimal policy and its exact evaluation.
+Optimal = tuple[TabularPolicy, PolicyEvaluation]
 
 RESULTS_HEADER = "mdp_id,n,seed,T,coverage_ratio,suboptimality,mean_suboptimality,wall_time_ms,status"
 
 
-def behavior_policy(mdp: LinearMdp, spec: str) -> TabularPolicy:
+def behavior_policy(
+    mdp: LinearMdp, spec: str, optimal: Optimal | None = None
+) -> TabularPolicy:
     """Parse a behavior spec: "uniform" or "eps:<v>" (epsilon-uniform mix of
-    the oracle-optimal policy; eps:0 is exactly the optimal policy)."""
+    the oracle-optimal policy; eps:0 is exactly the optimal policy).
+
+    ``optimal`` is ``solve_optimal(mdp)`` if the caller already has it.
+    """
     if spec == "uniform":
         return uniform_policy(mdp.num_states, mdp.num_actions)
     if spec.startswith("eps:"):
         eps = float(spec[4:])
         if not 0.0 <= eps <= 1.0:
             raise ValueError(f"epsilon must lie in [0, 1], got {eps}")
-        pi_star, _ = solve_optimal(mdp)
+        pi_star, _ = optimal or solve_optimal(mdp)
         mix = (1.0 - eps) * pi_star.probs + eps / mdp.num_actions
         return TabularPolicy(mix)
     raise ValueError(f"unknown behavior spec {spec!r}")
@@ -162,13 +170,15 @@ def score_run(
     run: FogasRun,
     start: float,
     mdp_id: str = "mdp",
+    optimal: Optimal | None = None,
 ) -> ExperimentRecord:
     """Score a finished run against the oracle.
 
     ``start`` is the ``time.perf_counter()`` reading the wall time counts from.
     The mean-iterate suboptimality is NaN when the run has no trajectory.
+    ``optimal`` is ``solve_optimal(mdp)`` if the caller already has it.
     """
-    _, star_eval = solve_optimal(mdp)
+    _, star_eval = optimal or solve_optimal(mdp)
     out_eval = evaluate_policy(mdp, run.output_policy)
     mean_sub = float("nan")
     if run.trajectory is not None:
@@ -186,6 +196,57 @@ def score_run(
     )
 
 
+def run_group(
+    mdp: LinearMdp,
+    behavior: TabularPolicy,
+    sampling_mode: str,
+    n: int,
+    seeds: list[int],
+    fogas_spec: dict,
+    mdp_id: str = "mdp",
+    optimal: Optimal | None = None,
+) -> list[tuple[ExperimentRecord, FogasRun] | Exception]:
+    """The cells (n, seed) of one sample size, their ascent loops run as one batch.
+
+    Collects each seed's data, runs ``run_fogas_batch`` once and scores each
+    run. Returns, per seed, ``(record, run)`` or the exception that ended the
+    seed in collection, the loop or scoring. A record's wall time is its own
+    collection and scoring plus an equal share of the batch's loop time.
+    """
+    results: list = [None] * len(seeds)
+    cells = []  # (slot, dataset, config, collection seconds)
+    for slot, seed in enumerate(seeds):
+        start = time.perf_counter()
+        try:
+            dataset = collect_dataset(
+                mdp, behavior, n=n, sampling_mode=sampling_mode, seed=seed
+            )
+            config = fogas_config_from_spec(mdp, n, seed, fogas_spec)
+        except Exception as e:  # this cell's error; the others still run
+            results[slot] = e
+            continue
+        cells.append((slot, dataset, config, time.perf_counter() - start))
+    if not cells:
+        return results
+
+    start = time.perf_counter()
+    runs = run_fogas_batch(mdp, [c[1] for c in cells], [c[2] for c in cells])
+    loop_share = (time.perf_counter() - start) / len(cells)
+
+    for (slot, dataset, _, collect_s), run in zip(cells, runs):
+        if isinstance(run, Exception):
+            results[slot] = run
+            continue
+        # Backdate the start so the record counts collection and the loop share.
+        start = time.perf_counter() - collect_s - loop_share
+        try:
+            record = score_run(mdp, dataset, run, start, mdp_id=mdp_id, optimal=optimal)
+            results[slot] = (record, run)
+        except Exception as e:
+            results[slot] = e
+    return results
+
+
 def run_cell(
     mdp: LinearMdp,
     behavior: TabularPolicy,
@@ -195,33 +256,45 @@ def run_cell(
     fogas_spec: dict,
     mdp_id: str = "mdp",
 ) -> tuple[ExperimentRecord, FogasRun]:
-    """One (n, seed) cell: collect data, run the solver, score against the oracle."""
-    start = time.perf_counter()
-    dataset = collect_dataset(mdp, behavior, n=n, sampling_mode=sampling_mode, seed=seed)
-    run = run_fogas(mdp, dataset, fogas_config_from_spec(mdp, n, seed, fogas_spec))
-    return score_run(mdp, dataset, run, start, mdp_id=mdp_id), run
+    """One (n, seed) cell: collect data, run the solver, score against the oracle.
+
+    The one-seed case of ``run_group``; a failure raises.
+    """
+    (result,) = run_group(mdp, behavior, sampling_mode, n, [seed], fogas_spec, mdp_id)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def run_sweep(config: ExperimentConfig, mdp_id: str = "mdp") -> list[ExperimentRecord]:
-    """Run the full grid in order; failures become per-row error records."""
+    """Run the full grid in (n, seed) order; failures become per-row error records.
+
+    The seeds of one n run as one batch (``run_group``): they share T, which
+    depends only on n and the MDP. The optimal policy is solved once.
+    """
     mdp = config.load_mdp()
-    behavior = behavior_policy(mdp, config.behavior)
+    try:
+        optimal = solve_optimal(mdp)
+    except Exception:  # left to each cell's scoring, so each row keeps the error
+        optimal = None
+    behavior = behavior_policy(mdp, config.behavior, optimal)
+    seeds = [int(seed) for seed in config.seeds]
     records = []
     for n in config.n_values:
-        for seed in config.seeds:
-            try:
-                record, _ = run_cell(
-                    mdp, behavior, config.sampling_mode, int(n), int(seed),
-                    config.fogas, mdp_id=mdp_id,
-                )
-            except Exception as e:  # record and continue; exit code handled by caller
-                record = ExperimentRecord(
-                    mdp_id=mdp_id, n=int(n), seed=int(seed), T=0,
+        results = run_group(
+            mdp, behavior, config.sampling_mode, int(n), seeds, config.fogas,
+            mdp_id=mdp_id, optimal=optimal,
+        )
+        for seed, result in zip(seeds, results):
+            if isinstance(result, Exception):  # exit code handled by caller
+                records.append(ExperimentRecord(
+                    mdp_id=mdp_id, n=int(n), seed=seed, T=0,
                     coverage_ratio=float("nan"), suboptimality=float("nan"),
                     mean_suboptimality=float("nan"), wall_time_ms=0.0,
-                    status=f"error:{type(e).__name__}", message=str(e),
-                )
-            records.append(record)
+                    status=f"error:{type(result).__name__}", message=str(result),
+                ))
+            else:
+                records.append(result[0])
     return records
 
 

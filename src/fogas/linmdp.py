@@ -208,10 +208,14 @@ def softmax_features(phi_states: np.ndarray, scaled_param: np.ndarray) -> np.nda
     """sum_a pi(a|x) phi(x,a) per state, pi the softmax of <phi(x,a), scaled_param>.
 
     ``phi_states`` stacks the (A, d) feature blocks of the states, shape (k, A, d);
-    the result has shape (k, d).
+    the result has shape (k, d). A ``scaled_param`` of shape (S, d) gives one
+    policy per row and a result of shape (S, k, d).
     """
-    probs = _stable_softmax_rows(phi_states @ scaled_param)
-    return np.einsum("ka,kad->kd", probs, phi_states)
+    k, A, d = phi_states.shape
+    scaled_param = np.asarray(scaled_param, dtype=np.float64)
+    logits = scaled_param @ phi_states.reshape(k * A, d).T
+    probs = _stable_softmax_rows(logits.reshape(scaled_param.shape[:-1] + (k, A)))
+    return (probs[..., None, :] @ phi_states)[..., 0, :]
 
 
 def softmax_from_logit_param(mdp: LinearMdp, scaled_param: np.ndarray) -> TabularPolicy:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -159,17 +160,17 @@ class FogasRun:
     trajectory: FogasTrajectory | None
 
 
-def best_response_theta(g: np.ndarray, d_theta: float) -> np.ndarray:
-    """Minimizer of <theta, g> over the ball of radius d_theta.
+def best_response_theta(g: np.ndarray, d_theta) -> np.ndarray:
+    """Minimizer of <theta, g> over the ball of radius d_theta, per row of g.
 
-    Returns the origin on a tie (g numerically zero), which leaves the
-    cumulative policy parameter, and hence the policy, unchanged.
+    ``g`` has shape (..., d) and ``d_theta`` broadcasts against (..., 1). A row
+    with a tie (g numerically zero) gets the origin, which leaves its
+    cumulative policy parameter, and hence its policy, unchanged.
     """
     g = np.asarray(g, dtype=np.float64)
-    norm = np.linalg.norm(g)
-    if norm <= BEST_RESPONSE_TIE_TOL:
-        return np.zeros_like(g)
-    return -d_theta * g / norm
+    norm = np.sqrt((g * g).sum(axis=-1, keepdims=True))
+    # Dividing by infinity sends a tied row to the origin.
+    return -d_theta * g / np.where(norm > BEST_RESPONSE_TIE_TOL, norm, np.inf)
 
 
 def mu_hat_features(
@@ -185,9 +186,12 @@ def mu_hat_features(
     the same sum at ``psi_hat.observed_states[j]``. With C = Lambda^{-1} Sigma / n
     the estimator's columns, this equals
     (1-gamma) * features_x0 + gamma * features_next^T C^T lambda.
+    Every argument may carry a leading seed axis: ``psi_hat.columns`` (S, d, k),
+    ``features_next`` (S, k, d) and the rest (S, d).
     """
     lam = np.asarray(lam, dtype=np.float64)
-    return (1.0 - gamma) * features_x0 + gamma * features_next.T @ (psi_hat.columns.T @ lam)
+    weights = lam[..., None, :] @ psi_hat.columns  # (..., 1, k), lambda^T C
+    return (1.0 - gamma) * features_x0 + gamma * (weights @ features_next)[..., 0, :]
 
 
 def lambda_gradient(
@@ -200,26 +204,213 @@ def lambda_gradient(
     """omega + gamma * PsiHat v - theta, the ascent direction for lambda.
 
     ``v_next`` holds v at ``psi_hat.observed_states``, the only states PsiHat
-    reads.
+    reads. With a leading seed axis, ``psi_hat.columns`` is (S, d, k),
+    ``v_next`` (S, k) and ``theta`` (S, d).
     """
-    return np.asarray(omega) + gamma * psi_hat.columns @ np.asarray(v_next) \
+    v_next = np.asarray(v_next, dtype=np.float64)
+    return np.asarray(omega) + gamma * (psi_hat.columns @ v_next[..., None])[..., 0] \
         - np.asarray(theta)
 
 
-def lambda_update(
-    lambda_t: np.ndarray, g: np.ndarray, cov: Covariance, eta: float, rho: float
-) -> np.ndarray:
+def lambda_update(lambda_t: np.ndarray, g: np.ndarray, cov: Covariance, eta, rho) -> np.ndarray:
     """Closed form of the stabilized, preconditioned mirror ascent step.
 
     Exact argmax of <lambda, g> - ||lambda - lambda_t||^2_{Lambda^{-1}}/(2 eta)
-    - rho/2 * ||lambda||^2_{Lambda^{-1}}.
+    - rho/2 * ||lambda||^2_{Lambda^{-1}}. With a leading seed axis,
+    ``cov.lambda_mat`` is (S, d, d), ``lambda_t`` and ``g`` are (S, d), and
+    ``eta`` and ``rho`` broadcast against (S, 1).
     """
-    if eta <= 0:
+    if np.asarray(eta).min() <= 0:
         raise ValueError("eta must be positive")
-    if rho < 0:
+    if np.asarray(rho).min() < 0:
         raise ValueError("rho must be >= 0")
     lambda_t = np.asarray(lambda_t, dtype=np.float64)
-    return (lambda_t + eta * cov.lambda_mat @ np.asarray(g)) / (1.0 + rho * eta)
+    g = np.asarray(g, dtype=np.float64)
+    return (lambda_t + eta * (cov.lambda_mat @ g[..., None])[..., 0]) / (1.0 + rho * eta)
+
+
+@dataclass(frozen=True)
+class _SeedStack:
+    """Per-seed constants of a batched run, one row per seed still running.
+
+    ``columns`` pads each seed's estimator columns with zeros at the next
+    states of the union that the seed did not observe, so the step helpers
+    read it, and ``lambda_mat``, as they read ``PsiHat`` and ``Covariance``.
+    The rates are (S, 1) columns, which broadcast against (S, d).
+    """
+
+    slots: np.ndarray  # (S,) position of each row in the caller's lists
+    columns: np.ndarray  # (S, d, k)
+    lambda_mat: np.ndarray  # (S, d, d)
+    alpha: np.ndarray
+    eta: np.ndarray
+    rho: np.ndarray
+    d_theta: np.ndarray
+    grad_bound: np.ndarray  # (S,)
+
+    def take(self, keep: np.ndarray) -> "_SeedStack":
+        return _SeedStack(*(getattr(self, f.name)[keep] for f in fields(self)))
+
+
+def _failed_rows(t, stack, g, grad_sq, lam_next, theta_bar, check_gradient_bound) -> dict:
+    """Row -> error for each seed whose iteration t broke the gradient bound
+    (checked first, as the unbatched loop did) or left the finite numbers."""
+    failed = {}
+    if check_gradient_bound:
+        for row in np.flatnonzero(grad_sq > stack.grad_bound):
+            failed[row] = AssertionError(
+                f"gradient norm bound violated at iteration {t}: "
+                f"{grad_sq[row]:.6g} > {stack.grad_bound[row]:.6g}"
+            )
+    # One fused test per iteration; a finite sum that overflowed only costs the
+    # exact per-seed check below.
+    if not np.isfinite(lam_next.sum() + theta_bar.sum() + g.sum()):
+        for row in range(len(g)):
+            finite = [bool(np.all(np.isfinite(a[row]))) for a in (lam_next, theta_bar, g)]
+            if not all(finite) and row not in failed:
+                failed[row] = FloatingPointError(
+                    f"non-finite iterate at iteration {t} "
+                    f"(lambda finite: {finite[0]}, theta_bar finite: {finite[1]}, "
+                    f"gradient finite: {finite[2]})"
+                )
+    return failed
+
+
+def run_fogas_batch(
+    mdp: LinearMdp, datasets: list[OfflineDataset], configs: list[FogasConfig]
+) -> list[FogasRun | Exception]:
+    """Run one ascent loop over S seeds at once: seed s runs ``configs[s]`` on
+    ``datasets[s]``.
+
+    Returns one ``FogasRun`` per seed, or the exception that ended that seed:
+    a failure while resolving its config or building its estimator, the
+    ``AssertionError`` of a broken gradient bound, or the ``FloatingPointError``
+    of a non-finite iterate. A failed seed leaves the batch; the others run to
+    T. The configs must share T, ``record_trajectory`` and
+    ``check_gradient_bound``; the rates may differ. Each seed's results equal
+    those of its own ``run_fogas`` up to roundoff: the seeds' estimator columns
+    are zero-padded to the union of their observed next states.
+    """
+    if len(datasets) != len(configs) or not configs:
+        raise ValueError("need one dataset per config and at least one of each")
+    if len({(c.T, c.record_trajectory, c.check_gradient_bound) for c in configs}) > 1:
+        raise ValueError(
+            "batched configs must share T, record_trajectory and check_gradient_bound"
+        )
+    results: list = [None] * len(configs)
+    prepared = []
+    for slot, (dataset, config) in enumerate(zip(datasets, configs)):
+        try:
+            cfg = config.resolved(mdp, len(dataset))
+            prepared.append((slot, cfg, estimate_psi(dataset, cfg.beta)))
+        except Exception as e:  # this seed's error; the others still run
+            results[slot] = e
+    if prepared:
+        _ascend(mdp, prepared, results)
+    return results
+
+
+def _ascend(mdp: LinearMdp, prepared: list, results: list) -> None:
+    """The ascent loop over the prepared seeds; fills their slots of ``results``."""
+    first = prepared[0][1]
+    T, S, d, gamma = first.T, len(results), mdp.dim, mdp.gamma
+    cfgs = {slot: cfg for slot, cfg, _ in prepared}
+
+    union = np.unique(np.concatenate([p.observed_states for _, _, p in prepared]))
+    columns = np.zeros((len(prepared), d, len(union)))
+    for row, (_, _, psi_hat) in enumerate(prepared):
+        columns[row][:, np.searchsorted(union, psi_hat.observed_states)] = psi_hat.columns
+
+    def rate(name):
+        return np.array([[getattr(cfg, name)] for cfg in cfgs.values()])
+
+    stack = _SeedStack(
+        slots=np.array(list(cfgs)),
+        columns=columns,
+        lambda_mat=np.stack([p.covariance.lambda_mat for _, _, p in prepared]),
+        alpha=rate("alpha"),
+        eta=rate("eta"),
+        rho=rate("rho"),
+        d_theta=rate("d_theta"),
+        grad_bound=np.array([gradient_norm_bound(c, mdp) + 1e-8 for c in cfgs.values()]),
+    )
+    # Row 0: the initial state; rows 1..k: the union of observed next states.
+    phi_sites = mdp.phi_by_state[np.concatenate(([mdp.x0], union))]
+
+    chosen = {s: int(np.random.default_rng(c.seed).integers(1, T + 1)) for s, c in cfgs.items()}
+    draws: dict[int, list] = {}
+    for slot, J in chosen.items():
+        draws.setdefault(J, []).append(slot)
+    output_params = {}
+
+    traj = None
+    if first.record_trajectory:  # (S, T, d): each seed's record is a contiguous view
+        traj = {f.name: np.empty((S, T, d)) for f in fields(FogasTrajectory)}
+        traj["grad_sq_norms"] = np.empty((S, T))
+    need_grad_sq = first.record_trajectory or first.check_gradient_bound
+
+    lam = np.zeros((len(prepared), d))
+    theta_bar = np.zeros_like(lam)
+    grad_sq = None
+    rows = slice(None) if len(prepared) == S else stack.slots  # trajectory rows
+
+    for t in range(1, T + 1):
+        scaled = stack.alpha * theta_bar  # the policies in force at iteration t
+        for slot in draws.get(t, ()):
+            row = np.flatnonzero(stack.slots == slot)
+            if len(row):  # not a seed that has failed
+                output_params[slot] = scaled[row[0]]
+        features = softmax_features(phi_sites, scaled)  # (S, 1+k, d)
+        features_next = features[:, 1:]
+
+        # Value-parameter step: best response to the estimated feature occupancy.
+        phimu = mu_hat_features(stack, gamma, features[:, 0], features_next, lam)
+        theta = best_response_theta(phimu - lam, stack.d_theta)
+
+        # Policy step in cumulative form.
+        theta_bar = theta_bar + theta
+
+        # Feature-occupancy step; v_{theta_t, pi_t} is read at observed next states.
+        v_next = (features_next @ theta[:, :, None])[:, :, 0]
+        g = lambda_gradient(mdp.omega, stack, v_next, theta, gamma)
+        if need_grad_sq:
+            grad_sq = (g[:, None, :] @ (stack.lambda_mat @ g[:, :, None]))[:, 0, 0]
+        lam_next = lambda_update(lam, g, stack, stack.eta, stack.rho)
+
+        failed = _failed_rows(t, stack, g, grad_sq, lam_next, theta_bar,
+                              first.check_gradient_bound)
+        if failed:
+            keep = np.ones(len(lam), dtype=bool)
+            for row, error in failed.items():
+                results[int(stack.slots[row])] = error
+                keep[row] = False
+            stack = stack.take(keep)
+            lam, lam_next, theta, theta_bar, phimu, g = (
+                a[keep] for a in (lam, lam_next, theta, theta_bar, phimu, g)
+            )
+            grad_sq = None if grad_sq is None else grad_sq[keep]
+            rows = stack.slots
+            if not len(lam):
+                return
+
+        if traj is not None:  # values in FogasTrajectory field order
+            for buf, value in zip(traj.values(), (lam, theta, theta_bar, phimu, g, grad_sq)):
+                buf[rows, t - 1] = value
+        lam = lam_next
+
+    for row, slot in enumerate(stack.slots.tolist()):
+        output_param = output_params[slot]
+        results[slot] = FogasRun(
+            config=cfgs[slot],
+            chosen_index=chosen[slot],
+            lambda_final=_readonly(lam[row]),
+            theta_bar_final=_readonly(theta_bar[row]),
+            output_param=_readonly(output_param),
+            output_policy=softmax_from_logit_param(mdp, output_param),
+            trajectory=None if traj is None else FogasTrajectory(
+                **{name: buf[slot] for name, buf in traj.items()}
+            ),
+        )
 
 
 def run_fogas(mdp: LinearMdp, dataset: OfflineDataset, config: FogasConfig) -> FogasRun:
@@ -227,79 +418,27 @@ def run_fogas(mdp: LinearMdp, dataset: OfflineDataset, config: FogasConfig) -> F
 
     The returned policy is the iterate in force at the drawn iteration J, i.e.
     the softmax of alpha times the cumulative parameter after J-1 updates.
+    This is the one-seed case of ``run_fogas_batch``; a failure raises.
     """
-    cfg = config.resolved(mdp, len(dataset))
-    T, d, gamma = cfg.T, mdp.dim, mdp.gamma
+    (result,) = run_fogas_batch(mdp, [dataset], [config])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
-    psi_hat = estimate_psi(dataset, cfg.beta)
-    cov = psi_hat.covariance
-    # Row 0: the initial state; rows 1..k: the observed next states.
-    phi_sites = mdp.phi_by_state[np.concatenate(([mdp.x0], psi_hat.observed_states))]
-    grad_bound = gradient_norm_bound(cfg, mdp) + 1e-8
 
-    J = int(np.random.default_rng(cfg.seed).integers(1, T + 1))
-
-    lam = np.zeros(d)
-    theta_bar = np.zeros(d)
-    output_param = None
-    traj = None
-    if cfg.record_trajectory:
-        traj = {f.name: np.empty((T, d)) for f in fields(FogasTrajectory)}
-        traj["grad_sq_norms"] = np.empty(T)
-
-    for t in range(1, T + 1):
-        scaled = cfg.alpha * theta_bar  # policy in force at iteration t
-        if t == J:
-            output_param = scaled
-        features = softmax_features(phi_sites, scaled)
-
-        # Value-parameter step: best response to the estimated feature occupancy.
-        phimu = mu_hat_features(psi_hat, gamma, features[0], features[1:], lam)
-        theta = best_response_theta(phimu - lam, cfg.d_theta)
-
-        # Policy step in cumulative form.
-        theta_bar = theta_bar + theta
-
-        # Feature-occupancy step; v_{theta_t, pi_t} is read at observed next states.
-        g = lambda_gradient(mdp.omega, psi_hat, features[1:] @ theta, theta, gamma)
-        grad_sq = float(g @ (cov.lambda_mat @ g))
-        if cfg.check_gradient_bound and grad_sq > grad_bound:
-            raise AssertionError(
-                f"gradient norm bound violated at iteration {t}: "
-                f"{grad_sq:.6g} > {grad_bound:.6g}"
-            )
-        lam_next = lambda_update(lam, g, cov, cfg.eta, cfg.rho)
-
-        if not (
-            np.all(np.isfinite(lam_next))
-            and np.all(np.isfinite(theta_bar))
-            and np.all(np.isfinite(g))
-        ):
-            raise FloatingPointError(
-                f"non-finite iterate at iteration {t} "
-                f"(lambda finite: {bool(np.all(np.isfinite(lam_next)))}, "
-                f"theta_bar finite: {bool(np.all(np.isfinite(theta_bar)))}, "
-                f"gradient finite: {bool(np.all(np.isfinite(g)))})"
-            )
-
-        if traj is not None:  # values in FogasTrajectory field order
-            for buf, value in zip(traj.values(), (lam, theta, theta_bar, phimu, g, grad_sq)):
-                buf[t - 1] = value
-        lam = lam_next
-
-    return FogasRun(
-        config=cfg,
-        chosen_index=J,
-        lambda_final=_readonly(lam),
-        theta_bar_final=_readonly(theta_bar),
-        output_param=_readonly(output_param),
-        output_policy=softmax_from_logit_param(mdp, output_param),
-        trajectory=None if traj is None else FogasTrajectory(**traj),
-    )
+def _json_members(pairs) -> Iterator[str]:
+    """The members of a JSON object as ``json.dumps`` writes them, one piece
+    per value, so no piece holds more than one value's text."""
+    for i, (key, value) in enumerate(pairs):
+        yield f"{', ' if i else ''}{json.dumps(key)}: {json.dumps(value)}"
 
 
 def save_run(run: FogasRun, path) -> None:
-    """Serialize a run (config echo, J, output parameter, optional trajectory)."""
+    """Serialize a run (config echo, J, output parameter, optional trajectory).
+
+    The file holds ``json.dumps`` of the run document and a newline, written
+    one field at a time.
+    """
     doc = {
         "config": asdict(run.config),
         "chosen_index": run.chosen_index,
@@ -307,14 +446,17 @@ def save_run(run: FogasRun, path) -> None:
         "theta_bar_final": run.theta_bar_final.tolist(),
         "output_param": run.output_param.tolist(),
     }
-    if run.trajectory is not None:
-        doc["trajectory"] = {
-            f.name: getattr(run.trajectory, f.name).tolist()
-            for f in fields(FogasTrajectory)
-        }
     with open(path, "w") as f:
-        f.write(json.dumps(doc))  # one call: the C encoder
-        f.write("\n")
+        f.write("{")
+        f.writelines(_json_members(doc.items()))
+        if run.trajectory is not None:
+            f.write(', "trajectory": {')
+            f.writelines(_json_members(
+                (field.name, getattr(run.trajectory, field.name).tolist())
+                for field in fields(FogasTrajectory)
+            ))
+            f.write("}")
+        f.write("}\n")
 
 
 def _float_array(block: dict, key: str, shape: tuple) -> np.ndarray:

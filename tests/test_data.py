@@ -2,6 +2,9 @@
 estimator, checked against naive accumulation and generic least squares."""
 
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -163,6 +166,28 @@ class TestCovariance:
             build_covariance(default_dataset, beta=0.0)
         with pytest.raises(ValueError):
             Covariance(beta=-1.0, lambda_mat=np.eye(2), n=1)
+
+    def test_not_positive_definite_rejected(self):
+        cov = Covariance(beta=1.0, lambda_mat=np.array([[1.0, 2.0], [2.0, 1.0]]), n=1)
+        with pytest.raises(ValueError, match="positive definite"):
+            cov.solve(np.ones(2))
+        with pytest.raises(ValueError, match="finite"):
+            Covariance(beta=1.0, lambda_mat=np.diag([np.nan, 1.0]), n=1)
+
+    def test_solve_many_columns(self, default_dataset):
+        cov = build_covariance(default_dataset, beta=0.05)
+        rhs = np.random.default_rng(1).normal(size=(4, 7))
+        assert np.abs(cov.lambda_mat @ cov.solve(rhs) - rhs).max() <= 1e-12
+
+
+def test_import_loads_no_scipy():
+    """scipy is a test-only dependency: the package itself never imports it."""
+    src = os.path.dirname(os.path.dirname(fogas.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import fogas, fogas.cli, sys; "
+            "assert not any(m.startswith('scipy') for m in sys.modules)")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestEstimatePsi:

@@ -125,6 +125,36 @@ class TestSweep:
         b = harness.run_sweep(self.make_config())
         assert strip_timing(a) == strip_timing(b)
 
+    def test_records_match_per_seed_cells(self):
+        """A sweep batches the seeds of each n; its records equal the one-seed
+        cells' apart from wall time, within the batched-loop tolerance
+        (relative to each field's largest absolute value)."""
+        config = self.make_config(n_values=(64, 256), seeds=(0, 1, 2))
+        records = harness.run_sweep(config)
+        mdp = config.load_mdp()
+        beh = harness.behavior_policy(mdp, config.behavior)
+        cells = [harness.run_cell(mdp, beh, config.sampling_mode, n, seed, config.fogas)[0]
+                 for n in config.n_values for seed in config.seeds]
+        assert [(r.mdp_id, r.n, r.seed, r.T, r.status) for r in records] == \
+            [(r.mdp_id, r.n, r.seed, r.T, r.status) for r in cells]
+        for name in ("coverage_ratio", "suboptimality", "mean_suboptimality"):
+            got = np.array([getattr(r, name) for r in records])
+            want = np.array([getattr(r, name) for r in cells])
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        assert all(r.wall_time_ms > 0 for r in records)
+
+    def test_optimal_policy_solved_once(self, monkeypatch):
+        calls = []
+
+        def counted(mdp):
+            calls.append(mdp)
+            return solve_optimal(mdp)
+
+        monkeypatch.setattr(harness, "solve_optimal", counted)
+        records = harness.run_sweep(self.make_config(behavior="eps:0.5"))
+        assert len(calls) == 1
+        assert all(r.status == "ok" for r in records)
+
     def test_failures_recorded_per_row(self):
         config = self.make_config(
             fogas={"auto_tune": True, "T": 30, "eta": 1e250, "d_theta": 1e100})

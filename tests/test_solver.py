@@ -1,19 +1,24 @@
 """The ascent loop and its closed-form updates, checked against dense
 materializations, finite differences, and random feasible points."""
 
+import json
 import time
+from dataclasses import asdict, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fogas
 from fogas.data import build_covariance, collect_dataset, estimate_psi
 from fogas.diagnostics import iterate_policy_tables
 from fogas.linmdp import softmax_features
+from fogas import solver
 from fogas.solver import (
     FogasConfig,
+    FogasTrajectory,
     best_response_theta,
     gradient_norm_bound,
     lambda_gradient,
@@ -21,6 +26,7 @@ from fogas.solver import (
     load_run,
     mu_hat_features,
     run_fogas,
+    run_fogas_batch,
     save_run,
     theoretical_min_iterations,
 )
@@ -335,7 +341,162 @@ class TestRunFogas:
         assert times[16384] <= 2.5 * times[8192]
 
 
+# Batched and solo runs differ only by roundoff: zero-padded columns change
+# the summation order. Relative to each field's largest absolute value.
+BATCH_RTOL = 1e-10
+
+
+def assert_runs_close(batched, solo, rtol=BATCH_RTOL):
+    assert batched.chosen_index == solo.chosen_index
+    assert batched.config == solo.config
+    pairs = [(batched.lambda_final, solo.lambda_final),
+             (batched.theta_bar_final, solo.theta_bar_final),
+             (batched.output_param, solo.output_param)]
+    assert (batched.trajectory is None) == (solo.trajectory is None)
+    if solo.trajectory is not None:
+        pairs += [(getattr(batched.trajectory, f.name), getattr(solo.trajectory, f.name))
+                  for f in fields(FogasTrajectory)]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+def uniform_datasets(mdp, n, seeds):
+    beh = fogas.uniform_policy(mdp.num_states, mdp.num_actions)
+    return [collect_dataset(mdp, beh, n=n, sampling_mode="uniform", seed=s)
+            for s in seeds]
+
+
+class TestRunFogasBatch:
+    @given(
+        mdp_seed=st.integers(0, 10**6),
+        num_states=st.integers(2, 6),
+        num_actions=st.integers(1, 3),
+        dim=st.integers(1, 4),
+        T=st.integers(1, 40),
+        cells=st.lists(st.tuples(st.integers(2, 24), st.floats(0.01, 1.0)),
+                       min_size=1, max_size=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_solo_runs(self, mdp_seed, num_states, num_actions, dim, T, cells):
+        """Seeds with their own n, alpha and observed next states, batched,
+        give each seed's solo run."""
+        dim = min(dim, num_states * num_actions)
+        mdp = fogas.generate_linear_mdp(num_states, num_actions, dim, 0.9, mdp_seed)
+        beh = fogas.uniform_policy(num_states, num_actions)
+        datasets = [collect_dataset(mdp, beh, n=n, sampling_mode="uniform",
+                                    seed=mdp_seed + i)
+                    for i, (n, _) in enumerate(cells)]
+        observed = {tuple(ds.next_state_groups[0]) for ds in datasets}
+        assume(len(cells) == 1 or len(observed) > 1)
+        configs = [FogasConfig(T=T, seed=mdp_seed + i, auto_tune=True, alpha=alpha,
+                               record_trajectory=True)
+                   for i, (_, alpha) in enumerate(cells)]
+        batch = run_fogas_batch(mdp, datasets, configs)
+        assert len(batch) == len(cells)
+        for run, ds, cfg in zip(batch, datasets, configs):
+            assert_runs_close(run, run_fogas(mdp, ds, cfg))
+
+    def test_nonfinite_seed_leaves_batch(self, default_mdp):
+        datasets = uniform_datasets(default_mdp, 256, range(3))
+        configs = [FogasConfig(T=50, seed=s, auto_tune=True, record_trajectory=True)
+                   for s in range(3)]
+        configs[1] = replace(configs[1], eta=1e250, d_theta=1e100)
+        batch = run_fogas_batch(default_mdp, datasets, configs)
+        assert isinstance(batch[1], FloatingPointError)
+        with pytest.raises(FloatingPointError) as solo_error:
+            run_fogas(default_mdp, datasets[1], configs[1])
+        assert str(batch[1]) == str(solo_error.value)
+        assert "iteration" in str(batch[1])
+        for s in (0, 2):
+            assert_runs_close(batch[s], run_fogas(default_mdp, datasets[s], configs[s]))
+
+    def test_gradient_bound_breach_leaves_batch(self, default_mdp, monkeypatch):
+        datasets = uniform_datasets(default_mdp, 256, range(3))
+        configs = [FogasConfig(T=40, seed=s, auto_tune=True, record_trajectory=True,
+                               check_gradient_bound=True) for s in range(3)]
+        real_bound = solver.gradient_norm_bound
+        monkeypatch.setattr(solver, "gradient_norm_bound",
+                            lambda cfg, mdp: -1.0 if cfg.seed == 2 else real_bound(cfg, mdp))
+        batch = run_fogas_batch(default_mdp, datasets, configs)
+        monkeypatch.undo()
+        assert isinstance(batch[2], AssertionError)
+        assert str(batch[2]).startswith("gradient norm bound violated at iteration 1:")
+        for s in (0, 1):
+            assert_runs_close(batch[s], run_fogas(default_mdp, datasets[s], configs[s]))
+
+    def test_setup_failure_fills_only_its_slot(self, default_mdp):
+        datasets = uniform_datasets(default_mdp, 128, range(2))
+        configs = [FogasConfig(T=20, seed=0, auto_tune=True),
+                   FogasConfig(T=20, seed=1, alpha=0.1)]  # manual, rates unset
+        batch = run_fogas_batch(default_mdp, datasets, configs)
+        assert isinstance(batch[1], ValueError) and "auto_tune" in str(batch[1])
+        assert_runs_close(batch[0], run_fogas(default_mdp, datasets[0], configs[0]))
+
+    def test_shared_fields_required(self, default_mdp):
+        datasets = uniform_datasets(default_mdp, 64, range(2))
+        for other in (FogasConfig(T=21, auto_tune=True),
+                      FogasConfig(T=20, auto_tune=True, record_trajectory=True),
+                      FogasConfig(T=20, auto_tune=True, check_gradient_bound=True)):
+            with pytest.raises(ValueError, match="share T"):
+                run_fogas_batch(default_mdp, datasets,
+                                [FogasConfig(T=20, auto_tune=True), other])
+        with pytest.raises(ValueError):
+            run_fogas_batch(default_mdp, datasets, [FogasConfig(T=20, auto_tune=True)])
+
+    def test_step_helpers_row_by_row(self, default_mdp):
+        """Each row of a stacked helper call equals the one-seed call."""
+        psi_hats = [estimate_psi(ds, beta=0.1)
+                    for ds in uniform_datasets(default_mdp, 512, (3, 4))]
+        assert all(len(p.observed_states) == 5 for p in psi_hats)
+        stack = SimpleNamespace(
+            columns=np.stack([p.columns for p in psi_hats]),
+            lambda_mat=np.stack([p.covariance.lambda_mat for p in psi_hats]))
+        rng = np.random.default_rng(5)
+        params, lam, theta = (rng.normal(size=(2, 4)) for _ in range(3))
+        eta, rho, d_theta = np.array([[0.1], [0.3]]), np.array([[0.5], [0.0]]), \
+            np.array([[2.0], [0.5]])
+        sites = np.arange(6) % 5
+        feats = softmax_features(default_mdp.phi_by_state[sites], params)
+        phimu = mu_hat_features(stack, 0.9, feats[:, 0], feats[:, 1:], lam)
+        v_next = rng.normal(size=(2, 5))
+        g = lambda_gradient(default_mdp.omega, stack, v_next, theta, 0.9)
+        stacked = (feats, phimu, best_response_theta(phimu - lam, d_theta), g,
+                   lambda_update(lam, g, stack, eta, rho))
+        for s, p in enumerate(psi_hats):
+            f = softmax_features(default_mdp.phi_by_state[sites], params[s])
+            ph = mu_hat_features(p, 0.9, f[0], f[1:], lam[s])
+            gs = lambda_gradient(default_mdp.omega, p, v_next[s], theta[s], 0.9)
+            single = (f, ph, best_response_theta(ph - lam[s], d_theta[s, 0]), gs,
+                      lambda_update(lam[s], gs, p.covariance, eta[s, 0], rho[s, 0]))
+            for got, want in zip(stacked, single):
+                assert np.abs(got[s] - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_best_response_ties_per_row(self):
+        theta = best_response_theta(np.array([[0.0, 0.0], [3.0, 4.0]]),
+                                    np.array([[2.0], [1.0]]))
+        assert np.all(theta[0] == 0.0)
+        assert np.allclose(theta[1], [-0.6, -0.8], atol=1e-15)
+
+
 class TestRunSerialization:
+    def test_bytes_equal_one_dumps(self, recorded_run, tmp_path):
+        """The field-by-field writer gives exactly json.dumps of the document."""
+        doc = {
+            "config": asdict(recorded_run.config),
+            "chosen_index": recorded_run.chosen_index,
+            "lambda_final": recorded_run.lambda_final.tolist(),
+            "theta_bar_final": recorded_run.theta_bar_final.tolist(),
+            "output_param": recorded_run.output_param.tolist(),
+        }
+        path = tmp_path / "run.json"
+        save_run(replace(recorded_run, trajectory=None), path)
+        assert path.read_bytes() == (json.dumps(doc) + "\n").encode()
+        doc["trajectory"] = {f.name: getattr(recorded_run.trajectory, f.name).tolist()
+                             for f in fields(FogasTrajectory)}
+        save_run(recorded_run, path)
+        assert path.read_bytes() == (json.dumps(doc) + "\n").encode()
+
     def test_round_trip(self, default_mdp, default_dataset, tmp_path):
         cfg = FogasConfig(T=20, seed=2, auto_tune=True, record_trajectory=True)
         run = run_fogas(default_mdp, default_dataset, cfg)
