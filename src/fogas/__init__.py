@@ -16,7 +16,6 @@ from .diagnostics import (
     build_comparators,
     duality_gap_report,
     eval_f,
-    eval_f_hat,
     gap_estimation_error,
     player_regrets,
 )

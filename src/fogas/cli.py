@@ -97,6 +97,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_collect(args) -> int:
+    if args.n < 1:
+        print("n must be ≥ 1", file=sys.stderr)
+        return 2
     mdp = linmdp.load_mdp(args.mdp)
     try:
         behavior = harness.behavior_policy(mdp, args.behavior)

@@ -1,9 +1,10 @@
 """Offline transition datasets, empirical feature covariance, and the
 regularized least-squares transition estimator.
 
-The estimator aggregates transitions by next state before solving, so building
-it costs at most min(n, X) SPD solves; applying it to a value vector only ever
-reads the observed next states.
+Collection never forms the (X*A, X) kernel: the CDF of row (x, a) is
+phi(x,a)^T cumsum(Psi), so each next state is found by bisection over the
+columns of cumsum(Psi) in O(d log X). The estimator aggregates transitions by
+next state before solving, so building it costs at most min(n, X) SPD solves.
 """
 
 from __future__ import annotations
@@ -13,13 +14,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .linmdp import LinearMdp, _readonly
+from .linmdp import SAMPLE_CHUNK_BYTES, LinearMdp, _readonly
 from .oracle import evaluate_policy
 
 DATASET_HEADER = "x,a,r,x_next"
-# Next states are sampled this many bytes of kernel rows at a time, so the
-# scratch memory of collection does not grow with n * X.
-SAMPLE_CHUNK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -148,13 +146,6 @@ class PsiHat:
         out[:, self.observed_states] = self.columns
         return out
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Psi-hat @ v, reading v only at observed next states."""
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.num_states,):
-            raise ValueError(f"v must have shape ({self.num_states},), got {v.shape}")
-        return self.columns @ v[self.observed_states]
-
 
 def estimate_psi(dataset: OfflineDataset, beta: float) -> PsiHat:
     """Ridge least-squares estimate (1/n) Lambda^{-1} sum_i phi_i e_{X'_i}^T.
@@ -173,22 +164,6 @@ def estimate_psi(dataset: OfflineDataset, beta: float) -> PsiHat:
     )
 
 
-def _inverse_cdf(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per row, the first state whose cumulative probability exceeds u.
-
-    A row summing to slightly less than 1 can leave u at or above its total;
-    such a draw goes to the last state with positive mass in that row.
-    """
-    cdf = np.cumsum(rows, axis=1)
-    hit = u[:, None] < cdf
-    out = hit.argmax(axis=1)
-    missed = np.flatnonzero(~hit[np.arange(len(out)), out])
-    if len(missed):
-        positive = rows[missed, ::-1] > 0
-        out[missed] = rows.shape[1] - 1 - positive.argmax(axis=1)
-    return out
-
-
 def collect_dataset(
     mdp: LinearMdp, behavior, n: int, sampling_mode: str, seed: int
 ) -> OfflineDataset:
@@ -198,10 +173,16 @@ def collect_dataset(
     draws them i.i.d. from the exact discounted occupancy of the behavior
     policy (via the tabular oracle), "uniform" draws them uniformly over the
     state-action space.
+
+    X'_i is the first state whose cumulative probability
+    <phi_i, cumsum(Psi)[:, x']> exceeds a uniform draw u_i, found by a
+    bisection over all samples of a chunk at once. A draw at or above a row's
+    total (a row summing to slightly less than 1) goes to the last state with
+    positive mass in that row.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    X, A = mdp.num_states, mdp.num_actions
+    X, A, d = mdp.num_states, mdp.num_actions, mdp.dim
     rng = np.random.default_rng(seed)
     if sampling_mode == "occupancy":
         mu = evaluate_policy(mdp, behavior).mu
@@ -213,18 +194,32 @@ def collect_dataset(
         raise ValueError(f"unknown sampling_mode {sampling_mode!r}")
 
     u = rng.random(n)
-    x_next = np.empty(n, dtype=np.int64)
-    chunk = max(1, SAMPLE_CHUNK_BYTES // (8 * X))
+    features = mdp.phi[sa]
+    psi_cum = np.cumsum(mdp.psi.T, axis=0)  # (X, d): row x' gathers as one block
+    # x_next counts the states whose CDF is <= u; X means the draw missed.
+    x_next = np.zeros(n, dtype=np.int64)
+    chunk = max(1, SAMPLE_CHUNK_BYTES // (8 * d))
     for lo in range(0, n, chunk):
-        x_next[lo : lo + chunk] = _inverse_cdf(
-            mdp.transition_matrix[sa[lo : lo + chunk]], u[lo : lo + chunk]
-        )
+        f, u_c = features[lo : lo + chunk], u[lo : lo + chunk]
+        pos = x_next[lo : lo + chunk]  # a view: the steps update x_next in place
+        for k in reversed(range(X.bit_length())):  # steps 2^k, ..., 2, 1 sum to >= X
+            step = 1 << k
+            probe = np.minimum(pos + (step - 1), X - 1)
+            below = np.einsum("ij,ij->i", f, psi_cum[probe]) <= u_c
+            below &= pos + step <= X
+            pos += step * below
+    missed = np.flatnonzero(x_next == X)
+    rows_per_block = max(1, SAMPLE_CHUNK_BYTES // (8 * X))
+    for lo in range(0, len(missed), rows_per_block):
+        idx = missed[lo : lo + rows_per_block]
+        positive = (features[idx] @ mdp.psi)[:, ::-1] > 0
+        x_next[idx] = X - 1 - positive.argmax(axis=1)
     return OfflineDataset(
         xs=sa // A,
         actions=sa % A,
         rewards=mdp.rewards[sa],
         x_nexts=x_next,
-        features=mdp.phi[sa],
+        features=features,
         num_states=X,
         num_actions=A,
     )

@@ -42,19 +42,6 @@ def eval_f(mdp: LinearMdp, lam: np.ndarray, policy, theta: np.ndarray) -> float:
     )
 
 
-def eval_f_hat(
-    mdp: LinearMdp, psi_hat: PsiHat, lam: np.ndarray, policy, theta: np.ndarray
-) -> float:
-    """Sample-based counterpart of the reduced Lagrangian, Psi replaced by its estimate."""
-    lam = np.asarray(lam, dtype=np.float64)
-    theta = np.asarray(theta, dtype=np.float64)
-    v = v_of_theta_policy(mdp, policy.probs, theta)
-    return float(
-        (1.0 - mdp.gamma) * v[mdp.x0]
-        + lam @ (mdp.omega + mdp.gamma * psi_hat.apply(v) - theta)
-    )
-
-
 @dataclass(frozen=True)
 class Comparators:
     """The canonical comparator points built from the oracle."""

@@ -2,8 +2,9 @@
 
 The environment is the tuple (X, A, Phi, Psi, omega, gamma, x0) where the
 transition kernel factorizes as p(x'|x,a) = <phi(x,a), psi(x')> and the reward
-is r(x,a) = <phi(x,a), omega>. The tabular P and r are derived on demand and
-cached; all types are immutable after construction.
+is r(x,a) = <phi(x,a), omega>. The tabular r is derived on demand and cached;
+the (X*A, X) kernel is never formed. All types are immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ REWARD_TOL = 1e-10
 OMEGA_NORM_TOL = 1e-8
 RANK_TOL = 1e-8
 PROB_ROW_TOL = 1e-10
+# Work on kernel rows (collection, the nonnegativity check) holds at most about
+# this many bytes of scratch at a time, so it does not grow with n * X or X^2.
+SAMPLE_CHUNK_BYTES = 4 << 20
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -77,11 +81,6 @@ class LinearMdp:
         )
 
     @cached_property
-    def transition_matrix(self) -> np.ndarray:
-        """Derived tabular kernel P, shape (X*A, X)."""
-        return _readonly(self.phi @ self.psi)
-
-    @cached_property
     def rewards(self) -> np.ndarray:
         """Derived tabular reward vector r, shape (X*A,)."""
         return _readonly(self.phi @ self.omega)
@@ -102,19 +101,23 @@ def validate_linear_mdp(mdp: LinearMdp) -> list[str]:
     """Check all structural invariants; return one message per violation.
 
     An empty list means the MDP satisfies the linear-MDP definition within the
-    stated tolerances.
+    stated tolerances. The kernel P = Phi Psi is read in row chunks of about
+    ``SAMPLE_CHUNK_BYTES``, and not at all when Phi and Psi are entrywise
+    nonnegative, since then P is too; row sums are Phi (Psi 1).
     """
     report: list[str] = []
     X, A, d = mdp.num_states, mdp.num_actions, mdp.dim
-    P = mdp.phi @ mdp.psi
 
-    min_entries = P.min(axis=1)
-    for idx in np.flatnonzero(min_entries < -ROW_NONNEG_TOL):
-        x, a = divmod(int(idx), A)
-        report.append(
-            f"row-nonneg violation at (x={x}, a={a}): min entry {min_entries[idx]:.3e}"
-        )
-    row_sums = P.sum(axis=1)
+    if mdp.phi.min() < 0 or mdp.psi.min() < 0:
+        rows = max(1, SAMPLE_CHUNK_BYTES // (8 * X))
+        for lo in range(0, X * A, rows):
+            min_entries = (mdp.phi[lo : lo + rows] @ mdp.psi).min(axis=1)
+            for idx in np.flatnonzero(min_entries < -ROW_NONNEG_TOL):
+                x, a = divmod(lo + int(idx), A)
+                report.append(
+                    f"row-nonneg violation at (x={x}, a={a}): min entry {min_entries[idx]:.3e}"
+                )
+    row_sums = mdp.phi @ mdp.psi.sum(axis=1)
     for idx in np.flatnonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
         x, a = divmod(int(idx), A)
         report.append(

@@ -1,5 +1,6 @@
 """Shared fixtures (a default environment, datasets, one recorded run) and
-the dense and per-iterate references the vectorized code is tested against."""
+the dense and per-iterate references the vectorized code is tested against.
+The dense (X*A, X) kernel exists only here; the package never forms it."""
 
 import warnings
 
@@ -45,13 +46,58 @@ def random_policy(num_states, num_actions, rng):
     return fogas.TabularPolicy(probs)
 
 
+def dense_kernel(mdp):
+    """The tabular kernel P = Phi Psi, shape (X*A, X)."""
+    return mdp.phi @ mdp.psi
+
+
+def dense_collect(mdp, behavior, n, sampling_mode, seed):
+    """Reference sampler: the draws of ``collect_dataset`` through an inverse
+    CDF on gathered dense kernel rows, in one (n, X) block.
+
+    Returns the sampled pair indices x*A + a and the next states. A draw at or
+    above a row's total goes to the last state with positive mass in the row.
+    """
+    X, A = mdp.num_states, mdp.num_actions
+    rng = np.random.default_rng(seed)
+    if sampling_mode == "occupancy":
+        mu = np.clip(fogas.evaluate_policy(mdp, behavior).mu, 0.0, None)
+        sa = rng.choice(X * A, size=n, p=mu / mu.sum())
+    else:
+        sa = rng.integers(0, X * A, size=n)
+    u = rng.random(n)
+    rows = dense_kernel(mdp)[sa]
+    hit = u[:, None] < np.cumsum(rows, axis=1)
+    x_next = hit.argmax(axis=1)
+    missed = np.flatnonzero(~hit[np.arange(n), x_next])
+    positive = rows[missed, ::-1] > 0
+    x_next[missed] = X - 1 - positive.argmax(axis=1)
+    return sa, x_next
+
+
+def psi_hat_apply(psi_hat, v):
+    """Psi-hat @ v, reading v only at the observed next states."""
+    return psi_hat.columns @ np.asarray(v, dtype=np.float64)[psi_hat.observed_states]
+
+
+def eval_f_hat(mdp, psi_hat, lam, policy, theta):
+    """Sample-based reduced Lagrangian: ``eval_f`` with Psi replaced by Psi-hat."""
+    lam = np.asarray(lam, dtype=np.float64)
+    theta = np.asarray(theta, dtype=np.float64)
+    v = v_of_theta_policy(mdp, policy.probs, theta)
+    return float(
+        (1.0 - mdp.gamma) * v[mdp.x0]
+        + lam @ (mdp.omega + mdp.gamma * psi_hat_apply(psi_hat, v) - theta)
+    )
+
+
 def dense_evaluate_policy(mdp, probs):
     """Reference oracle: X x X linear solves on the dense kernel P_pi.
 
     Returns the fields of ``fogas.oracle.PolicyEvaluation`` as a dict.
     """
     X, A = mdp.num_states, mdp.num_actions
-    P = mdp.transition_matrix  # (X*A, X)
+    P = dense_kernel(mdp)  # (X*A, X)
     r = mdp.rewards
     gamma = mdp.gamma
     P_pi = (probs[:, :, None] * P.reshape(X, A, X)).sum(axis=1)  # (X, X)
@@ -73,9 +119,10 @@ def dense_evaluate_policy(mdp, probs):
 def dense_greedy_policy(mdp, sweeps=2000):
     """Reference value iteration on the dense kernel; greedy action per state."""
     X, A = mdp.num_states, mdp.num_actions
+    P = dense_kernel(mdp)
     q = np.zeros(X * A)
     for _ in range(sweeps):
-        q = mdp.rewards + mdp.gamma * mdp.transition_matrix @ q.reshape(X, A).max(axis=1)
+        q = mdp.rewards + mdp.gamma * P @ q.reshape(X, A).max(axis=1)
     return q.reshape(X, A).argmax(axis=1)
 
 

@@ -5,6 +5,7 @@ import csv
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from fogas.data import (
 )
 from fogas.oracle import evaluate_policy
 
-from conftest import random_mdp
+from conftest import dense_collect, dense_kernel, psi_hat_apply, random_mdp, random_policy
 
 
 def dataset_from_rows(mdp, xs, actions, x_nexts):
@@ -73,16 +74,69 @@ class TestCollect:
     def test_chunked_sampling_matches_one_block(self, chunk_rows, monkeypatch):
         mdp = random_mdp(4, num_states=40, num_actions=3, dim=5)
         if chunk_rows is not None:
-            monkeypatch.setattr(fogas.data, "SAMPLE_CHUNK_BYTES", chunk_rows * 8 * 40)
+            monkeypatch.setattr(fogas.data, "SAMPLE_CHUNK_BYTES", chunk_rows * 8 * 5)
         ds = collect_dataset(mdp, fogas.uniform_policy(40, 3), n=3000,
                              sampling_mode="uniform", seed=9)
         # The same draws through one (n, X) inverse-CDF block.
-        rng = np.random.default_rng(9)
-        sa = rng.integers(0, 120, size=3000)
-        u = rng.random(3000)
-        cdf = np.cumsum(mdp.transition_matrix[sa], axis=1)
+        sa, x_next = dense_collect(mdp, fogas.uniform_policy(40, 3), n=3000,
+                                   sampling_mode="uniform", seed=9)
         assert np.array_equal(ds.xs * 3 + ds.actions, sa)
-        assert np.array_equal(ds.x_nexts, (u[:, None] < cdf).argmax(axis=1))
+        assert np.array_equal(ds.x_nexts, x_next)
+
+    @given(
+        st.integers(1, 40),
+        st.integers(1, 3),
+        st.integers(1, 5),
+        st.sampled_from(["uniform", "occupancy"]),
+        st.integers(1, 300),
+        st.integers(1, 300),
+        st.sampled_from([1.0, 0.6]),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_reference_sampler(self, X, A, d, mode, n, chunk_rows,
+                                             row_mass, seed):
+        # row_mass < 1 leaves rows short, so many draws miss every state.
+        d = min(d, X * A)
+        base = fogas.generate_linear_mdp(X, A, d, 0.9, seed)
+        mdp = fogas.LinearMdp(
+            num_states=X, num_actions=A, dim=d, phi=row_mass * base.phi, psi=base.psi,
+            omega=base.omega, gamma=0.9, x0=seed % X,
+        )
+        behavior = random_policy(X, A, np.random.default_rng(seed))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fogas.data, "SAMPLE_CHUNK_BYTES", min(chunk_rows, n) * 8 * d)
+            ds = collect_dataset(mdp, behavior, n=n, sampling_mode=mode, seed=seed)
+        sa, x_next = dense_collect(mdp, behavior, n=n, sampling_mode=mode, seed=seed)
+        assert np.array_equal(ds.xs * A + ds.actions, sa)
+        assert np.array_equal(ds.x_nexts, x_next)
+
+    def test_scratch_memory_is_bounded(self):
+        # The dense (X*A, X) kernel alone would be 288 MB at this size.
+        X, A, d, n = 3000, 4, 8, 20000
+        mdp = fogas.generate_linear_mdp(X, A, d, 0.9, seed=0)
+        phi = mdp.phi.copy()
+        phi[0] = 0.0
+        phi[0, :2] = [1.5, -0.5]  # a negative weight forces the nonnegativity scan
+        signed = fogas.LinearMdp(num_states=X, num_actions=A, dim=d, phi=phi,
+                                 psi=mdp.psi, omega=0.5 * mdp.omega, gamma=0.9, x0=0)
+        # One chunk of scratch plus a few float64 arrays of the inputs' and
+        # the dataset's sizes.
+        bound = fogas.data.SAMPLE_CHUNK_BYTES + 4 * 8 * (X * A + (X + n) * d)
+        calls = [
+            lambda: collect_dataset(mdp, fogas.uniform_policy(X, A), n=n,
+                                    sampling_mode="occupancy", seed=0),
+            lambda: fogas.validate_linear_mdp(mdp),
+            lambda: fogas.validate_linear_mdp(signed),
+        ]
+        for call in calls:
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound
 
     def test_same_seed_identical(self, default_mdp):
         beh = fogas.uniform_policy(5, 3)
@@ -117,7 +171,7 @@ class TestCollect:
                              sampling_mode="uniform", seed=3)
         mask = (ds.xs == 0) & (ds.actions == 0)
         nexts = ds.x_nexts[mask]
-        row = default_mdp.transition_matrix[0]
+        row = dense_kernel(default_mdp)[0]
         freq = np.bincount(nexts, minlength=5) / len(nexts)
         se = np.sqrt(np.clip(row * (1 - row), 1e-12, None) / len(nexts))
         assert np.all(np.abs(freq - row) <= 4.0 * se)
@@ -240,20 +294,20 @@ class TestEstimatePsi:
 class TestApplyPsiHat:
     def test_zero_vector(self, default_dataset):
         psi_hat = estimate_psi(default_dataset, beta=0.1)
-        assert np.all(psi_hat.apply(np.zeros(5)) == 0.0)
+        assert np.all(psi_hat_apply(psi_hat, np.zeros(5)) == 0.0)
 
     def test_constant_vector(self, default_dataset):
         psi_hat = estimate_psi(default_dataset, beta=0.1)
         expected = psi_hat.covariance.solve(
             default_dataset.features.sum(axis=0)) / len(default_dataset)
-        assert np.abs(psi_hat.apply(np.ones(5)) - expected).max() <= 1e-12
+        assert np.abs(psi_hat_apply(psi_hat, np.ones(5)) - expected).max() <= 1e-12
 
     def test_matches_dense_product(self, default_dataset):
         psi_hat = estimate_psi(default_dataset, beta=0.1)
         rng = np.random.default_rng(6)
         for _ in range(10):
             v = rng.normal(size=5)
-            assert np.abs(psi_hat.apply(v)
+            assert np.abs(psi_hat_apply(psi_hat, v)
                           - psi_hat.dense() @ v).max() <= 1e-12
 
     @given(st.floats(-5, 5), st.floats(-5, 5), st.integers(0, 10**6))
@@ -265,8 +319,8 @@ class TestApplyPsiHat:
         psi_hat = estimate_psi(ds, beta=0.1)
         rng = np.random.default_rng(seed)
         v, w = rng.normal(size=5), rng.normal(size=5)
-        lhs = psi_hat.apply(a * v + b * w)
-        rhs = a * psi_hat.apply(v) + b * psi_hat.apply(w)
+        lhs = psi_hat_apply(psi_hat, a * v + b * w)
+        rhs = a * psi_hat_apply(psi_hat, v) + b * psi_hat_apply(psi_hat, w)
         assert np.abs(lhs - rhs).max() <= 1e-12
 
 

@@ -13,7 +13,6 @@ from fogas.diagnostics import (
     build_comparators,
     duality_gap_report,
     eval_f,
-    eval_f_hat,
     evaluate_iterates,
     gap_estimation_error,
     iterate_policy_tables,
@@ -23,7 +22,13 @@ from fogas.diagnostics import (
 from fogas.oracle import evaluate_policy, solve_optimal
 from fogas.solver import FogasConfig, run_fogas
 
-from conftest import iterate_params, looped_gap_terms, random_mdp, random_policy
+from conftest import (
+    eval_f_hat,
+    iterate_params,
+    looped_gap_terms,
+    random_mdp,
+    random_policy,
+)
 
 
 def exact_psi_hat(mdp, dataset, beta):

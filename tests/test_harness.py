@@ -255,6 +255,15 @@ class TestCli:
         assert lines[0] == "x,a,r,x_next"
         assert len(lines) == 11
 
+    def test_collect_bad_n(self, tmp_path, capsys):
+        mdp_path = self.generate(tmp_path)
+        data_path = tmp_path / "d.csv"
+        code = cli_main(["collect", "--mdp", str(mdp_path), "--n", "0",
+                         "--out", str(data_path)])
+        assert code == 2
+        assert "n must be" in capsys.readouterr().err
+        assert not data_path.exists()
+
     def pipeline(self, tmp_path, extra_solve_args=()):
         mdp_path = self.generate(tmp_path)
         data_path = tmp_path / "d.csv"

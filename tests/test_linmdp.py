@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import fogas
 from fogas.linmdp import _stable_softmax_rows
 
-from conftest import random_mdp
+from conftest import dense_kernel, random_mdp
 
 
 class TestGenerator:
@@ -23,7 +23,7 @@ class TestGenerator:
         mdp = fogas.generate_linear_mdp(1, 1, 1, gamma=0.9, seed=0)
         assert np.allclose(mdp.phi, [[1.0]])
         assert np.allclose(mdp.psi, [[1.0]])
-        assert np.allclose(mdp.transition_matrix, [[1.0]])
+        assert np.allclose(dense_kernel(mdp), [[1.0]])
         assert 0.0 <= mdp.rewards[0] <= 1.0
         assert mdp.rewards[0] == mdp.omega[0]
 
@@ -59,6 +59,24 @@ class TestValidation:
         report = fogas.validate_linear_mdp(bad)
         assert any("row-sum" in line and "x=2" in line and "a=1" in line
                    for line in report)
+
+    @pytest.mark.parametrize("one_row_chunks", [False, True])
+    def test_row_nonneg_violation_located(self, one_row_chunks, monkeypatch):
+        # Kernel row (x=2, a=1) is 1.2 * (1, 0, 0) - 0.2 * (0, 0.5, 0.5):
+        # it sums to 1 but has entries -0.1; every other row is a distribution.
+        if one_row_chunks:
+            monkeypatch.setattr(fogas.linmdp, "SAMPLE_CHUNK_BYTES", 8 * 3)
+        phi = np.array([[1.0, 0.0], [0.0, 1.0]] * 3)
+        phi[5] = [1.2, -0.2]
+        mdp = fogas.LinearMdp(
+            num_states=3, num_actions=2, dim=2,
+            phi=phi, psi=np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]]),
+            omega=np.array([0.5, 0.5]), gamma=0.9, x0=0,
+        )
+        assert dense_kernel(mdp).min(axis=1)[5] == -0.1
+        assert fogas.validate_linear_mdp(mdp) == [
+            "row-nonneg violation at (x=2, a=1): min entry -1.000e-01"
+        ]
 
     def test_omega_norm_violation(self, default_mdp):
         d = default_mdp.dim

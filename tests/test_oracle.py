@@ -19,6 +19,7 @@ from fogas.oracle import (
 
 from conftest import (
     dense_evaluate_policy,
+    dense_kernel,
     dense_greedy_policy,
     random_mdp,
     random_policy,
@@ -55,7 +56,7 @@ class TestEvaluatePolicy:
             mdp = random_mdp(i)
             policy = random_policy(5, 3, rng)
             ev = evaluate_policy(mdp, policy)
-            P, r = mdp.transition_matrix, mdp.rewards
+            P, r = dense_kernel(mdp), mdp.rewards
             assert np.abs(ev.q - (r + mdp.gamma * P @ ev.v)).max() <= 1e-10
             v_from_q = (policy.probs * ev.q.reshape(5, 3)).sum(axis=1)
             assert np.abs(ev.v - v_from_q).max() <= 1e-10
@@ -95,7 +96,7 @@ class TestEvaluatePolicy:
         counts = np.zeros(15)
         remaining = np.arange(n_rollouts)
         step = 0
-        P = default_mdp.transition_matrix
+        P = dense_kernel(default_mdp)
         while len(remaining):
             done = remaining[horizons[remaining] == step]
             if len(done):

@@ -31,7 +31,7 @@ from fogas.solver import (
     theoretical_min_iterations,
 )
 
-from conftest import iterate_params, random_mdp, random_policy
+from conftest import iterate_params, psi_hat_apply, random_mdp, random_policy
 
 
 def one_state_bandit():
@@ -232,7 +232,7 @@ class TestLambdaGradient:
             q = (default_mdp.phi @ theta).reshape(5, 3)
             v = (probs * q).sum(axis=1)
             return float(0.1 * v[default_mdp.x0]
-                         + lam @ (default_mdp.omega + 0.9 * psi_hat.apply(v) - theta))
+                         + lam @ (default_mdp.omega + 0.9 * psi_hat_apply(psi_hat, v) - theta))
 
         for _ in range(5):
             lam = rng.normal(size=4)
