@@ -69,8 +69,8 @@ class OfflineDataset:
         next state is ``observed_states[j]``.
         """
         observed, inverse = np.unique(self.x_nexts, return_inverse=True)
-        summed = np.zeros((self.dim, len(observed)))
-        np.add.at(summed.T, inverse, self.features)
+        summed = np.array([np.bincount(inverse, weights=column, minlength=len(observed))
+                           for column in self.features.T])  # same order as np.add.at
         return observed, inverse, _readonly(summed)
 
 
@@ -226,15 +226,18 @@ def collect_dataset(
 
 
 def save_dataset(dataset: OfflineDataset, path) -> None:
-    """Write the transitions as CSV: one row per sample, rewards as repr floats."""
+    """Write the transitions as CSV: one row per sample, rewards as repr floats,
+    each distinct reward (by its bits, so -0.0 is not 0.0) repr'd once."""
+    bits, inverse = np.unique(dataset.rewards.view(np.int64), return_inverse=True)
+    texts = np.array([repr(r) for r in bits.view(np.float64).tolist()], dtype=object)
     with open(path, "w", newline="") as f:
         f.write(DATASET_HEADER + "\r\n")
         f.writelines(
-            f"{x},{a},{r!r},{xn}\r\n"
+            f"{x},{a},{r},{xn}\r\n"
             for x, a, r, xn in zip(
                 dataset.xs.tolist(),
                 dataset.actions.tolist(),
-                dataset.rewards.tolist(),
+                texts[inverse].tolist(),
                 dataset.x_nexts.tolist(),
             )
         )

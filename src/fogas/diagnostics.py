@@ -1,12 +1,13 @@
 """Trajectory diagnostics: dynamic duality gap, player regrets, and the
 gap-estimation error, together with the exact decomposition identities.
 
-Unlike the solver, these tools touch the whole state space: they materialize
-all T iterate policies as (T, X, A) tables and score them with one batched
-call to the rank-d oracle. The reduced Lagrangian is affine in theta and in
-lambda, so the sums over iterates are array algebra on the stacked iterates,
-with no Python loop over t. Memory grows as T*X*(A+d) and no X x X array
-is formed.
+Unlike the solver, these tools touch the whole state space, but every score
+they need of the T iterate policies is a reduction over the states with d or
+fewer columns per iterate. ``score_iterates`` streams the iterates in blocks
+of t and the states in chunks of x, so its scratch stays within about
+``SAMPLE_CHUNK_BYTES`` and it keeps O(T*d + X*d) results; no array has both
+the T axis and the X axis. The reduced Lagrangian is affine in theta and in
+lambda, so the sums over iterates are array algebra on these reductions.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import OfflineDataset, PsiHat, estimate_psi
-from .linmdp import LinearMdp, TabularPolicy, _stable_softmax_rows
-from .oracle import evaluate_policies, evaluate_policy, solve_optimal
+from .linmdp import SAMPLE_CHUNK_BYTES, LinearMdp, TabularPolicy, _stable_softmax_rows
+from .oracle import evaluate_policy, solve_flow, solve_optimal
 from .solver import FogasRun, FogasTrajectory, canonical_d_theta
 
 DECOMPOSITION_TOL = 1e-8
@@ -42,40 +43,82 @@ def eval_f(mdp: LinearMdp, lam: np.ndarray, policy, theta: np.ndarray) -> float:
     )
 
 
+def score_iterates(
+    mdp: LinearMdp, trajectory: FogasTrajectory, alpha: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Exact evaluation of every iterate policy, reduced over the states.
+
+    Per block of iterates and chunk of states, one GEMM forms the logits and
+    one GEMM against K[(a,x)] = psi(x) phi(x,a)^T adds to Psi Phi_pi; one d x d
+    solve per block gives theta^{pi_t}, and a second pass over the chunks
+    reads v^{pi_t}. K takes at most a quarter of ``SAMPLE_CHUNK_BYTES``, and
+    a block's two action-major (B, A, states) tables and four (B, d, d)
+    stacks at most half. Returns theta^{pi_t} (T, d), rho(pi_t) (T,),
+    Psi v^{pi_t} (T, d), sum_t v_{theta_t, pi_t} (X,) and
+    sum_t lambda_t (v^{pi_t})^T (d, X).
+    """
+    X, A, d = mdp.num_states, mdp.num_actions, mdp.dim
+    T = len(trajectory.thetas)
+    states = max(1, min(X, SAMPLE_CHUNK_BYTES // (32 * A * d * d)))
+    block = max(1, min(T, SAMPLE_CHUNK_BYTES // (32 * (states * A + 2 * d * d))))
+    chunks = [slice(lo, min(lo + states, X)) for lo in range(0, X, states)]
+    params = np.vstack([np.zeros(d), alpha * trajectory.theta_bars[:-1]])  # pi_1 uniform
+    theta_stars, psi_vs, rho_ts = np.empty((T, d)), np.empty((T, d)), np.empty(T)
+    v_sum, lambda_v = np.zeros(X), np.zeros((d, X))
+
+    def features(c):  # phi on chunk c, action-major: row a * (states of c) + x
+        return mdp.phi_by_state[c].transpose(1, 0, 2).reshape(-1, d)
+
+    def tables(t, phi_c):  # (B, A, states of c)
+        logits = (params[t] @ phi_c.T).reshape(-1, A, phi_c.shape[0] // A)
+        return _stable_softmax_rows(logits, axis=1)
+
+    # Each table-sized array is dropped before the next one is made.
+    for lo in range(0, T, block):
+        t = slice(lo, min(lo + block, T))
+        B = t.stop - lo
+        psi_phi = np.zeros((B, d * d))
+        for c in chunks:
+            probs = None
+            phi_c = features(c)
+            probs = tables(t, phi_c)
+            kernel = np.tile(mdp.psi[:, c].T, (A, 1))[:, :, None] * phi_c[:, None, :]
+            psi_phi += probs.reshape(B, -1) @ kernel.reshape(-1, d * d)
+            del kernel
+            weighted = probs.reshape(B, -1).T @ trajectory.thetas[t]  # sum_t pi_t theta_t
+            v_sum[c] += np.einsum("kd,kd->k", phi_c, weighted).reshape(A, -1).sum(axis=0)
+            if c.start <= mdp.x0 < c.stop:  # Phi_pi[x0], (B, d)
+                phi_x0 = probs[:, :, mdp.x0 - c.start] @ mdp.phi_by_state[mdp.x0]
+        psi_phi = psi_phi.reshape(B, d, d)
+        theta_stars[t] = theta = solve_flow(mdp, psi_phi)[0]
+        psi_vs[t] = (psi_phi @ theta[:, :, None])[:, :, 0]
+        rho_ts[t] = (1.0 - mdp.gamma) * np.einsum("bd,bd->b", phi_x0, theta)
+        for c in chunks:
+            phi_c = features(c)
+            if len(chunks) > 1:
+                probs = None
+                probs = tables(t, phi_c)
+            q = (theta @ phi_c.T).reshape(B, A, -1)
+            q *= probs
+            lambda_v[:, c] += trajectory.lambdas[t].T @ q.sum(axis=1)  # v^{pi_t} on c
+            del q
+        del probs
+    return theta_stars, rho_ts, psi_vs, v_sum, lambda_v
+
+
 @dataclass(frozen=True)
 class Comparators:
-    """The canonical comparator points built from the oracle."""
+    """The canonical comparator points built from the oracle, and the
+    reductions of the iterates they are compared against (``score_iterates``)."""
 
     pi_star: TabularPolicy
     lambda_star: np.ndarray  # (d,), feature occupancy of pi_star
     rho_star: float
     theta_stars: np.ndarray  # (T, d), theta of each iterate policy
-    v_stars: np.ndarray  # (T, X), exact value function of each iterate policy
     rho_ts: np.ndarray  # (T,), exact return of each iterate policy
-    policy_tables: np.ndarray  # (T, X, A), materialized iterate policies
-
-
-def iterate_policy_tables(
-    mdp: LinearMdp, trajectory: FogasTrajectory, alpha: float
-) -> np.ndarray:
-    """Materialize all T iterate policies; pi_1 is uniform."""
-    T, d = trajectory.thetas.shape
-    params = np.vstack([np.zeros(d), alpha * trajectory.theta_bars[:-1]])  # (T, d)
-    logits = np.einsum("xad,td->txa", mdp.phi_by_state, params)
-    return _stable_softmax_rows(logits)
-
-
-def evaluate_iterates(
-    mdp: LinearMdp, trajectory: FogasTrajectory, alpha: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Exact evaluation of every iterate policy pi_1..pi_T in one batched call.
-
-    Returns the policy tables (T, X, A), the q-value parameters theta^{pi_t}
-    (T, d), the value functions v^{pi_t} (T, X) and the returns rho(pi_t) (T,).
-    """
-    tables = iterate_policy_tables(mdp, trajectory, alpha)
-    theta_stars, _, v_stars, rho_ts = evaluate_policies(mdp, tables)
-    return tables, theta_stars, v_stars, rho_ts
+    psi_vs: np.ndarray  # (T, d), Psi v^{pi_t}
+    v_sum: np.ndarray  # (X,), sum_t v_{theta_t, pi_t}
+    lambda_v: np.ndarray  # (d, X), sum_t lambda_t (v^{pi_t})^T
 
 
 def build_comparators(
@@ -88,29 +131,10 @@ def build_comparators(
         pi_star, star_eval = solve_optimal(mdp)
     else:
         star_eval = evaluate_policy(mdp, pi_star)
-    tables, theta_stars, v_stars, rho_ts = evaluate_iterates(mdp, trajectory, alpha)
     return Comparators(
-        pi_star=pi_star,
-        lambda_star=star_eval.lambda_pi,
-        rho_star=star_eval.return_value,
-        theta_stars=theta_stars,
-        v_stars=v_stars,
-        rho_ts=rho_ts,
-        policy_tables=tables,
+        pi_star, star_eval.lambda_pi, star_eval.return_value,
+        *score_iterates(mdp, trajectory, alpha),
     )
-
-
-def summed_iterate_values(
-    mdp: LinearMdp, tables: np.ndarray, thetas: np.ndarray
-) -> np.ndarray:
-    """sum_t v_{theta_t, pi_t}, shape (X,), for policy tables (T, X, A).
-
-    Contracting over t first gives sum_t pi_t(a|x) theta_t, shape (X*A, d), so
-    no (T, X, d) array is formed.
-    """
-    weighted = tables.reshape(len(tables), -1).T @ thetas
-    q_sum = np.einsum("kd,kd->k", mdp.phi, weighted)
-    return q_sum.reshape(mdp.num_states, mdp.num_actions).sum(axis=1)
 
 
 def player_regrets(
@@ -125,8 +149,7 @@ def player_regrets(
     nu_star = (1.0 - mdp.gamma) * mdp.nu0 + mdp.gamma * mdp.psi.T @ lam_star
     thetas = trajectory.thetas
     v_comparator = v_of_theta_policy(mdp, comparators.pi_star.probs, thetas.sum(axis=0))
-    v_iterates = summed_iterate_values(mdp, comparators.policy_tables, thetas)
-    regret_pi = float(nu_star @ (v_comparator - v_iterates))
+    regret_pi = float(nu_star @ (v_comparator - comparators.v_sum))
     regret_lambda = float(
         np.sum((lam_star[None, :] - trajectory.lambdas) * trajectory.g_lambdas)
     )
@@ -145,12 +168,15 @@ def gap_estimation_error(
     trajectory: FogasTrajectory,
     comparators: Comparators,
 ) -> float:
-    """sum_t <lambda*, (Psi - PsiHat) v_t> + sum_t <lambda_t, (PsiHat - Psi) v^{pi_t}>."""
+    """sum_t <lambda*, (Psi - PsiHat) v_t> + sum_t <lambda_t, (PsiHat - Psi) v^{pi_t}>.
+
+    The second sum is <PsiHat - Psi, sum_t lambda_t (v^{pi_t})^T>, so it takes
+    any estimate from the iterates' one (d, X) reduction.
+    """
     diff = psi_hat.dense() - mdp.psi  # (d, X)
-    v_sum = summed_iterate_values(mdp, comparators.policy_tables, trajectory.thetas)
     return float(
-        -comparators.lambda_star @ (diff @ v_sum)
-        + np.sum(trajectory.lambdas * (comparators.v_stars @ diff.T))
+        -comparators.lambda_star @ (diff @ comparators.v_sum)
+        + np.sum(diff * comparators.lambda_v)
     )
 
 
@@ -211,11 +237,12 @@ def duality_gap_report(
 
     T = trajectory.thetas.shape[0]
     # f is affine in theta: the comparator side at the mean theta. The iterate
-    # side f(lambda_t, pi_t, theta^{pi_t}) reads v^{pi_t} from the oracle.
+    # side f(lambda_t, pi_t, theta^{pi_t}) has (1-gamma) v^{pi_t}(x0) = rho(pi_t)
+    # and reads Psi v^{pi_t} from the oracle.
     f_star = eval_f(mdp, comp.lambda_star, comp.pi_star, trajectory.thetas.mean(axis=0))
-    f_iterates = (1.0 - mdp.gamma) * comp.v_stars[:, mdp.x0] + np.sum(
+    f_iterates = comp.rho_ts + np.sum(
         trajectory.lambdas
-        * (mdp.omega + mdp.gamma * (comp.v_stars @ mdp.psi.T) - comp.theta_stars),
+        * (mdp.omega + mdp.gamma * comp.psi_vs - comp.theta_stars),
         axis=1,
     )
     gap = f_star - float(np.mean(f_iterates))
@@ -232,12 +259,13 @@ def duality_gap_report(
         abs(cfg.d_theta - radius) <= D_THETA_MATCH_RTOL * max(1.0, radius)
     )
     if check_identities:
-        if decomposition_residual > DECOMPOSITION_TOL:
+        # Written so that a NaN residual fails the check.
+        if not decomposition_residual <= DECOMPOSITION_TOL:
             raise AssertionError(
                 f"duality-gap decomposition residual {decomposition_residual:.3e} "
                 f"exceeds {DECOMPOSITION_TOL}"
             )
-        if identity_asserted and identity_residual > IDENTITY_TOL:
+        if identity_asserted and not identity_residual <= IDENTITY_TOL:
             raise AssertionError(
                 f"gap/suboptimality identity residual {identity_residual:.3e} "
                 f"exceeds {IDENTITY_TOL}"

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import OfflineDataset, build_covariance, collect_dataset
-from .diagnostics import evaluate_iterates
+from .diagnostics import score_iterates
 from .linmdp import LinearMdp, TabularPolicy, generate_linear_mdp, load_mdp, uniform_policy
 from .oracle import PolicyEvaluation, evaluate_policy, solve_optimal
 from .solver import FogasConfig, FogasRun, run_fogas_batch, theoretical_min_iterations
@@ -160,7 +160,7 @@ def mean_iterate_suboptimality(mdp: LinearMdp, run: FogasRun, rho_star: float) -
     """(1/T) sum_t (rho(pi*) - rho(pi_t)), exact returns from the oracle."""
     if run.trajectory is None:
         raise ValueError("run was not recorded with record_trajectory")
-    rho_ts = evaluate_iterates(mdp, run.trajectory, run.config.alpha)[3]
+    rho_ts = score_iterates(mdp, run.trajectory, run.config.alpha)[1]
     return float(np.mean(rho_star - rho_ts))
 
 

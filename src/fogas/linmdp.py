@@ -198,12 +198,11 @@ def uniform_policy(num_states: int, num_actions: int) -> TabularPolicy:
     return TabularPolicy(np.full((num_states, num_actions), 1.0 / num_actions))
 
 
-def _stable_softmax_rows(logits: np.ndarray) -> np.ndarray:
-    # In place on one new array: the (T, X, A) iterate tables are the largest
-    # arrays the diagnostics allocate.
-    e = logits - logits.max(axis=-1, keepdims=True)
+def _stable_softmax_rows(logits: np.ndarray, axis: int = -1) -> np.ndarray:
+    # In place on one new array, so the caller's budget counts two tables.
+    e = logits - logits.max(axis=axis, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= e.sum(axis=axis, keepdims=True)
     return e
 
 
@@ -240,20 +239,20 @@ def softmax_from_logit_param(mdp: LinearMdp, scaled_param: np.ndarray) -> Tabula
 
 
 def save_mdp(mdp: LinearMdp, path) -> None:
-    """Write the MDP as a JSON document; floats round-trip exactly."""
-    doc = {
-        "num_states": mdp.num_states,
-        "num_actions": mdp.num_actions,
-        "dim": mdp.dim,
-        "gamma": mdp.gamma,
-        "x0": mdp.x0,
-        "phi": mdp.phi.tolist(),
-        "psi": mdp.psi.tolist(),
-        "omega": mdp.omega.tolist(),
-    }
+    """Write the MDP as ``json.dumps`` of its document and a newline; floats
+    round-trip exactly. Arrays go out in row chunks of ``SAMPLE_CHUNK_BYTES``."""
+    head = {k: getattr(mdp, k) for k in ("num_states", "num_actions", "dim", "gamma", "x0")}
     with open(path, "w") as f:
-        f.write(json.dumps(doc))  # one call: the C encoder
-        f.write("\n")
+        f.write(json.dumps(head)[:-1])  # the members so far, without the "}"
+        for key, arr in (("phi", mdp.phi), ("psi", mdp.psi), ("omega", mdp.omega)):
+            f.write(f", {json.dumps(key)}: [")
+            rows = max(1, SAMPLE_CHUNK_BYTES * len(arr) // (8 * arr.size))
+            f.writelines(
+                (", " if lo else "") + json.dumps(arr[lo : lo + rows].tolist())[1:-1]
+                for lo in range(0, len(arr), rows)
+            )
+            f.write("]")
+        f.write("}\n")
 
 
 def load_mdp(path) -> LinearMdp:

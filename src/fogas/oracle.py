@@ -35,6 +35,13 @@ class PolicyEvaluation:
     return_value: float
 
 
+def solve_flow(mdp, psi_phi_pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """theta_pi = M^{-1} omega, M = I - gamma Psi Phi_pi, for a (T, d, d) stack
+    of Psi Phi_pi. Returns theta_pi (T, d) and M."""
+    M = np.eye(mdp.dim) - mdp.gamma * psi_phi_pi
+    return np.linalg.solve(M, mdp.omega[:, None])[..., 0], M
+
+
 def evaluate_policies(
     mdp, tables: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -44,7 +51,7 @@ def evaluate_policies(
     equation gives theta_pi and lambda_pi. Returns theta_pi (T, d),
     lambda_pi (T, d), the value functions v (T, X) and the returns (T,).
     """
-    X, A, d = mdp.num_states, mdp.num_actions, mdp.dim
+    X, A = mdp.num_states, mdp.num_actions
     tables = np.asarray(tables, dtype=np.float64)
     if tables.shape[1:] != (X, A):
         raise ValueError(
@@ -52,10 +59,7 @@ def evaluate_policies(
         )
     gamma = mdp.gamma
     phi_pi = np.einsum("txa,xad->txd", tables, mdp.phi_by_state)  # (T, X, d)
-    M = mdp.psi @ phi_pi  # (T, d, d), made I - gamma Psi Phi_pi in place
-    M *= -gamma
-    M += np.eye(d)
-    theta_pi = np.linalg.solve(M, mdp.omega[:, None])[..., 0]
+    theta_pi, M = solve_flow(mdp, mdp.psi @ phi_pi)
     start = (1.0 - gamma) * phi_pi[:, mdp.x0]  # (T, d)
     lambda_pi = np.linalg.solve(M.transpose(0, 2, 1), start[..., None])[..., 0]
     v = np.einsum("txd,td->tx", phi_pi, theta_pi)

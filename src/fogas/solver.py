@@ -463,20 +463,25 @@ def _float_array(block: dict, key: str, shape: tuple) -> np.ndarray:
     arr = _readonly(np.array(block[key], dtype=np.float64))
     if arr.shape != shape:
         raise ValueError(f"{key} has shape {arr.shape}, expected {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{key} is not finite")
     return arr
 
 
 def load_run(path, mdp: LinearMdp) -> FogasRun:
     """Read a run file written by ``save_run``; a malformed file raises ValueError.
 
-    The config must be resolved and every array must match its T and the
-    MDP's dimension d.
+    The config must be resolved, every array must match its T and the MDP's
+    dimension d, and every number must be finite (``json`` reads NaN).
     """
     with open(path) as f:
         doc = json.load(f)
     d = mdp.dim
     try:
         config = FogasConfig(**doc["config"])
+        for key, value in asdict(config).items():
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValueError(f"config.{key} is not finite")
         if not config.is_resolved:
             raise ValueError("config has unset rates")
         T = config.T

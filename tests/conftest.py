@@ -1,6 +1,7 @@
 """Shared fixtures (a default environment, datasets, one recorded run) and
 the dense and per-iterate references the vectorized code is tested against.
-The dense (X*A, X) kernel exists only here; the package never forms it."""
+The dense (X*A, X) kernel and the (T, X, A) iterate tables exist only here;
+the package never forms them."""
 
 import warnings
 
@@ -9,6 +10,8 @@ import pytest
 
 import fogas
 from fogas.diagnostics import eval_f, v_of_theta_policy
+from fogas.linmdp import _stable_softmax_rows
+from fogas.oracle import evaluate_policies
 
 # Auto-tuned short runs deliberately sit below the theoretical minimum
 # iteration count; the warning is expected and checked once in test_solver.
@@ -133,22 +136,59 @@ def iterate_params(trajectory, alpha):
     return np.vstack([zero, alpha * trajectory.theta_bars[:-1]])
 
 
-def looped_gap_terms(mdp, psi_hat, trajectory, comparators):
+def iterate_policy_tables(mdp, trajectory, alpha):
+    """Reference: all T iterate policies as (T, X, A) tables; pi_1 is uniform."""
+    logits = np.einsum("xad,td->txa", mdp.phi_by_state, iterate_params(trajectory, alpha))
+    return _stable_softmax_rows(logits)
+
+
+def evaluate_iterates(mdp, trajectory, alpha):
+    """Reference: every iterate policy scored by one dense batched oracle call.
+
+    Returns the policy tables (T, X, A), theta^{pi_t} (T, d), the value
+    functions v^{pi_t} (T, X) and the returns rho(pi_t) (T,).
+    """
+    tables = iterate_policy_tables(mdp, trajectory, alpha)
+    theta_stars, _, v_stars, rho_ts = evaluate_policies(mdp, tables)
+    return tables, theta_stars, v_stars, rho_ts
+
+
+def per_row_save_dataset(dataset, path):
+    """Reference for ``save_dataset``: one repr per row."""
+    with open(path, "w", newline="") as f:
+        f.write("x,a,r,x_next\r\n")
+        for x, a, r, xn in zip(dataset.xs.tolist(), dataset.actions.tolist(),
+                               dataset.rewards.tolist(), dataset.x_nexts.tolist()):
+            f.write(f"{x},{a},{r!r},{xn}\r\n")
+
+
+def add_at_groups(dataset):
+    """Reference for ``OfflineDataset.next_state_groups``: per-sample ``np.add.at``."""
+    observed, inverse = np.unique(dataset.x_nexts, return_inverse=True)
+    summed = np.zeros((dataset.dim, len(observed)))
+    np.add.at(summed.T, inverse, dataset.features)
+    return observed, inverse, summed
+
+
+def looped_gap_terms(mdp, psi_hat, trajectory, comparators, alpha):
     """Reference: the duality-gap sums built one iterate at a time.
 
-    Each term of the gap is a reduced-Lagrangian evaluation; returns the
-    undivided sums (gap, regret_pi, regret_lambda, regret_theta, err).
+    Each term of the gap is a reduced-Lagrangian evaluation; the iterates are
+    scored by ``evaluate_iterates``, and only the optimal-policy side is read
+    from ``comparators``. Returns the undivided sums (gap, regret_pi,
+    regret_lambda, regret_theta, err).
     """
     X, A = mdp.num_states, mdp.num_actions
     lam_star = comparators.lambda_star
     pi_star = comparators.pi_star
     nu_star = (1.0 - mdp.gamma) * mdp.nu0 + mdp.gamma * mdp.psi.T @ lam_star
     diff = psi_hat.dense() - mdp.psi
+    tables, theta_stars, v_stars, _ = evaluate_iterates(mdp, trajectory, alpha)
     gap = regret_pi = regret_lambda = regret_theta = err = 0.0
     for t in range(trajectory.thetas.shape[0]):
         theta_t, lam_t = trajectory.thetas[t], trajectory.lambdas[t]
-        pi_t = fogas.TabularPolicy(comparators.policy_tables[t])
-        theta_star_t = comparators.theta_stars[t]
+        pi_t = fogas.TabularPolicy(tables[t])
+        theta_star_t = theta_stars[t]
         gap += eval_f(mdp, lam_star, pi_star, theta_t)
         gap -= eval_f(mdp, lam_t, pi_t, theta_star_t)
         q_t = (mdp.phi @ theta_t).reshape(X, A)
@@ -156,5 +196,5 @@ def looped_gap_terms(mdp, psi_hat, trajectory, comparators):
         regret_lambda += (lam_star - lam_t) @ trajectory.g_lambdas[t]
         regret_theta += (theta_t - theta_star_t) @ (trajectory.phi_mu_hats[t] - lam_t)
         v_t = v_of_theta_policy(mdp, pi_t.probs, theta_t)
-        err += -lam_star @ (diff @ v_t) + lam_t @ (diff @ comparators.v_stars[t])
+        err += -lam_star @ (diff @ v_t) + lam_t @ (diff @ v_stars[t])
     return gap, regret_pi, regret_lambda, regret_theta, err

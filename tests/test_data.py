@@ -24,7 +24,15 @@ from fogas.data import (
 )
 from fogas.oracle import evaluate_policy
 
-from conftest import dense_collect, dense_kernel, psi_hat_apply, random_mdp, random_policy
+from conftest import (
+    add_at_groups,
+    dense_collect,
+    dense_kernel,
+    per_row_save_dataset,
+    psi_hat_apply,
+    random_mdp,
+    random_policy,
+)
 
 
 def dataset_from_rows(mdp, xs, actions, x_nexts):
@@ -291,6 +299,28 @@ class TestEstimatePsi:
                 assert np.abs(psi_hat.dense()[:, x] - col).max() <= 1e-10
 
 
+class TestNextStateGroups:
+    @given(
+        n=st.integers(1, 200),
+        X=st.integers(1, 30),
+        d=st.integers(1, 6),
+        seed=st.integers(0, 10**6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_add_at_reference(self, n, X, d, seed):
+        """Per-column bincount adds in the same order as np.add.at: bit-identical."""
+        rng = np.random.default_rng(seed)
+        features = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-8, 8, size=(n, d))
+        ds = OfflineDataset(
+            xs=np.zeros(n, dtype=int), actions=np.zeros(n, dtype=int),
+            rewards=np.zeros(n), x_nexts=rng.integers(0, X, size=n),
+            features=features, num_states=X, num_actions=1,
+        )
+        for got, want in zip(ds.next_state_groups, add_at_groups(ds)):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
 class TestApplyPsiHat:
     def test_zero_vector(self, default_dataset):
         psi_hat = estimate_psi(default_dataset, beta=0.1)
@@ -380,6 +410,23 @@ class TestSerialization:
         assert np.array_equal(loaded.xs, ds.xs)
         assert np.array_equal(loaded.actions, ds.actions)
         assert np.array_equal(loaded.x_nexts, ds.x_nexts)
+
+    @pytest.mark.parametrize("rewards", [
+        [0.0, -0.0, 0.5, 0.0, -0.0, 0.5, 1.0 / 3.0, -0.0, 1e-05, 0.0],
+        np.random.default_rng(0).random(200),
+    ], ids=["repeated-signed-zeros", "all-distinct"])
+    def test_bytes_match_per_row_writer(self, tmp_path, rewards):
+        """Each distinct reward is repr'd once; -0.0 and 0.0 keep their own text."""
+        n = len(rewards)
+        ds = OfflineDataset(
+            xs=np.arange(n) % 5, actions=np.arange(n) % 3,
+            rewards=np.array(rewards), x_nexts=np.arange(n)[::-1] % 5,
+            features=np.zeros((n, 4)), num_states=5, num_actions=3,
+        )
+        path, ref = tmp_path / "data.csv", tmp_path / "ref.csv"
+        save_dataset(ds, path)
+        per_row_save_dataset(ds, ref)
+        assert path.read_bytes() == ref.read_bytes()
 
     @pytest.mark.parametrize("body", [
         "0,0,0.5\n", "0,0,0.5,1,2\n", "0,1.5,0.5,1\n", "0,0,x,1\n", "", "\n",

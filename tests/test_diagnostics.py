@@ -2,6 +2,9 @@
 player regrets against oracle comparators, and the exact decomposition and
 gap/suboptimality identities on recorded runs."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,10 +16,9 @@ from fogas.diagnostics import (
     build_comparators,
     duality_gap_report,
     eval_f,
-    evaluate_iterates,
     gap_estimation_error,
-    iterate_policy_tables,
     player_regrets,
+    score_iterates,
     v_of_theta_policy,
 )
 from fogas.oracle import evaluate_policy, solve_optimal
@@ -24,7 +26,9 @@ from fogas.solver import FogasConfig, run_fogas
 
 from conftest import (
     eval_f_hat,
+    evaluate_iterates,
     iterate_params,
+    iterate_policy_tables,
     looped_gap_terms,
     random_mdp,
     random_policy,
@@ -175,13 +179,13 @@ class TestGapEstimationError:
         err = gap_estimation_error(default_mdp, psi_hat, traj, comp)
 
         dense_diff = psi_hat.dense() - default_mdp.psi
+        tables, _, v_stars, _ = evaluate_iterates(default_mdp, traj, cfg.alpha)
         direct = 0.0
         T = traj.thetas.shape[0]
         for t in range(T):
-            v_t = v_of_theta_policy(default_mdp, comp.policy_tables[t],
-                                    traj.thetas[t])
+            v_t = v_of_theta_policy(default_mdp, tables[t], traj.thetas[t])
             direct += comp.lambda_star @ ((default_mdp.psi - psi_hat.dense()) @ v_t)
-            direct += traj.lambdas[t] @ (dense_diff @ comp.v_stars[t])
+            direct += traj.lambdas[t] @ (dense_diff @ v_stars[t])
         assert abs(err - direct) <= 1e-10
 
 
@@ -217,7 +221,8 @@ class TestLoopFreeAgainstLoops:
         assert report.identity_asserted or d_theta is not None
 
         psi_hat = estimate_psi(ds, cfg.beta)
-        gap, r_pi, r_lam, r_theta, err = looped_gap_terms(mdp, psi_hat, traj, comp)
+        gap, r_pi, r_lam, r_theta, err = looped_gap_terms(mdp, psi_hat, traj, comp,
+                                                          cfg.alpha)
         got = (report.gap, report.regret_pi, report.regret_lambda,
                report.regret_theta, report.err_psi_scaled)
         want = (gap / T, r_pi / T, r_lam / T, r_theta / T, gamma * err / T)
@@ -226,7 +231,7 @@ class TestLoopFreeAgainstLoops:
                                   (r_pi, r_lam, r_theta))).max() <= 1e-10
 
         for psi_hat in (psi_hat, exact_psi_hat(mdp, ds, cfg.beta)):
-            err = looped_gap_terms(mdp, psi_hat, traj, comp)[4]
+            err = looped_gap_terms(mdp, psi_hat, traj, comp, cfg.alpha)[4]
             assert abs(gap_estimation_error(mdp, psi_hat, traj, comp) - err) <= 1e-10
 
 
@@ -247,15 +252,22 @@ class TestIteratePolicies:
             assert np.abs(tables[t] - direct.probs).max() <= 1e-12
 
     def test_batched_evaluation_matches_per_policy(self, recorded_run, default_mdp):
-        tables, thetas, vs, rhos = evaluate_iterates(
-            default_mdp, recorded_run.trajectory, recorded_run.config.alpha
-        )
-        assert thetas.shape == (50, 4) and vs.shape == (50, 5) and rhos.shape == (50,)
+        """The streamed scores against one oracle call per iterate policy."""
+        mdp, traj = default_mdp, recorded_run.trajectory
+        alpha = recorded_run.config.alpha
+        thetas, rhos, psi_vs, v_sum, lambda_v = score_iterates(mdp, traj, alpha)
+        assert thetas.shape == psi_vs.shape == (50, 4) and rhos.shape == (50,)
+        assert v_sum.shape == (5,) and lambda_v.shape == (4, 5)
+        tables = iterate_policy_tables(mdp, traj, alpha)
         for t in range(tables.shape[0]):
-            ev = evaluate_policy(default_mdp, fogas.TabularPolicy(tables[t]))
+            ev = evaluate_policy(mdp, fogas.TabularPolicy(tables[t]))
             assert np.abs(thetas[t] - ev.theta_pi).max() <= 1e-12
-            assert np.abs(vs[t] - ev.v).max() <= 1e-12
+            assert np.abs(psi_vs[t] - mdp.psi @ ev.v).max() <= 1e-12
             assert abs(rhos[t] - ev.return_value) <= 1e-12
+            v_sum -= v_of_theta_policy(mdp, tables[t], traj.thetas[t])
+            lambda_v -= np.outer(traj.lambdas[t], ev.v)
+        assert np.abs(v_sum).max() <= 1e-12
+        assert np.abs(lambda_v).max() <= 1e-12
 
 
 class TestGapReport:
@@ -306,9 +318,74 @@ class TestGapReport:
             total += star.return_value - ev.return_value
         assert abs(report.suboptimality_lhs - total / tables.shape[0]) <= 1e-12
 
+    def test_nan_decomposition_residual_fails(self, recorded_run, default_mdp,
+                                              default_dataset):
+        traj = recorded_run.trajectory
+        lambdas = traj.lambdas.copy()
+        lambdas[7, 2] = np.nan
+        run = replace(recorded_run, trajectory=replace(traj, lambdas=lambdas))
+        with pytest.raises(AssertionError, match="decomposition residual nan"):
+            duality_gap_report(run, default_mdp, default_dataset)
+
+    def test_nan_identity_residual_fails(self, recorded_run, default_mdp,
+                                         default_dataset, monkeypatch):
+        """A NaN optimal return leaves the decomposition finite and makes only
+        the gap/suboptimality identity residual NaN."""
+        build = fogas.diagnostics.build_comparators
+        monkeypatch.setattr(fogas.diagnostics, "build_comparators",
+                            lambda *a, **k: replace(build(*a, **k), rho_star=np.nan))
+        with pytest.raises(AssertionError, match="identity residual nan"):
+            duality_gap_report(recorded_run, default_mdp, default_dataset)
+        report = duality_gap_report(recorded_run, default_mdp, default_dataset,
+                                    check_identities=False)
+        assert report.decomposition_residual <= 1e-8
+
     def test_csv_row_matches_columns(self, recorded_run, default_mdp,
                                      default_dataset):
         from fogas.diagnostics import GapReport
         report = duality_gap_report(recorded_run, default_mdp, default_dataset)
         row = report.csv_row()
         assert len(row.split(",")) == len(GapReport.CSV_COLUMNS.split(","))
+
+
+class TestScoreIterates:
+    @pytest.mark.parametrize("budget", [1, 3072])
+    def test_blocks_match_one_block(self, budget, monkeypatch):
+        """X=7, A=3, d=4 and T=11 walked in blocks of 1 iterate and 1 state
+        (budget 1 byte) or 2 iterates and 2 states (3072 bytes), with x0 in a
+        middle chunk, against one block of all iterates and all states."""
+        base = fogas.generate_linear_mdp(7, 3, 4, 0.9, 4)
+        mdp = fogas.LinearMdp(num_states=7, num_actions=3, dim=4, phi=base.phi,
+                              psi=base.psi, omega=base.omega, gamma=0.9, x0=3)
+        ds = collect_dataset(mdp, fogas.uniform_policy(7, 3), n=64,
+                             sampling_mode="uniform", seed=1)
+        run = run_fogas(mdp, ds, FogasConfig(T=11, seed=1, auto_tune=True,
+                                             record_trajectory=True))
+        monkeypatch.setattr(fogas.diagnostics, "SAMPLE_CHUNK_BYTES", 1 << 40)
+        whole = score_iterates(mdp, run.trajectory, run.config.alpha)
+        monkeypatch.setattr(fogas.diagnostics, "SAMPLE_CHUNK_BYTES", budget)
+        blocked = score_iterates(mdp, run.trajectory, run.config.alpha)
+        for got, want in zip(blocked, whole, strict=True):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12
+
+    def test_report_memory_bounded_in_T(self):
+        """At X=100, A=4, d=8 the report's tracemalloc peak stays under 8 MB at
+        T=2000 and grows by at most 640 bytes per iterate from T=500 to 4000;
+        (T, X, A) tables alone would take 3200 bytes per iterate."""
+        mdp = fogas.generate_linear_mdp(100, 4, 8, 0.9, 0)
+        ds = collect_dataset(mdp, fogas.uniform_policy(100, 4), n=2000,
+                             sampling_mode="uniform", seed=0)
+        pi_star, _ = solve_optimal(mdp)
+        peaks = {}
+        for T in (500, 2000, 4000):
+            run = run_fogas(mdp, ds, FogasConfig(T=T, seed=0, auto_tune=True,
+                                                 record_trajectory=True))
+            tracemalloc.start()
+            try:
+                duality_gap_report(run, mdp, ds, pi_star=pi_star)
+                peaks[T] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2000] <= 8e6
+        assert (peaks[4000] - peaks[500]) / 3500 <= 640

@@ -321,6 +321,15 @@ class TestCli:
         assert self.diagnose(tmp_path, *paths) == 1
         assert "thetas has shape (39, 4), expected (40, 4)" in capsys.readouterr().err
 
+    def test_run_file_nonfinite_rejected(self, tmp_path, capsys):
+        """A NaN in the run file fails diagnose instead of a NaN residual
+        printed as asserted."""
+        paths = self.pipeline(tmp_path, ("--record-trajectory",))
+        self.rewrite_run(
+            paths[2], lambda doc: doc["trajectory"]["thetas"][0].__setitem__(0, float("nan")))
+        assert self.diagnose(tmp_path, *paths) == 1
+        assert "thetas is not finite" in capsys.readouterr().err
+
     def test_solve_manual_rates(self, tmp_path, capsys):
         mdp_path = self.generate(tmp_path)
         data_path = tmp_path / "d.csv"

@@ -1,5 +1,7 @@
 """Environment types, generator validity, and softmax policy machinery."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -217,6 +219,24 @@ class TestTabularPolicy:
 
 
 class TestSerialization:
+    @pytest.mark.parametrize("chunk_bytes", [None, 1, 8 * 4 * 3])
+    def test_bytes_equal_one_dumps(self, default_mdp, tmp_path, chunk_bytes,
+                                   monkeypatch):
+        """The row-chunked writer gives exactly json.dumps of the document, with
+        the default chunk, one row per chunk and chunks of 3 rows of phi."""
+        if chunk_bytes is not None:
+            monkeypatch.setattr(fogas.linmdp, "SAMPLE_CHUNK_BYTES", chunk_bytes)
+        mdp = default_mdp
+        doc = {
+            "num_states": mdp.num_states, "num_actions": mdp.num_actions,
+            "dim": mdp.dim, "gamma": mdp.gamma, "x0": mdp.x0,
+            "phi": mdp.phi.tolist(), "psi": mdp.psi.tolist(),
+            "omega": mdp.omega.tolist(),
+        }
+        path = tmp_path / "mdp.json"
+        fogas.save_mdp(mdp, path)
+        assert path.read_bytes() == (json.dumps(doc) + "\n").encode()
+
     def test_round_trip_exact(self, default_mdp, tmp_path):
         path = tmp_path / "mdp.json"
         fogas.save_mdp(default_mdp, path)

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import fogas
 from fogas.data import build_covariance, collect_dataset, estimate_psi
-from fogas.diagnostics import iterate_policy_tables
 from fogas.linmdp import softmax_features
 from fogas import solver
 from fogas.solver import (
@@ -31,7 +30,13 @@ from fogas.solver import (
     theoretical_min_iterations,
 )
 
-from conftest import iterate_params, psi_hat_apply, random_mdp, random_policy
+from conftest import (
+    iterate_params,
+    iterate_policy_tables,
+    psi_hat_apply,
+    random_mdp,
+    random_policy,
+)
 
 
 def one_state_bandit():
@@ -496,6 +501,23 @@ class TestRunSerialization:
                              for f in fields(FogasTrajectory)}
         save_run(recorded_run, path)
         assert path.read_bytes() == (json.dumps(doc) + "\n").encode()
+
+    @pytest.mark.parametrize("field, edit", [
+        ("lambdas", lambda doc: doc["trajectory"]["lambdas"][3].__setitem__(1, float("nan"))),
+        ("grad_sq_norms", lambda doc: doc["trajectory"]["grad_sq_norms"].__setitem__(0, float("inf"))),
+        ("lambda_final", lambda doc: doc["lambda_final"].__setitem__(0, float("-inf"))),
+        ("config.alpha", lambda doc: doc["config"].__setitem__("alpha", float("nan"))),
+    ])
+    def test_nonfinite_numbers_rejected(self, recorded_run, default_mdp, tmp_path,
+                                        field, edit):
+        """json reads NaN and Infinity; the loader names the field instead."""
+        path = tmp_path / "run.json"
+        save_run(recorded_run, path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"{field} is not finite"):
+            load_run(path, default_mdp)
 
     def test_round_trip(self, default_mdp, default_dataset, tmp_path):
         cfg = FogasConfig(T=20, seed=2, auto_tune=True, record_trajectory=True)
