@@ -25,7 +25,6 @@ from .linmdp import (
     generate_linear_mdp,
     load_mdp,
     save_mdp,
-    softmax_features,
     softmax_from_logit_param,
     uniform_policy,
     validate_linear_mdp,
@@ -47,9 +46,11 @@ from .solver import (
     lambda_update,
     load_run,
     mu_hat_features,
+    occupancy_operator,
     run_fogas,
     run_fogas_batch,
     save_run,
+    site_weights,
     theoretical_min_iterations,
     theoretical_rates,
 )

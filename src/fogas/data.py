@@ -9,6 +9,7 @@ next state before solving, so building it costs at most min(n, X) SPD solves.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -249,16 +250,20 @@ def load_dataset(path, mdp: LinearMdp) -> OfflineDataset:
         header = f.readline().rstrip("\r\n")
         if header != DATASET_HEADER:
             raise ValueError(f"unexpected dataset header {header!r}")
-        lines = f.read().splitlines()
-    if not any(lines):
-        raise ValueError(f"dataset file {path} has no transitions")
-    table = np.loadtxt(
-        lines,
-        delimiter=",",
-        dtype=[("x", np.int64), ("a", np.int64), ("r", np.float64), ("x_next", np.int64)],
-        comments=None,
-        ndmin=1,
-    )
+        # loadtxt streams the rest of the open file; on empty input it only warns.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", message="loadtxt: input contained no data")
+            try:
+                table = np.loadtxt(
+                    f,
+                    delimiter=",",
+                    dtype=[("x", np.int64), ("a", np.int64), ("r", np.float64),
+                           ("x_next", np.int64)],
+                    comments=None,
+                    ndmin=1,
+                )
+            except UserWarning:
+                raise ValueError(f"dataset file {path} has no transitions") from None
     xs, actions = table["x"], table["a"]
     if not (
         np.all((xs >= 0) & (xs < mdp.num_states))

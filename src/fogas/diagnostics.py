@@ -17,7 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import OfflineDataset, PsiHat, estimate_psi
-from .linmdp import SAMPLE_CHUNK_BYTES, LinearMdp, TabularPolicy, _stable_softmax_rows
+from .linmdp import (
+    SAMPLE_CHUNK_BYTES,
+    LinearMdp,
+    TabularPolicy,
+    action_major_phi,
+    action_major_softmax,
+)
 from .oracle import evaluate_policy, solve_flow, solve_optimal
 from .solver import FogasRun, FogasTrajectory, canonical_d_theta
 
@@ -66,13 +72,6 @@ def score_iterates(
     theta_stars, psi_vs, rho_ts = np.empty((T, d)), np.empty((T, d)), np.empty(T)
     v_sum, lambda_v = np.zeros(X), np.zeros((d, X))
 
-    def features(c):  # phi on chunk c, action-major: row a * (states of c) + x
-        return mdp.phi_by_state[c].transpose(1, 0, 2).reshape(-1, d)
-
-    def tables(t, phi_c):  # (B, A, states of c)
-        logits = (params[t] @ phi_c.T).reshape(-1, A, phi_c.shape[0] // A)
-        return _stable_softmax_rows(logits, axis=1)
-
     # Each table-sized array is dropped before the next one is made.
     for lo in range(0, T, block):
         t = slice(lo, min(lo + block, T))
@@ -80,8 +79,9 @@ def score_iterates(
         psi_phi = np.zeros((B, d * d))
         for c in chunks:
             probs = None
-            phi_c = features(c)
-            probs = tables(t, phi_c)
+            phi_c = action_major_phi(mdp, c)
+            probs = action_major_softmax(phi_c, params[t])  # (B, A, states of c)
+            phi_c = phi_c.reshape(-1, d)  # row a * (states of c) + x
             kernel = np.tile(mdp.psi[:, c].T, (A, 1))[:, :, None] * phi_c[:, None, :]
             psi_phi += probs.reshape(B, -1) @ kernel.reshape(-1, d * d)
             del kernel
@@ -94,11 +94,11 @@ def score_iterates(
         psi_vs[t] = (psi_phi @ theta[:, :, None])[:, :, 0]
         rho_ts[t] = (1.0 - mdp.gamma) * np.einsum("bd,bd->b", phi_x0, theta)
         for c in chunks:
-            phi_c = features(c)
+            phi_c = action_major_phi(mdp, c)
             if len(chunks) > 1:
                 probs = None
-                probs = tables(t, phi_c)
-            q = (theta @ phi_c.T).reshape(B, A, -1)
+                probs = action_major_softmax(phi_c, params[t])
+            q = (theta @ phi_c.reshape(-1, d).T).reshape(B, A, -1)
             q *= probs
             lambda_v[:, c] += trajectory.lambdas[t].T @ q.sum(axis=1)  # v^{pi_t} on c
             del q

@@ -206,18 +206,30 @@ def _stable_softmax_rows(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return e
 
 
-def softmax_features(phi_states: np.ndarray, scaled_param: np.ndarray) -> np.ndarray:
-    """sum_a pi(a|x) phi(x,a) per state, pi the softmax of <phi(x,a), scaled_param>.
+def action_major_phi(mdp: LinearMdp, states) -> np.ndarray:
+    """phi at ``states`` (indices or a slice), action-major: shape (A, k, d).
 
-    ``phi_states`` stacks the (A, d) feature blocks of the states, shape (k, A, d);
-    the result has shape (k, d). A ``scaled_param`` of shape (S, d) gives one
-    policy per row and a result of shape (S, k, d).
+    A policy's softmax and its weighted sums then reduce over the action axis
+    as a middle axis, which numpy runs much faster than a trailing axis of
+    length A. The rows are gathered straight into this layout, with no
+    state-major copy first.
     """
-    k, A, d = phi_states.shape
-    scaled_param = np.asarray(scaled_param, dtype=np.float64)
-    logits = scaled_param @ phi_states.reshape(k * A, d).T
-    probs = _stable_softmax_rows(logits.reshape(scaled_param.shape[:-1] + (k, A)))
-    return (probs[..., None, :] @ phi_states)[..., 0, :]
+    if isinstance(states, slice):
+        states = np.arange(*states.indices(mdp.num_states))
+    A = mdp.num_actions
+    return mdp.phi[A * np.asarray(states) + np.arange(A)[:, None]]
+
+
+def action_major_softmax(phi_states: np.ndarray, scaled_param: np.ndarray) -> np.ndarray:
+    """pi(a|x) at the states of ``phi_states`` (A, k, d, from ``action_major_phi``),
+    pi the softmax of <phi(x,a), scaled_param>.
+
+    One GEMM forms the logits. A ``scaled_param`` of shape (..., d) gives one
+    policy per row and a result of shape (..., A, k).
+    """
+    A, k, d = phi_states.shape
+    logits = scaled_param @ phi_states.reshape(A * k, d).T
+    return _stable_softmax_rows(logits.reshape(scaled_param.shape[:-1] + (A, k)), axis=-2)
 
 
 def softmax_from_logit_param(mdp: LinearMdp, scaled_param: np.ndarray) -> TabularPolicy:

@@ -4,13 +4,21 @@ Per iteration: the value-parameter player best-responds over a Euclidean ball,
 the policy takes an entropy-regularized mirror ascent step stored in
 cumulative-parameter form, and the feature occupancy takes a stabilized,
 covariance-preconditioned ascent step. The solver only ever evaluates policies
-and value functions at the initial state and the observed next states;
-everything over the full state space lives in the oracle and diagnostics.
+and value functions at the sites: the initial state and the observed next
+states; everything over the full state space lives in the oracle and
+diagnostics.
+
+The data enter an iteration only through the d x d occupancy operator
+M_t = gamma C F_{pi_t} (C the estimator's columns, F_{pi_t} the policy-weighted
+features at the next states): mu-hat's features are (1-gamma) f_x0 + lambda^T M_t
+and the lambda-gradient is omega + M_t theta - theta. The site features are
+gathered once per run, action-major, so each softmax reduces over a middle axis.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields, replace
@@ -22,7 +30,8 @@ from .linmdp import (
     LinearMdp,
     TabularPolicy,
     _readonly,
-    softmax_features,
+    action_major_phi,
+    action_major_softmax,
     softmax_from_logit_param,
 )
 
@@ -168,85 +177,102 @@ def best_response_theta(g: np.ndarray, d_theta) -> np.ndarray:
     cumulative policy parameter, and hence its policy, unchanged.
     """
     g = np.asarray(g, dtype=np.float64)
-    norm = np.sqrt((g * g).sum(axis=-1, keepdims=True))
+    norm = np.sqrt(np.vecdot(g, g))[..., None]
     # Dividing by infinity sends a tied row to the origin.
-    return -d_theta * g / np.where(norm > BEST_RESPONSE_TIE_TOL, norm, np.inf)
+    return g * (-d_theta / np.where(norm > BEST_RESPONSE_TIE_TOL, norm, np.inf))
+
+
+def site_weights(x0: int, gamma: float, psi_hats: list[PsiHat]) -> tuple[np.ndarray, np.ndarray]:
+    """The sites, x0 then the union of the observed next states, and the
+    weights (S, d+1, 1+k): rows 0..d-1 of row s are gamma times the columns of
+    ``psi_hats[s]``, zero at x0 and at next states it did not observe, so the
+    sites stay one array for every seed; row d picks out x0.
+    """
+    union = np.unique(np.concatenate([p.observed_states for p in psi_hats]))
+    weights = np.zeros((len(psi_hats), psi_hats[0].dim + 1, 1 + len(union)))
+    weights[:, -1, 0] = 1.0
+    for row, psi_hat in enumerate(psi_hats):
+        weights[row][:-1, 1 + np.searchsorted(union, psi_hat.observed_states)] = \
+            gamma * psi_hat.columns
+    return np.concatenate(([x0], union)), weights
+
+
+def occupancy_operator(
+    weights: np.ndarray, probs: np.ndarray, phi_sites: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """f_x0 = sum_a pi(a|x0) phi(x0,a), shape (..., d), and the operator
+    M = gamma C F_pi, shape (..., d, d).
+
+    ``probs`` (..., A, m) is pi at the sites, ``phi_sites`` (A, m, d) their
+    action-major features and ``weights`` (..., d+1, m) from ``site_weights``.
+    F_pi (row j: sum_a pi(a|x_j) phi(x_j,a)) is one contraction over the
+    actions, and [M; f_x0^T] = weights F_pi one GEMM per seed.
+    """
+    out = weights @ np.einsum("...am,amd->...md", probs, phi_sites)
+    return out[..., -1, :], out[..., :-1, :]
 
 
 def mu_hat_features(
-    psi_hat: PsiHat,
-    gamma: float,
-    features_x0: np.ndarray,
-    features_next: np.ndarray,
-    lam: np.ndarray,
+    gamma: float, features_x0: np.ndarray, operator: np.ndarray, lam: np.ndarray
 ) -> np.ndarray:
-    """Feature expectation of the estimated occupancy mu-hat at (lambda, pi).
+    """Feature expectation of the estimated occupancy mu-hat at (lambda, pi):
+    (1-gamma) f_x0 + lambda^T M, with (f_x0, M) from ``occupancy_operator``.
 
-    ``features_x0`` is sum_a pi(a|x0) phi(x0,a) and row j of ``features_next``
-    the same sum at ``psi_hat.observed_states[j]``. With C = Lambda^{-1} Sigma / n
-    the estimator's columns, this equals
-    (1-gamma) * features_x0 + gamma * features_next^T C^T lambda.
-    Every argument may carry a leading seed axis: ``psi_hat.columns`` (S, d, k),
-    ``features_next`` (S, k, d) and the rest (S, d).
+    Every argument may carry a leading seed axis: ``operator`` (S, d, d), the
+    rest (S, d).
     """
-    lam = np.asarray(lam, dtype=np.float64)
-    weights = lam[..., None, :] @ psi_hat.columns  # (..., 1, k), lambda^T C
-    return (1.0 - gamma) * features_x0 + gamma * (weights @ features_next)[..., 0, :]
+    return (1.0 - gamma) * features_x0 + np.vecmat(lam, operator)
 
 
-def lambda_gradient(
-    omega: np.ndarray,
-    psi_hat: PsiHat,
-    v_next: np.ndarray,
-    theta: np.ndarray,
-    gamma: float,
-) -> np.ndarray:
-    """omega + gamma * PsiHat v - theta, the ascent direction for lambda.
+def lambda_gradient(omega: np.ndarray, operator: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """omega + gamma * PsiHat v - theta = omega + M theta - theta, the ascent
+    direction for lambda, where v = v_{theta, pi} and M = gamma C F_pi.
 
-    ``v_next`` holds v at ``psi_hat.observed_states``, the only states PsiHat
-    reads. With a leading seed axis, ``psi_hat.columns`` is (S, d, k),
-    ``v_next`` (S, k) and ``theta`` (S, d).
+    With a leading seed axis, ``operator`` is (S, d, d) and ``theta`` (S, d).
     """
-    v_next = np.asarray(v_next, dtype=np.float64)
-    return np.asarray(omega) + gamma * (psi_hat.columns @ v_next[..., None])[..., 0] \
-        - np.asarray(theta)
+    return omega + np.matvec(operator, theta) - theta
 
 
-def lambda_update(lambda_t: np.ndarray, g: np.ndarray, cov: Covariance, eta, rho) -> np.ndarray:
-    """Closed form of the stabilized, preconditioned mirror ascent step.
+def lambda_update(
+    lambda_t: np.ndarray, g: np.ndarray, cov: Covariance, eta, rho
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed form of the stabilized, preconditioned mirror ascent step, and
+    g^T Lambda g, both from one product Lambda g.
 
-    Exact argmax of <lambda, g> - ||lambda - lambda_t||^2_{Lambda^{-1}}/(2 eta)
-    - rho/2 * ||lambda||^2_{Lambda^{-1}}. With a leading seed axis,
+    The step is the exact argmax of <lambda, g> - ||lambda - lambda_t||^2_{Lambda^{-1}}/(2 eta)
+    - rho/2 * ||lambda||^2_{Lambda^{-1}}; it needs eta > 0 and rho >= 0,
+    which ``FogasConfig`` and the seed stack check. With a leading seed axis,
     ``cov.lambda_mat`` is (S, d, d), ``lambda_t`` and ``g`` are (S, d), and
     ``eta`` and ``rho`` broadcast against (S, 1).
     """
-    if np.asarray(eta).min() <= 0:
-        raise ValueError("eta must be positive")
-    if np.asarray(rho).min() < 0:
-        raise ValueError("rho must be >= 0")
-    lambda_t = np.asarray(lambda_t, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    return (lambda_t + eta * (cov.lambda_mat @ g[..., None])[..., 0]) / (1.0 + rho * eta)
+    lambda_g = np.matvec(cov.lambda_mat, g)
+    return (lambda_t + eta * lambda_g) / (1.0 + rho * eta), np.vecdot(g, lambda_g)
 
 
 @dataclass(frozen=True)
 class _SeedStack:
     """Per-seed constants of a batched run, one row per seed still running.
 
-    ``columns`` pads each seed's estimator columns with zeros at the next
-    states of the union that the seed did not observe, so the step helpers
-    read it, and ``lambda_mat``, as they read ``PsiHat`` and ``Covariance``.
-    The rates are (S, 1) columns, which broadcast against (S, d).
+    ``weights`` holds each seed's estimator columns at the sites, times
+    gamma (``site_weights``); ``lambda_update`` reads ``lambda_mat`` as it
+    reads a ``Covariance``. The rates are (S, 1) columns, which broadcast
+    against (S, d); they are checked here, once per run.
     """
 
     slots: np.ndarray  # (S,) position of each row in the caller's lists
-    columns: np.ndarray  # (S, d, k)
+    weights: np.ndarray  # (S, d+1, 1+k)
     lambda_mat: np.ndarray  # (S, d, d)
     alpha: np.ndarray
     eta: np.ndarray
     rho: np.ndarray
     d_theta: np.ndarray
     grad_bound: np.ndarray  # (S,)
+
+    def __post_init__(self):
+        if not np.all(self.eta > 0):
+            raise ValueError("eta must be positive")
+        if not np.all(self.rho >= 0):
+            raise ValueError("rho must be >= 0")
 
     def take(self, keep: np.ndarray) -> "_SeedStack":
         return _SeedStack(*(getattr(self, f.name)[keep] for f in fields(self)))
@@ -263,8 +289,9 @@ def _failed_rows(t, stack, g, grad_sq, lam_next, theta_bar, check_gradient_bound
                 f"{grad_sq[row]:.6g} > {stack.grad_bound[row]:.6g}"
             )
     # One fused test per iteration; a finite sum that overflowed only costs the
-    # exact per-seed check below.
-    if not np.isfinite(lam_next.sum() + theta_bar.sum() + g.sum()):
+    # exact per-seed check below. A non-finite g makes Lambda g, and so
+    # lambda_next, non-finite, so g needs no sum of its own.
+    if not math.isfinite(lam_next.sum() + theta_bar.sum()):
         for row in range(len(g)):
             finite = [bool(np.all(np.isfinite(a[row]))) for a in (lam_next, theta_bar, g)]
             if not all(finite) and row not in failed:
@@ -316,17 +343,13 @@ def _ascend(mdp: LinearMdp, prepared: list, results: list) -> None:
     T, S, d, gamma = first.T, len(results), mdp.dim, mdp.gamma
     cfgs = {slot: cfg for slot, cfg, _ in prepared}
 
-    union = np.unique(np.concatenate([p.observed_states for _, _, p in prepared]))
-    columns = np.zeros((len(prepared), d, len(union)))
-    for row, (_, _, psi_hat) in enumerate(prepared):
-        columns[row][:, np.searchsorted(union, psi_hat.observed_states)] = psi_hat.columns
-
     def rate(name):
         return np.array([[getattr(cfg, name)] for cfg in cfgs.values()])
 
+    sites, weights = site_weights(mdp.x0, gamma, [p for _, _, p in prepared])
     stack = _SeedStack(
         slots=np.array(list(cfgs)),
-        columns=columns,
+        weights=weights,
         lambda_mat=np.stack([p.covariance.lambda_mat for _, _, p in prepared]),
         alpha=rate("alpha"),
         eta=rate("eta"),
@@ -334,8 +357,7 @@ def _ascend(mdp: LinearMdp, prepared: list, results: list) -> None:
         d_theta=rate("d_theta"),
         grad_bound=np.array([gradient_norm_bound(c, mdp) + 1e-8 for c in cfgs.values()]),
     )
-    # Row 0: the initial state; rows 1..k: the union of observed next states.
-    phi_sites = mdp.phi_by_state[np.concatenate(([mdp.x0], union))]
+    phi_sites = action_major_phi(mdp, sites)  # (A, 1+k, d)
 
     chosen = {s: int(np.random.default_rng(c.seed).integers(1, T + 1)) for s, c in cfgs.items()}
     draws: dict[int, list] = {}
@@ -347,11 +369,9 @@ def _ascend(mdp: LinearMdp, prepared: list, results: list) -> None:
     if first.record_trajectory:  # (S, T, d): each seed's record is a contiguous view
         traj = {f.name: np.empty((S, T, d)) for f in fields(FogasTrajectory)}
         traj["grad_sq_norms"] = np.empty((S, T))
-    need_grad_sq = first.record_trajectory or first.check_gradient_bound
 
     lam = np.zeros((len(prepared), d))
     theta_bar = np.zeros_like(lam)
-    grad_sq = None
     rows = slice(None) if len(prepared) == S else stack.slots  # trajectory rows
 
     for t in range(1, T + 1):
@@ -360,22 +380,19 @@ def _ascend(mdp: LinearMdp, prepared: list, results: list) -> None:
             row = np.flatnonzero(stack.slots == slot)
             if len(row):  # not a seed that has failed
                 output_params[slot] = scaled[row[0]]
-        features = softmax_features(phi_sites, scaled)  # (S, 1+k, d)
-        features_next = features[:, 1:]
+        probs = action_major_softmax(phi_sites, scaled)  # (S, A, 1+k)
+        features_x0, operator = occupancy_operator(stack.weights, probs, phi_sites)
 
         # Value-parameter step: best response to the estimated feature occupancy.
-        phimu = mu_hat_features(stack, gamma, features[:, 0], features_next, lam)
+        phimu = mu_hat_features(gamma, features_x0, operator, lam)
         theta = best_response_theta(phimu - lam, stack.d_theta)
 
         # Policy step in cumulative form.
         theta_bar = theta_bar + theta
 
-        # Feature-occupancy step; v_{theta_t, pi_t} is read at observed next states.
-        v_next = (features_next @ theta[:, :, None])[:, :, 0]
-        g = lambda_gradient(mdp.omega, stack, v_next, theta, gamma)
-        if need_grad_sq:
-            grad_sq = (g[:, None, :] @ (stack.lambda_mat @ g[:, :, None]))[:, 0, 0]
-        lam_next = lambda_update(lam, g, stack, stack.eta, stack.rho)
+        # Feature-occupancy step.
+        g = lambda_gradient(mdp.omega, operator, theta)
+        lam_next, grad_sq = lambda_update(lam, g, stack, stack.eta, stack.rho)
 
         failed = _failed_rows(t, stack, g, grad_sq, lam_next, theta_bar,
                               first.check_gradient_bound)
@@ -385,10 +402,9 @@ def _ascend(mdp: LinearMdp, prepared: list, results: list) -> None:
                 results[int(stack.slots[row])] = error
                 keep[row] = False
             stack = stack.take(keep)
-            lam, lam_next, theta, theta_bar, phimu, g = (
-                a[keep] for a in (lam, lam_next, theta, theta_bar, phimu, g)
+            lam, lam_next, theta, theta_bar, phimu, g, grad_sq = (
+                a[keep] for a in (lam, lam_next, theta, theta_bar, phimu, g, grad_sq)
             )
-            grad_sq = None if grad_sq is None else grad_sq[keep]
             rows = stack.slots
             if not len(lam):
                 return

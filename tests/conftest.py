@@ -1,17 +1,22 @@
 """Shared fixtures (a default environment, datasets, one recorded run) and
 the dense and per-iterate references the vectorized code is tested against.
-The dense (X*A, X) kernel and the (T, X, A) iterate tables exist only here;
-the package never forms them."""
+The dense (X*A, X) kernel, the (T, X, A) iterate tables and the ascent loop
+without the occupancy operator exist only here; the package never forms
+them."""
 
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import fogas
+from fogas import solver
+from fogas.data import estimate_psi
 from fogas.diagnostics import eval_f, v_of_theta_policy
-from fogas.linmdp import _stable_softmax_rows
+from fogas.linmdp import _stable_softmax_rows, softmax_from_logit_param
 from fogas.oracle import evaluate_policies
+from fogas.solver import FogasRun, FogasTrajectory, best_response_theta
 
 # Auto-tuned short runs deliberately sit below the theoretical minimum
 # iteration count; the warning is expected and checked once in test_solver.
@@ -127,6 +132,80 @@ def dense_greedy_policy(mdp, sweeps=2000):
     for _ in range(sweeps):
         q = mdp.rewards + mdp.gamma * P @ q.reshape(X, A).max(axis=1)
     return q.reshape(X, A).argmax(axis=1)
+
+
+def softmax_features(phi_states, scaled_param):
+    """Reference: sum_a pi(a|x) phi(x,a) per state, pi the softmax of
+    <phi(x,a), scaled_param>, reduced over a trailing action axis.
+
+    ``phi_states`` stacks the (A, d) feature blocks of the states, shape
+    (k, A, d); the result has shape (k, d). A ``scaled_param`` of shape (S, d)
+    gives one policy per row and a result of shape (S, k, d).
+    """
+    k, A, d = phi_states.shape
+    scaled_param = np.asarray(scaled_param, dtype=np.float64)
+    logits = scaled_param @ phi_states.reshape(k * A, d).T
+    probs = _stable_softmax_rows(logits.reshape(scaled_param.shape[:-1] + (k, A)))
+    return (probs[..., None, :] @ phi_states)[..., 0, :]
+
+
+def reference_ascend(mdp, dataset, config, follow=None):
+    """Reference: one seed's FOGAS run without the occupancy operator.
+
+    Per iteration: the softmax features at x0 and the observed next states,
+    mu-hat features as (1-gamma) f_x0 + gamma (lambda^T C) F_next, the best
+    response, the gradient from v at the next states, g^T Lambda g, and the
+    lambda step with Lambda g formed again. A broken checked gradient bound
+    raises ``AssertionError`` and a non-finite iterate ``FloatingPointError``,
+    with the messages of ``run_fogas_batch``.
+
+    With ``follow``, a recorded trajectory, iteration t > 1 starts from its
+    lambda_t and theta_bar_{t-1} instead of the reference's own, so each
+    recorded value is one reference step from the followed run's state. The
+    best response d_theta * c / |c| can amplify a roundoff difference several
+    times per iteration, so two correct free-running loops may drift apart.
+    """
+    cfg = config.resolved(mdp, len(dataset))
+    psi_hat = estimate_psi(dataset, cfg.beta)
+    C, lambda_mat, gamma = psi_hat.columns, psi_hat.covariance.lambda_mat, mdp.gamma
+    phi_sites = mdp.phi_by_state[np.concatenate(([mdp.x0], psi_hat.observed_states))]
+    bound = solver.gradient_norm_bound(cfg, mdp) + 1e-8
+    J = int(np.random.default_rng(cfg.seed).integers(1, cfg.T + 1))
+    lam = theta_bar = np.zeros(mdp.dim)
+    record = {f.name: [] for f in fields(FogasTrajectory)}
+    for t in range(1, cfg.T + 1):
+        lam_t = lam
+        if follow is not None and t > 1:
+            lam_t, theta_bar = follow.lambdas[t - 1], follow.theta_bars[t - 2]
+        scaled = cfg.alpha * theta_bar
+        if t == J:
+            output_param = scaled
+        features = softmax_features(phi_sites, scaled)
+        phimu = (1.0 - gamma) * features[0] + gamma * (lam_t @ C) @ features[1:]
+        theta = best_response_theta(phimu - lam_t, cfg.d_theta)
+        theta_bar = theta_bar + theta
+        g = mdp.omega + gamma * C @ (features[1:] @ theta) - theta
+        grad_sq = g @ (lambda_mat @ g)
+        lam_next = (lam_t + cfg.eta * (lambda_mat @ g)) / (1.0 + cfg.rho * cfg.eta)
+        if cfg.check_gradient_bound and grad_sq > bound:
+            raise AssertionError(f"gradient norm bound violated at iteration {t}: "
+                                 f"{grad_sq:.6g} > {bound:.6g}")
+        finite = [bool(np.all(np.isfinite(a))) for a in (lam_next, theta_bar, g)]
+        if not all(finite):
+            raise FloatingPointError(
+                f"non-finite iterate at iteration {t} "
+                f"(lambda finite: {finite[0]}, theta_bar finite: {finite[1]}, "
+                f"gradient finite: {finite[2]})")
+        for values, value in zip(record.values(), (lam, theta, theta_bar, phimu, g, grad_sq)):
+            values.append(value)
+        lam = lam_next
+    trajectory = None
+    if cfg.record_trajectory:
+        trajectory = FogasTrajectory(**{name: np.array(v) for name, v in record.items()})
+    return FogasRun(config=cfg, chosen_index=J, lambda_final=lam, theta_bar_final=theta_bar,
+                    output_param=output_param,
+                    output_policy=softmax_from_logit_param(mdp, output_param),
+                    trajectory=trajectory)
 
 
 def iterate_params(trajectory, alpha):

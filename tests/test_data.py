@@ -438,6 +438,23 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_dataset(path, default_mdp)
 
+    def test_load_streams_the_file(self, tmp_path):
+        """The rows go from the open file to loadtxt: at n=50000 (a 1.4 MB file)
+        the peak holds the parsed table and the (n, d) features, not the text."""
+        mdp = fogas.generate_linear_mdp(100, 4, 8, gamma=0.9, seed=0)
+        ds = collect_dataset(mdp, fogas.uniform_policy(100, 4), n=50_000,
+                             sampling_mode="uniform", seed=0)
+        path = tmp_path / "data.csv"
+        save_dataset(ds, path)
+        tracemalloc.start()
+        try:
+            loaded = load_dataset(path, mdp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.x_nexts, ds.x_nexts)
+        assert peak <= 8e6
+
     def test_bad_header_rejected(self, default_mdp, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c,d\n0,0,0.5,0\n")

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fogas
-from fogas.linmdp import _stable_softmax_rows
+from fogas.linmdp import _stable_softmax_rows, action_major_phi, action_major_softmax
 
-from conftest import dense_kernel, random_mdp
+from conftest import dense_kernel, random_mdp, softmax_features
 
 
 class TestGenerator:
@@ -197,12 +197,16 @@ class TestPolicyUpdate:
         assert np.abs(stepped.probs - direct).max() <= 1e-15
 
     def test_softmax_features_match_table(self, default_mdp):
+        """The action-major softmax and the reference policy-weighted features
+        agree with the policy table."""
         rng = np.random.default_rng(5)
+        phi_states = action_major_phi(default_mdp, np.arange(5))
         for _ in range(10):
             param = rng.normal(size=4)
             table = fogas.softmax_from_logit_param(default_mdp, param).probs
+            assert np.abs(action_major_softmax(phi_states, param).T - table).max() <= 1e-15
             expected = np.einsum("xa,xad->xd", table, default_mdp.phi_by_state)
-            out = fogas.softmax_features(default_mdp.phi_by_state, param)
+            out = softmax_features(default_mdp.phi_by_state, param)
             assert np.abs(out - expected).max() <= 1e-15
 
 

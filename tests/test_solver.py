@@ -3,6 +3,7 @@ materializations, finite differences, and random feasible points."""
 
 import json
 import time
+import tracemalloc
 from dataclasses import asdict, fields, replace
 from types import SimpleNamespace
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import fogas
 from fogas.data import build_covariance, collect_dataset, estimate_psi
-from fogas.linmdp import softmax_features
+from fogas.linmdp import action_major_phi, action_major_softmax
 from fogas import solver
 from fogas.solver import (
     FogasConfig,
@@ -24,9 +25,11 @@ from fogas.solver import (
     lambda_update,
     load_run,
     mu_hat_features,
+    occupancy_operator,
     run_fogas,
     run_fogas_batch,
     save_run,
+    site_weights,
     theoretical_min_iterations,
 )
 
@@ -36,6 +39,7 @@ from conftest import (
     psi_hat_apply,
     random_mdp,
     random_policy,
+    reference_ascend,
 )
 
 
@@ -107,15 +111,17 @@ class TestBestResponse:
 class TestLambdaUpdate:
     def test_zero_everything(self, default_dataset):
         cov = build_covariance(default_dataset, beta=0.1)
-        out = lambda_update(np.zeros(4), np.zeros(4), cov, eta=1.0, rho=1.0)
+        out, grad_sq = lambda_update(np.zeros(4), np.zeros(4), cov, eta=1.0, rho=1.0)
         assert np.all(out == 0.0)
+        assert grad_sq == 0.0
 
     def test_hand_arithmetic(self):
         from fogas.data import Covariance
         cov = Covariance(beta=1.0, lambda_mat=np.eye(2), n=1)
-        out = lambda_update(np.array([1.0, 0.0]), np.array([1.0, 1.0]),
-                            cov, eta=1.0, rho=1.0)
+        out, grad_sq = lambda_update(np.array([1.0, 0.0]), np.array([1.0, 1.0]),
+                                     cov, eta=1.0, rho=1.0)
         assert np.allclose(out, [1.0, 0.5], atol=1e-15)
+        assert grad_sq == 2.0
 
     def test_first_order_condition(self, default_dataset):
         cov = build_covariance(default_dataset, beta=0.1)
@@ -125,7 +131,7 @@ class TestLambdaUpdate:
             g = rng.normal(size=4)
             eta = float(rng.uniform(0.01, 2.0))
             rho = float(rng.uniform(0.0, 2.0))
-            lam_next = lambda_update(lam_t, g, cov, eta, rho)
+            lam_next, _ = lambda_update(lam_t, g, cov, eta, rho)
             foc = -g + cov.solve(lam_next - lam_t) / eta + rho * cov.solve(lam_next)
             assert np.abs(foc).max() <= 1e-9
 
@@ -150,26 +156,26 @@ class TestLambdaUpdate:
                 return -(lam @ g - d @ inv @ d / (2 * eta)
                          - rho * (lam @ inv @ lam) / 2.0)
 
-            closed = lambda_update(lam_t, g, cov, eta, rho)
+            closed, _ = lambda_update(lam_t, g, cov, eta, rho)
             res = minimize(neg_objective, lam_t, method="Nelder-Mead",
                            options={"xatol": 1e-10, "fatol": 1e-14,
                                     "maxiter": 10_000})
             assert np.abs(closed - res.x).max() <= 1e-6
 
 
-def site_features(mdp, psi_hat, probs):
-    """sum_a pi(a|x) phi(x,a) of a policy table at x0 and the observed next states."""
-    feats = np.einsum("xa,xad->xd", probs, mdp.phi_by_state)
-    return feats[mdp.x0], feats[psi_hat.observed_states]
+def site_operator(mdp, psi_hat, probs, gamma=0.9):
+    """(f_x0, M) of a policy table, through the loop's helpers on the sites of
+    one estimator."""
+    sites, weights = site_weights(mdp.x0, gamma, [psi_hat])
+    return occupancy_operator(weights[0], probs[sites].T, action_major_phi(mdp, sites))
 
 
 class TestMuHatFeatures:
     def test_zero_lambda(self, default_mdp, default_dataset):
         psi_hat = estimate_psi(default_dataset, beta=0.1)
-        sites = np.concatenate(([0], psi_hat.observed_states))
-        feats = softmax_features(default_mdp.phi_by_state[sites], np.zeros(4))
-        out = mu_hat_features(psi_hat, 0.9, feats[0], feats[1:], np.zeros(4))
         policy = fogas.uniform_policy(5, 3)
+        feats_x0, operator = site_operator(default_mdp, psi_hat, policy.probs)
+        out = mu_hat_features(0.9, feats_x0, operator, np.zeros(4))
         expected = 0.1 * policy.probs[0] @ default_mdp.phi_by_state[0]
         assert np.abs(out - expected).max() <= 1e-14
 
@@ -179,9 +185,8 @@ class TestMuHatFeatures:
                              sampling_mode="uniform", seed=0)
         psi_hat = estimate_psi(ds, beta=1.0)
         lam = np.array([0.2, -0.3])
-        sites = np.concatenate(([0], psi_hat.observed_states))
-        feats = softmax_features(mdp.phi_by_state[sites], np.zeros(2))
-        out = mu_hat_features(psi_hat, 0.9, feats[0], feats[1:], lam)
+        feats_x0, operator = site_operator(mdp, psi_hat, fogas.uniform_policy(1, 2).probs)
+        out = mu_hat_features(0.9, feats_x0, operator, lam)
         # Hand evaluation: X' is the single state, pi uniform over e1, e2.
         mean_phi = np.array([0.5, 0.5])
         inner = ds.features[0] @ np.linalg.solve(psi_hat.covariance.lambda_mat, lam)
@@ -199,24 +204,23 @@ class TestMuHatFeatures:
             nu_hat = 0.1 * default_mdp.nu0 + 0.9 * psi_hat.dense().T @ lam
             mu_hat = (policy.probs * nu_hat[:, None]).ravel()
             expected = default_mdp.phi.T @ mu_hat
-            feats_x0, feats_next = site_features(default_mdp, psi_hat, policy.probs)
-            out = mu_hat_features(psi_hat, 0.9, feats_x0, feats_next, lam)
+            feats_x0, operator = site_operator(default_mdp, psi_hat, policy.probs)
+            out = mu_hat_features(0.9, feats_x0, operator, lam)
             assert np.abs(out - expected).max() <= 1e-10
 
 
 class TestLambdaGradient:
-    def test_theta_omega_zero_value(self, default_dataset, default_mdp):
-        psi_hat = estimate_psi(default_dataset, beta=0.1)
-        k = len(psi_hat.observed_states)
-        g = lambda_gradient(default_mdp.omega, psi_hat, np.zeros(k),
-                            default_mdp.omega, gamma=0.9)
+    def test_theta_omega_zero_value(self, default_mdp):
+        # A value of zero at the next states: the operator term M theta vanishes.
+        g = lambda_gradient(default_mdp.omega, np.zeros((4, 4)), default_mdp.omega)
         assert np.abs(g).max() <= 1e-15
 
     def test_zero_gamma_limit(self, default_dataset, default_mdp):
         psi_hat = estimate_psi(default_dataset, beta=0.1)
         theta = np.array([0.1, 0.2, 0.3, 0.4])
-        k = len(psi_hat.observed_states)
-        g = lambda_gradient(default_mdp.omega, psi_hat, np.ones(k), theta, gamma=0.0)
+        _, operator = site_operator(default_mdp, psi_hat,
+                                    fogas.uniform_policy(5, 3).probs, gamma=0.0)
+        g = lambda_gradient(default_mdp.omega, operator, theta)
         assert np.abs(g - (default_mdp.omega - theta)).max() <= 1e-15
 
     def test_matches_finite_difference(self, default_mdp):
@@ -229,10 +233,10 @@ class TestLambdaGradient:
         rng = np.random.default_rng(9)
         policy = random_policy(5, 3, rng)
         probs = policy.probs
-        feats_x0, feats_next = site_features(default_mdp, psi_hat, probs)
+        feats_x0, operator = site_operator(default_mdp, psi_hat, probs)
 
         def value(lam):
-            phimu = mu_hat_features(psi_hat, 0.9, feats_x0, feats_next, lam)
+            phimu = mu_hat_features(0.9, feats_x0, operator, lam)
             theta = best_response_theta(phimu - lam, d_theta)
             q = (default_mdp.phi @ theta).reshape(5, 3)
             v = (probs * q).sum(axis=1)
@@ -241,14 +245,11 @@ class TestLambdaGradient:
 
         for _ in range(5):
             lam = rng.normal(size=4)
-            phimu = mu_hat_features(psi_hat, 0.9, feats_x0, feats_next, lam)
+            phimu = mu_hat_features(0.9, feats_x0, operator, lam)
             if np.linalg.norm(phimu - lam) <= 1e-6:
                 continue
             theta = best_response_theta(phimu - lam, d_theta)
-            q = (default_mdp.phi @ theta).reshape(5, 3)
-            v = (probs * q).sum(axis=1)
-            g = lambda_gradient(default_mdp.omega, psi_hat,
-                                v[psi_hat.observed_states], theta, 0.9)
+            g = lambda_gradient(default_mdp.omega, operator, theta)
             for k in range(4):
                 e = np.zeros(4)
                 e[k] = 1e-5
@@ -346,6 +347,23 @@ class TestRunFogas:
         assert times[16384] <= 2.5 * times[8192]
 
 
+class TestLoopMemory:
+    def test_peak_is_bounded(self):
+        """At X=1e4 (k=8386 observed next states) the loop holds one action-major
+        copy of the site features, 2.1 MB, and per iteration an (S, 1+k, d)
+        F_pi, 0.5 MB; the estimator and its groups take about 2 MB."""
+        mdp = fogas.generate_linear_mdp(10_000, 4, 8, gamma=0.9, seed=0)
+        ds = collect_dataset(mdp, fogas.uniform_policy(10_000, 4), n=20_000,
+                             sampling_mode="uniform", seed=0)
+        tracemalloc.start()
+        try:
+            run_fogas(mdp, ds, FogasConfig(T=50, seed=0, auto_tune=True))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+
+
 # Batched and solo runs differ only by roundoff: zero-padded columns change
 # the summation order. Relative to each field's largest absolute value.
 BATCH_RTOL = 1e-10
@@ -370,6 +388,16 @@ def uniform_datasets(mdp, n, seeds):
     beh = fogas.uniform_policy(mdp.num_states, mdp.num_actions)
     return [collect_dataset(mdp, beh, n=n, sampling_mode="uniform", seed=s)
             for s in seeds]
+
+
+# The loop and ``reference_ascend`` differ only in the order of roundoff.
+REFERENCE_RTOL = 1e-12
+
+
+def reference_error(error_type, mdp, dataset, config):
+    with pytest.raises(error_type) as error:
+        reference_ascend(mdp, dataset, config)
+    return error.value
 
 
 class TestRunFogasBatch:
@@ -412,9 +440,13 @@ class TestRunFogasBatch:
         with pytest.raises(FloatingPointError) as solo_error:
             run_fogas(default_mdp, datasets[1], configs[1])
         assert str(batch[1]) == str(solo_error.value)
+        assert str(batch[1]) == str(
+            reference_error(FloatingPointError, default_mdp, datasets[1], configs[1]))
         assert "iteration" in str(batch[1])
         for s in (0, 2):
             assert_runs_close(batch[s], run_fogas(default_mdp, datasets[s], configs[s]))
+            assert_runs_close(batch[s], reference_ascend(default_mdp, datasets[s], configs[s]),
+                              REFERENCE_RTOL)
 
     def test_gradient_bound_breach_leaves_batch(self, default_mdp, monkeypatch):
         datasets = uniform_datasets(default_mdp, 256, range(3))
@@ -424,11 +456,51 @@ class TestRunFogasBatch:
         monkeypatch.setattr(solver, "gradient_norm_bound",
                             lambda cfg, mdp: -1.0 if cfg.seed == 2 else real_bound(cfg, mdp))
         batch = run_fogas_batch(default_mdp, datasets, configs)
+        error = reference_error(AssertionError, default_mdp, datasets[2], configs[2])
         monkeypatch.undo()
         assert isinstance(batch[2], AssertionError)
         assert str(batch[2]).startswith("gradient norm bound violated at iteration 1:")
+        assert str(batch[2]) == str(error)
         for s in (0, 1):
             assert_runs_close(batch[s], run_fogas(default_mdp, datasets[s], configs[s]))
+            assert_runs_close(batch[s], reference_ascend(default_mdp, datasets[s], configs[s]),
+                              REFERENCE_RTOL)
+
+    @given(
+        mdp_seed=st.integers(0, 10**6),
+        num_states=st.integers(2, 8),
+        num_actions=st.integers(1, 4),
+        dim=st.integers(1, 5),
+        T=st.integers(1, 30),
+        x0_pick=st.integers(1, 7),
+        cells=st.lists(st.tuples(st.integers(2, 32), st.floats(0.01, 1.0)),
+                       min_size=1, max_size=3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_loop(self, mdp_seed, num_states, num_actions, dim, T,
+                                    x0_pick, cells):
+        """Each step of each seed equals ``reference_ascend``, the step sequence
+        without the occupancy operator, from the batch's recorded state.
+
+        Followed, not free-running: the best response can amplify roundoff
+        several times per iteration, and in about 1 of 1500 such random runs
+        two free-running loops (this one and the previous one too) drift past
+        1e-12 of the reference by T=30. The default-MDP cases of the two
+        failure tests above compare free-running.
+        """
+        dim = min(dim, num_states * num_actions)
+        mdp = fogas.generate_linear_mdp(num_states, num_actions, dim, 0.9, mdp_seed)
+        mdp = replace(mdp, x0=1 + (x0_pick - 1) % (num_states - 1))
+        beh = fogas.uniform_policy(num_states, num_actions)
+        datasets = [collect_dataset(mdp, beh, n=n, sampling_mode="uniform",
+                                    seed=mdp_seed + i)
+                    for i, (n, _) in enumerate(cells)]
+        configs = [FogasConfig(T=T, seed=mdp_seed + i, auto_tune=True, alpha=alpha,
+                               record_trajectory=True, check_gradient_bound=True)
+                   for i, (_, alpha) in enumerate(cells)]
+        for run, ds, cfg in zip(run_fogas_batch(mdp, datasets, configs), datasets, configs):
+            assert_runs_close(run, reference_ascend(mdp, ds, cfg, follow=run.trajectory),
+                              REFERENCE_RTOL)
 
     def test_setup_failure_fills_only_its_slot(self, default_mdp):
         datasets = uniform_datasets(default_mdp, 128, range(2))
@@ -454,26 +526,29 @@ class TestRunFogasBatch:
         psi_hats = [estimate_psi(ds, beta=0.1)
                     for ds in uniform_datasets(default_mdp, 512, (3, 4))]
         assert all(len(p.observed_states) == 5 for p in psi_hats)
+        sites, weights = site_weights(default_mdp.x0, 0.9, psi_hats)
+        phi_sites = action_major_phi(default_mdp, sites)
         stack = SimpleNamespace(
-            columns=np.stack([p.columns for p in psi_hats]),
             lambda_mat=np.stack([p.covariance.lambda_mat for p in psi_hats]))
         rng = np.random.default_rng(5)
         params, lam, theta = (rng.normal(size=(2, 4)) for _ in range(3))
         eta, rho, d_theta = np.array([[0.1], [0.3]]), np.array([[0.5], [0.0]]), \
             np.array([[2.0], [0.5]])
-        sites = np.arange(6) % 5
-        feats = softmax_features(default_mdp.phi_by_state[sites], params)
-        phimu = mu_hat_features(stack, 0.9, feats[:, 0], feats[:, 1:], lam)
-        v_next = rng.normal(size=(2, 5))
-        g = lambda_gradient(default_mdp.omega, stack, v_next, theta, 0.9)
-        stacked = (feats, phimu, best_response_theta(phimu - lam, d_theta), g,
-                   lambda_update(lam, g, stack, eta, rho))
+        probs = action_major_softmax(phi_sites, params)
+        feats_x0, operator = occupancy_operator(weights, probs, phi_sites)
+        phimu = mu_hat_features(0.9, feats_x0, operator, lam)
+        g = lambda_gradient(default_mdp.omega, operator, theta)
+        stacked = (probs, feats_x0, operator, phimu,
+                   best_response_theta(phimu - lam, d_theta), g,
+                   *lambda_update(lam, g, stack, eta, rho))
         for s, p in enumerate(psi_hats):
-            f = softmax_features(default_mdp.phi_by_state[sites], params[s])
-            ph = mu_hat_features(p, 0.9, f[0], f[1:], lam[s])
-            gs = lambda_gradient(default_mdp.omega, p, v_next[s], theta[s], 0.9)
-            single = (f, ph, best_response_theta(ph - lam[s], d_theta[s, 0]), gs,
-                      lambda_update(lam[s], gs, p.covariance, eta[s, 0], rho[s, 0]))
+            pr = action_major_softmax(phi_sites, params[s])
+            f, op = occupancy_operator(site_weights(default_mdp.x0, 0.9, [p])[1][0],
+                                       pr, phi_sites)
+            ph = mu_hat_features(0.9, f, op, lam[s])
+            gs = lambda_gradient(default_mdp.omega, op, theta[s])
+            single = (pr, f, op, ph, best_response_theta(ph - lam[s], d_theta[s, 0]), gs,
+                      *lambda_update(lam[s], gs, p.covariance, eta[s, 0], rho[s, 0]))
             for got, want in zip(stacked, single):
                 assert np.abs(got[s] - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -564,22 +639,22 @@ class TestTrajectoryStepIdentities:
         run = run_fogas(mdp, ds, cfg)
         cfg, tr = run.config, run.trajectory
         psi_hat = estimate_psi(ds, cfg.beta)
-        sites = np.concatenate(([mdp.x0], psi_hat.observed_states))
+        sites, weights = site_weights(mdp.x0, mdp.gamma, [psi_hat])
+        phi_sites = action_major_phi(mdp, sites)
         tables = iterate_policy_tables(mdp, tr, cfg.alpha)
         params = iterate_params(tr, cfg.alpha)
 
         for t in range(T):
-            feats = softmax_features(mdp.phi_by_state[sites], params[t])
-            phimu = mu_hat_features(psi_hat, mdp.gamma, feats[0], feats[1:],
-                                    tr.lambdas[t])
+            probs = action_major_softmax(phi_sites, params[t])
+            feats_x0, operator = occupancy_operator(weights[0], probs, phi_sites)
+            phimu = mu_hat_features(mdp.gamma, feats_x0, operator, tr.lambdas[t])
             assert np.abs(tr.phi_mu_hats[t] - phimu).max() <= 1e-12
-            g = lambda_gradient(mdp.omega, psi_hat, feats[1:] @ tr.thetas[t],
-                                tr.thetas[t], mdp.gamma)
+            g = lambda_gradient(mdp.omega, operator, tr.thetas[t])
             assert np.abs(tr.g_lambdas[t] - g).max() <= 1e-12
             if t + 1 == T:
                 break
-            lam_next = lambda_update(tr.lambdas[t], tr.g_lambdas[t],
-                                     psi_hat.covariance, cfg.eta, cfg.rho)
+            lam_next, _ = lambda_update(tr.lambdas[t], tr.g_lambdas[t],
+                                        psi_hat.covariance, cfg.eta, cfg.rho)
             assert np.abs(tr.lambdas[t + 1] - lam_next).max() <= 1e-12
             # Cumulative form equals the multiplicative mirror-ascent step.
             boost = np.exp(cfg.alpha * (mdp.phi @ tr.thetas[t]))
