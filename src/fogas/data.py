@@ -113,9 +113,7 @@ class Covariance:
 
 
 def build_covariance(dataset: OfflineDataset, beta: float) -> Covariance:
-    """Lambda = beta*I + (1/n) sum_i phi_i phi_i^T."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    """Lambda = beta*I + (1/n) sum_i phi_i phi_i^T; ``Covariance`` checks beta."""
     n, d = dataset.features.shape
     mat = beta * np.eye(d) + (dataset.features.T @ dataset.features) / n
     mat = 0.5 * (mat + mat.T)  # kill roundoff asymmetry from the BLAS product

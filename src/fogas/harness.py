@@ -50,10 +50,9 @@ class ExperimentConfig:
     n_values: tuple = (256, 1024, 4096, 16384)
     seeds: tuple = tuple(range(10))
     fogas: dict = field(default_factory=lambda: {"auto_tune": True})
-    output_dir: str = "."
 
     _KNOWN_KEYS = {
-        "mdp", "behavior", "sampling_mode", "n_values", "seeds", "fogas", "output_dir",
+        "mdp", "behavior", "sampling_mode", "n_values", "seeds", "fogas",
     }
     _GENERATOR_KEYS = ("states", "actions", "dim", "gamma")
 

@@ -6,9 +6,11 @@ parameter is theta_pi = M^{-1} omega and the feature occupancy is
 lambda_pi = M^{-T} (1-gamma) Phi_pi[x0]. M is invertible for gamma < 1 because
 the nonzero spectrum of Psi Phi_pi is that of the stochastic kernel P_pi.
 Values and occupancies over the full state space follow in O(X*A*d), so no
-X x X array is ever formed. The optimal policy comes from value iteration
-through Phi (Psi v), and the relaxed-LP feasibility check materializes the
-exact occupancy measure.
+X x X array is ever formed. ``evaluate_policy`` scores one policy; the
+iterates of a run are scored in blocks by ``diagnostics.score_iterates``,
+which shares the d x d solve ``solve_flow``. The optimal policy comes from
+value iteration through Phi (Psi v), and the relaxed-LP feasibility check
+materializes the exact occupancy measure.
 """
 
 from __future__ import annotations
@@ -36,51 +38,36 @@ class PolicyEvaluation:
 
 
 def solve_flow(mdp, psi_phi_pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """theta_pi = M^{-1} omega, M = I - gamma Psi Phi_pi, for a (T, d, d) stack
-    of Psi Phi_pi. Returns theta_pi (T, d) and M."""
+    """theta_pi = M^{-1} omega, M = I - gamma Psi Phi_pi, for one d x d
+    Psi Phi_pi or a (T, d, d) stack of them. Returns theta_pi, (d,) or (T, d),
+    and M."""
     M = np.eye(mdp.dim) - mdp.gamma * psi_phi_pi
     return np.linalg.solve(M, mdp.omega[:, None])[..., 0], M
 
 
-def evaluate_policies(
-    mdp, tables: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Exact evaluation of T policies at once, ``tables`` of shape (T, X, A).
-
-    One einsum forms the policy features and one batched d x d solve per
-    equation gives theta_pi and lambda_pi. Returns theta_pi (T, d),
-    lambda_pi (T, d), the value functions v (T, X) and the returns (T,).
-    """
-    X, A = mdp.num_states, mdp.num_actions
-    tables = np.asarray(tables, dtype=np.float64)
-    if tables.shape[1:] != (X, A):
-        raise ValueError(
-            f"policy tables must have shape (T, {X}, {A}), got {tables.shape}"
-        )
-    gamma = mdp.gamma
-    phi_pi = np.einsum("txa,xad->txd", tables, mdp.phi_by_state)  # (T, X, d)
-    theta_pi, M = solve_flow(mdp, mdp.psi @ phi_pi)
-    start = (1.0 - gamma) * phi_pi[:, mdp.x0]  # (T, d)
-    lambda_pi = np.linalg.solve(M.transpose(0, 2, 1), start[..., None])[..., 0]
-    v = np.einsum("txd,td->tx", phi_pi, theta_pi)
-    return theta_pi, lambda_pi, v, np.einsum("td,td->t", start, theta_pi)
-
-
 def evaluate_policy(mdp, policy) -> PolicyEvaluation:
-    """Exact values and occupancies of one policy: ``evaluate_policies`` at T=1."""
+    """Exact values and occupancies of one policy, from its features Phi_pi
+    (X, d) and two d x d solves: ``solve_flow`` for theta_pi, M^T for lambda_pi."""
+    X, A = mdp.num_states, mdp.num_actions
     probs = policy.probs
-    theta_pi, lambda_pi, v, returns = evaluate_policies(mdp, probs[None])
+    if probs.shape != (X, A):
+        raise ValueError(f"policy table must have shape ({X}, {A}), got {probs.shape}")
+    gamma = mdp.gamma
+    phi_pi = np.einsum("xa,xad->xd", probs, mdp.phi_by_state)  # (X, d)
+    theta_pi, M = solve_flow(mdp, mdp.psi @ phi_pi)
+    start = (1.0 - gamma) * phi_pi[mdp.x0]
+    lambda_pi = np.linalg.solve(M.T, start)
     # Flow: nu = (1-gamma) nu0 + gamma Psi^T lambda, then mu = pi o nu.
-    nu = mdp.gamma * (mdp.psi.T @ lambda_pi[0])
-    nu[mdp.x0] += 1.0 - mdp.gamma
+    nu = gamma * (mdp.psi.T @ lambda_pi)
+    nu[mdp.x0] += 1.0 - gamma
     return PolicyEvaluation(
-        q=mdp.phi @ theta_pi[0],
-        v=v[0],
-        theta_pi=theta_pi[0],
+        q=mdp.phi @ theta_pi,
+        v=phi_pi @ theta_pi,
+        theta_pi=theta_pi,
         mu=(probs * nu[:, None]).ravel(),
         nu=nu,
-        lambda_pi=lambda_pi[0],
-        return_value=float(returns[0]),
+        lambda_pi=lambda_pi,
+        return_value=float(start @ theta_pi),
     )
 
 

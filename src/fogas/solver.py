@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .data import Covariance, OfflineDataset, PsiHat, estimate_psi
+from .data import OfflineDataset, PsiHat, estimate_psi
 from .linmdp import (
     LinearMdp,
     TabularPolicy,
@@ -61,10 +61,14 @@ class FogasConfig:
     check_gradient_bound: bool = False
 
     def __post_init__(self):
-        if self.T < 1:
-            raise ValueError("T must be >= 1")
+        if not isinstance(self.T, (int, np.integer)) or self.T < 1:
+            raise ValueError("T must be an integer >= 1")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
+        for name in ("alpha", "rho", "eta", "beta", "d_theta"):
+            val = getattr(self, name)
+            if val is not None and not math.isfinite(val):
+                raise ValueError(f"{name} is not finite")
         for name in ("alpha", "eta", "beta", "d_theta"):
             val = getattr(self, name)
             if val is not None and val <= 0:
@@ -234,59 +238,30 @@ def lambda_gradient(omega: np.ndarray, operator: np.ndarray, theta: np.ndarray) 
 
 
 def lambda_update(
-    lambda_t: np.ndarray, g: np.ndarray, cov: Covariance, eta, rho
+    lambda_t: np.ndarray, g: np.ndarray, lambda_mat: np.ndarray, eta, rho
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed form of the stabilized, preconditioned mirror ascent step, and
     g^T Lambda g, both from one product Lambda g.
 
     The step is the exact argmax of <lambda, g> - ||lambda - lambda_t||^2_{Lambda^{-1}}/(2 eta)
     - rho/2 * ||lambda||^2_{Lambda^{-1}}; it needs eta > 0 and rho >= 0,
-    which ``FogasConfig`` and the seed stack check. With a leading seed axis,
-    ``cov.lambda_mat`` is (S, d, d), ``lambda_t`` and ``g`` are (S, d), and
+    which ``FogasConfig`` checks. ``lambda_mat`` is Lambda, (d, d); with a
+    leading seed axis it is (S, d, d), ``lambda_t`` and ``g`` are (S, d), and
     ``eta`` and ``rho`` broadcast against (S, 1).
     """
-    lambda_g = np.matvec(cov.lambda_mat, g)
+    lambda_g = np.matvec(lambda_mat, g)
     return (lambda_t + eta * lambda_g) / (1.0 + rho * eta), np.vecdot(g, lambda_g)
 
 
-@dataclass(frozen=True)
-class _SeedStack:
-    """Per-seed constants of a batched run, one row per seed still running.
-
-    ``weights`` holds each seed's estimator columns at the sites, times
-    gamma (``site_weights``); ``lambda_update`` reads ``lambda_mat`` as it
-    reads a ``Covariance``. The rates are (S, 1) columns, which broadcast
-    against (S, d); they are checked here, once per run.
-    """
-
-    slots: np.ndarray  # (S,) position of each row in the caller's lists
-    weights: np.ndarray  # (S, d+1, 1+k)
-    lambda_mat: np.ndarray  # (S, d, d)
-    alpha: np.ndarray
-    eta: np.ndarray
-    rho: np.ndarray
-    d_theta: np.ndarray
-    grad_bound: np.ndarray  # (S,)
-
-    def __post_init__(self):
-        if not np.all(self.eta > 0):
-            raise ValueError("eta must be positive")
-        if not np.all(self.rho >= 0):
-            raise ValueError("rho must be >= 0")
-
-    def take(self, keep: np.ndarray) -> "_SeedStack":
-        return _SeedStack(*(getattr(self, f.name)[keep] for f in fields(self)))
-
-
-def _failed_rows(t, stack, g, grad_sq, lam_next, theta_bar, check_gradient_bound) -> dict:
+def _failed_rows(t, grad_bound, g, grad_sq, lam_next, theta_bar, check_gradient_bound) -> dict:
     """Row -> error for each seed whose iteration t broke the gradient bound
     (checked first, as the unbatched loop did) or left the finite numbers."""
     failed = {}
     if check_gradient_bound:
-        for row in np.flatnonzero(grad_sq > stack.grad_bound):
+        for row in np.flatnonzero(grad_sq > grad_bound):
             failed[row] = AssertionError(
                 f"gradient norm bound violated at iteration {t}: "
-                f"{grad_sq[row]:.6g} > {stack.grad_bound[row]:.6g}"
+                f"{grad_sq[row]:.6g} > {grad_bound[row]:.6g}"
             )
     # One fused test per iteration; a finite sum that overflowed only costs the
     # exact per-seed check below. A non-finite g makes Lambda g, and so
@@ -312,8 +287,8 @@ def run_fogas_batch(
     Returns one ``FogasRun`` per seed, or the exception that ended that seed:
     a failure while resolving its config or building its estimator, the
     ``AssertionError`` of a broken gradient bound, or the ``FloatingPointError``
-    of a non-finite iterate. A failed seed leaves the batch; the others run to
-    T. The configs must share T, ``record_trajectory`` and
+    of a non-finite iterate. A seed that fails in the loop is frozen in place;
+    the others run to T. The configs must share T, ``record_trajectory`` and
     ``check_gradient_bound``; the rates may differ. Each seed's results equal
     those of its own ``run_fogas`` up to roundoff: the seeds' estimator columns
     are zero-padded to the union of their observed next states.
@@ -338,93 +313,86 @@ def run_fogas_batch(
 
 
 def _ascend(mdp: LinearMdp, prepared: list, results: list) -> None:
-    """The ascent loop over the prepared seeds; fills their slots of ``results``."""
-    first = prepared[0][1]
-    T, S, d, gamma = first.T, len(results), mdp.dim, mdp.gamma
-    cfgs = {slot: cfg for slot, cfg, _ in prepared}
+    """The ascent loop over the prepared seeds; fills their slots of ``results``.
 
-    def rate(name):
-        return np.array([[getattr(cfg, name)] for cfg in cfgs.values()])
+    Prepared seed i keeps row i of every per-seed array; the rates are (S, 1)
+    columns. A seed that fails is frozen at the origin (eta = d_theta = 0,
+    lambda = theta_bar = 0, an infinite gradient bound), so its row stays
+    finite and reports no second error.
+    """
+    slots, cfgs, psi_hats = zip(*prepared)
+    T, S, d, gamma = cfgs[0].T, len(cfgs), mdp.dim, mdp.gamma
 
-    sites, weights = site_weights(mdp.x0, gamma, [p for _, _, p in prepared])
-    stack = _SeedStack(
-        slots=np.array(list(cfgs)),
-        weights=weights,
-        lambda_mat=np.stack([p.covariance.lambda_mat for _, _, p in prepared]),
-        alpha=rate("alpha"),
-        eta=rate("eta"),
-        rho=rate("rho"),
-        d_theta=rate("d_theta"),
-        grad_bound=np.array([gradient_norm_bound(c, mdp) + 1e-8 for c in cfgs.values()]),
-    )
+    alpha, eta, rho, d_theta = (np.array([[getattr(cfg, name)] for cfg in cfgs])
+                                for name in ("alpha", "eta", "rho", "d_theta"))
+    grad_bound = np.array([gradient_norm_bound(c, mdp) + 1e-8 for c in cfgs])
+    lambda_mat = np.stack([p.covariance.lambda_mat for p in psi_hats])  # (S, d, d)
+    sites, weights = site_weights(mdp.x0, gamma, psi_hats)
     phi_sites = action_major_phi(mdp, sites)  # (A, 1+k, d)
 
-    chosen = {s: int(np.random.default_rng(c.seed).integers(1, T + 1)) for s, c in cfgs.items()}
+    chosen = [int(np.random.default_rng(c.seed).integers(1, T + 1)) for c in cfgs]
     draws: dict[int, list] = {}
-    for slot, J in chosen.items():
-        draws.setdefault(J, []).append(slot)
-    output_params = {}
+    for row, J in enumerate(chosen):
+        draws.setdefault(J, []).append(row)
+    output_params = np.empty((S, d))
 
     traj = None
-    if first.record_trajectory:  # (S, T, d): each seed's record is a contiguous view
+    if cfgs[0].record_trajectory:  # (S, T, d): each seed's record is a contiguous view
         traj = {f.name: np.empty((S, T, d)) for f in fields(FogasTrajectory)}
         traj["grad_sq_norms"] = np.empty((S, T))
 
-    lam = np.zeros((len(prepared), d))
+    errors = {}  # row -> the error that ended its seed
+    lam = np.zeros((S, d))
     theta_bar = np.zeros_like(lam)
-    rows = slice(None) if len(prepared) == S else stack.slots  # trajectory rows
 
     for t in range(1, T + 1):
-        scaled = stack.alpha * theta_bar  # the policies in force at iteration t
-        for slot in draws.get(t, ()):
-            row = np.flatnonzero(stack.slots == slot)
-            if len(row):  # not a seed that has failed
-                output_params[slot] = scaled[row[0]]
+        scaled = alpha * theta_bar  # the policies in force at iteration t
+        for row in draws.get(t, ()):
+            output_params[row] = scaled[row]
         probs = action_major_softmax(phi_sites, scaled)  # (S, A, 1+k)
-        features_x0, operator = occupancy_operator(stack.weights, probs, phi_sites)
+        features_x0, operator = occupancy_operator(weights, probs, phi_sites)
 
         # Value-parameter step: best response to the estimated feature occupancy.
         phimu = mu_hat_features(gamma, features_x0, operator, lam)
-        theta = best_response_theta(phimu - lam, stack.d_theta)
+        theta = best_response_theta(phimu - lam, d_theta)
 
         # Policy step in cumulative form.
         theta_bar = theta_bar + theta
 
         # Feature-occupancy step.
         g = lambda_gradient(mdp.omega, operator, theta)
-        lam_next, grad_sq = lambda_update(lam, g, stack, stack.eta, stack.rho)
+        lam_next, grad_sq = lambda_update(lam, g, lambda_mat, eta, rho)
 
-        failed = _failed_rows(t, stack, g, grad_sq, lam_next, theta_bar,
-                              first.check_gradient_bound)
+        failed = _failed_rows(t, grad_bound, g, grad_sq, lam_next, theta_bar,
+                              cfgs[0].check_gradient_bound)
         if failed:
-            keep = np.ones(len(lam), dtype=bool)
-            for row, error in failed.items():
-                results[int(stack.slots[row])] = error
-                keep[row] = False
-            stack = stack.take(keep)
-            lam, lam_next, theta, theta_bar, phimu, g, grad_sq = (
-                a[keep] for a in (lam, lam_next, theta, theta_bar, phimu, g, grad_sq)
-            )
-            rows = stack.slots
-            if not len(lam):
-                return
+            errors.update(failed)
+            if len(errors) == S:
+                break
+            rows = list(failed)
+            for frozen in (eta, d_theta, lam_next, theta_bar):
+                frozen[rows] = 0.0
+            grad_bound[rows] = np.inf
 
         if traj is not None:  # values in FogasTrajectory field order
             for buf, value in zip(traj.values(), (lam, theta, theta_bar, phimu, g, grad_sq)):
-                buf[rows, t - 1] = value
+                buf[:, t - 1] = value
         lam = lam_next
 
-    for row, slot in enumerate(stack.slots.tolist()):
-        output_param = output_params[slot]
+    for row, slot in enumerate(slots):
+        if row in errors:
+            results[slot] = errors[row]
+            continue
+        output_param = output_params[row]
         results[slot] = FogasRun(
-            config=cfgs[slot],
-            chosen_index=chosen[slot],
+            config=cfgs[row],
+            chosen_index=chosen[row],
             lambda_final=_readonly(lam[row]),
             theta_bar_final=_readonly(theta_bar[row]),
             output_param=_readonly(output_param),
             output_policy=softmax_from_logit_param(mdp, output_param),
             trajectory=None if traj is None else FogasTrajectory(
-                **{name: buf[slot] for name, buf in traj.items()}
+                **{name: buf[row] for name, buf in traj.items()}
             ),
         )
 
@@ -495,9 +463,6 @@ def load_run(path, mdp: LinearMdp) -> FogasRun:
     d = mdp.dim
     try:
         config = FogasConfig(**doc["config"])
-        for key, value in asdict(config).items():
-            if isinstance(value, float) and not np.isfinite(value):
-                raise ValueError(f"config.{key} is not finite")
         if not config.is_resolved:
             raise ValueError("config has unset rates")
         T = config.T

@@ -15,7 +15,7 @@ from fogas import solver
 from fogas.data import estimate_psi
 from fogas.diagnostics import eval_f, v_of_theta_policy
 from fogas.linmdp import _stable_softmax_rows, softmax_from_logit_param
-from fogas.oracle import evaluate_policies
+from fogas.oracle import evaluate_policy
 from fogas.solver import FogasRun, FogasTrajectory, best_response_theta
 
 # Auto-tuned short runs deliberately sit below the theoretical minimum
@@ -222,14 +222,15 @@ def iterate_policy_tables(mdp, trajectory, alpha):
 
 
 def evaluate_iterates(mdp, trajectory, alpha):
-    """Reference: every iterate policy scored by one dense batched oracle call.
+    """Reference: every iterate policy scored by its own oracle call.
 
     Returns the policy tables (T, X, A), theta^{pi_t} (T, d), the value
     functions v^{pi_t} (T, X) and the returns rho(pi_t) (T,).
     """
     tables = iterate_policy_tables(mdp, trajectory, alpha)
-    theta_stars, _, v_stars, rho_ts = evaluate_policies(mdp, tables)
-    return tables, theta_stars, v_stars, rho_ts
+    evals = [evaluate_policy(mdp, fogas.TabularPolicy(table)) for table in tables]
+    return (tables, np.array([ev.theta_pi for ev in evals]), np.array([ev.v for ev in evals]),
+            np.array([ev.return_value for ev in evals]))
 
 
 def per_row_save_dataset(dataset, path):

@@ -146,7 +146,7 @@ def test_a7_closed_form_updates():
             return -(lam @ g - diff @ inv @ diff / (2 * eta)
                      - rho * (lam @ inv @ lam) / 2.0)
 
-        closed, _ = lambda_update(lam_t, g, cov, eta, rho)
+        closed, _ = lambda_update(lam_t, g, cov.lambda_mat, eta, rho)
         res = minimize(neg_obj, lam_t, method="Nelder-Mead",
                        options={"xatol": 1e-10, "fatol": 1e-14,
                                 "maxiter": 10_000})

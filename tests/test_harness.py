@@ -35,12 +35,13 @@ class TestBehaviorPolicy:
 class TestExperimentConfig:
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({
-            "mdp": {"states": 5, "actions": 3, "dim": 4, "gamma": 0.9},
-            "bogus": 1,
-        }))
-        with pytest.raises(ValueError, match="bogus"):
-            harness.ExperimentConfig.from_json(path)
+        for key, value in (("bogus", 1), ("output_dir", "/nonexistent/x")):
+            path.write_text(json.dumps({
+                "mdp": {"states": 5, "actions": 3, "dim": 4, "gamma": 0.9},
+                key: value,
+            }))
+            with pytest.raises(ValueError, match=key):
+                harness.ExperimentConfig.from_json(path)
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError, match="seeds"):
@@ -161,6 +162,12 @@ class TestSweep:
         records = harness.run_sweep(config)
         assert all(r.status.startswith("error:") for r in records)
         assert all(r.message for r in records)
+        # A non-finite rate fails each cell's config, not the whole sweep.
+        config = self.make_config(fogas={"auto_tune": True, "T": 30, "eta": float("nan")})
+        records = harness.run_sweep(config)
+        assert len(records) == 4
+        assert all(r.status == "error:ValueError" for r in records)
+        assert all(r.message == "eta is not finite" for r in records)
 
     def test_summary_median(self):
         records = harness.run_sweep(self.make_config())

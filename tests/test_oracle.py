@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import fogas
 from fogas.data import Covariance
 from fogas.oracle import (
-    evaluate_policies,
     evaluate_policy,
     relaxed_lp_feasibility,
     solve_optimal,
@@ -141,20 +140,7 @@ class TestLowRankAgainstDense:
             assert np.shape(got) == np.shape(expected), name
             assert np.abs(got - expected).max() <= 1e-10, name
 
-    def test_batch_matches_single_evaluations(self):
-        mdp = random_mdp(5, num_states=7, num_actions=3, dim=4)
-        rng = np.random.default_rng(5)
-        tables = rng.dirichlet(np.ones(3), size=(6, 7))
-        batch = evaluate_policies(mdp, tables)
-        for t in range(len(tables)):
-            ev = evaluate_policy(mdp, fogas.TabularPolicy(tables[t]))
-            single = (ev.theta_pi, ev.lambda_pi, ev.v, ev.return_value)
-            for got, expected in zip(batch, single):
-                assert np.abs(got[t] - expected).max() <= 1e-12
-
     def test_table_shape_checked(self, default_mdp):
-        with pytest.raises(ValueError, match="shape"):
-            evaluate_policies(default_mdp, np.full((2, 5, 2), 0.5))
         with pytest.raises(ValueError, match="shape"):
             evaluate_policy(default_mdp, fogas.uniform_policy(4, 3))
 

@@ -5,7 +5,6 @@ import json
 import time
 import tracemalloc
 from dataclasses import asdict, fields, replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -56,12 +55,19 @@ class TestConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             FogasConfig(T=0)
+        for T in (2.5, float("inf")):
+            with pytest.raises(ValueError, match="T must be an integer"):
+                FogasConfig(T=T)
         with pytest.raises(ValueError):
             FogasConfig(T=5, delta=1.5)
         with pytest.raises(ValueError):
             FogasConfig(T=5, eta=-1.0)
         with pytest.raises(ValueError):
             FogasConfig(T=5, rho=-0.1)
+        for name in ("alpha", "rho", "eta", "beta", "d_theta"):
+            for value in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ValueError, match=f"{name} is not finite"):
+                    FogasConfig(T=5, **{name: value})
 
     def test_manual_mode_requires_all_rates(self, default_mdp):
         cfg = FogasConfig(T=5, alpha=0.1, eta=0.1, beta=0.1, d_theta=1.0)
@@ -111,7 +117,7 @@ class TestBestResponse:
 class TestLambdaUpdate:
     def test_zero_everything(self, default_dataset):
         cov = build_covariance(default_dataset, beta=0.1)
-        out, grad_sq = lambda_update(np.zeros(4), np.zeros(4), cov, eta=1.0, rho=1.0)
+        out, grad_sq = lambda_update(np.zeros(4), np.zeros(4), cov.lambda_mat, eta=1.0, rho=1.0)
         assert np.all(out == 0.0)
         assert grad_sq == 0.0
 
@@ -119,7 +125,7 @@ class TestLambdaUpdate:
         from fogas.data import Covariance
         cov = Covariance(beta=1.0, lambda_mat=np.eye(2), n=1)
         out, grad_sq = lambda_update(np.array([1.0, 0.0]), np.array([1.0, 1.0]),
-                                     cov, eta=1.0, rho=1.0)
+                                     cov.lambda_mat, eta=1.0, rho=1.0)
         assert np.allclose(out, [1.0, 0.5], atol=1e-15)
         assert grad_sq == 2.0
 
@@ -131,7 +137,7 @@ class TestLambdaUpdate:
             g = rng.normal(size=4)
             eta = float(rng.uniform(0.01, 2.0))
             rho = float(rng.uniform(0.0, 2.0))
-            lam_next, _ = lambda_update(lam_t, g, cov, eta, rho)
+            lam_next, _ = lambda_update(lam_t, g, cov.lambda_mat, eta, rho)
             foc = -g + cov.solve(lam_next - lam_t) / eta + rho * cov.solve(lam_next)
             assert np.abs(foc).max() <= 1e-9
 
@@ -156,7 +162,7 @@ class TestLambdaUpdate:
                 return -(lam @ g - d @ inv @ d / (2 * eta)
                          - rho * (lam @ inv @ lam) / 2.0)
 
-            closed, _ = lambda_update(lam_t, g, cov, eta, rho)
+            closed, _ = lambda_update(lam_t, g, cov.lambda_mat, eta, rho)
             res = minimize(neg_objective, lam_t, method="Nelder-Mead",
                            options={"xatol": 1e-10, "fatol": 1e-14,
                                     "maxiter": 10_000})
@@ -413,7 +419,14 @@ class TestRunFogasBatch:
     @settings(max_examples=40, deadline=None)
     def test_matches_solo_runs(self, mdp_seed, num_states, num_actions, dim, T, cells):
         """Seeds with their own n, alpha and observed next states, batched,
-        give each seed's solo run."""
+        give each seed's solo run: the same draw J, and each run one
+        ``reference_ascend`` step from its own recorded state at every t.
+
+        Each run follows its own trajectory, not the other's: the best
+        response can amplify roundoff several times per iteration, so in about
+        1 of 1500 random cases two free-running loops that differ only in
+        summation order drift past 1e-10 of each other.
+        """
         dim = min(dim, num_states * num_actions)
         mdp = fogas.generate_linear_mdp(num_states, num_actions, dim, 0.9, mdp_seed)
         beh = fogas.uniform_policy(num_states, num_actions)
@@ -428,7 +441,11 @@ class TestRunFogasBatch:
         batch = run_fogas_batch(mdp, datasets, configs)
         assert len(batch) == len(cells)
         for run, ds, cfg in zip(batch, datasets, configs):
-            assert_runs_close(run, run_fogas(mdp, ds, cfg))
+            solo = run_fogas(mdp, ds, cfg)
+            assert run.chosen_index == solo.chosen_index
+            for r in (run, solo):
+                assert_runs_close(r, reference_ascend(mdp, ds, cfg, follow=r.trajectory),
+                                  REFERENCE_RTOL)
 
     def test_nonfinite_seed_leaves_batch(self, default_mdp):
         datasets = uniform_datasets(default_mdp, 256, range(3))
@@ -510,6 +527,28 @@ class TestRunFogasBatch:
         assert isinstance(batch[1], ValueError) and "auto_tune" in str(batch[1])
         assert_runs_close(batch[0], run_fogas(default_mdp, datasets[0], configs[0]))
 
+    @pytest.mark.parametrize("setup_slot, loop_slot", [(0, 2), (1, 0)])
+    def test_failed_seeds_keep_slots(self, default_mdp, setup_slot, loop_slot):
+        """A batch of 4: one seed fails setup and one goes non-finite in the
+        loop; the other two match their solo runs and the reference. With
+        (1, 0) the seed that fails in the loop holds row 0 of the batch."""
+        datasets = uniform_datasets(default_mdp, 256, range(4))
+        configs = [FogasConfig(T=50, seed=s, auto_tune=True, record_trajectory=True)
+                   for s in range(4)]
+        configs[setup_slot] = FogasConfig(T=50, seed=setup_slot, alpha=0.1,
+                                          record_trajectory=True)  # rates unset
+        configs[loop_slot] = replace(configs[loop_slot], eta=1e250, d_theta=1e100)
+        batch = run_fogas_batch(default_mdp, datasets, configs)
+        assert isinstance(batch[setup_slot], ValueError)
+        assert "auto_tune" in str(batch[setup_slot])
+        assert isinstance(batch[loop_slot], FloatingPointError)
+        assert str(batch[loop_slot]) == str(reference_error(
+            FloatingPointError, default_mdp, datasets[loop_slot], configs[loop_slot]))
+        for s in set(range(4)) - {setup_slot, loop_slot}:
+            assert_runs_close(batch[s], run_fogas(default_mdp, datasets[s], configs[s]))
+            assert_runs_close(batch[s], reference_ascend(default_mdp, datasets[s], configs[s]),
+                              REFERENCE_RTOL)
+
     def test_shared_fields_required(self, default_mdp):
         datasets = uniform_datasets(default_mdp, 64, range(2))
         for other in (FogasConfig(T=21, auto_tune=True),
@@ -528,8 +567,7 @@ class TestRunFogasBatch:
         assert all(len(p.observed_states) == 5 for p in psi_hats)
         sites, weights = site_weights(default_mdp.x0, 0.9, psi_hats)
         phi_sites = action_major_phi(default_mdp, sites)
-        stack = SimpleNamespace(
-            lambda_mat=np.stack([p.covariance.lambda_mat for p in psi_hats]))
+        lambda_mat = np.stack([p.covariance.lambda_mat for p in psi_hats])
         rng = np.random.default_rng(5)
         params, lam, theta = (rng.normal(size=(2, 4)) for _ in range(3))
         eta, rho, d_theta = np.array([[0.1], [0.3]]), np.array([[0.5], [0.0]]), \
@@ -540,7 +578,7 @@ class TestRunFogasBatch:
         g = lambda_gradient(default_mdp.omega, operator, theta)
         stacked = (probs, feats_x0, operator, phimu,
                    best_response_theta(phimu - lam, d_theta), g,
-                   *lambda_update(lam, g, stack, eta, rho))
+                   *lambda_update(lam, g, lambda_mat, eta, rho))
         for s, p in enumerate(psi_hats):
             pr = action_major_softmax(phi_sites, params[s])
             f, op = occupancy_operator(site_weights(default_mdp.x0, 0.9, [p])[1][0],
@@ -548,7 +586,8 @@ class TestRunFogasBatch:
             ph = mu_hat_features(0.9, f, op, lam[s])
             gs = lambda_gradient(default_mdp.omega, op, theta[s])
             single = (pr, f, op, ph, best_response_theta(ph - lam[s], d_theta[s, 0]), gs,
-                      *lambda_update(lam[s], gs, p.covariance, eta[s, 0], rho[s, 0]))
+                      *lambda_update(lam[s], gs, p.covariance.lambda_mat, eta[s, 0],
+                                     rho[s, 0]))
             for got, want in zip(stacked, single):
                 assert np.abs(got[s] - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -585,13 +624,14 @@ class TestRunSerialization:
     ])
     def test_nonfinite_numbers_rejected(self, recorded_run, default_mdp, tmp_path,
                                         field, edit):
-        """json reads NaN and Infinity; the loader names the field instead."""
+        """json reads NaN and Infinity; the loader names the field instead. A
+        config rate is named by ``FogasConfig``, without the "config." prefix."""
         path = tmp_path / "run.json"
         save_run(recorded_run, path)
         doc = json.loads(path.read_text())
         edit(doc)
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=f"{field} is not finite"):
+        with pytest.raises(ValueError, match=f"{field.removeprefix('config.')} is not finite"):
             load_run(path, default_mdp)
 
     def test_round_trip(self, default_mdp, default_dataset, tmp_path):
@@ -654,7 +694,7 @@ class TestTrajectoryStepIdentities:
             if t + 1 == T:
                 break
             lam_next, _ = lambda_update(tr.lambdas[t], tr.g_lambdas[t],
-                                        psi_hat.covariance, cfg.eta, cfg.rho)
+                                        psi_hat.covariance.lambda_mat, cfg.eta, cfg.rho)
             assert np.abs(tr.lambdas[t + 1] - lam_next).max() <= 1e-12
             # Cumulative form equals the multiplicative mirror-ascent step.
             boost = np.exp(cfg.alpha * (mdp.phi @ tr.thetas[t]))
