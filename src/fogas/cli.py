@@ -28,7 +28,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="MDP file (.npz archive)")
 
     p = sub.add_parser("validate", help="check an MDP file against all invariants")
     p.add_argument("--mdp", required=True)
@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["occupancy", "uniform"], default="uniform")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="dataset file (.npz archive)")
 
     p = sub.add_parser("solve", help="run the solver on an offline dataset")
     p.add_argument("--mdp", required=True)
@@ -51,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--record-trajectory", action="store_true")
-    p.add_argument("--out", required=True, help="run file (JSON)")
+    p.add_argument("--out", required=True, help="run file (.npz archive)")
     p.add_argument("--results", help="append an experiment record to this CSV")
 
     p = sub.add_parser("sweep", help="run a full (n x seed) experiment grid")

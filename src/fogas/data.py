@@ -9,16 +9,16 @@ next state before solving, so building it costs at most min(n, X) SPD solves.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .linmdp import SAMPLE_CHUNK_BYTES, LinearMdp, _readonly
+from .linmdp import SAMPLE_CHUNK_BYTES, LinearMdp, _readonly, read_arrays, write_arrays
 from .oracle import evaluate_policy
 
-DATASET_HEADER = "x,a,r,x_next"
+_DATASET_ENTRIES = {"x": (np.int64, 1), "a": (np.int64, 1), "r": (np.float64, 1),
+                    "x_next": (np.int64, 1)}
 
 
 @dataclass(frozen=True)
@@ -225,56 +225,25 @@ def collect_dataset(
 
 
 def save_dataset(dataset: OfflineDataset, path) -> None:
-    """Write the transitions as CSV: one row per sample, rewards as repr floats,
-    each distinct reward (by its bits, so -0.0 is not 0.0) repr'd once."""
-    bits, inverse = np.unique(dataset.rewards.view(np.int64), return_inverse=True)
-    texts = np.array([repr(r) for r in bits.view(np.float64).tolist()], dtype=object)
-    with open(path, "w", newline="") as f:
-        f.write(DATASET_HEADER + "\r\n")
-        f.writelines(
-            f"{x},{a},{r},{xn}\r\n"
-            for x, a, r, xn in zip(
-                dataset.xs.tolist(),
-                dataset.actions.tolist(),
-                texts[inverse].tolist(),
-                dataset.x_nexts.tolist(),
-            )
-        )
+    """Write the transitions as a "fogas-dataset/1" archive (``write_arrays``) at
+    ``path``: int64 columns x, a, x_next and float64 rewards r, bit for bit.
+    The features are not stored; ``load_dataset`` gathers them from the MDP."""
+    write_arrays(path, "dataset", x=dataset.xs, a=dataset.actions, r=dataset.rewards,
+                 x_next=dataset.x_nexts)
 
 
 def load_dataset(path, mdp: LinearMdp) -> OfflineDataset:
-    """Read a file written by ``save_dataset``; malformed rows raise ValueError."""
-    with open(path, newline="") as f:
-        header = f.readline().rstrip("\r\n")
-        if header != DATASET_HEADER:
-            raise ValueError(f"unexpected dataset header {header!r}")
-        # loadtxt streams the rest of the open file; on empty input it only warns.
-        with warnings.catch_warnings():
-            warnings.filterwarnings("error", message="loadtxt: input contained no data")
-            try:
-                table = np.loadtxt(
-                    f,
-                    delimiter=",",
-                    dtype=[("x", np.int64), ("a", np.int64), ("r", np.float64),
-                           ("x_next", np.int64)],
-                    comments=None,
-                    ndmin=1,
-                )
-            except UserWarning:
-                raise ValueError(f"dataset file {path} has no transitions") from None
-    xs, actions = table["x"], table["a"]
-    if not (
-        np.all((xs >= 0) & (xs < mdp.num_states))
-        and np.all((actions >= 0) & (actions < mdp.num_actions))
-    ):
-        raise ValueError(f"dataset file {path} has a state or action out of range")
-    sa = xs * mdp.num_actions + actions
-    return OfflineDataset(
-        xs=xs,
-        actions=actions,
-        rewards=table["r"],
-        x_nexts=table["x_next"],
-        features=mdp.phi[sa],
-        num_states=mdp.num_states,
-        num_actions=mdp.num_actions,
-    )
+    """Read a file written by ``save_dataset``; a malformed file raises ValueError."""
+    with read_arrays(path, "dataset", _DATASET_ENTRIES) as table:
+        xs, actions = table["x"], table["a"]
+        sa = xs * mdp.num_actions + actions
+        # take clips out-of-range indices into the table; OfflineDataset rejects them.
+        return OfflineDataset(
+            xs=xs,
+            actions=actions,
+            rewards=table["r"],
+            x_nexts=table["x_next"],
+            features=mdp.phi.take(sa, axis=0, mode="clip"),
+            num_states=mdp.num_states,
+            num_actions=mdp.num_actions,
+        )

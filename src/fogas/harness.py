@@ -123,14 +123,21 @@ class ExperimentRecord:
         )
 
 
+def _iteration_count(fogas_spec: dict, key: str, default: int | None = None) -> int:
+    value = fogas_spec.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def resolve_iterations(mdp: LinearMdp, n: int, fogas_spec: dict) -> int:
     """T from the config dict: explicit value, or the theoretical minimum
-    (rounded up) capped by "T_cap" when auto-tuning."""
+    (rounded up) capped by "T_cap" when auto-tuning. Both must be integers >= 1."""
+    cap = _iteration_count(fogas_spec, "T_cap", 20000)
     if fogas_spec.get("T") is not None:
-        return int(fogas_spec["T"])
+        return _iteration_count(fogas_spec, "T")
     delta = float(fogas_spec.get("delta", 0.05))
     t_min = int(np.ceil(theoretical_min_iterations(mdp, n=n, delta=delta)))
-    cap = int(fogas_spec.get("T_cap", 20000))
     return max(1, min(t_min, cap))
 
 

@@ -9,7 +9,8 @@ construction.
 
 from __future__ import annotations
 
-import json
+import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -250,39 +251,83 @@ def softmax_from_logit_param(mdp: LinearMdp, scaled_param: np.ndarray) -> Tabula
     return TabularPolicy(_stable_softmax_rows(logits))
 
 
+# Each entry's exact dtype and number of dimensions; LinearMdp checks the shapes.
+_MDP_ENTRIES = {
+    **dict.fromkeys(("num_states", "num_actions", "dim", "x0"), (np.int64, 0)),
+    **dict.fromkeys(("phi", "psi"), (np.float64, 2)),
+    "omega": (np.float64, 1),
+    "gamma": (np.float64, 0),
+}
+
+
+def write_arrays(path, kind: str, **arrays) -> None:
+    """Write ``arrays`` and a ``kind`` entry "fogas-<kind>/1" as an uncompressed
+    .npz archive at exactly ``path`` (no suffix is added).
+
+    Every member has the same fixed timestamp, so equal arrays give equal bytes.
+    """
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as archive:
+        for name, value in {"kind": f"fogas-{kind}/1", **arrays}.items():
+            info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
+            with archive.open(info, "w", force_zip64=True) as f:
+                np.lib.format.write_array(f, np.asarray(value), allow_pickle=False)
+
+
+@contextmanager
+def read_arrays(path, kind: str, spec: dict):
+    """Read an archive written by ``write_arrays(path, kind, ...)`` and yield its
+    arrays, a dict without the kind entry.
+
+    ``spec`` maps each entry name to its exact dtype and number of dimensions.
+    Anything else raises ValueError with ``path`` in the message: a file that
+    is not a zip archive (such as a text file), a truncated archive, a pickled
+    or object array, another kind, a missing or unexpected entry, a wrong dtype
+    (an index stored as float is not cast), a wrong number of dimensions and a
+    non-finite float. A ValueError raised in the ``with`` block, where the
+    caller checks the shapes and builds its object, gets the path too.
+    """
+    expected = f"fogas-{kind}/1"
+    try:
+        with open(path, "rb") as f:
+            if f.read(4) != b"PK\x03\x04":  # the zip magic
+                raise ValueError(f"not a {expected} archive (files of earlier versions "
+                                 "are text and must be written again)")
+            f.seek(0)
+            with np.load(f, allow_pickle=False) as archive:
+                arrays = {name: archive[name] for name in archive.files}
+        if not all(isinstance(arr, np.ndarray) for arr in arrays.values()):
+            raise ValueError(f"not a {expected} archive: a member is not an .npy array")
+        kind_entry = arrays.pop("kind", None)
+        found = None if kind_entry is None or kind_entry.ndim else kind_entry.item()
+        if found != expected:
+            raise ValueError(f"kind entry is {found!r}, expected {expected!r}")
+        unexpected = sorted(set(arrays) - set(spec))
+        if unexpected:
+            raise ValueError(f"unexpected entries {unexpected}")
+        for name, (dtype, ndim) in spec.items():
+            if name not in arrays:
+                raise ValueError(f"lacks the entry {name!r}")
+            arr = arrays[name]
+            if arr.dtype != dtype:
+                raise ValueError(f"{name} has dtype {arr.dtype}, expected {np.dtype(dtype)}")
+            if arr.ndim != ndim:
+                raise ValueError(f"{name} has shape {arr.shape}, expected {ndim} dimensions")
+            if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} is not finite")
+        yield arrays
+    except (zipfile.BadZipFile, EOFError, ValueError) as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
 def save_mdp(mdp: LinearMdp, path) -> None:
-    """Write the MDP as ``json.dumps`` of its document and a newline; floats
-    round-trip exactly. Arrays go out in row chunks of ``SAMPLE_CHUNK_BYTES``."""
-    head = {k: getattr(mdp, k) for k in ("num_states", "num_actions", "dim", "gamma", "x0")}
-    with open(path, "w") as f:
-        f.write(json.dumps(head)[:-1])  # the members so far, without the "}"
-        for key, arr in (("phi", mdp.phi), ("psi", mdp.psi), ("omega", mdp.omega)):
-            f.write(f", {json.dumps(key)}: [")
-            rows = max(1, SAMPLE_CHUNK_BYTES * len(arr) // (8 * arr.size))
-            f.writelines(
-                (", " if lo else "") + json.dumps(arr[lo : lo + rows].tolist())[1:-1]
-                for lo in range(0, len(arr), rows)
-            )
-            f.write("]")
-        f.write("}\n")
+    """Write the MDP as a "fogas-mdp/1" archive (``write_arrays``) at ``path``;
+    floats round-trip bit for bit."""
+    write_arrays(path, "mdp", **{name: np.asarray(getattr(mdp, name), dtype=dtype)
+                                 for name, (dtype, _) in _MDP_ENTRIES.items()})
 
 
 def load_mdp(path) -> LinearMdp:
-    """Read an MDP file; a missing or mistyped entry raises ValueError."""
-    with open(path) as f:
-        doc = json.load(f)
-    try:
-        return LinearMdp(
-            num_states=int(doc["num_states"]),
-            num_actions=int(doc["num_actions"]),
-            dim=int(doc["dim"]),
-            phi=np.array(doc["phi"], dtype=np.float64),
-            psi=np.array(doc["psi"], dtype=np.float64),
-            omega=np.array(doc["omega"], dtype=np.float64),
-            gamma=float(doc["gamma"]),
-            x0=int(doc["x0"]),
-        )
-    except KeyError as e:
-        raise ValueError(f"MDP file {path} lacks the entry {e}") from None
-    except TypeError as e:
-        raise ValueError(f"MDP file {path}: {e}") from None
+    """Read a file written by ``save_mdp``; a malformed file raises ValueError."""
+    with read_arrays(path, "mdp", _MDP_ENTRIES) as arrays:
+        return LinearMdp(**{name: arr if arr.ndim else arr.item()
+                            for name, arr in arrays.items()})

@@ -17,10 +17,8 @@ gathered once per run, action-major, so each softmax reduces over a middle axis.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -32,7 +30,9 @@ from .linmdp import (
     _readonly,
     action_major_phi,
     action_major_softmax,
+    read_arrays,
     softmax_from_logit_param,
+    write_arrays,
 )
 
 BEST_RESPONSE_TIE_TOL = 1e-14
@@ -410,86 +410,64 @@ def run_fogas(mdp: LinearMdp, dataset: OfflineDataset, config: FogasConfig) -> F
     return result
 
 
-def _json_members(pairs) -> Iterator[str]:
-    """The members of a JSON object as ``json.dumps`` writes them, one piece
-    per value, so no piece holds more than one value's text."""
-    for i, (key, value) in enumerate(pairs):
-        yield f"{', ' if i else ''}{json.dumps(key)}: {json.dumps(value)}"
+# Run-file entries: the config's fields as scalars, then the arrays, whose
+# shapes ``load_run`` checks against the config's T and the MDP's d.
+_RUN_ENTRIES = {
+    **{f"config.{f.name}": ({"int": np.int64, "bool": np.bool_}.get(f.type, np.float64), 0)
+       for f in fields(FogasConfig)},
+    "chosen_index": (np.int64, 0),
+    **dict.fromkeys(("lambda_final", "theta_bar_final", "output_param"), (np.float64, 1)),
+    **{f.name: (np.float64, 2) for f in fields(FogasTrajectory)},
+    "grad_sq_norms": (np.float64, 1),
+}
 
 
 def save_run(run: FogasRun, path) -> None:
-    """Serialize a run (config echo, J, output parameter, optional trajectory).
-
-    The file holds ``json.dumps`` of the run document and a newline, written
-    one field at a time.
-    """
-    doc = {
-        "config": asdict(run.config),
-        "chosen_index": run.chosen_index,
-        "lambda_final": run.lambda_final.tolist(),
-        "theta_bar_final": run.theta_bar_final.tolist(),
-        "output_param": run.output_param.tolist(),
-    }
-    with open(path, "w") as f:
-        f.write("{")
-        f.writelines(_json_members(doc.items()))
-        if run.trajectory is not None:
-            f.write(', "trajectory": {')
-            f.writelines(_json_members(
-                (field.name, getattr(run.trajectory, field.name).tolist())
-                for field in fields(FogasTrajectory)
-            ))
-            f.write("}")
-        f.write("}\n")
-
-
-def _float_array(block: dict, key: str, shape: tuple) -> np.ndarray:
-    arr = _readonly(np.array(block[key], dtype=np.float64))
-    if arr.shape != shape:
-        raise ValueError(f"{key} has shape {arr.shape}, expected {shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{key} is not finite")
-    return arr
+    """Write a run as a "fogas-run/1" archive (``write_arrays``) at ``path``: the
+    resolved config's fields as scalars, J, the final parameters and the
+    trajectory's arrays, with no rows if it was not recorded; floats
+    round-trip bit for bit."""
+    d = len(run.lambda_final)
+    trajectory = run.trajectory or FogasTrajectory(*[np.empty((0, d))] * 5, np.empty(0))
+    write_arrays(
+        path, "run",
+        **{f"config.{key}": np.asarray(value, dtype=_RUN_ENTRIES[f"config.{key}"][0])
+           for key, value in asdict(run.config).items()},
+        chosen_index=run.chosen_index,
+        lambda_final=run.lambda_final,
+        theta_bar_final=run.theta_bar_final,
+        output_param=run.output_param,
+        **{f.name: getattr(trajectory, f.name) for f in fields(FogasTrajectory)},
+    )
 
 
 def load_run(path, mdp: LinearMdp) -> FogasRun:
     """Read a run file written by ``save_run``; a malformed file raises ValueError.
 
-    The config must be resolved, every array must match its T and the MDP's
-    dimension d, and every number must be finite (``json`` reads NaN).
+    J must lie in [1, T], and every array must match the config's T (or have
+    no rows, for a trajectory not recorded) and the MDP's dimension d.
     """
-    with open(path) as f:
-        doc = json.load(f)
-    d = mdp.dim
-    try:
-        config = FogasConfig(**doc["config"])
-        if not config.is_resolved:
-            raise ValueError("config has unset rates")
-        T = config.T
-        chosen_index = int(doc["chosen_index"])
+    with read_arrays(path, "run", _RUN_ENTRIES) as arrays:
+        config = FogasConfig(**{key.removeprefix("config."): arr.item()
+                                for key, arr in arrays.items() if key.startswith("config.")})
+        T, d = config.T, mdp.dim
+        chosen_index = int(arrays["chosen_index"])
         if not 1 <= chosen_index <= T:
             raise ValueError(f"chosen_index {chosen_index} outside [1, {T}]")
-        trajectory = None
-        if "trajectory" in doc:
-            block = doc["trajectory"]
-            shapes = {f.name: (T, d) for f in fields(FogasTrajectory)}
-            shapes["grad_sq_norms"] = (T,)
-            if set(block) != set(shapes):
-                raise ValueError(f"trajectory fields must be {sorted(shapes)}")
-            trajectory = FogasTrajectory(
-                **{key: _float_array(block, key, shape) for key, shape in shapes.items()}
-            )
-        output_param = _float_array(doc, "output_param", (d,))
+        rows = T if len(arrays["grad_sq_norms"]) else 0
+        shapes = {**dict.fromkeys(("lambda_final", "theta_bar_final", "output_param"), (d,)),
+                  **{f.name: (rows, d) for f in fields(FogasTrajectory)},
+                  "grad_sq_norms": (rows,)}
+        for name, shape in shapes.items():
+            if arrays[name].shape != shape:
+                raise ValueError(f"{name} has shape {arrays[name].shape}, expected {shape}")
+        trajectory = FogasTrajectory(*(arrays[f.name] for f in fields(FogasTrajectory)))
         return FogasRun(
             config=config,
             chosen_index=chosen_index,
-            lambda_final=_float_array(doc, "lambda_final", (d,)),
-            theta_bar_final=_float_array(doc, "theta_bar_final", (d,)),
-            output_param=output_param,
-            output_policy=softmax_from_logit_param(mdp, output_param),
-            trajectory=trajectory,
+            lambda_final=_readonly(arrays["lambda_final"]),
+            theta_bar_final=_readonly(arrays["theta_bar_final"]),
+            output_param=_readonly(arrays["output_param"]),
+            output_policy=softmax_from_logit_param(mdp, arrays["output_param"]),
+            trajectory=trajectory if rows else None,
         )
-    except KeyError as e:
-        raise ValueError(f"run file {path} lacks the entry {e}") from None
-    except (TypeError, ValueError) as e:
-        raise ValueError(f"run file {path}: {e}") from None

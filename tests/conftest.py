@@ -233,13 +233,19 @@ def evaluate_iterates(mdp, trajectory, alpha):
             np.array([ev.return_value for ev in evals]))
 
 
-def per_row_save_dataset(dataset, path):
-    """Reference for ``save_dataset``: one repr per row."""
-    with open(path, "w", newline="") as f:
-        f.write("x,a,r,x_next\r\n")
-        for x, a, r, xn in zip(dataset.xs.tolist(), dataset.actions.tolist(),
-                               dataset.rewards.tolist(), dataset.x_nexts.tolist()):
-            f.write(f"{x},{a},{r!r},{xn}\r\n")
+def read_archive(path) -> dict:
+    """Every entry of an .npz archive, read by numpy's own reader."""
+    with np.load(path, allow_pickle=False) as archive:
+        return {name: archive[name] for name in archive.files}
+
+
+def edit_archive(path, edit) -> None:
+    """Apply ``edit`` to the entries of the archive at ``path`` and write them
+    back there with ``np.savez`` (which pickles object arrays)."""
+    entries = read_archive(path)
+    edit(entries)
+    with open(path, "wb") as f:  # a handle, so np.savez adds no suffix
+        np.savez(f, **entries)
 
 
 def add_at_groups(dataset):

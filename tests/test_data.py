@@ -1,7 +1,6 @@
 """Dataset collection, empirical covariance, and the ridge transition
 estimator, checked against naive accumulation and generic least squares."""
 
-import csv
 import os
 import subprocess
 import sys
@@ -28,10 +27,11 @@ from conftest import (
     add_at_groups,
     dense_collect,
     dense_kernel,
-    per_row_save_dataset,
+    edit_archive,
     psi_hat_apply,
     random_mdp,
     random_policy,
+    read_archive,
 )
 
 
@@ -373,78 +373,86 @@ class TestConsistencyTrend:
         assert np.median(errors[16384]) < np.median(errors[256])
 
 
+def write_rows(path, body):
+    """A dataset archive holding the text rows ``body`` (lines "x,a,r,x_next"),
+    one entry per column, named x, a, r, x_next and then column4, column5, ...
+    A column is int64 if all its texts are integers, float64 if they are
+    numbers, and text otherwise; it is written by ``np.savez``."""
+    rows = [line.split(",") for line in body.splitlines()]
+    names = ["x", "a", "r", "x_next"] + [f"column{j}" for j in range(4, 8)]
+    entries = {"kind": np.array("fogas-dataset/1")}
+    for name, texts in zip(names, zip(*rows)):
+        entries[name] = np.array(texts)
+        for dtype in (np.float64, np.int64):
+            try:
+                entries[name] = np.array([dtype(t) for t in texts])
+            except ValueError:
+                pass
+    with open(path, "wb") as f:
+        np.savez(f, **entries)
+
+
 class TestSerialization:
     def test_round_trip_exact(self, default_mdp, default_dataset, tmp_path):
-        path = tmp_path / "data.csv"
+        path = tmp_path / "data.npz"
         save_dataset(default_dataset, path)
         loaded = load_dataset(path, default_mdp)
         assert np.array_equal(loaded.xs, default_dataset.xs)
         assert np.array_equal(loaded.actions, default_dataset.actions)
         assert np.array_equal(loaded.x_nexts, default_dataset.x_nexts)
         assert np.array_equal(loaded.rewards, default_dataset.rewards)
+        assert np.array_equal(loaded.features, default_dataset.features)
 
     def test_header(self, default_dataset, tmp_path):
-        path = tmp_path / "data.csv"
+        """The archive's kind entry names the format; the columns are the
+        transitions' int64 indices and float64 rewards."""
+        path = tmp_path / "data.npz"
         save_dataset(default_dataset, path)
-        with open(path) as f:
-            assert f.readline().strip() == "x,a,r,x_next"
-
-    def test_bytes_match_csv_writer(self, default_mdp, tmp_path):
-        rewards = [0.1, 1.0 / 3.0, 5e-324, 1e300, -0.0, 1e-05, 123456789.125, 1.0]
-        ds = OfflineDataset(
-            xs=np.arange(8) % 5, actions=np.arange(8) % 3,
-            rewards=np.array(rewards), x_nexts=np.arange(8)[::-1] % 5,
-            features=np.zeros((8, 4)), num_states=5, num_actions=3,
-        )
-        path = tmp_path / "data.csv"
-        save_dataset(ds, path)
-        ref = tmp_path / "ref.csv"
-        with open(ref, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["x", "a", "r", "x_next"])
-            for x, a, r, xn in zip(ds.xs, ds.actions, ds.rewards, ds.x_nexts):
-                writer.writerow([int(x), int(a), repr(float(r)), int(xn)])
-        assert path.read_bytes() == ref.read_bytes()
-        loaded = load_dataset(path, default_mdp)
-        assert np.array_equal(loaded.rewards.view(np.int64), ds.rewards.view(np.int64))
-        assert np.array_equal(loaded.xs, ds.xs)
-        assert np.array_equal(loaded.actions, ds.actions)
-        assert np.array_equal(loaded.x_nexts, ds.x_nexts)
+        entries = read_archive(path)
+        assert entries.pop("kind") == "fogas-dataset/1"
+        assert {name: arr.dtype for name, arr in entries.items()} == {
+            "x": np.int64, "a": np.int64, "r": np.float64, "x_next": np.int64}
 
     @pytest.mark.parametrize("rewards", [
+        [0.1, 1.0 / 3.0, 5e-324, 1e300, -0.0, 1e-05, 123456789.125, 1.0],
         [0.0, -0.0, 0.5, 0.0, -0.0, 0.5, 1.0 / 3.0, -0.0, 1e-05, 0.0],
         np.random.default_rng(0).random(200),
-    ], ids=["repeated-signed-zeros", "all-distinct"])
-    def test_bytes_match_per_row_writer(self, tmp_path, rewards):
-        """Each distinct reward is repr'd once; -0.0 and 0.0 keep their own text."""
+    ], ids=["special-floats", "repeated-signed-zeros", "all-distinct"])
+    def test_rewards_round_trip_bitwise(self, default_mdp, tmp_path, rewards):
+        """Rewards keep their bits, so a subnormal stays one and -0.0 is not 0.0."""
         n = len(rewards)
         ds = OfflineDataset(
             xs=np.arange(n) % 5, actions=np.arange(n) % 3,
             rewards=np.array(rewards), x_nexts=np.arange(n)[::-1] % 5,
             features=np.zeros((n, 4)), num_states=5, num_actions=3,
         )
-        path, ref = tmp_path / "data.csv", tmp_path / "ref.csv"
+        path = tmp_path / "data.npz"
         save_dataset(ds, path)
-        per_row_save_dataset(ds, ref)
-        assert path.read_bytes() == ref.read_bytes()
+        loaded = load_dataset(path, default_mdp)
+        assert np.array_equal(loaded.rewards.view(np.int64), ds.rewards.view(np.int64))
+        assert np.array_equal(loaded.xs, ds.xs)
+        assert np.array_equal(loaded.actions, ds.actions)
+        assert np.array_equal(loaded.x_nexts, ds.x_nexts)
 
     @pytest.mark.parametrize("body", [
         "0,0,0.5\n", "0,0,0.5,1,2\n", "0,1.5,0.5,1\n", "0,0,x,1\n", "", "\n",
         "5,0,0.5,1\n", "-1,0,0.5,1\n", "0,3,0.5,1\n", "0,0,0.5,5\n",
     ])
     def test_malformed_rows_rejected(self, default_mdp, tmp_path, body):
-        path = tmp_path / "bad.csv"
-        path.write_text("x,a,r,x_next\n" + body)
-        with pytest.raises(ValueError):
+        """A missing or extra column, a float index, a text reward, no rows, an
+        empty field and an index out of range each fail with the path named."""
+        path = tmp_path / "bad.npz"
+        write_rows(path, body)
+        with pytest.raises(ValueError, match=str(path)):
             load_dataset(path, default_mdp)
 
     def test_load_streams_the_file(self, tmp_path):
-        """The rows go from the open file to loadtxt: at n=50000 (a 1.4 MB file)
-        the peak holds the parsed table and the (n, d) features, not the text."""
+        """np.load reads each column in small blocks: at n=50000 (a 1.6 MB file)
+        the peak holds the columns and the (n, d) features, not a second copy."""
         mdp = fogas.generate_linear_mdp(100, 4, 8, gamma=0.9, seed=0)
         ds = collect_dataset(mdp, fogas.uniform_policy(100, 4), n=50_000,
                              sampling_mode="uniform", seed=0)
-        path = tmp_path / "data.csv"
+        path = tmp_path / "data.npz"
         save_dataset(ds, path)
         tracemalloc.start()
         try:
@@ -455,8 +463,10 @@ class TestSerialization:
         assert np.array_equal(loaded.x_nexts, ds.x_nexts)
         assert peak <= 8e6
 
-    def test_bad_header_rejected(self, default_mdp, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c,d\n0,0,0.5,0\n")
-        with pytest.raises(ValueError, match="header"):
+    def test_bad_header_rejected(self, default_mdp, default_dataset, tmp_path):
+        """An archive of another kind is not read as a dataset."""
+        path = tmp_path / "bad.npz"
+        save_dataset(default_dataset, path)
+        edit_archive(path, lambda entries: entries.update(kind=np.array("fogas-run/1")))
+        with pytest.raises(ValueError, match="kind entry is 'fogas-run/1'"):
             load_dataset(path, default_mdp)

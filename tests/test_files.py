@@ -1,0 +1,170 @@
+"""The three file kinds the CLI writes and reads back (MDP, dataset, run):
+exact round trips, exact paths, and one rejection per kind of malformed file,
+both from the loaders and from the CLI commands that read them."""
+
+import json
+import re
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import fogas
+from fogas.cli import main as cli_main
+
+from conftest import edit_archive
+
+KINDS = ("mdp", "dataset", "run")
+SAVE = {"mdp": fogas.save_mdp, "dataset": fogas.save_dataset, "run": fogas.save_run}
+# Text in the formats of earlier versions, which are no longer read.
+OLD_TEXT = {
+    "mdp": json.dumps({"num_states": 5, "num_actions": 3, "dim": 4, "gamma": 0.9,
+                       "x0": 0, "phi": [], "psi": [], "omega": []}) + "\n",
+    "dataset": "x,a,r,x_next\r\n0,0,0.5,1\r\n",
+    "run": json.dumps({"config": {"T": 50}, "chosen_index": 1}) + "\n",
+}
+# Per kind: an entry to drop, an index to store as float, an entry to give the
+# wrong shape, a float entry to set NaN in and an entry to store as objects.
+ENTRIES = {
+    "mdp": dict(missing="psi", index="x0", shape="omega", nan="psi", objects="phi"),
+    "dataset": dict(missing="x_next", index="a", shape="x_next", nan="r", objects="x"),
+    "run": dict(missing="output_param", index="chosen_index", shape="lambda_final",
+                nan="theta_bars", objects="lambdas"),
+}
+
+
+def set_nan(entries, name):
+    entries[name].flat[0] = np.nan
+
+
+CORRUPTIONS = {
+    "text": lambda path, kind: path.write_text(OLD_TEXT[kind]),
+    "truncated": lambda path, kind: path.write_bytes(path.read_bytes()[:-200]),
+    "wrong-kind": lambda path, kind: edit_archive(
+        path, lambda e: e.update(kind=np.array("fogas-mdp/1" if kind != "mdp"
+                                               else "fogas-run/1"))),
+    "missing-entry": lambda path, kind: edit_archive(
+        path, lambda e: e.pop(ENTRIES[kind]["missing"])),
+    "float-index": lambda path, kind: edit_archive(
+        path, lambda e: e.update({ENTRIES[kind]["index"]:
+                                  e[ENTRIES[kind]["index"]].astype(np.float64)})),
+    "wrong-shape": lambda path, kind: edit_archive(
+        path, lambda e: e.update({ENTRIES[kind]["shape"]: e[ENTRIES[kind]["shape"]][:-1]})),
+    "nan": lambda path, kind: edit_archive(
+        path, lambda e: set_nan(e, ENTRIES[kind]["nan"])),
+    "object-array": lambda path, kind: edit_archive(
+        path, lambda e: e.update({ENTRIES[kind]["objects"]:
+                                  e[ENTRIES[kind]["objects"]].astype(object)})),
+}
+
+
+# What each corruption's error message says besides the path.
+REASONS = {
+    "text": "not a fogas-", "truncated": "not a zip file", "wrong-kind": "kind entry is",
+    "missing-entry": "lacks the entry", "float-index": "has dtype float64, expected int64",
+    "wrong-shape": "shape|same length", "nan": "is not finite",
+    "object-array": "Object arrays cannot be loaded",
+}
+
+
+@pytest.fixture
+def files(default_mdp, default_dataset, recorded_run, tmp_path):
+    """Valid files of each kind in ``tmp_path``."""
+    paths = {kind: tmp_path / f"{kind}.npz" for kind in KINDS}
+    fogas.save_mdp(default_mdp, paths["mdp"])
+    fogas.save_dataset(default_dataset, paths["dataset"])
+    fogas.save_run(recorded_run, paths["run"])
+    return paths
+
+
+def load(kind, path, mdp):
+    if kind == "mdp":
+        return fogas.load_mdp(path)
+    if kind == "dataset":
+        return fogas.load_dataset(path, mdp)
+    return fogas.load_run(path, mdp)
+
+
+def cli_reading(kind, path, paths):
+    """The CLI command that reads ``path`` as a file of ``kind``."""
+    if kind == "mdp":
+        return ["validate", "--mdp", str(path)]
+    if kind == "dataset":
+        return ["solve", "--mdp", str(paths["mdp"]), "--data", str(path), "--auto-tune",
+                "--T", "5", "--out", str(path.parent / "out.npz")]
+    return ["diagnose", "--mdp", str(paths["mdp"]), "--data", str(paths["dataset"]),
+            "--run", str(path), "--out", str(path.parent / "gap.csv")]
+
+
+def bits(arr):
+    return np.asarray(arr, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
+def test_malformed_file_rejected(files, default_mdp, tmp_path, capsys, kind, corruption):
+    """Each malformed file fails its loader with a ValueError naming the path,
+    and the CLI command reading it exits 1 with that message."""
+    path = tmp_path / "bad.npz"
+    path.write_bytes(files[kind].read_bytes())
+    load(kind, path, default_mdp)  # the unedited copy loads
+    CORRUPTIONS[corruption](path, kind)
+    with pytest.raises(ValueError, match=re.escape(str(path))) as error:
+        load(kind, path, default_mdp)
+    assert re.search(REASONS[corruption], str(error.value))
+    capsys.readouterr()
+    assert cli_main(cli_reading(kind, path, files)) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+
+
+def test_mdp_round_trip_bitwise(default_mdp, tmp_path):
+    """A -0.0 and a subnormal keep their bits in every array of the MDP."""
+    phi, omega = default_mdp.phi.copy(), default_mdp.omega.copy()
+    phi[0, 0], phi[1, 1], omega[0] = -0.0, 5e-324, -0.0
+    mdp = fogas.LinearMdp(num_states=5, num_actions=3, dim=4, phi=phi,
+                          psi=default_mdp.psi, omega=omega, gamma=0.9, x0=2)
+    path = tmp_path / "mdp.npz"
+    fogas.save_mdp(mdp, path)
+    loaded = fogas.load_mdp(path)
+    for name in ("phi", "psi", "omega"):
+        assert np.array_equal(bits(getattr(loaded, name)), bits(getattr(mdp, name)))
+    assert (loaded.num_states, loaded.num_actions, loaded.dim, loaded.gamma, loaded.x0) == (
+        5, 3, 4, 0.9, 2)
+
+
+def test_run_round_trip_bitwise(default_mdp, recorded_run, tmp_path):
+    """The config's floats and every array keep their bits, -0.0 and
+    subnormals included."""
+    lambdas = recorded_run.trajectory.lambdas.copy()
+    lambdas[0, 0], lambdas[1, 1] = -0.0, 5e-324
+    run = replace(
+        recorded_run,
+        config=replace(recorded_run.config, alpha=5e-324, rho=-0.0, eta=1.0 / 3.0),
+        lambda_final=np.array([-0.0, 5e-324, 1e300, 0.1]),
+        trajectory=replace(recorded_run.trajectory, lambdas=lambdas),
+    )
+    path = tmp_path / "run.npz"
+    fogas.save_run(run, path)
+    loaded = fogas.load_run(path, default_mdp)
+    assert loaded.config == run.config
+    for name in ("alpha", "rho", "eta"):
+        assert bits(getattr(loaded.config, name)) == bits(getattr(run.config, name))
+    assert loaded.chosen_index == run.chosen_index
+    for name in ("lambda_final", "theta_bar_final", "output_param"):
+        assert np.array_equal(bits(getattr(loaded, name)), bits(getattr(run, name)))
+    for name in ("lambdas", "thetas", "theta_bars", "phi_mu_hats", "g_lambdas",
+                 "grad_sq_norms"):
+        assert np.array_equal(bits(getattr(loaded.trajectory, name)),
+                              bits(getattr(run.trajectory, name)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", ["plain", "file.json", "file.csv"])
+def test_written_at_exact_path(default_mdp, default_dataset, recorded_run, tmp_path,
+                               kind, name):
+    """A path without the .npz suffix is written as given, with no suffix added."""
+    obj = {"mdp": default_mdp, "dataset": default_dataset, "run": recorded_run}[kind]
+    SAVE[kind](obj, tmp_path / name)
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+    load(kind, tmp_path / name, default_mdp)

@@ -10,6 +10,8 @@ from fogas import harness
 from fogas.cli import main as cli_main
 from fogas.oracle import evaluate_policy, solve_optimal
 
+from conftest import edit_archive, read_archive
+
 
 class TestBehaviorPolicy:
     def test_uniform(self, default_mdp):
@@ -168,6 +170,13 @@ class TestSweep:
         assert len(records) == 4
         assert all(r.status == "error:ValueError" for r in records)
         assert all(r.message == "eta is not finite" for r in records)
+        # A T or T_cap that is not an integer >= 1 fails each cell, not truncated.
+        for key, value in (("T", 2.7), ("T", 0), ("T_cap", 2.5), ("T_cap", True)):
+            config = self.make_config(fogas={"auto_tune": True, key: value})
+            records = harness.run_sweep(config)
+            assert all(r.status == "error:ValueError" for r in records)
+            assert all(r.message == f"{key} must be an integer >= 1, got {value!r}"
+                       for r in records)
 
     def test_summary_median(self):
         records = harness.run_sweep(self.make_config())
@@ -190,7 +199,7 @@ class TestSweep:
 
 class TestCli:
     def generate(self, tmp_path):
-        mdp_path = tmp_path / "m.json"
+        mdp_path = tmp_path / "m.npz"
         code = cli_main(["generate", "--states", "5", "--actions", "3",
                          "--dim", "4", "--gamma", "0.9", "--seed", "1",
                          "--out", str(mdp_path)])
@@ -205,8 +214,8 @@ class TestCli:
         assert "ok" in capsys.readouterr().out
 
     def test_generate_deterministic_bytes(self, tmp_path):
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
+        a = tmp_path / "a.npz"
+        b = tmp_path / "b.npz"
         for p in (a, b):
             cli_main(["generate", "--states", "5", "--actions", "3",
                       "--dim", "4", "--gamma", "0.9", "--seed", "1",
@@ -216,55 +225,50 @@ class TestCli:
     def test_generate_bad_dim(self, tmp_path, capsys):
         code = cli_main(["generate", "--states", "5", "--actions", "3",
                          "--dim", "0", "--gamma", "0.9",
-                         "--out", str(tmp_path / "m.json")])
+                         "--out", str(tmp_path / "m.npz")])
         assert code == 2
         assert "dim must be" in capsys.readouterr().err
 
     def test_validate_flags_corruption(self, tmp_path, capsys):
         mdp_path = self.generate(tmp_path)
-        doc = json.loads(mdp_path.read_text())
-        doc["omega"] = [3.0] * 4  # norm exceeds sqrt(d)
-        mdp_path.write_text(json.dumps(doc))
+        edit_archive(mdp_path, lambda doc: doc.update(omega=np.full(4, 3.0)))  # > sqrt(d)
         assert cli_main(["validate", "--mdp", str(mdp_path)]) == 1
         assert "omega-norm" in capsys.readouterr().out
 
     def test_nonfinite_mdp_rejected(self, tmp_path, capsys):
         mdp_path = self.generate(tmp_path)
-        doc = json.loads(mdp_path.read_text())
-        doc["omega"][0] = float("nan")
-        mdp_path.write_text(json.dumps(doc))
+        edit_archive(mdp_path, lambda doc: doc["omega"].__setitem__(0, float("nan")))
         assert cli_main(["validate", "--mdp", str(mdp_path)]) == 1
-        assert "omega must be finite" in capsys.readouterr().err
+        assert "omega is not finite" in capsys.readouterr().err
         code = cli_main(["collect", "--mdp", str(mdp_path), "--behavior", "eps:0.1",
-                         "--n", "10", "--out", str(tmp_path / "d.csv")])
+                         "--n", "10", "--out", str(tmp_path / "d.npz")])
         assert code == 1
-        assert "omega must be finite" in capsys.readouterr().err
+        assert "omega is not finite" in capsys.readouterr().err
 
     def test_mdp_missing_key_rejected(self, tmp_path, capsys):
         mdp_path = self.generate(tmp_path)
-        doc = json.loads(mdp_path.read_text())
-        del doc["psi"]
-        mdp_path.write_text(json.dumps(doc))
+        edit_archive(mdp_path, lambda doc: doc.pop("psi"))
         assert cli_main(["validate", "--mdp", str(mdp_path)]) == 1
         assert "lacks the entry 'psi'" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
-        assert cli_main(["validate", "--mdp", str(tmp_path / "nope.json")]) == 1
+        assert cli_main(["validate", "--mdp", str(tmp_path / "nope.npz")]) == 1
         assert "not found" in capsys.readouterr().err
 
     def test_collect_row_count(self, tmp_path, capsys):
         mdp_path = self.generate(tmp_path)
-        data_path = tmp_path / "d.csv"
+        data_path = tmp_path / "d.npz"
         code = cli_main(["collect", "--mdp", str(mdp_path), "--n", "10",
                          "--seed", "0", "--out", str(data_path)])
         assert code == 0
-        lines = data_path.read_text().strip().split("\n")
-        assert lines[0] == "x,a,r,x_next"
-        assert len(lines) == 11
+        entries = read_archive(data_path)
+        assert entries.pop("kind") == "fogas-dataset/1"
+        assert {name: len(column) for name, column in entries.items()} == {
+            "x": 10, "a": 10, "r": 10, "x_next": 10}
 
     def test_collect_bad_n(self, tmp_path, capsys):
         mdp_path = self.generate(tmp_path)
-        data_path = tmp_path / "d.csv"
+        data_path = tmp_path / "d.npz"
         code = cli_main(["collect", "--mdp", str(mdp_path), "--n", "0",
                          "--out", str(data_path)])
         assert code == 2
@@ -273,8 +277,8 @@ class TestCli:
 
     def pipeline(self, tmp_path, extra_solve_args=()):
         mdp_path = self.generate(tmp_path)
-        data_path = tmp_path / "d.csv"
-        run_path = tmp_path / "run.json"
+        data_path = tmp_path / "d.npz"
+        run_path = tmp_path / "run.npz"
         cli_main(["collect", "--mdp", str(mdp_path), "--n", "256",
                   "--seed", "0", "--out", str(data_path)])
         code = cli_main(["solve", "--mdp", str(mdp_path), "--data",
@@ -306,11 +310,6 @@ class TestCli:
         assert code == 1
         assert "--record-trajectory" in capsys.readouterr().err
 
-    def rewrite_run(self, run_path, edit):
-        doc = json.loads(run_path.read_text())
-        edit(doc)
-        run_path.write_text(json.dumps(doc))
-
     def diagnose(self, tmp_path, mdp_path, data_path, run_path):
         return cli_main(["diagnose", "--mdp", str(mdp_path), "--data",
                          str(data_path), "--run", str(run_path),
@@ -318,13 +317,13 @@ class TestCli:
 
     def test_run_file_unknown_config_key_rejected(self, tmp_path, capsys):
         paths = self.pipeline(tmp_path, ("--record-trajectory",))
-        self.rewrite_run(paths[2], lambda doc: doc["config"].update(bogus=1))
+        edit_archive(paths[2], lambda doc: doc.update({"config.bogus": np.array(1)}))
         assert self.diagnose(tmp_path, *paths) == 1
         assert "bogus" in capsys.readouterr().err
 
     def test_run_file_short_trajectory_rejected(self, tmp_path, capsys):
         paths = self.pipeline(tmp_path, ("--record-trajectory",))
-        self.rewrite_run(paths[2], lambda doc: doc["trajectory"]["thetas"].pop())
+        edit_archive(paths[2], lambda doc: doc.update(thetas=doc["thetas"][:-1]))
         assert self.diagnose(tmp_path, *paths) == 1
         assert "thetas has shape (39, 4), expected (40, 4)" in capsys.readouterr().err
 
@@ -332,21 +331,20 @@ class TestCli:
         """A NaN in the run file fails diagnose instead of a NaN residual
         printed as asserted."""
         paths = self.pipeline(tmp_path, ("--record-trajectory",))
-        self.rewrite_run(
-            paths[2], lambda doc: doc["trajectory"]["thetas"][0].__setitem__(0, float("nan")))
+        edit_archive(paths[2], lambda doc: doc["thetas"][0].__setitem__(0, float("nan")))
         assert self.diagnose(tmp_path, *paths) == 1
         assert "thetas is not finite" in capsys.readouterr().err
 
     def test_solve_manual_rates(self, tmp_path, capsys):
         mdp_path = self.generate(tmp_path)
-        data_path = tmp_path / "d.csv"
+        data_path = tmp_path / "d.npz"
         cli_main(["collect", "--mdp", str(mdp_path), "--n", "128",
                   "--seed", "0", "--out", str(data_path)])
         results = tmp_path / "results.csv"
         code = cli_main(["solve", "--mdp", str(mdp_path), "--data",
                          str(data_path), "--rates", "0.01,0.1,0.05,0.001",
                          "--T", "30", "--seed", "0",
-                         "--out", str(tmp_path / "run.json"),
+                         "--out", str(tmp_path / "run.npz"),
                          "--results", str(results)])
         assert code == 0
         lines = results.read_text().strip().split("\n")
@@ -356,12 +354,12 @@ class TestCli:
 
     def test_solve_requires_rates_or_auto(self, tmp_path, capsys):
         mdp_path = self.generate(tmp_path)
-        data_path = tmp_path / "d.csv"
+        data_path = tmp_path / "d.npz"
         cli_main(["collect", "--mdp", str(mdp_path), "--n", "16",
                   "--seed", "0", "--out", str(data_path)])
         code = cli_main(["solve", "--mdp", str(mdp_path), "--data",
                          str(data_path), "--T", "5", "--seed", "0",
-                         "--out", str(tmp_path / "run.json")])
+                         "--out", str(tmp_path / "run.npz")])
         assert code == 2
 
     def test_sweep_csv(self, tmp_path, capsys):

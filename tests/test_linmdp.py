@@ -1,7 +1,5 @@
 """Environment types, generator validity, and softmax policy machinery."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +8,7 @@ from hypothesis import strategies as st
 import fogas
 from fogas.linmdp import _stable_softmax_rows, action_major_phi, action_major_softmax
 
-from conftest import dense_kernel, random_mdp, softmax_features
+from conftest import dense_kernel, random_mdp, read_archive, softmax_features
 
 
 class TestGenerator:
@@ -223,26 +221,22 @@ class TestTabularPolicy:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("chunk_bytes", [None, 1, 8 * 4 * 3])
-    def test_bytes_equal_one_dumps(self, default_mdp, tmp_path, chunk_bytes,
-                                   monkeypatch):
-        """The row-chunked writer gives exactly json.dumps of the document, with
-        the default chunk, one row per chunk and chunks of 3 rows of phi."""
-        if chunk_bytes is not None:
-            monkeypatch.setattr(fogas.linmdp, "SAMPLE_CHUNK_BYTES", chunk_bytes)
-        mdp = default_mdp
-        doc = {
-            "num_states": mdp.num_states, "num_actions": mdp.num_actions,
-            "dim": mdp.dim, "gamma": mdp.gamma, "x0": mdp.x0,
-            "phi": mdp.phi.tolist(), "psi": mdp.psi.tolist(),
-            "omega": mdp.omega.tolist(),
-        }
-        path = tmp_path / "mdp.json"
-        fogas.save_mdp(mdp, path)
-        assert path.read_bytes() == (json.dumps(doc) + "\n").encode()
+    def test_archive_entries(self, default_mdp, tmp_path):
+        """The file is an .npz archive of the MDP's fields and its kind entry,
+        and saving the same MDP twice gives the same bytes."""
+        path, again = tmp_path / "mdp.npz", tmp_path / "again.npz"
+        fogas.save_mdp(default_mdp, path)
+        fogas.save_mdp(default_mdp, again)
+        assert path.read_bytes() == again.read_bytes()
+        entries = read_archive(path)
+        assert entries.pop("kind") == "fogas-mdp/1"
+        assert set(entries) == {"num_states", "num_actions", "dim", "phi", "psi",
+                                "omega", "gamma", "x0"}
+        for name, value in entries.items():
+            assert np.array_equal(value, getattr(default_mdp, name))
 
     def test_round_trip_exact(self, default_mdp, tmp_path):
-        path = tmp_path / "mdp.json"
+        path = tmp_path / "mdp.npz"
         fogas.save_mdp(default_mdp, path)
         loaded = fogas.load_mdp(path)
         assert np.array_equal(loaded.phi, default_mdp.phi)

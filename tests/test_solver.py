@@ -1,7 +1,6 @@
 """The ascent loop and its closed-form updates, checked against dense
 materializations, finite differences, and random feasible points."""
 
-import json
 import time
 import tracemalloc
 from dataclasses import asdict, fields, replace
@@ -33,11 +32,13 @@ from fogas.solver import (
 )
 
 from conftest import (
+    edit_archive,
     iterate_params,
     iterate_policy_tables,
     psi_hat_apply,
     random_mdp,
     random_policy,
+    read_archive,
     reference_ascend,
 )
 
@@ -599,45 +600,52 @@ class TestRunFogasBatch:
 
 
 class TestRunSerialization:
-    def test_bytes_equal_one_dumps(self, recorded_run, tmp_path):
-        """The field-by-field writer gives exactly json.dumps of the document."""
-        doc = {
-            "config": asdict(recorded_run.config),
+    def test_archive_entries(self, recorded_run, tmp_path):
+        """The file is an .npz archive of the config's fields as scalars, J, the
+        final parameters and the trajectory's arrays, which have no rows when
+        the trajectory was not recorded, and nothing else."""
+        path = tmp_path / "run.npz"
+        expected = {
+            **{f"config.{k}": v for k, v in asdict(recorded_run.config).items()},
             "chosen_index": recorded_run.chosen_index,
-            "lambda_final": recorded_run.lambda_final.tolist(),
-            "theta_bar_final": recorded_run.theta_bar_final.tolist(),
-            "output_param": recorded_run.output_param.tolist(),
+            "lambda_final": recorded_run.lambda_final,
+            "theta_bar_final": recorded_run.theta_bar_final,
+            "output_param": recorded_run.output_param,
         }
-        path = tmp_path / "run.json"
-        save_run(replace(recorded_run, trajectory=None), path)
-        assert path.read_bytes() == (json.dumps(doc) + "\n").encode()
-        doc["trajectory"] = {f.name: getattr(recorded_run.trajectory, f.name).tolist()
-                             for f in fields(FogasTrajectory)}
-        save_run(recorded_run, path)
-        assert path.read_bytes() == (json.dumps(doc) + "\n").encode()
+        for trajectory in (recorded_run.trajectory, None):
+            save_run(replace(recorded_run, trajectory=trajectory), path)
+            entries = read_archive(path)
+            assert entries.pop("kind") == "fogas-run/1"
+            for f in fields(FogasTrajectory):
+                value = entries.pop(f.name)
+                if trajectory is None:
+                    assert value.shape == (0, 4)[:value.ndim]
+                else:
+                    assert np.array_equal(value, getattr(trajectory, f.name))
+            assert set(entries) == set(expected)
+            for name, value in expected.items():
+                assert np.array_equal(entries[name], value), name
 
     @pytest.mark.parametrize("field, edit", [
-        ("lambdas", lambda doc: doc["trajectory"]["lambdas"][3].__setitem__(1, float("nan"))),
-        ("grad_sq_norms", lambda doc: doc["trajectory"]["grad_sq_norms"].__setitem__(0, float("inf"))),
+        ("lambdas", lambda doc: doc["lambdas"][3].__setitem__(1, float("nan"))),
+        ("grad_sq_norms", lambda doc: doc["grad_sq_norms"].__setitem__(0, float("inf"))),
         ("lambda_final", lambda doc: doc["lambda_final"].__setitem__(0, float("-inf"))),
-        ("config.alpha", lambda doc: doc["config"].__setitem__("alpha", float("nan"))),
+        ("config.alpha", lambda doc: doc.update({"config.alpha": np.array(float("nan"))})),
     ])
     def test_nonfinite_numbers_rejected(self, recorded_run, default_mdp, tmp_path,
                                         field, edit):
-        """json reads NaN and Infinity; the loader names the field instead. A
-        config rate is named by ``FogasConfig``, without the "config." prefix."""
-        path = tmp_path / "run.json"
+        """A NaN or an infinity in any float entry, the config's rates included,
+        is named by the loader."""
+        path = tmp_path / "run.npz"
         save_run(recorded_run, path)
-        doc = json.loads(path.read_text())
-        edit(doc)
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=f"{field.removeprefix('config.')} is not finite"):
+        edit_archive(path, edit)
+        with pytest.raises(ValueError, match=f"{field} is not finite"):
             load_run(path, default_mdp)
 
     def test_round_trip(self, default_mdp, default_dataset, tmp_path):
         cfg = FogasConfig(T=20, seed=2, auto_tune=True, record_trajectory=True)
         run = run_fogas(default_mdp, default_dataset, cfg)
-        path = tmp_path / "run.json"
+        path = tmp_path / "run.npz"
         save_run(run, path)
         loaded = load_run(path, default_mdp)
         assert loaded.chosen_index == run.chosen_index
@@ -650,7 +658,7 @@ class TestRunSerialization:
                                            tmp_path):
         run = run_fogas(default_mdp, default_dataset,
                         FogasConfig(T=10, seed=1, auto_tune=True))
-        path = tmp_path / "run.json"
+        path = tmp_path / "run.npz"
         save_run(run, path)
         assert load_run(path, default_mdp).trajectory is None
 
