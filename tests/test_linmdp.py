@@ -221,19 +221,22 @@ class TestTabularPolicy:
 
 
 class TestSerialization:
-    def test_archive_entries(self, default_mdp, tmp_path):
+    @pytest.mark.parametrize("shape", [(5, 3, 4), (1, 1, 1), (40, 6, 8)],
+                             ids=["default", "single-point", "many-rows"])
+    def test_archive_entries(self, tmp_path, shape):
         """The file is an .npz archive of the MDP's fields and its kind entry,
         and saving the same MDP twice gives the same bytes."""
+        mdp = fogas.generate_linear_mdp(*shape, gamma=0.9, seed=0)
         path, again = tmp_path / "mdp.npz", tmp_path / "again.npz"
-        fogas.save_mdp(default_mdp, path)
-        fogas.save_mdp(default_mdp, again)
+        fogas.save_mdp(mdp, path)
+        fogas.save_mdp(mdp, again)
         assert path.read_bytes() == again.read_bytes()
         entries = read_archive(path)
         assert entries.pop("kind") == "fogas-mdp/1"
         assert set(entries) == {"num_states", "num_actions", "dim", "phi", "psi",
                                 "omega", "gamma", "x0"}
         for name, value in entries.items():
-            assert np.array_equal(value, getattr(default_mdp, name))
+            assert np.array_equal(value, getattr(mdp, name))
 
     def test_round_trip_exact(self, default_mdp, tmp_path):
         path = tmp_path / "mdp.npz"
