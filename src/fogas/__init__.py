@@ -32,7 +32,6 @@ from .linmdp import (
 from .oracle import (
     PolicyEvaluation,
     evaluate_policy,
-    relaxed_lp_feasibility,
     solve_optimal,
 )
 from .solver import (

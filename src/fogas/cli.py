@@ -46,7 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--auto-tune", action="store_true")
     p.add_argument("--rates", help="alpha,rho,eta,beta (manual mode)")
-    p.add_argument("--d-theta", type=float, help="theta ball radius (manual mode)")
+    p.add_argument("--d-theta", type=float,
+                   help="theta ball radius (default sqrt(d)/(1-gamma))")
     p.add_argument("--T", type=int)
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
@@ -115,12 +116,17 @@ def _cmd_collect(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.T is not None and args.T < 1:
+        print("T must be ≥ 1", file=sys.stderr)
+        return 2
     mdp = linmdp.load_mdp(args.mdp)
     dataset = load_dataset(args.data, mdp)
 
     fogas_spec: dict = {"auto_tune": args.auto_tune, "delta": args.delta}
     if args.T is not None:
         fogas_spec["T"] = args.T
+    if args.d_theta is not None:
+        fogas_spec["d_theta"] = args.d_theta
     if args.rates is not None:
         try:
             alpha, rho, eta, beta = (float(v) for v in args.rates.split(","))
@@ -129,10 +135,7 @@ def _cmd_solve(args) -> int:
                   file=sys.stderr)
             return 2
         fogas_spec.update({"alpha": alpha, "rho": rho, "eta": eta, "beta": beta})
-        if args.d_theta is not None:
-            fogas_spec["d_theta"] = args.d_theta
-        else:
-            fogas_spec["d_theta"] = solver.canonical_d_theta(mdp)
+        fogas_spec.setdefault("d_theta", solver.canonical_d_theta(mdp))
     elif not args.auto_tune:
         print("either --auto-tune or --rates is required", file=sys.stderr)
         return 2

@@ -11,30 +11,22 @@ import numpy as np
 from .data import OfflineDataset, build_covariance, collect_dataset
 from .diagnostics import score_iterates
 from .linmdp import LinearMdp, TabularPolicy, generate_linear_mdp, load_mdp, uniform_policy
-from .oracle import PolicyEvaluation, evaluate_policy, solve_optimal
+from .oracle import evaluate_policy, solve_optimal
 from .solver import FogasConfig, FogasRun, run_fogas_batch, theoretical_min_iterations
-
-# solve_optimal's result: the optimal policy and its exact evaluation.
-Optimal = tuple[TabularPolicy, PolicyEvaluation]
 
 RESULTS_HEADER = "mdp_id,n,seed,T,coverage_ratio,suboptimality,mean_suboptimality,wall_time_ms,status"
 
 
-def behavior_policy(
-    mdp: LinearMdp, spec: str, optimal: Optimal | None = None
-) -> TabularPolicy:
+def behavior_policy(mdp: LinearMdp, spec: str) -> TabularPolicy:
     """Parse a behavior spec: "uniform" or "eps:<v>" (epsilon-uniform mix of
-    the oracle-optimal policy; eps:0 is exactly the optimal policy).
-
-    ``optimal`` is ``solve_optimal(mdp)`` if the caller already has it.
-    """
+    the oracle-optimal policy; eps:0 is exactly the optimal policy)."""
     if spec == "uniform":
         return uniform_policy(mdp.num_states, mdp.num_actions)
     if spec.startswith("eps:"):
         eps = float(spec[4:])
         if not 0.0 <= eps <= 1.0:
             raise ValueError(f"epsilon must lie in [0, 1], got {eps}")
-        pi_star, _ = optimal or solve_optimal(mdp)
+        pi_star, _ = solve_optimal(mdp)
         mix = (1.0 - eps) * pi_star.probs + eps / mdp.num_actions
         return TabularPolicy(mix)
     raise ValueError(f"unknown behavior spec {spec!r}")
@@ -65,8 +57,12 @@ class ExperimentConfig:
                 )
         if len(self.seeds) == 0:
             raise ValueError("seeds list must be nonempty")
-        if any(n < 1 for n in self.n_values):
-            raise ValueError("all n values must be >= 1")
+        if not all(_is_int(seed) for seed in self.seeds):
+            raise ValueError(f"seeds must be integers, got {self.seeds!r}")
+        if len(self.n_values) == 0:
+            raise ValueError("n_values list must be nonempty")
+        if not all(_is_int(n) and n >= 1 for n in self.n_values):
+            raise ValueError(f"n values must be integers >= 1, got {self.n_values!r}")
         if self.sampling_mode not in ("occupancy", "uniform"):
             raise ValueError(f"unknown sampling_mode {self.sampling_mode!r}")
 
@@ -123,9 +119,14 @@ class ExperimentRecord:
         )
 
 
+def _is_int(value) -> bool:
+    """An int or numpy integer, not a bool: a float or bool is never truncated."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _iteration_count(fogas_spec: dict, key: str, default: int | None = None) -> int:
     value = fogas_spec.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+    if not _is_int(value) or value < 1:
         raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
     return int(value)
 
@@ -176,15 +177,13 @@ def score_run(
     run: FogasRun,
     start: float,
     mdp_id: str = "mdp",
-    optimal: Optimal | None = None,
 ) -> ExperimentRecord:
     """Score a finished run against the oracle.
 
     ``start`` is the ``time.perf_counter()`` reading the wall time counts from.
     The mean-iterate suboptimality is NaN when the run has no trajectory.
-    ``optimal`` is ``solve_optimal(mdp)`` if the caller already has it.
     """
-    _, star_eval = optimal or solve_optimal(mdp)
+    _, star_eval = solve_optimal(mdp)
     out_eval = evaluate_policy(mdp, run.output_policy)
     mean_sub = float("nan")
     if run.trajectory is not None:
@@ -210,7 +209,6 @@ def run_group(
     seeds: list[int],
     fogas_spec: dict,
     mdp_id: str = "mdp",
-    optimal: Optimal | None = None,
 ) -> list[tuple[ExperimentRecord, FogasRun] | Exception]:
     """The cells (n, seed) of one sample size, their ascent loops run as one batch.
 
@@ -246,7 +244,7 @@ def run_group(
         # Backdate the start so the record counts collection and the loop share.
         start = time.perf_counter() - collect_s - loop_share
         try:
-            record = score_run(mdp, dataset, run, start, mdp_id=mdp_id, optimal=optimal)
+            record = score_run(mdp, dataset, run, start, mdp_id=mdp_id)
             results[slot] = (record, run)
         except Exception as e:
             results[slot] = e
@@ -276,21 +274,15 @@ def run_sweep(config: ExperimentConfig, mdp_id: str = "mdp") -> list[ExperimentR
     """Run the full grid in (n, seed) order; failures become per-row error records.
 
     The seeds of one n run as one batch (``run_group``): they share T, which
-    depends only on n and the MDP. The optimal policy is solved once.
+    depends only on n and the MDP.
     """
     mdp = config.load_mdp()
-    try:
-        optimal = solve_optimal(mdp)
-    except Exception:  # left to each cell's scoring, so each row keeps the error
-        optimal = None
-    behavior = behavior_policy(mdp, config.behavior, optimal)
+    behavior = behavior_policy(mdp, config.behavior)
     seeds = [int(seed) for seed in config.seeds]
     records = []
     for n in config.n_values:
-        results = run_group(
-            mdp, behavior, config.sampling_mode, int(n), seeds, config.fogas,
-            mdp_id=mdp_id, optimal=optimal,
-        )
+        results = run_group(mdp, behavior, config.sampling_mode, int(n), seeds,
+                            config.fogas, mdp_id=mdp_id)
         for seed, result in zip(seeds, results):
             if isinstance(result, Exception):  # exit code handled by caller
                 records.append(ExperimentRecord(

@@ -8,9 +8,9 @@ the nonzero spectrum of Psi Phi_pi is that of the stochastic kernel P_pi.
 Values and occupancies over the full state space follow in O(X*A*d), so no
 X x X array is ever formed. ``evaluate_policy`` scores one policy; the
 iterates of a run are scored in blocks by ``diagnostics.score_iterates``,
-which shares the d x d solve ``solve_flow``. The optimal policy comes from
-value iteration through Phi (Psi v), and the relaxed-LP feasibility check
-materializes the exact occupancy measure.
+which shares the d x d solve ``solve_flow``. ``solve_optimal`` finds the
+optimal policy by policy iteration, one ``evaluate_policy`` and one greedy
+step per round.
 """
 
 from __future__ import annotations
@@ -18,6 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# Policy iteration switches an action only on a gain above SWITCH_TOL * (1+|q|),
+# so roundoff alone cannot make it cycle; MAX_ROUNDS caps it all the same (the
+# generated MDPs take 2-3 rounds). A normalized return is a mix of rewards, so
+# one outside [min r, max r] by more than RETURN_SLACK * (1 + max|r|) marks a
+# kernel that is not stochastic.
+SWITCH_TOL = 1e-12
+MAX_ROUNDS = 1000
+RETURN_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -71,68 +80,42 @@ def evaluate_policy(mdp, policy) -> PolicyEvaluation:
     )
 
 
-def solve_optimal(mdp, tol: float = 1e-10):
-    """Value iteration to sup-norm gap tol*(1-gamma)/(2*gamma), then greedy.
+def solve_optimal(mdp):
+    """Howard policy iteration (Howard 1960; Puterman 1994, sec. 6.4).
 
-    Each sweep applies the kernel in factored form, q <- r + gamma Phi (Psi v).
-    Returns the greedy deterministic policy (ties broken by lowest action
-    index) together with its exact evaluation.
+    Starts from action 0 in every state. Each round evaluates the current
+    deterministic policy exactly, q = Phi theta_pi = r + gamma Phi Psi v^pi,
+    and switches a state to its lowest-index greedy action only where that
+    gains more than SWITCH_TOL * (1 + |q|). Stops when no state switches and
+    returns the policy together with its exact evaluation.
+
+    Raises RuntimeError if a policy's normalized return leaves [min r, max r],
+    which a stochastic kernel rules out, or if the rounds reach MAX_ROUNDS.
     """
     from .linmdp import TabularPolicy
 
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     X, A = mdp.num_states, mdp.num_actions
     r = mdp.rewards
-    gamma = mdp.gamma
-    # Stop when successive q iterates differ by at most this much; the greedy
-    # policy is then tol-optimal on the normalized return scale.
-    gap = tol * (1.0 - gamma) / (2.0 * gamma) if gamma > 0 else tol
-
-    # With a stochastic kernel, sweep k+1 moves q by at most gamma^k * max|r|,
-    # so the gap is reached within `sweeps` sweeps; the cap doubles that to
-    # leave room for roundoff.
-    r_max = float(np.abs(r).max())
-    sweeps = np.ceil(np.log(gap / r_max) / np.log(gamma)) if r_max > gap else 0
-    max_sweeps = 2 * int(sweeps) + 10
-
-    q = np.zeros(X * A)
-    for _ in range(max_sweeps):
-        v = q.reshape(X, A).max(axis=1)
-        q_next = r + gamma * (mdp.phi @ (mdp.psi @ v))
-        converged = np.abs(q_next - q).max() <= gap
-        q = q_next
-        if converged:
-            break
-    else:
-        raise RuntimeError(
-            f"value iteration did not converge within {max_sweeps} sweeps; "
-            "the transition kernel is not stochastic"
-        )
-
-    greedy = q.reshape(X, A).argmax(axis=1)  # argmax takes the lowest index on ties
-    probs = np.zeros((X, A))
-    probs[np.arange(X), greedy] = 1.0
-    policy = TabularPolicy(probs)
-    return policy, evaluate_policy(mdp, policy)
-
-
-def relaxed_lp_feasibility(mdp, policy, lam: np.ndarray | None = None) -> dict:
-    """Residuals of the two feature-occupancy LP constraints at (mu^pi, lambda).
-
-    With lambda = Phi^T mu^pi (the default) both residuals vanish up to solver
-    precision, reflecting the correspondence between the relaxed and original
-    feasible sets.
-    """
-    X, A = mdp.num_states, mdp.num_actions
-    ev = evaluate_policy(mdp, policy)
-    if lam is None:
-        lam = ev.lambda_pi
-    lam = np.asarray(lam, dtype=np.float64)
-    flow = ev.mu.reshape(X, A).sum(axis=1) - (1.0 - mdp.gamma) * mdp.nu0 \
-        - mdp.gamma * (mdp.psi.T @ lam)
-    lam_res = lam - mdp.phi.T @ ev.mu
-    return {
-        "flow_residual": float(np.abs(flow).max()),
-        "lambda_residual": float(np.abs(lam_res).max()),
-    }
+    slack = RETURN_SLACK * (1.0 + float(np.abs(r).max()))
+    lowest, highest = r.min() - slack, r.max() + slack
+    states = np.arange(X)
+    actions = np.zeros(X, dtype=np.intp)
+    for _ in range(MAX_ROUNDS):
+        probs = np.zeros((X, A))
+        probs[states, actions] = 1.0
+        policy = TabularPolicy(probs)
+        ev = evaluate_policy(mdp, policy)
+        if not lowest <= ev.return_value <= highest:
+            raise RuntimeError(
+                f"policy iteration did not converge: a policy's return "
+                f"{ev.return_value:.6g} lies outside the reward range; "
+                "the transition kernel is not stochastic"
+            )
+        q = ev.q.reshape(X, A)
+        current = q[states, actions]
+        greedy = q.argmax(axis=1)  # argmax takes the lowest index on ties
+        switch = q[states, greedy] > current + SWITCH_TOL * (1.0 + np.abs(current))
+        if not switch.any():
+            return policy, ev
+        actions = np.where(switch, greedy, actions)
+    raise RuntimeError(f"policy iteration did not converge within {MAX_ROUNDS} rounds")

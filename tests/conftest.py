@@ -2,7 +2,7 @@
 the dense and per-iterate references the vectorized code is tested against.
 The dense (X*A, X) kernel, the (T, X, A) iterate tables and the ascent loop
 without the occupancy operator exist only here; the package never forms
-them."""
+them. So does the relaxed-LP feasibility check, which only tests call."""
 
 import warnings
 from dataclasses import fields
@@ -121,6 +121,27 @@ def dense_evaluate_policy(mdp, probs):
         "nu": nu,
         "lambda_pi": mdp.phi.T @ mu,
         "return_value": float(mu @ r),
+    }
+
+
+def relaxed_lp_feasibility(mdp, policy, lam: np.ndarray | None = None) -> dict:
+    """Residuals of the two feature-occupancy LP constraints at (mu^pi, lambda).
+
+    With lambda = Phi^T mu^pi (the default) both residuals vanish up to solver
+    precision, reflecting the correspondence between the relaxed and original
+    feasible sets.
+    """
+    X, A = mdp.num_states, mdp.num_actions
+    ev = evaluate_policy(mdp, policy)
+    if lam is None:
+        lam = ev.lambda_pi
+    lam = np.asarray(lam, dtype=np.float64)
+    flow = ev.mu.reshape(X, A).sum(axis=1) - (1.0 - mdp.gamma) * mdp.nu0 \
+        - mdp.gamma * (mdp.psi.T @ lam)
+    lam_res = lam - mdp.phi.T @ ev.mu
+    return {
+        "flow_residual": float(np.abs(flow).max()),
+        "lambda_residual": float(np.abs(lam_res).max()),
     }
 
 

@@ -11,7 +11,7 @@ import fogas
 from fogas import harness
 from fogas.data import build_covariance, collect_dataset, estimate_psi
 from fogas.diagnostics import build_comparators, duality_gap_report, player_regrets
-from fogas.oracle import evaluate_policy, relaxed_lp_feasibility
+from fogas.oracle import evaluate_policy
 from fogas.solver import (
     FogasConfig,
     best_response_theta,
@@ -20,7 +20,7 @@ from fogas.solver import (
     run_fogas,
 )
 
-from conftest import dense_kernel, random_mdp, random_policy
+from conftest import dense_kernel, random_mdp, random_policy, relaxed_lp_feasibility
 
 
 def _verdict(name, ok, detail):

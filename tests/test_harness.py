@@ -46,12 +46,15 @@ class TestExperimentConfig:
                 harness.ExperimentConfig.from_json(path)
 
     def test_empty_seeds_rejected(self):
-        with pytest.raises(ValueError, match="seeds"):
-            harness.ExperimentConfig(mdp={"path": "x"}, seeds=())
+        # Non-integer seeds are rejected too, never truncated.
+        for seeds in ((), (1.5,), (True,), (0, 1.0)):
+            with pytest.raises(ValueError, match="seeds"):
+                harness.ExperimentConfig(mdp={"path": "x"}, seeds=seeds)
 
     def test_bad_n_rejected(self):
-        with pytest.raises(ValueError):
-            harness.ExperimentConfig(mdp={"path": "x"}, n_values=(0,))
+        for n_values in ((0,), (), (64.9, True), (64.0,), (True,), (64, -1)):
+            with pytest.raises(ValueError, match="n_values|n values"):
+                harness.ExperimentConfig(mdp={"path": "x"}, n_values=n_values)
 
     def test_generator_params(self):
         cfg = harness.ExperimentConfig(
@@ -145,18 +148,6 @@ class TestSweep:
             want = np.array([getattr(r, name) for r in cells])
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
         assert all(r.wall_time_ms > 0 for r in records)
-
-    def test_optimal_policy_solved_once(self, monkeypatch):
-        calls = []
-
-        def counted(mdp):
-            calls.append(mdp)
-            return solve_optimal(mdp)
-
-        monkeypatch.setattr(harness, "solve_optimal", counted)
-        records = harness.run_sweep(self.make_config(behavior="eps:0.5"))
-        assert len(calls) == 1
-        assert all(r.status == "ok" for r in records)
 
     def test_failures_recorded_per_row(self):
         config = self.make_config(
@@ -352,6 +343,20 @@ class TestCli:
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert float(row["wall_time_ms"]) > 0
 
+    def test_solve_auto_tune_keeps_d_theta(self, tmp_path, capsys):
+        _, _, run_path = self.pipeline(tmp_path, ("--d-theta", "0.5"))
+        assert read_archive(run_path)["config.d_theta"] == 0.5
+
+    def test_solve_bad_T(self, tmp_path, capsys):
+        mdp_path = self.generate(tmp_path)
+        run_path = tmp_path / "run.npz"
+        code = cli_main(["solve", "--mdp", str(mdp_path), "--data",
+                         str(tmp_path / "d.npz"), "--auto-tune", "--T", "0",
+                         "--out", str(run_path)])
+        assert code == 2
+        assert "T must be" in capsys.readouterr().err
+        assert not run_path.exists()
+
     def test_solve_requires_rates_or_auto(self, tmp_path, capsys):
         mdp_path = self.generate(tmp_path)
         data_path = tmp_path / "d.npz"
@@ -385,6 +390,18 @@ class TestCli:
         assert cli_main(["sweep", "--config", str(cfg_path),
                          "--out", str(tmp_path / "results.csv")]) == 2
         assert "missing ['actions', 'dim', 'gamma']" in capsys.readouterr().err
+
+    def test_sweep_bad_grid_rejected(self, tmp_path, capsys):
+        mdp = {"states": 5, "actions": 3, "dim": 4, "gamma": 0.9}
+        cfg_path = tmp_path / "cfg.json"
+        out = tmp_path / "results.csv"
+        for grid, message in (({"n_values": []}, "n_values list must be nonempty"),
+                              ({"n_values": [64.9]}, "n values must be integers"),
+                              ({"seeds": [1.5]}, "seeds must be integers")):
+            cfg_path.write_text(json.dumps({"mdp": mdp, **grid}))
+            assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
     def test_sweep_reports_failed_cells(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

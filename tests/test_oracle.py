@@ -9,12 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fogas
+from fogas import oracle
 from fogas.data import Covariance
-from fogas.oracle import (
-    evaluate_policy,
-    relaxed_lp_feasibility,
-    solve_optimal,
-)
+from fogas.oracle import evaluate_policy, solve_optimal
 
 from conftest import (
     dense_evaluate_policy,
@@ -22,6 +19,7 @@ from conftest import (
     dense_greedy_policy,
     random_mdp,
     random_policy,
+    relaxed_lp_feasibility,
 )
 
 
@@ -172,7 +170,7 @@ class TestSolveOptimal:
 
     def test_beats_random_policies(self):
         mdp = fogas.generate_linear_mdp(4, 3, 4, gamma=0.9, seed=42)
-        _, star = solve_optimal(mdp, tol=1e-10)
+        _, star = solve_optimal(mdp)
         rng = np.random.default_rng(7)
         for _ in range(1000):
             ev = evaluate_policy(mdp, random_policy(4, 3, rng))
@@ -191,6 +189,25 @@ class TestSolveOptimal:
     def test_slow_discount_converges_under_cap(self):
         _, star = solve_optimal(random_mdp(0, gamma=0.99))
         assert np.isfinite(star.return_value)
+
+    @pytest.mark.parametrize("gamma", [0.5, 0.9, 0.99])
+    def test_bellman_optimality_at_scale(self, gamma):
+        """Past the dense reference: at X=2000 the returned q is a fixed point
+        of the Bellman optimality operator and no action beats the chosen one
+        by more than the switch threshold 1e-12 * (1 + |q|)."""
+        mdp = fogas.generate_linear_mdp(2000, 4, 8, gamma, 0)
+        policy, ev = solve_optimal(mdp)
+        q = ev.q.reshape(2000, 4)
+        backup = mdp.rewards + gamma * (mdp.phi @ (mdp.psi @ q.max(axis=1)))
+        assert np.abs(ev.q - backup).max() <= 1e-9 * np.abs(ev.q).max()
+        chosen = q[np.arange(2000), policy.probs.argmax(axis=1)]
+        assert np.all(q.max(axis=1) - chosen <= 1e-12 * (1.0 + np.abs(chosen)))
+
+    def test_round_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_ROUNDS", 1)
+        mdp = fogas.generate_linear_mdp(40, 4, 6, gamma=0.9, seed=0)
+        with pytest.raises(RuntimeError, match="did not converge within 1 rounds"):
+            solve_optimal(mdp)
 
     def test_non_contracting_kernel_raises(self):
         # p(x|x) = 1.5: value iteration diverges instead of converging.
