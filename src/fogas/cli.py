@@ -101,6 +101,9 @@ def _cmd_collect(args) -> int:
     if args.n < 1:
         print("n must be ≥ 1", file=sys.stderr)
         return 2
+    if args.seed < 0:
+        print("--seed must be ≥ 0", file=sys.stderr)
+        return 2
     mdp = linmdp.load_mdp(args.mdp)
     try:
         behavior = harness.behavior_policy(mdp, args.behavior)
@@ -140,10 +143,14 @@ def _cmd_solve(args) -> int:
         print("either --auto-tune or --rates is required", file=sys.stderr)
         return 2
 
-    config = harness.fogas_config_from_spec(
-        mdp, len(dataset), args.seed, fogas_spec,
-        record_trajectory=args.record_trajectory,
-    )
+    try:
+        config = harness.fogas_config_from_spec(
+            mdp, len(dataset), args.seed, fogas_spec,
+            record_trajectory=args.record_trajectory,
+        )
+    except ValueError as e:  # a flag out of range: delta, seed, a rate or d_theta
+        print(str(e), file=sys.stderr)
+        return 2
     start = time.perf_counter()
     run = solver.run_fogas(mdp, dataset, config)
     record = harness.score_run(mdp, dataset, run, start)
@@ -225,7 +232,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"file not found: {e.filename}", file=sys.stderr)
         return 1
-    except (FloatingPointError, AssertionError, ValueError, RuntimeError) as e:
+    except (FloatingPointError, ValueError, RuntimeError) as e:
         print(str(e), file=sys.stderr)
         return 1
 

@@ -81,7 +81,6 @@ class Covariance:
 
     beta: float
     lambda_mat: np.ndarray  # (d, d)
-    n: int
 
     def __post_init__(self):
         if self.beta <= 0:
@@ -117,7 +116,7 @@ def build_covariance(dataset: OfflineDataset, beta: float) -> Covariance:
     n, d = dataset.features.shape
     mat = beta * np.eye(d) + (dataset.features.T @ dataset.features) / n
     mat = 0.5 * (mat + mat.T)  # kill roundoff asymmetry from the BLAS product
-    return Covariance(beta=beta, lambda_mat=mat, n=n)
+    return Covariance(beta=beta, lambda_mat=mat)
 
 
 @dataclass(frozen=True)

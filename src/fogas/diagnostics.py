@@ -24,7 +24,7 @@ from .linmdp import (
     action_major_phi,
     action_major_softmax,
 )
-from .oracle import evaluate_policy, solve_flow, solve_optimal
+from .oracle import solve_flow, solve_optimal
 from .solver import FogasRun, FogasTrajectory, canonical_d_theta
 
 DECOMPOSITION_TOL = 1e-8
@@ -121,16 +121,8 @@ class Comparators:
     lambda_v: np.ndarray  # (d, X), sum_t lambda_t (v^{pi_t})^T
 
 
-def build_comparators(
-    mdp: LinearMdp,
-    trajectory: FogasTrajectory,
-    alpha: float,
-    pi_star: TabularPolicy | None = None,
-) -> Comparators:
-    if pi_star is None:
-        pi_star, star_eval = solve_optimal(mdp)
-    else:
-        star_eval = evaluate_policy(mdp, pi_star)
+def build_comparators(mdp: LinearMdp, trajectory: FogasTrajectory, alpha: float) -> Comparators:
+    pi_star, star_eval = solve_optimal(mdp)
     return Comparators(
         pi_star, star_eval.lambda_pi, star_eval.return_value,
         *score_iterates(mdp, trajectory, alpha),
@@ -219,7 +211,6 @@ def duality_gap_report(
     run: FogasRun,
     mdp: LinearMdp,
     dataset: OfflineDataset,
-    pi_star: TabularPolicy | None = None,
     check_identities: bool = True,
 ) -> GapReport:
     """Fill a GapReport from a recorded run and verify the exact identities.
@@ -232,7 +223,7 @@ def duality_gap_report(
         raise ValueError("run was not recorded with record_trajectory")
     cfg = run.config
     trajectory = run.trajectory
-    comp = build_comparators(mdp, trajectory, cfg.alpha, pi_star=pi_star)
+    comp = build_comparators(mdp, trajectory, cfg.alpha)
     psi_hat = estimate_psi(dataset, cfg.beta)
 
     T = trajectory.thetas.shape[0]

@@ -57,8 +57,8 @@ class ExperimentConfig:
                 )
         if len(self.seeds) == 0:
             raise ValueError("seeds list must be nonempty")
-        if not all(_is_int(seed) for seed in self.seeds):
-            raise ValueError(f"seeds must be integers, got {self.seeds!r}")
+        if not all(_is_int(seed) and seed >= 0 for seed in self.seeds):
+            raise ValueError(f"seeds must be integers >= 0, got {self.seeds!r}")
         if len(self.n_values) == 0:
             raise ValueError("n_values list must be nonempty")
         if not all(_is_int(n) and n >= 1 for n in self.n_values):
@@ -92,7 +92,6 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentRecord:
-    mdp_id: str
     n: int
     seed: int
     T: int
@@ -106,7 +105,7 @@ class ExperimentRecord:
     def csv_row(self) -> str:
         return ",".join(
             [
-                self.mdp_id,
+                "mdp",  # the mdp_id column: one MDP per sweep
                 str(self.n),
                 str(self.seed),
                 str(self.T),
@@ -138,6 +137,8 @@ def resolve_iterations(mdp: LinearMdp, n: int, fogas_spec: dict) -> int:
     if fogas_spec.get("T") is not None:
         return _iteration_count(fogas_spec, "T")
     delta = float(fogas_spec.get("delta", 0.05))
+    if not 0.0 < delta < 1.0:  # checked here too: t_min divides by log(1/delta)
+        raise ValueError("delta must lie in (0, 1)")
     t_min = int(np.ceil(theoretical_min_iterations(mdp, n=n, delta=delta)))
     return max(1, min(t_min, cap))
 
@@ -176,7 +177,6 @@ def score_run(
     dataset: OfflineDataset,
     run: FogasRun,
     start: float,
-    mdp_id: str = "mdp",
 ) -> ExperimentRecord:
     """Score a finished run against the oracle.
 
@@ -190,7 +190,6 @@ def score_run(
         mean_sub = mean_iterate_suboptimality(mdp, run, star_eval.return_value)
     cov = build_covariance(dataset, run.config.beta)
     return ExperimentRecord(
-        mdp_id=mdp_id,
         n=len(dataset),
         seed=run.config.seed,
         T=run.config.T,
@@ -208,7 +207,6 @@ def run_group(
     n: int,
     seeds: list[int],
     fogas_spec: dict,
-    mdp_id: str = "mdp",
 ) -> list[tuple[ExperimentRecord, FogasRun] | Exception]:
     """The cells (n, seed) of one sample size, their ascent loops run as one batch.
 
@@ -244,7 +242,7 @@ def run_group(
         # Backdate the start so the record counts collection and the loop share.
         start = time.perf_counter() - collect_s - loop_share
         try:
-            record = score_run(mdp, dataset, run, start, mdp_id=mdp_id)
+            record = score_run(mdp, dataset, run, start)
             results[slot] = (record, run)
         except Exception as e:
             results[slot] = e
@@ -258,19 +256,18 @@ def run_cell(
     n: int,
     seed: int,
     fogas_spec: dict,
-    mdp_id: str = "mdp",
 ) -> tuple[ExperimentRecord, FogasRun]:
     """One (n, seed) cell: collect data, run the solver, score against the oracle.
 
     The one-seed case of ``run_group``; a failure raises.
     """
-    (result,) = run_group(mdp, behavior, sampling_mode, n, [seed], fogas_spec, mdp_id)
+    (result,) = run_group(mdp, behavior, sampling_mode, n, [seed], fogas_spec)
     if isinstance(result, Exception):
         raise result
     return result
 
 
-def run_sweep(config: ExperimentConfig, mdp_id: str = "mdp") -> list[ExperimentRecord]:
+def run_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:
     """Run the full grid in (n, seed) order; failures become per-row error records.
 
     The seeds of one n run as one batch (``run_group``): they share T, which
@@ -281,12 +278,11 @@ def run_sweep(config: ExperimentConfig, mdp_id: str = "mdp") -> list[ExperimentR
     seeds = [int(seed) for seed in config.seeds]
     records = []
     for n in config.n_values:
-        results = run_group(mdp, behavior, config.sampling_mode, int(n), seeds,
-                            config.fogas, mdp_id=mdp_id)
+        results = run_group(mdp, behavior, config.sampling_mode, int(n), seeds, config.fogas)
         for seed, result in zip(seeds, results):
             if isinstance(result, Exception):  # exit code handled by caller
                 records.append(ExperimentRecord(
-                    mdp_id=mdp_id, n=int(n), seed=seed, T=0,
+                    n=int(n), seed=seed, T=0,
                     coverage_ratio=float("nan"), suboptimality=float("nan"),
                     mean_suboptimality=float("nan"), wall_time_ms=0.0,
                     status=f"error:{type(result).__name__}", message=str(result),

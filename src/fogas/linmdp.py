@@ -24,8 +24,9 @@ REWARD_TOL = 1e-10
 OMEGA_NORM_TOL = 1e-8
 RANK_TOL = 1e-8
 PROB_ROW_TOL = 1e-10
-# Work on kernel rows (collection, the nonnegativity check) holds at most about
-# this many bytes of scratch at a time, so it does not grow with n * X or X^2.
+# Work on kernel rows (collection, the nonnegativity check) and on the feature
+# rows (the feature bound) holds at most about this many bytes of scratch at a
+# time, so it does not grow with n * X, X^2 or X * A.
 SAMPLE_CHUNK_BYTES = 4 << 20
 
 
@@ -77,9 +78,11 @@ class LinearMdp:
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "omega", omega)
-        object.__setattr__(
-            self, "feature_bound", float(np.linalg.norm(phi, axis=1).max())
-        )
+        # Row norms in chunks: one call over all of phi would square a copy of it.
+        rows = max(1, SAMPLE_CHUNK_BYTES // (8 * d))
+        object.__setattr__(self, "feature_bound", float(max(
+            np.linalg.norm(phi[lo : lo + rows], axis=1).max() for lo in range(0, X * A, rows)
+        )))
 
     @cached_property
     def rewards(self) -> np.ndarray:

@@ -58,11 +58,12 @@ class FogasConfig:
     beta: float | None = None
     d_theta: float | None = None
     record_trajectory: bool = False
-    check_gradient_bound: bool = False
 
     def __post_init__(self):
         if not isinstance(self.T, (int, np.integer)) or self.T < 1:
             raise ValueError("T must be an integer >= 1")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError("seed must be an integer >= 0")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         for name in ("alpha", "rho", "eta", "beta", "d_theta"):
@@ -76,13 +77,9 @@ class FogasConfig:
         if self.rho is not None and self.rho < 0:
             raise ValueError("rho must be >= 0")
 
-    @property
-    def is_resolved(self) -> bool:
-        return None not in (self.alpha, self.rho, self.eta, self.beta, self.d_theta)
-
     def resolved(self, mdp: LinearMdp, n: int) -> "FogasConfig":
         """Fill unset rates from the theoretical schedule (auto_tune only)."""
-        if self.is_resolved:
+        if None not in (self.alpha, self.rho, self.eta, self.beta, self.d_theta):
             return self
         if not self.auto_tune:
             raise ValueError(
@@ -253,23 +250,16 @@ def lambda_update(
     return (lambda_t + eta * lambda_g) / (1.0 + rho * eta), np.vecdot(g, lambda_g)
 
 
-def _failed_rows(t, grad_bound, g, grad_sq, lam_next, theta_bar, check_gradient_bound) -> dict:
-    """Row -> error for each seed whose iteration t broke the gradient bound
-    (checked first, as the unbatched loop did) or left the finite numbers."""
+def _failed_rows(t, g, lam_next, theta_bar) -> dict:
+    """Row -> error for each seed whose iteration t left the finite numbers."""
     failed = {}
-    if check_gradient_bound:
-        for row in np.flatnonzero(grad_sq > grad_bound):
-            failed[row] = AssertionError(
-                f"gradient norm bound violated at iteration {t}: "
-                f"{grad_sq[row]:.6g} > {grad_bound[row]:.6g}"
-            )
     # One fused test per iteration; a finite sum that overflowed only costs the
     # exact per-seed check below. A non-finite g makes Lambda g, and so
     # lambda_next, non-finite, so g needs no sum of its own.
     if not math.isfinite(lam_next.sum() + theta_bar.sum()):
         for row in range(len(g)):
             finite = [bool(np.all(np.isfinite(a[row]))) for a in (lam_next, theta_bar, g)]
-            if not all(finite) and row not in failed:
+            if not all(finite):
                 failed[row] = FloatingPointError(
                     f"non-finite iterate at iteration {t} "
                     f"(lambda finite: {finite[0]}, theta_bar finite: {finite[1]}, "
@@ -285,20 +275,17 @@ def run_fogas_batch(
     ``datasets[s]``.
 
     Returns one ``FogasRun`` per seed, or the exception that ended that seed:
-    a failure while resolving its config or building its estimator, the
-    ``AssertionError`` of a broken gradient bound, or the ``FloatingPointError``
-    of a non-finite iterate. A seed that fails in the loop is frozen in place;
-    the others run to T. The configs must share T, ``record_trajectory`` and
-    ``check_gradient_bound``; the rates may differ. Each seed's results equal
+    a failure while resolving its config or building its estimator, or the
+    ``FloatingPointError`` of a non-finite iterate. A seed that fails in the
+    loop is frozen in place; the others run to T. The configs must share T and
+    ``record_trajectory``; the rates may differ. Each seed's results equal
     those of its own ``run_fogas`` up to roundoff: the seeds' estimator columns
     are zero-padded to the union of their observed next states.
     """
     if len(datasets) != len(configs) or not configs:
         raise ValueError("need one dataset per config and at least one of each")
-    if len({(c.T, c.record_trajectory, c.check_gradient_bound) for c in configs}) > 1:
-        raise ValueError(
-            "batched configs must share T, record_trajectory and check_gradient_bound"
-        )
+    if len({(c.T, c.record_trajectory) for c in configs}) > 1:
+        raise ValueError("batched configs must share T and record_trajectory")
     results: list = [None] * len(configs)
     prepared = []
     for slot, (dataset, config) in enumerate(zip(datasets, configs)):
@@ -317,15 +304,14 @@ def _ascend(mdp: LinearMdp, prepared: list, results: list) -> None:
 
     Prepared seed i keeps row i of every per-seed array; the rates are (S, 1)
     columns. A seed that fails is frozen at the origin (eta = d_theta = 0,
-    lambda = theta_bar = 0, an infinite gradient bound), so its row stays
-    finite and reports no second error.
+    lambda = theta_bar = 0), so its row stays finite and reports no second
+    error.
     """
     slots, cfgs, psi_hats = zip(*prepared)
     T, S, d, gamma = cfgs[0].T, len(cfgs), mdp.dim, mdp.gamma
 
     alpha, eta, rho, d_theta = (np.array([[getattr(cfg, name)] for cfg in cfgs])
                                 for name in ("alpha", "eta", "rho", "d_theta"))
-    grad_bound = np.array([gradient_norm_bound(c, mdp) + 1e-8 for c in cfgs])
     lambda_mat = np.stack([p.covariance.lambda_mat for p in psi_hats])  # (S, d, d)
     sites, weights = site_weights(mdp.x0, gamma, psi_hats)
     phi_sites = action_major_phi(mdp, sites)  # (A, 1+k, d)
@@ -363,8 +349,7 @@ def _ascend(mdp: LinearMdp, prepared: list, results: list) -> None:
         g = lambda_gradient(mdp.omega, operator, theta)
         lam_next, grad_sq = lambda_update(lam, g, lambda_mat, eta, rho)
 
-        failed = _failed_rows(t, grad_bound, g, grad_sq, lam_next, theta_bar,
-                              cfgs[0].check_gradient_bound)
+        failed = _failed_rows(t, g, lam_next, theta_bar)
         if failed:
             errors.update(failed)
             if len(errors) == S:
@@ -372,7 +357,6 @@ def _ascend(mdp: LinearMdp, prepared: list, results: list) -> None:
             rows = list(failed)
             for frozen in (eta, d_theta, lam_next, theta_bar):
                 frozen[rows] = 0.0
-            grad_bound[rows] = np.inf
 
         if traj is not None:  # values in FogasTrajectory field order
             for buf, value in zip(traj.values(), (lam, theta, theta_bar, phimu, g, grad_sq)):

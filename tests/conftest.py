@@ -176,9 +176,8 @@ def reference_ascend(mdp, dataset, config, follow=None):
     Per iteration: the softmax features at x0 and the observed next states,
     mu-hat features as (1-gamma) f_x0 + gamma (lambda^T C) F_next, the best
     response, the gradient from v at the next states, g^T Lambda g, and the
-    lambda step with Lambda g formed again. A broken checked gradient bound
-    raises ``AssertionError`` and a non-finite iterate ``FloatingPointError``,
-    with the messages of ``run_fogas_batch``.
+    lambda step with Lambda g formed again. A non-finite iterate raises the
+    ``FloatingPointError`` of ``run_fogas_batch``, with its message.
 
     With ``follow``, a recorded trajectory, iteration t > 1 starts from its
     lambda_t and theta_bar_{t-1} instead of the reference's own, so each
@@ -190,7 +189,6 @@ def reference_ascend(mdp, dataset, config, follow=None):
     psi_hat = estimate_psi(dataset, cfg.beta)
     C, lambda_mat, gamma = psi_hat.columns, psi_hat.covariance.lambda_mat, mdp.gamma
     phi_sites = mdp.phi_by_state[np.concatenate(([mdp.x0], psi_hat.observed_states))]
-    bound = solver.gradient_norm_bound(cfg, mdp) + 1e-8
     J = int(np.random.default_rng(cfg.seed).integers(1, cfg.T + 1))
     lam = theta_bar = np.zeros(mdp.dim)
     record = {f.name: [] for f in fields(FogasTrajectory)}
@@ -208,9 +206,6 @@ def reference_ascend(mdp, dataset, config, follow=None):
         g = mdp.omega + gamma * C @ (features[1:] @ theta) - theta
         grad_sq = g @ (lambda_mat @ g)
         lam_next = (lam_t + cfg.eta * (lambda_mat @ g)) / (1.0 + cfg.rho * cfg.eta)
-        if cfg.check_gradient_bound and grad_sq > bound:
-            raise AssertionError(f"gradient norm bound violated at iteration {t}: "
-                                 f"{grad_sq:.6g} > {bound:.6g}")
         finite = [bool(np.all(np.isfinite(a))) for a in (lam_next, theta_bar, g)]
         if not all(finite):
             raise FloatingPointError(

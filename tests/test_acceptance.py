@@ -134,7 +134,7 @@ def test_a7_closed_form_updates():
     for _ in range(100):
         A = rng.normal(size=(2, 2))
         mat = A @ A.T + 0.3 * np.eye(2)
-        cov = Covariance(beta=0.3, lambda_mat=0.5 * (mat + mat.T), n=10)
+        cov = Covariance(beta=0.3, lambda_mat=0.5 * (mat + mat.T))
         inv = np.linalg.inv(cov.lambda_mat)
         lam_t = rng.normal(size=2)
         g = rng.normal(size=2)

@@ -227,14 +227,14 @@ class TestCovariance:
         with pytest.raises(ValueError):
             build_covariance(default_dataset, beta=0.0)
         with pytest.raises(ValueError):
-            Covariance(beta=-1.0, lambda_mat=np.eye(2), n=1)
+            Covariance(beta=-1.0, lambda_mat=np.eye(2))
 
     def test_not_positive_definite_rejected(self):
-        cov = Covariance(beta=1.0, lambda_mat=np.array([[1.0, 2.0], [2.0, 1.0]]), n=1)
+        cov = Covariance(beta=1.0, lambda_mat=np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(ValueError, match="positive definite"):
             cov.solve(np.ones(2))
         with pytest.raises(ValueError, match="finite"):
-            Covariance(beta=1.0, lambda_mat=np.diag([np.nan, 1.0]), n=1)
+            Covariance(beta=1.0, lambda_mat=np.diag([np.nan, 1.0]))
 
     def test_solve_many_columns(self, default_dataset):
         cov = build_covariance(default_dataset, beta=0.05)

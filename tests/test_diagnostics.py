@@ -119,8 +119,8 @@ class TestPlayerRegrets:
         run = run_fogas(default_mdp, default_dataset,
                         FogasConfig(T=1, seed=0, auto_tune=True,
                                     record_trajectory=True))
-        comp = build_comparators(default_mdp, run.trajectory, run.config.alpha,
-                                 pi_star=fogas.uniform_policy(5, 3))
+        comp = replace(build_comparators(default_mdp, run.trajectory, run.config.alpha),
+                       pi_star=fogas.uniform_policy(5, 3))
         r_pi, _, _ = player_regrets(default_mdp, run.trajectory, comp)
         assert abs(r_pi) <= 1e-12  # pi_1 is uniform, comparator is uniform
 
@@ -376,14 +376,13 @@ class TestScoreIterates:
         mdp = fogas.generate_linear_mdp(100, 4, 8, 0.9, 0)
         ds = collect_dataset(mdp, fogas.uniform_policy(100, 4), n=2000,
                              sampling_mode="uniform", seed=0)
-        pi_star, _ = solve_optimal(mdp)
         peaks = {}
         for T in (500, 2000, 4000):
             run = run_fogas(mdp, ds, FogasConfig(T=T, seed=0, auto_tune=True,
                                                  record_trajectory=True))
             tracemalloc.start()
             try:
-                duality_gap_report(run, mdp, ds, pi_star=pi_star)
+                duality_gap_report(run, mdp, ds)
                 peaks[T] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

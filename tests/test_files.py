@@ -24,12 +24,15 @@ OLD_TEXT = {
     "run": json.dumps({"config": {"T": 50}, "chosen_index": 1}) + "\n",
 }
 # Per kind: an entry to drop, an index to store as float, an entry to give the
-# wrong shape, a float entry to set NaN in and an entry to store as objects.
+# wrong shape, a float entry to set NaN in, an entry to store as objects and an
+# entry to add. The run file's extra entry is one that earlier versions wrote.
 ENTRIES = {
-    "mdp": dict(missing="psi", index="x0", shape="omega", nan="psi", objects="phi"),
-    "dataset": dict(missing="x_next", index="a", shape="x_next", nan="r", objects="x"),
+    "mdp": dict(missing="psi", index="x0", shape="omega", nan="psi", objects="phi",
+                extra="rewards"),
+    "dataset": dict(missing="x_next", index="a", shape="x_next", nan="r", objects="x",
+                    extra="features"),
     "run": dict(missing="output_param", index="chosen_index", shape="lambda_final",
-                nan="theta_bars", objects="lambdas"),
+                nan="theta_bars", objects="lambdas", extra="config.check_gradient_bound"),
 }
 
 
@@ -55,6 +58,8 @@ CORRUPTIONS = {
     "object-array": lambda path, kind: edit_archive(
         path, lambda e: e.update({ENTRIES[kind]["objects"]:
                                   e[ENTRIES[kind]["objects"]].astype(object)})),
+    "extra-entry": lambda path, kind: edit_archive(
+        path, lambda e: e.update({ENTRIES[kind]["extra"]: np.array(False)})),
 }
 
 
@@ -63,7 +68,7 @@ REASONS = {
     "text": "not a fogas-", "truncated": "not a zip file", "wrong-kind": "kind entry is",
     "missing-entry": "lacks the entry", "float-index": "has dtype float64, expected int64",
     "wrong-shape": "shape|same length", "nan": "is not finite",
-    "object-array": "Object arrays cannot be loaded",
+    "object-array": "Object arrays cannot be loaded", "extra-entry": "unexpected entries",
 }
 
 

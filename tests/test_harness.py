@@ -46,8 +46,9 @@ class TestExperimentConfig:
                 harness.ExperimentConfig.from_json(path)
 
     def test_empty_seeds_rejected(self):
-        # Non-integer seeds are rejected too, never truncated.
-        for seeds in ((), (1.5,), (True,), (0, 1.0)):
+        # Non-integer seeds are rejected too, never truncated, and so are
+        # negative ones, which numpy's generators refuse.
+        for seeds in ((), (1.5,), (True,), (0, 1.0), (0, -1)):
             with pytest.raises(ValueError, match="seeds"):
                 harness.ExperimentConfig(mdp={"path": "x"}, seeds=seeds)
 
@@ -124,7 +125,7 @@ class TestSweep:
 
     def test_reproducible_modulo_timing(self):
         def strip_timing(records):
-            return [(r.mdp_id, r.n, r.seed, r.T, r.coverage_ratio,
+            return [(r.n, r.seed, r.T, r.coverage_ratio,
                      r.suboptimality, r.mean_suboptimality, r.status)
                     for r in records]
         a = harness.run_sweep(self.make_config())
@@ -141,8 +142,8 @@ class TestSweep:
         beh = harness.behavior_policy(mdp, config.behavior)
         cells = [harness.run_cell(mdp, beh, config.sampling_mode, n, seed, config.fogas)[0]
                  for n in config.n_values for seed in config.seeds]
-        assert [(r.mdp_id, r.n, r.seed, r.T, r.status) for r in records] == \
-            [(r.mdp_id, r.n, r.seed, r.T, r.status) for r in cells]
+        assert [(r.n, r.seed, r.T, r.status) for r in records] == \
+            [(r.n, r.seed, r.T, r.status) for r in cells]
         for name in ("coverage_ratio", "suboptimality", "mean_suboptimality"):
             got = np.array([getattr(r, name) for r in records])
             want = np.array([getattr(r, name) for r in cells])
@@ -266,6 +267,15 @@ class TestCli:
         assert "n must be" in capsys.readouterr().err
         assert not data_path.exists()
 
+    def test_collect_bad_seed(self, tmp_path, capsys):
+        mdp_path = self.generate(tmp_path)
+        data_path = tmp_path / "d.npz"
+        code = cli_main(["collect", "--mdp", str(mdp_path), "--n", "16", "--seed", "-1",
+                         "--out", str(data_path)])
+        assert code == 2
+        assert "--seed must be" in capsys.readouterr().err
+        assert not data_path.exists()
+
     def pipeline(self, tmp_path, extra_solve_args=()):
         mdp_path = self.generate(tmp_path)
         data_path = tmp_path / "d.npz"
@@ -357,6 +367,26 @@ class TestCli:
         assert "T must be" in capsys.readouterr().err
         assert not run_path.exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (("--auto-tune", "--T", "20", "--delta", "2"), "delta must lie in (0, 1)"),
+        # Without --T, the auto-tuned T divides by log(1/delta).
+        (("--auto-tune", "--delta", "0"), "delta must lie in (0, 1)"),
+        (("--auto-tune", "--delta", "1"), "delta must lie in (0, 1)"),
+        (("--auto-tune", "--T", "20", "--d-theta", "-1"), "d_theta must be positive"),
+        (("--rates", "0.1,0.1,-1,0.1", "--T", "20"), "eta must be positive"),
+        (("--auto-tune", "--T", "20", "--seed", "-3"), "seed must be an integer >= 0"),
+    ], ids=["delta-2", "delta-0-auto-T", "delta-1-auto-T", "d-theta", "rates", "seed"])
+    def test_solve_flag_out_of_range(self, tmp_path, capsys, args, message):
+        mdp_path = self.generate(tmp_path)
+        data_path = tmp_path / "d.npz"
+        cli_main(["collect", "--mdp", str(mdp_path), "--n", "16", "--out", str(data_path)])
+        run_path = tmp_path / "run.npz"
+        code = cli_main(["solve", "--mdp", str(mdp_path), "--data", str(data_path), *args,
+                         "--out", str(run_path)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not run_path.exists()
+
     def test_solve_requires_rates_or_auto(self, tmp_path, capsys):
         mdp_path = self.generate(tmp_path)
         data_path = tmp_path / "d.npz"
@@ -397,7 +427,8 @@ class TestCli:
         out = tmp_path / "results.csv"
         for grid, message in (({"n_values": []}, "n_values list must be nonempty"),
                               ({"n_values": [64.9]}, "n values must be integers"),
-                              ({"seeds": [1.5]}, "seeds must be integers")):
+                              ({"seeds": [1.5]}, "seeds must be integers"),
+                              ({"seeds": [0, -1]}, "seeds must be integers >= 0")):
             cfg_path.write_text(json.dumps({"mdp": mdp, **grid}))
             assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
             assert message in capsys.readouterr().err

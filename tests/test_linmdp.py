@@ -1,5 +1,7 @@
 """Environment types, generator validity, and softmax policy machinery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,34 @@ class TestGenerator:
         norms = np.linalg.norm(default_mdp.phi, axis=1)
         assert default_mdp.feature_bound == norms.max()
         assert default_mdp.feature_bound <= 1.0  # simplex rows
+
+    @pytest.mark.parametrize("rows_per_chunk", [1, 7, 64])
+    def test_feature_bound_chunked_bit_identical(self, rows_per_chunk, monkeypatch):
+        """The bound taken over chunks of rows equals one norm over all of phi,
+        bit for bit, whichever chunk holds the longest row."""
+        rng = np.random.default_rng(3)
+        phi = rng.normal(size=(300 * 3, 5)) * rng.uniform(0.1, 10.0, size=(900, 1))
+        monkeypatch.setattr(fogas.linmdp, "SAMPLE_CHUNK_BYTES", 8 * 5 * rows_per_chunk)
+        mdp = fogas.LinearMdp(num_states=300, num_actions=3, dim=5, phi=phi,
+                              psi=np.full((5, 300), 1 / 300), omega=np.zeros(5),
+                              gamma=0.9, x0=0)
+        assert mdp.feature_bound == np.linalg.norm(phi, axis=1).max()
+
+    def test_feature_bound_scratch_is_bounded(self):
+        """At X=1e5, A=4, d=8 (phi is 24.4 MiB) the constructor's tracemalloc
+        peak stays below 2 * SAMPLE_CHUNK_BYTES = 8 MiB; the squares of all of
+        phi at once took 30.5 MiB."""
+        X, A, d = 100_000, 4, 8
+        phi = np.random.default_rng(0).random((X * A, d))
+        psi, omega = np.full((d, X), 1.0 / X), np.zeros(d)
+        tracemalloc.start()
+        try:
+            fogas.LinearMdp(num_states=X, num_actions=A, dim=d, phi=phi, psi=psi,
+                            omega=omega, gamma=0.9, x0=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * fogas.linmdp.SAMPLE_CHUNK_BYTES
 
     def test_dim_preconditions(self):
         with pytest.raises(ValueError):

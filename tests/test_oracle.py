@@ -210,7 +210,9 @@ class TestSolveOptimal:
             solve_optimal(mdp)
 
     def test_non_contracting_kernel_raises(self):
-        # p(x|x) = 1.5: value iteration diverges instead of converging.
+        # p(x|x) = 1.5 is not a distribution: the policy's normalized return,
+        # -0.143, leaves [min r, max r] = [0.5, 0.5], which policy iteration
+        # reports instead of returning.
         mdp = fogas.LinearMdp(
             num_states=1, num_actions=1, dim=1,
             phi=np.ones((1, 1)), psi=np.full((1, 1), 1.5),
@@ -221,7 +223,7 @@ class TestSolveOptimal:
 
 
 def coverage_ratio(lambda_star, mat):
-    return Covariance(beta=1.0, lambda_mat=mat, n=1).weighted_sq_norm(lambda_star)
+    return Covariance(beta=1.0, lambda_mat=mat).weighted_sq_norm(lambda_star)
 
 
 class TestCoverageRatio:
