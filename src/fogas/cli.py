@@ -74,6 +74,9 @@ def _cmd_generate(args) -> int:
     if args.states < 1 or args.actions < 1:
         print("states and actions must be ≥ 1", file=sys.stderr)
         return 2
+    if args.seed < 0:
+        print("--seed must be ≥ 0", file=sys.stderr)
+        return 2
     try:
         mdp = linmdp.generate_linear_mdp(
             args.states, args.actions, args.dim, args.gamma, args.seed

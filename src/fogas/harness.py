@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -55,6 +56,13 @@ class ExperimentConfig:
                 raise ValueError(
                     f"mdp config needs a path or the generator keys; missing {missing}"
                 )
+            for key, low in (("states", 1), ("actions", 1), ("dim", 1), ("seed", 0)):
+                value = self.mdp.get(key, 0)
+                if not _is_int(value) or value < low:
+                    raise ValueError(f"mdp {key} must be an integer >= {low}, got {value!r}")
+            gamma = self.mdp["gamma"]
+            if isinstance(gamma, bool) or not isinstance(gamma, Real) or not 0.0 < gamma < 1.0:
+                raise ValueError(f"mdp gamma must lie in (0, 1), got {gamma!r}")
         if len(self.seeds) == 0:
             raise ValueError("seeds list must be nonempty")
         if not all(_is_int(seed) and seed >= 0 for seed in self.seeds):
@@ -82,11 +90,11 @@ class ExperimentConfig:
         if "path" in self.mdp:
             return load_mdp(self.mdp["path"])
         return generate_linear_mdp(
-            num_states=int(self.mdp["states"]),
-            num_actions=int(self.mdp["actions"]),
-            dim=int(self.mdp["dim"]),
+            num_states=self.mdp["states"],
+            num_actions=self.mdp["actions"],
+            dim=self.mdp["dim"],
             gamma=float(self.mdp["gamma"]),
-            seed=int(self.mdp.get("seed", 0)),
+            seed=self.mdp.get("seed", 0),
         )
 
 

@@ -36,6 +36,8 @@ from .linmdp import (
 )
 
 BEST_RESPONSE_TIE_TOL = 1e-14
+# Logits within 700 - ln A of zero need no max-shift: exp overflows past 709.78.
+SOFTMAX_LOGIT_LIMIT = 700.0
 
 
 @dataclass(frozen=True)
@@ -170,28 +172,29 @@ class FogasRun:
     trajectory: FogasTrajectory | None
 
 
-def best_response_theta(g: np.ndarray, d_theta) -> np.ndarray:
+def best_response_theta(g: np.ndarray, d_theta, out=None) -> np.ndarray:
     """Minimizer of <theta, g> over the ball of radius d_theta, per row of g.
 
     ``g`` has shape (..., d) and ``d_theta`` broadcasts against (..., 1). A row
     with a tie (g numerically zero) gets the origin, which leaves its
-    cumulative policy parameter, and hence its policy, unchanged.
+    cumulative policy parameter, and hence its policy, unchanged. ``out`` may be ``g``.
     """
-    g = np.asarray(g, dtype=np.float64)
     norm = np.sqrt(np.vecdot(g, g))[..., None]
     # Dividing by infinity sends a tied row to the origin.
-    return g * (-d_theta / np.where(norm > BEST_RESPONSE_TIE_TOL, norm, np.inf))
+    return np.multiply(g, -d_theta / np.where(norm > BEST_RESPONSE_TIE_TOL, norm, np.inf),
+                       out=out)
 
 
 def site_weights(x0: int, gamma: float, psi_hats: list[PsiHat]) -> tuple[np.ndarray, np.ndarray]:
     """The sites, x0 then the union of the observed next states, and the
     weights (S, d+1, 1+k): rows 0..d-1 of row s are gamma times the columns of
     ``psi_hats[s]``, zero at x0 and at next states it did not observe, so the
-    sites stay one array for every seed; row d picks out x0.
+    sites stay one array for every seed; row d is 1-gamma at x0, the weight
+    of f_x0 in mu-hat's features.
     """
     union = np.unique(np.concatenate([p.observed_states for p in psi_hats]))
     weights = np.zeros((len(psi_hats), psi_hats[0].dim + 1, 1 + len(union)))
-    weights[:, -1, 0] = 1.0
+    weights[:, -1, 0] = 1.0 - gamma
     for row, psi_hat in enumerate(psi_hats):
         weights[row][:-1, 1 + np.searchsorted(union, psi_hat.observed_states)] = \
             gamma * psi_hat.columns
@@ -199,73 +202,73 @@ def site_weights(x0: int, gamma: float, psi_hats: list[PsiHat]) -> tuple[np.ndar
 
 
 def occupancy_operator(
-    weights: np.ndarray, probs: np.ndarray, phi_sites: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """f_x0 = sum_a pi(a|x0) phi(x0,a), shape (..., d), and the operator
-    M = gamma C F_pi, shape (..., d, d).
+    weights: np.ndarray, probs: np.ndarray, phi_sites: np.ndarray, out=None, scratch=None
+) -> np.ndarray:
+    """The block [M; (1-gamma) f_x0^T], shape (..., d+1, d), of the operator
+    M = gamma C F_pi and f_x0 = sum_a pi(a|x0) phi(x0,a).
 
     ``probs`` (..., A, m) is pi at the sites, ``phi_sites`` (A, m, d) their
     action-major features and ``weights`` (..., d+1, m) from ``site_weights``.
     F_pi (row j: sum_a pi(a|x_j) phi(x_j,a)) is one contraction over the
-    actions, and [M; f_x0^T] = weights F_pi one GEMM per seed.
+    actions, into ``scratch`` (..., m, d), and the block weights F_pi one GEMM
+    per seed.
     """
-    out = weights @ np.einsum("...am,amd->...md", probs, phi_sites)
-    return out[..., -1, :], out[..., :-1, :]
+    f_pi = np.einsum("...am,amd->...md", probs, phi_sites, out=scratch)
+    return np.matmul(weights, f_pi, out=out)
 
 
 def mu_hat_features(
-    gamma: float, features_x0: np.ndarray, operator: np.ndarray, lam: np.ndarray
+    lam: np.ndarray, operator: np.ndarray, x0_term: np.ndarray, out=None
 ) -> np.ndarray:
     """Feature expectation of the estimated occupancy mu-hat at (lambda, pi):
-    (1-gamma) f_x0 + lambda^T M, with (f_x0, M) from ``occupancy_operator``.
+    lambda^T M + (1-gamma) f_x0, where ``operator`` M is the first d rows of
+    ``occupancy_operator``'s block and ``x0_term`` its last.
 
-    Every argument may carry a leading seed axis: ``operator`` (S, d, d), the
-    rest (S, d).
+    With a leading seed axis, ``operator`` is (S, d, d) and the rest (S, d).
     """
-    return (1.0 - gamma) * features_x0 + np.vecmat(lam, operator)
+    return np.add(np.vecmat(lam, operator, out=out), x0_term, out=out)
 
 
-def lambda_gradient(omega: np.ndarray, operator: np.ndarray, theta: np.ndarray) -> np.ndarray:
+def lambda_gradient(
+    omega: np.ndarray, operator: np.ndarray, theta: np.ndarray, out=None
+) -> np.ndarray:
     """omega + gamma * PsiHat v - theta = omega + M theta - theta, the ascent
     direction for lambda, where v = v_{theta, pi} and M = gamma C F_pi.
 
     With a leading seed axis, ``operator`` is (S, d, d) and ``theta`` (S, d).
     """
-    return omega + np.matvec(operator, theta) - theta
+    g = np.matvec(operator, theta, out=out)
+    return np.subtract(np.add(g, omega, out=g), theta, out=g)
 
 
 def lambda_update(
-    lambda_t: np.ndarray, g: np.ndarray, lambda_mat: np.ndarray, eta, rho
+    lambda_t: np.ndarray, g: np.ndarray, lambda_mat: np.ndarray, eta, contraction,
+    out=(None, None),
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Closed form of the stabilized, preconditioned mirror ascent step, and
-    g^T Lambda g, both from one product Lambda g.
+    """Closed form of the stabilized, preconditioned mirror ascent step,
+    (lambda_t + eta Lambda g) * contraction with contraction = 1/(1 + rho eta),
+    and g^T Lambda g, both from one product Lambda g.
 
     The step is the exact argmax of <lambda, g> - ||lambda - lambda_t||^2_{Lambda^{-1}}/(2 eta)
     - rho/2 * ||lambda||^2_{Lambda^{-1}}; it needs eta > 0 and rho >= 0,
     which ``FogasConfig`` checks. ``lambda_mat`` is Lambda, (d, d); with a
     leading seed axis it is (S, d, d), ``lambda_t`` and ``g`` are (S, d), and
-    ``eta`` and ``rho`` broadcast against (S, 1).
+    ``eta`` and ``contraction`` broadcast against (S, d). ``out`` holds an
+    array or None for each result.
     """
     lambda_g = np.matvec(lambda_mat, g)
-    return (lambda_t + eta * lambda_g) / (1.0 + rho * eta), np.vecdot(g, lambda_g)
+    grad_sq = np.vecdot(g, lambda_g, out=out[1])
+    lam_next = np.add(lambda_t, np.multiply(lambda_g, eta, out=lambda_g), out=out[0])
+    return np.multiply(lam_next, contraction, out=lam_next), grad_sq
 
 
 def _failed_rows(t, g, lam_next, theta_bar) -> dict:
     """Row -> error for each seed whose iteration t left the finite numbers."""
-    failed = {}
-    # One fused test per iteration; a finite sum that overflowed only costs the
-    # exact per-seed check below. A non-finite g makes Lambda g, and so
-    # lambda_next, non-finite, so g needs no sum of its own.
-    if not math.isfinite(lam_next.sum() + theta_bar.sum()):
-        for row in range(len(g)):
-            finite = [bool(np.all(np.isfinite(a[row]))) for a in (lam_next, theta_bar, g)]
-            if not all(finite):
-                failed[row] = FloatingPointError(
-                    f"non-finite iterate at iteration {t} "
-                    f"(lambda finite: {finite[0]}, theta_bar finite: {finite[1]}, "
-                    f"gradient finite: {finite[2]})"
-                )
-    return failed
+    finite = np.isfinite([lam_next, theta_bar, g]).all(axis=-1).T.tolist()  # (S, 3)
+    return {row: FloatingPointError(
+        f"non-finite iterate at iteration {t} (lambda finite: {f[0]}, "
+        f"theta_bar finite: {f[1]}, gradient finite: {f[2]})"
+    ) for row, f in enumerate(finite) if not all(f)}
 
 
 def run_fogas_batch(
@@ -302,19 +305,26 @@ def run_fogas_batch(
 def _ascend(mdp: LinearMdp, prepared: list, results: list) -> None:
     """The ascent loop over the prepared seeds; fills their slots of ``results``.
 
-    Prepared seed i keeps row i of every per-seed array; the rates are (S, 1)
-    columns. A seed that fails is frozen at the origin (eta = d_theta = 0,
-    lambda = theta_bar = 0), so its row stays finite and reports no second
-    error.
+    Prepared seed i keeps row i of every per-seed array, each allocated once,
+    before the loop. A seed that fails is frozen at the origin (zero step
+    sizes, lambda = theta_bar = 0), so its row stays finite and reports no
+    second error.
     """
     slots, cfgs, psi_hats = zip(*prepared)
-    T, S, d, gamma = cfgs[0].T, len(cfgs), mdp.dim, mdp.gamma
+    T, S, d = cfgs[0].T, len(cfgs), mdp.dim
 
-    alpha, eta, rho, d_theta = (np.array([[getattr(cfg, name)] for cfg in cfgs])
+    # Per-seed rates as full (S, d) rows: numpy multiplies equal shapes faster
+    # than it broadcasts a column.
+    alpha, eta, rho, d_theta = (np.array([[getattr(cfg, name)] * d for cfg in cfgs])
                                 for name in ("alpha", "eta", "rho", "d_theta"))
+    contraction, omega = 1.0 / (1.0 + rho * eta), np.tile(mdp.omega, (S, 1))
     lambda_mat = np.stack([p.covariance.lambda_mat for p in psi_hats])  # (S, d, d)
-    sites, weights = site_weights(mdp.x0, gamma, psi_hats)
-    phi_sites = action_major_phi(mdp, sites)  # (A, 1+k, d)
+    sites, weights = site_weights(mdp.x0, mdp.gamma, psi_hats)
+    phi_sites = action_major_phi(mdp, sites)  # (A, m, d), m = 1+k sites
+    A, m = phi_sites.shape[:2]
+    # alpha (t-1) d_theta R bounds every logit: no max-shift while it is in bounds.
+    growth = mdp.feature_bound * float(np.max(alpha * d_theta))
+    unshifted_steps = (SOFTMAX_LOGIT_LIMIT - math.log(A)) / growth if growth else math.inf
 
     chosen = [int(np.random.default_rng(c.seed).integers(1, T + 1)) for c in cfgs]
     draws: dict[int, list] = {}
@@ -322,47 +332,59 @@ def _ascend(mdp: LinearMdp, prepared: list, results: list) -> None:
         draws.setdefault(J, []).append(row)
     output_params = np.empty((S, d))
 
+    state = np.zeros((3, S, d))  # lambda_t, lambda_{t+1} and theta_bar, for one finite test
+    lam, lam_next, theta_bar = state
+    theta, phimu, g, scaled, grad_sq, logits, f_pi = (
+        np.empty(shape) for shape in [(S, d)] * 4 + [S, (S, A * m), (S, m, d)])
+    # The block [M; (1-gamma) f_x0^T] row-major, so each of its rows, x0_term
+    # among them, is one contiguous (S, d) array across the seeds.
+    block = np.empty((d + 1, S, d)).transpose(1, 0, 2)
+    operator, x0_term = block[:, :d], block[:, d]
     traj = None
     if cfgs[0].record_trajectory:  # (S, T, d): each seed's record is a contiguous view
         traj = {f.name: np.empty((S, T, d)) for f in fields(FogasTrajectory)}
         traj["grad_sq_norms"] = np.empty((S, T))
-
     errors = {}  # row -> the error that ended its seed
-    lam = np.zeros((S, d))
-    theta_bar = np.zeros_like(lam)
 
-    for t in range(1, T + 1):
-        scaled = alpha * theta_bar  # the policies in force at iteration t
-        for row in draws.get(t, ()):
-            output_params[row] = scaled[row]
-        probs = action_major_softmax(phi_sites, scaled)  # (S, A, 1+k)
-        features_x0, operator = occupancy_operator(weights, probs, phi_sites)
+    # A non-finite iterate is reported below, so numpy's warnings would repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, T + 1):
+            np.multiply(alpha, theta_bar, out=scaled)  # the policies in force at iteration t
+            for row in draws.get(t, ()):
+                output_params[row] = scaled[row]
+            probs = action_major_softmax(phi_sites, scaled, out=logits,
+                                         shift=t - 1 > unshifted_steps)  # (S, A, m)
+            occupancy_operator(weights, probs, phi_sites, out=block, scratch=f_pi)
 
-        # Value-parameter step: best response to the estimated feature occupancy.
-        phimu = mu_hat_features(gamma, features_x0, operator, lam)
-        theta = best_response_theta(phimu - lam, d_theta)
+            # Value-parameter step: best response to the estimated feature occupancy.
+            mu_hat_features(lam, operator, x0_term, out=phimu)
+            best_response_theta(np.subtract(phimu, lam, out=theta), d_theta, out=theta)
 
-        # Policy step in cumulative form.
-        theta_bar = theta_bar + theta
+            # Policy step in cumulative form.
+            theta_bar += theta
 
-        # Feature-occupancy step.
-        g = lambda_gradient(mdp.omega, operator, theta)
-        lam_next, grad_sq = lambda_update(lam, g, lambda_mat, eta, rho)
+            # Feature-occupancy step.
+            lambda_gradient(omega, operator, theta, out=g)
+            lambda_update(lam, g, lambda_mat, eta, contraction, out=(lam_next, grad_sq))
 
-        failed = _failed_rows(t, g, lam_next, theta_bar)
-        if failed:
-            errors.update(failed)
-            if len(errors) == S:
-                break
-            rows = list(failed)
-            for frozen in (eta, d_theta, lam_next, theta_bar):
-                frozen[rows] = 0.0
+            # One fused test per iteration; a finite sum that overflowed only
+            # costs the exact per-seed check. A non-finite g makes Lambda g, and
+            # so lambda_next, non-finite, so g needs no sum of its own.
+            if not math.isfinite(np.add.reduce(state, axis=None)):
+                failed = _failed_rows(t, g, lam_next, theta_bar)
+                errors.update(failed)
+                if len(errors) == S:
+                    break
+                rows = list(failed)
+                for frozen in (eta, contraction, d_theta, lam_next, theta_bar):
+                    frozen[rows] = 0.0
 
-        if traj is not None:  # values in FogasTrajectory field order
-            for buf, value in zip(traj.values(), (lam, theta, theta_bar, phimu, g, grad_sq)):
-                buf[:, t - 1] = value
-        lam = lam_next
+            if traj is not None:  # values in FogasTrajectory field order
+                for buf, value in zip(traj.values(), (lam, theta, theta_bar, phimu, g, grad_sq)):
+                    buf[:, t - 1] = value
+            lam, lam_next = lam_next, lam
 
+    del probs, logits, f_pi  # before the output policies' (X, A) tables
     for row, slot in enumerate(slots):
         if row in errors:
             results[slot] = errors[row]

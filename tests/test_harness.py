@@ -57,6 +57,18 @@ class TestExperimentConfig:
             with pytest.raises(ValueError, match="n_values|n values"):
                 harness.ExperimentConfig(mdp={"path": "x"}, n_values=n_values)
 
+    @pytest.mark.parametrize("key, value", [
+        ("states", 0), ("states", 5.0), ("actions", True), ("dim", -2), ("dim", "4"),
+        ("seed", -1), ("seed", 1.7), ("gamma", 1.0), ("gamma", 0.0), ("gamma", float("nan")),
+        ("gamma", "0.9"), ("gamma", True),
+    ])
+    def test_bad_generator_params_rejected(self, key, value):
+        """Each generator value out of range or of the wrong type is named:
+        a float seed is never truncated to another generator seed."""
+        mdp = {"states": 5, "actions": 3, "dim": 4, "gamma": 0.9, key: value}
+        with pytest.raises(ValueError, match=f"mdp {key} must"):
+            harness.ExperimentConfig(mdp=mdp)
+
     def test_generator_params(self):
         cfg = harness.ExperimentConfig(
             mdp={"states": 5, "actions": 3, "dim": 4, "gamma": 0.9, "seed": 2})
@@ -213,6 +225,12 @@ class TestCli:
                       "--dim", "4", "--gamma", "0.9", "--seed", "1",
                       "--out", str(p)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_generate_negative_seed(self, tmp_path, capsys):
+        code = cli_main(["generate", "--states", "5", "--actions", "3", "--dim", "4",
+                         "--gamma", "0.9", "--seed", "-1", "--out", str(tmp_path / "m.npz")])
+        assert code == 2
+        assert "--seed must be" in capsys.readouterr().err
 
     def test_generate_bad_dim(self, tmp_path, capsys):
         code = cli_main(["generate", "--states", "5", "--actions", "3",
@@ -428,7 +446,9 @@ class TestCli:
         for grid, message in (({"n_values": []}, "n_values list must be nonempty"),
                               ({"n_values": [64.9]}, "n values must be integers"),
                               ({"seeds": [1.5]}, "seeds must be integers"),
-                              ({"seeds": [0, -1]}, "seeds must be integers >= 0")):
+                              ({"seeds": [0, -1]}, "seeds must be integers >= 0"),
+                              ({"mdp": {**mdp, "seed": -1}}, "mdp seed must be an integer"),
+                              ({"mdp": {**mdp, "gamma": 1.5}}, "mdp gamma must lie in")):
             cfg_path.write_text(json.dumps({"mdp": mdp, **grid}))
             assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
             assert message in capsys.readouterr().err

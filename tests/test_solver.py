@@ -118,7 +118,8 @@ class TestBestResponse:
 class TestLambdaUpdate:
     def test_zero_everything(self, default_dataset):
         cov = build_covariance(default_dataset, beta=0.1)
-        out, grad_sq = lambda_update(np.zeros(4), np.zeros(4), cov.lambda_mat, eta=1.0, rho=1.0)
+        out, grad_sq = lambda_update(np.zeros(4), np.zeros(4), cov.lambda_mat, eta=1.0,
+                                      contraction=0.5)
         assert np.all(out == 0.0)
         assert grad_sq == 0.0
 
@@ -126,7 +127,7 @@ class TestLambdaUpdate:
         from fogas.data import Covariance
         cov = Covariance(beta=1.0, lambda_mat=np.eye(2))
         out, grad_sq = lambda_update(np.array([1.0, 0.0]), np.array([1.0, 1.0]),
-                                     cov.lambda_mat, eta=1.0, rho=1.0)
+                                     cov.lambda_mat, eta=1.0, contraction=0.5)
         assert np.allclose(out, [1.0, 0.5], atol=1e-15)
         assert grad_sq == 2.0
 
@@ -138,7 +139,7 @@ class TestLambdaUpdate:
             g = rng.normal(size=4)
             eta = float(rng.uniform(0.01, 2.0))
             rho = float(rng.uniform(0.0, 2.0))
-            lam_next, _ = lambda_update(lam_t, g, cov.lambda_mat, eta, rho)
+            lam_next, _ = lambda_update(lam_t, g, cov.lambda_mat, eta, 1.0 / (1.0 + rho * eta))
             foc = -g + cov.solve(lam_next - lam_t) / eta + rho * cov.solve(lam_next)
             assert np.abs(foc).max() <= 1e-9
 
@@ -163,7 +164,7 @@ class TestLambdaUpdate:
                 return -(lam @ g - d @ inv @ d / (2 * eta)
                          - rho * (lam @ inv @ lam) / 2.0)
 
-            closed, _ = lambda_update(lam_t, g, cov.lambda_mat, eta, rho)
+            closed, _ = lambda_update(lam_t, g, cov.lambda_mat, eta, 1.0 / (1.0 + rho * eta))
             res = minimize(neg_objective, lam_t, method="Nelder-Mead",
                            options={"xatol": 1e-10, "fatol": 1e-14,
                                     "maxiter": 10_000})
@@ -171,18 +172,19 @@ class TestLambdaUpdate:
 
 
 def site_operator(mdp, psi_hat, probs, gamma=0.9):
-    """(f_x0, M) of a policy table, through the loop's helpers on the sites of
-    one estimator."""
+    """(M, (1-gamma) f_x0) of a policy table, through the loop's helpers on the
+    sites of one estimator."""
     sites, weights = site_weights(mdp.x0, gamma, [psi_hat])
-    return occupancy_operator(weights[0], probs[sites].T, action_major_phi(mdp, sites))
+    block = occupancy_operator(weights[0], probs[sites].T, action_major_phi(mdp, sites))
+    return block[:-1], block[-1]
 
 
 class TestMuHatFeatures:
     def test_zero_lambda(self, default_mdp, default_dataset):
         psi_hat = estimate_psi(default_dataset, beta=0.1)
         policy = fogas.uniform_policy(5, 3)
-        feats_x0, operator = site_operator(default_mdp, psi_hat, policy.probs)
-        out = mu_hat_features(0.9, feats_x0, operator, np.zeros(4))
+        operator, x0_term = site_operator(default_mdp, psi_hat, policy.probs)
+        out = mu_hat_features(np.zeros(4), operator, x0_term)
         expected = 0.1 * policy.probs[0] @ default_mdp.phi_by_state[0]
         assert np.abs(out - expected).max() <= 1e-14
 
@@ -192,8 +194,8 @@ class TestMuHatFeatures:
                              sampling_mode="uniform", seed=0)
         psi_hat = estimate_psi(ds, beta=1.0)
         lam = np.array([0.2, -0.3])
-        feats_x0, operator = site_operator(mdp, psi_hat, fogas.uniform_policy(1, 2).probs)
-        out = mu_hat_features(0.9, feats_x0, operator, lam)
+        operator, x0_term = site_operator(mdp, psi_hat, fogas.uniform_policy(1, 2).probs)
+        out = mu_hat_features(lam, operator, x0_term)
         # Hand evaluation: X' is the single state, pi uniform over e1, e2.
         mean_phi = np.array([0.5, 0.5])
         inner = ds.features[0] @ np.linalg.solve(psi_hat.covariance.lambda_mat, lam)
@@ -211,8 +213,8 @@ class TestMuHatFeatures:
             nu_hat = 0.1 * default_mdp.nu0 + 0.9 * psi_hat.dense().T @ lam
             mu_hat = (policy.probs * nu_hat[:, None]).ravel()
             expected = default_mdp.phi.T @ mu_hat
-            feats_x0, operator = site_operator(default_mdp, psi_hat, policy.probs)
-            out = mu_hat_features(0.9, feats_x0, operator, lam)
+            operator, x0_term = site_operator(default_mdp, psi_hat, policy.probs)
+            out = mu_hat_features(lam, operator, x0_term)
             assert np.abs(out - expected).max() <= 1e-10
 
 
@@ -225,7 +227,7 @@ class TestLambdaGradient:
     def test_zero_gamma_limit(self, default_dataset, default_mdp):
         psi_hat = estimate_psi(default_dataset, beta=0.1)
         theta = np.array([0.1, 0.2, 0.3, 0.4])
-        _, operator = site_operator(default_mdp, psi_hat,
+        operator, _ = site_operator(default_mdp, psi_hat,
                                     fogas.uniform_policy(5, 3).probs, gamma=0.0)
         g = lambda_gradient(default_mdp.omega, operator, theta)
         assert np.abs(g - (default_mdp.omega - theta)).max() <= 1e-15
@@ -240,10 +242,10 @@ class TestLambdaGradient:
         rng = np.random.default_rng(9)
         policy = random_policy(5, 3, rng)
         probs = policy.probs
-        feats_x0, operator = site_operator(default_mdp, psi_hat, probs)
+        operator, x0_term = site_operator(default_mdp, psi_hat, probs)
 
         def value(lam):
-            phimu = mu_hat_features(0.9, feats_x0, operator, lam)
+            phimu = mu_hat_features(lam, operator, x0_term)
             theta = best_response_theta(phimu - lam, d_theta)
             q = (default_mdp.phi @ theta).reshape(5, 3)
             v = (probs * q).sum(axis=1)
@@ -252,7 +254,7 @@ class TestLambdaGradient:
 
         for _ in range(5):
             lam = rng.normal(size=4)
-            phimu = mu_hat_features(0.9, feats_x0, operator, lam)
+            phimu = mu_hat_features(lam, operator, x0_term)
             if np.linalg.norm(phimu - lam) <= 1e-6:
                 continue
             theta = best_response_theta(phimu - lam, d_theta)
@@ -556,22 +558,23 @@ class TestRunFogasBatch:
         params, lam, theta = (rng.normal(size=(2, 4)) for _ in range(3))
         eta, rho, d_theta = np.array([[0.1], [0.3]]), np.array([[0.5], [0.0]]), \
             np.array([[2.0], [0.5]])
+        contraction = 1.0 / (1.0 + rho * eta)
         probs = action_major_softmax(phi_sites, params)
-        feats_x0, operator = occupancy_operator(weights, probs, phi_sites)
-        phimu = mu_hat_features(0.9, feats_x0, operator, lam)
-        g = lambda_gradient(default_mdp.omega, operator, theta)
-        stacked = (probs, feats_x0, operator, phimu,
+        block = occupancy_operator(weights, probs, phi_sites)
+        phimu = mu_hat_features(lam, block[:, :-1], block[:, -1])
+        g = lambda_gradient(default_mdp.omega, block[:, :-1], theta)
+        stacked = (probs, block, phimu,
                    best_response_theta(phimu - lam, d_theta), g,
-                   *lambda_update(lam, g, lambda_mat, eta, rho))
+                   *lambda_update(lam, g, lambda_mat, eta, contraction))
         for s, p in enumerate(psi_hats):
             pr = action_major_softmax(phi_sites, params[s])
-            f, op = occupancy_operator(site_weights(default_mdp.x0, 0.9, [p])[1][0],
-                                       pr, phi_sites)
-            ph = mu_hat_features(0.9, f, op, lam[s])
-            gs = lambda_gradient(default_mdp.omega, op, theta[s])
-            single = (pr, f, op, ph, best_response_theta(ph - lam[s], d_theta[s, 0]), gs,
+            bl = occupancy_operator(site_weights(default_mdp.x0, 0.9, [p])[1][0],
+                                    pr, phi_sites)
+            ph = mu_hat_features(lam[s], bl[:-1], bl[-1])
+            gs = lambda_gradient(default_mdp.omega, bl[:-1], theta[s])
+            single = (pr, bl, ph, best_response_theta(ph - lam[s], d_theta[s, 0]), gs,
                       *lambda_update(lam[s], gs, p.covariance.lambda_mat, eta[s, 0],
-                                     rho[s, 0]))
+                                     contraction[s, 0]))
             for got, want in zip(stacked, single):
                 assert np.abs(got[s] - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -580,6 +583,73 @@ class TestRunFogasBatch:
                                     np.array([[2.0], [1.0]]))
         assert np.all(theta[0] == 0.0)
         assert np.allclose(theta[1], [-0.6, -0.8], atol=1e-15)
+
+
+def shift_flags(monkeypatch):
+    """The ``shift`` argument of every softmax the loop takes, in order."""
+    flags = []
+
+    def recording(phi_states, scaled_param, out=None, shift=True):
+        flags.append(shift)
+        return action_major_softmax(phi_states, scaled_param, out=out, shift=shift)
+
+    monkeypatch.setattr(solver, "action_major_softmax", recording)
+    return flags
+
+
+class TestShiftFreeSoftmax:
+    """The loop's softmax skips its max-shift while alpha (t-1) d_theta R, a
+    bound on every logit, stays within 700 - ln A, and shifts after that."""
+
+    def test_fallback_keeps_large_logits_finite(self, default_mdp, default_dataset,
+                                                monkeypatch):
+        """alpha d_theta R passes the limit at once, and the logits pass exp's
+        overflow point (about 709.78) within the run: every softmax from t=2
+        on is shifted, and each step matches the reference."""
+        flags = shift_flags(monkeypatch)
+        cfg = FogasConfig(T=30, seed=0, auto_tune=True, alpha=50.0, record_trajectory=True)
+        run = run_fogas(default_mdp, default_dataset, cfg)
+        bound = run.config.alpha * run.config.d_theta * default_mdp.feature_bound
+        assert bound > 700.0
+        assert flags == [False] + [True] * 29
+        logits = default_mdp.phi @ (run.config.alpha * run.trajectory.theta_bars.T)
+        assert np.abs(logits).max() > 710.0
+        for f in fields(FogasTrajectory):
+            assert np.all(np.isfinite(getattr(run.trajectory, f.name)))
+        assert_runs_close(run, reference_ascend(default_mdp, default_dataset, cfg,
+                                                follow=run.trajectory), REFERENCE_RTOL)
+
+    def test_switch_mid_run(self, default_mdp, default_dataset, monkeypatch):
+        """With alpha set so that the bound reaches the limit halfway, the
+        first 21 softmaxes skip the shift and the other 19 take it; both
+        halves match the reference step by step."""
+        flags = shift_flags(monkeypatch)
+        d_theta = fogas.canonical_d_theta(default_mdp)
+        limit = 700.0 - np.log(default_mdp.num_actions)
+        alpha = limit / (20.5 * d_theta * default_mdp.feature_bound)  # (t-1) = 20.5 at the limit
+        cfg = FogasConfig(T=40, seed=1, auto_tune=True, alpha=alpha, record_trajectory=True)
+        run = run_fogas(default_mdp, default_dataset, cfg)
+        assert flags == [False] * 21 + [True] * 19
+        assert_runs_close(run, reference_ascend(default_mdp, default_dataset, cfg,
+                                                follow=run.trajectory), REFERENCE_RTOL)
+
+
+class TestRecordedRuns:
+    @pytest.mark.parametrize("alpha", [None, 50.0])
+    def test_recording_changes_no_result(self, default_mdp, alpha):
+        """A batch run without its trajectory gives bit for bit the results of
+        the same run with it, for the schedule's alpha and for one whose
+        softmaxes are shifted."""
+        datasets = uniform_datasets(default_mdp, 256, range(3))
+        configs = [FogasConfig(T=60, seed=s, auto_tune=True, alpha=alpha) for s in range(3)]
+        plain = run_fogas_batch(default_mdp, datasets, configs)
+        recorded = run_fogas_batch(default_mdp, datasets,
+                                   [replace(c, record_trajectory=True) for c in configs])
+        for a, b in zip(plain, recorded):
+            assert a.trajectory is None and b.trajectory is not None
+            assert a.chosen_index == b.chosen_index
+            for name in ("lambda_final", "theta_bar_final", "output_param"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 class TestRunSerialization:
@@ -677,15 +747,16 @@ class TestTrajectoryStepIdentities:
 
         for t in range(T):
             probs = action_major_softmax(phi_sites, params[t])
-            feats_x0, operator = occupancy_operator(weights[0], probs, phi_sites)
-            phimu = mu_hat_features(mdp.gamma, feats_x0, operator, tr.lambdas[t])
+            block = occupancy_operator(weights[0], probs, phi_sites)
+            phimu = mu_hat_features(tr.lambdas[t], block[:-1], block[-1])
             assert np.abs(tr.phi_mu_hats[t] - phimu).max() <= 1e-12
-            g = lambda_gradient(mdp.omega, operator, tr.thetas[t])
+            g = lambda_gradient(mdp.omega, block[:-1], tr.thetas[t])
             assert np.abs(tr.g_lambdas[t] - g).max() <= 1e-12
             if t + 1 == T:
                 break
             lam_next, _ = lambda_update(tr.lambdas[t], tr.g_lambdas[t],
-                                        psi_hat.covariance.lambda_mat, cfg.eta, cfg.rho)
+                                        psi_hat.covariance.lambda_mat, cfg.eta,
+                                        1.0 / (1.0 + cfg.rho * cfg.eta))
             assert np.abs(tr.lambdas[t + 1] - lam_next).max() <= 1e-12
             # Cumulative form equals the multiplicative mirror-ascent step.
             boost = np.exp(cfg.alpha * (mdp.phi @ tr.thetas[t]))
