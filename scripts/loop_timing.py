@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Time the FOGAS ascent loop in microseconds per iteration.
 
-Runs ``run_fogas_batch`` at three fixed shapes with one BLAS thread. Per shape,
-each of a T-iteration run and a one-iteration run is timed as the minimum over
+Runs ``run_fogas_batch`` at three fixed shapes with one BLAS thread, each
+shape without and with its trajectory recorded. Per shape and mode, each of a
+T-iteration run and a one-iteration run is timed as the minimum over
 ``--repeats`` runs; their difference over T - 1 is the loop's time per
 iteration with the set-up (the estimator, the covariance, the output policy)
 taken out, and the one-iteration run is reported as the set-up. The numbers go
@@ -43,22 +44,27 @@ def time_shape(shape: dict, T: int, repeats: int) -> dict:
     datasets = [fogas.collect_dataset(mdp, behavior, n=shape["n"],
                                       sampling_mode="uniform", seed=s)
                 for s in range(shape["seeds"])]
+    # A warm-up run fills the datasets' cached next-state groups.
     fogas.run_fogas_batch(mdp, datasets, [fogas.FogasConfig(T=1, auto_tune=True)] * len(datasets))
-    best = {}  # after a warm-up run, which fills the datasets' cached next-state groups
-    for iterations in (1, T):
-        configs = [fogas.FogasConfig(T=iterations, seed=s, auto_tune=True)
-                   for s in range(shape["seeds"])]
-        best[iterations] = np.inf
-        for _ in range(repeats):
-            start = time.perf_counter()
-            runs = fogas.run_fogas_batch(mdp, datasets, configs)
-            best[iterations] = min(best[iterations], time.perf_counter() - start)
-            for run in runs:
-                if isinstance(run, Exception):
-                    raise run
     sites = np.unique(np.concatenate([ds.x_nexts for ds in datasets]))
-    return {**shape, "T": T, "next_states": len(sites), "setup_us": 1e6 * best[1],
-            "us_per_iter": 1e6 * (best[T] - best[1]) / (T - 1)}
+    timings = {**shape, "T": T, "next_states": len(sites)}
+    for mode, record in (("plain", False), ("recorded", True)):
+        best = {}
+        for iterations in (1, T):
+            configs = [fogas.FogasConfig(T=iterations, seed=s, auto_tune=True,
+                                         record_trajectory=record)
+                       for s in range(shape["seeds"])]
+            best[iterations] = np.inf
+            for _ in range(repeats):
+                start = time.perf_counter()
+                runs = fogas.run_fogas_batch(mdp, datasets, configs)
+                best[iterations] = min(best[iterations], time.perf_counter() - start)
+                for run in runs:
+                    if isinstance(run, Exception):
+                        raise run
+        timings[mode] = {"setup_us": 1e6 * best[1],
+                         "us_per_iter": 1e6 * (best[T] - best[1]) / (T - 1)}
+    return timings
 
 
 def main():
@@ -82,15 +88,18 @@ def main():
     for name, shape in SHAPES.items():
         T = args.iterations or shape["T"]
         results[name] = time_shape(shape, T, args.repeats)
-        print(f"{name}: {results[name]['us_per_iter']:.1f} us per iteration (T={T}), "
-              f"set-up {results[name]['setup_us']:.0f} us")
+        for mode in ("plain", "recorded"):
+            timing = results[name][mode]
+            print(f"{name} {mode}: {timing['us_per_iter']:.1f} us per iteration (T={T}), "
+                  f"set-up {timing['setup_us']:.0f} us")
 
     doc = {}
     if os.path.exists(args.out):
         with open(args.out) as f:
             doc = json.load(f)
     doc["method"] = ("scripts/loop_timing.py: us_per_iter = (best T-iteration run - best "
-                     "one-iteration run) / (T - 1), best of `repeats`, one BLAS thread")
+                     "one-iteration run) / (T - 1), best of `repeats`, one BLAS thread; "
+                     "`plain` runs record no trajectory, `recorded` runs record it")
     doc.setdefault("runs", {})[args.label] = {
         "env": {
             "python": platform.python_version(),

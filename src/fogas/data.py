@@ -69,7 +69,10 @@ class OfflineDataset:
         ``summed_features`` column j is the sum of phi_i over samples whose
         next state is ``observed_states[j]``.
         """
-        observed, inverse = np.unique(self.x_nexts, return_inverse=True)
+        counts = np.bincount(self.x_nexts, minlength=self.num_states)
+        observed = np.flatnonzero(counts)
+        # Sample i's position: the number of observed states below x_nexts[i].
+        inverse = (np.cumsum(counts > 0) - 1)[self.x_nexts]
         summed = np.array([np.bincount(inverse, weights=column, minlength=len(observed))
                            for column in self.features.T])  # same order as np.add.at
         return observed, inverse, _readonly(summed)
@@ -192,7 +195,7 @@ def collect_dataset(
         raise ValueError(f"unknown sampling_mode {sampling_mode!r}")
 
     u = rng.random(n)
-    features = mdp.phi[sa]
+    features = mdp.phi.take(sa, axis=0)
     psi_cum = np.cumsum(mdp.psi.T, axis=0)  # (X, d): row x' gathers as one block
     # x_next counts the states whose CDF is <= u; X means the draw missed.
     x_next = np.zeros(n, dtype=np.int64)

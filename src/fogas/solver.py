@@ -157,8 +157,11 @@ class FogasTrajectory:
     grad_sq_norms: np.ndarray  # (T,), g^T Lambda g per iteration
 
     def __post_init__(self):
+        # Read-only views, not copies: a recorded batch's fields share one table.
         for f in fields(self):
-            object.__setattr__(self, f.name, _readonly(getattr(self, f.name)))
+            view = np.asarray(getattr(self, f.name), dtype=np.float64).view()
+            view.flags.writeable = False
+            object.__setattr__(self, f.name, view)
 
 
 @dataclass(frozen=True)
@@ -309,9 +312,17 @@ def _ascend(mdp: LinearMdp, prepared: list, results: list) -> None:
     before the loop. A seed that fails is frozen at the origin (zero step
     sizes, lambda = theta_bar = 0), so its row stays finite and reports no
     second error.
+
+    Iteration t writes its record into one flat frame: lambda_{t+1},
+    theta_bar_t, theta_t, mu-hat's features and g_t as (S, d) blocks, then
+    g_t^T Lambda g_t (S,). Two frames alternate by the parity of t, so
+    lambda_t and theta_bar_{t-1} are read from the other one. A recorded run
+    copies frame t into row t of a (T+1)-row table, whose row 0 holds
+    lambda_1 = theta_bar_0 = 0, and each seed's trajectory is views into it.
     """
     slots, cfgs, psi_hats = zip(*prepared)
     T, S, d = cfgs[0].T, len(cfgs), mdp.dim
+    record = cfgs[0].record_trajectory
 
     # Per-seed rates as full (S, d) rows: numpy multiplies equal shapes faster
     # than it broadcasts a column.
@@ -332,24 +343,30 @@ def _ascend(mdp: LinearMdp, prepared: list, results: list) -> None:
         draws.setdefault(J, []).append(row)
     output_params = np.empty((S, d))
 
-    state = np.zeros((3, S, d))  # lambda_t, lambda_{t+1} and theta_bar, for one finite test
-    lam, lam_next, theta_bar = state
-    theta, phimu, g, scaled, grad_sq, logits, f_pi = (
-        np.empty(shape) for shape in [(S, d)] * 4 + [S, (S, A * m), (S, m, d)])
+    width = 5 * S * d  # a frame's five (S, d) blocks; its last S floats hold g^T Lambda g
+    frames = np.zeros((2, width + S))  # frame 0 holds lambda_1 = theta_bar_0 = 0
+    views = [(*frame[:width].reshape(5, S, d), frame[width:]) for frame in frames]
+    # Per parity of t, made once: frame t, lambda_t and theta_bar_{t-1} from
+    # the other frame, frame t's views, and lambda_{t+1} and theta_bar_t as
+    # one array for the fused finite test.
+    steps = [(frames[p], *views[1 - p][:2], *views[p], frames[p, :2 * S * d])
+             for p in (0, 1)]
+    scaled, logits, f_pi = np.empty((S, d)), np.empty((S, A * m)), np.empty((S, m, d))
     # The block [M; (1-gamma) f_x0^T] row-major, so each of its rows, x0_term
     # among them, is one contiguous (S, d) array across the seeds.
     block = np.empty((d + 1, S, d)).transpose(1, 0, 2)
     operator, x0_term = block[:, :d], block[:, d]
-    traj = None
-    if cfgs[0].record_trajectory:  # (S, T, d): each seed's record is a contiguous view
-        traj = {f.name: np.empty((S, T, d)) for f in fields(FogasTrajectory)}
-        traj["grad_sq_norms"] = np.empty((S, T))
+    if record:
+        table = np.empty((T + 1, width + S))
+        table[0] = 0.0
     errors = {}  # row -> the error that ended its seed
 
     # A non-finite iterate is reported below, so numpy's warnings would repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, T + 1):
-            np.multiply(alpha, theta_bar, out=scaled)  # the policies in force at iteration t
+            (frame, lam, theta_bar_prev, lam_next, theta_bar, theta, phimu, g, grad_sq,
+             tested) = steps[t & 1]
+            np.multiply(alpha, theta_bar_prev, out=scaled)  # the policies in force at iteration t
             for row in draws.get(t, ()):
                 output_params[row] = scaled[row]
             probs = action_major_softmax(phi_sites, scaled, out=logits,
@@ -361,7 +378,7 @@ def _ascend(mdp: LinearMdp, prepared: list, results: list) -> None:
             best_response_theta(np.subtract(phimu, lam, out=theta), d_theta, out=theta)
 
             # Policy step in cumulative form.
-            theta_bar += theta
+            np.add(theta_bar_prev, theta, out=theta_bar)
 
             # Feature-occupancy step.
             lambda_gradient(omega, operator, theta, out=g)
@@ -370,7 +387,7 @@ def _ascend(mdp: LinearMdp, prepared: list, results: list) -> None:
             # One fused test per iteration; a finite sum that overflowed only
             # costs the exact per-seed check. A non-finite g makes Lambda g, and
             # so lambda_next, non-finite, so g needs no sum of its own.
-            if not math.isfinite(np.add.reduce(state, axis=None)):
+            if not math.isfinite(np.add.reduce(tested)):
                 failed = _failed_rows(t, g, lam_next, theta_bar)
                 errors.update(failed)
                 if len(errors) == S:
@@ -379,12 +396,13 @@ def _ascend(mdp: LinearMdp, prepared: list, results: list) -> None:
                 for frozen in (eta, contraction, d_theta, lam_next, theta_bar):
                     frozen[rows] = 0.0
 
-            if traj is not None:  # values in FogasTrajectory field order
-                for buf, value in zip(traj.values(), (lam, theta, theta_bar, phimu, g, grad_sq)):
-                    buf[:, t - 1] = value
-            lam, lam_next = lam_next, lam
+            if record:
+                table[t] = frame
 
     del probs, logits, f_pi  # before the output policies' (X, A) tables
+    lam, theta_bar = steps[T & 1][3:5]  # lambda_{T+1} and theta_bar_T
+    if record:  # (T+1, 5, S, d) and (T, S) views of the table
+        history, grad_sq_norms = table[:, :width].reshape(T + 1, 5, S, d), table[1:, width:]
     for row, slot in enumerate(slots):
         if row in errors:
             results[slot] = errors[row]
@@ -397,9 +415,14 @@ def _ascend(mdp: LinearMdp, prepared: list, results: list) -> None:
             theta_bar_final=_readonly(theta_bar[row]),
             output_param=_readonly(output_param),
             output_policy=softmax_from_logit_param(mdp, output_param),
-            trajectory=None if traj is None else FogasTrajectory(
-                **{name: buf[row] for name, buf in traj.items()}
-            ),
+            trajectory=FogasTrajectory(
+                lambdas=history[:-1, 0, row],
+                thetas=history[1:, 2, row],
+                theta_bars=history[1:, 1, row],
+                phi_mu_hats=history[1:, 3, row],
+                g_lambdas=history[1:, 4, row],
+                grad_sq_norms=grad_sq_norms[:, row],
+            ) if record else None,
         )
 
 

@@ -320,6 +320,23 @@ class TestNextStateGroups:
             assert got.shape == want.shape
             assert np.array_equal(got, want)
 
+    def test_unobserved_states_match_unique(self):
+        """States no sample reaches (0, 2, 3 and 6 of 7) get no group; the
+        groups equal np.unique's, dtypes included, bit for bit."""
+        x_nexts = np.array([1, 4, 4, 1, 5, 1, 4, 5])
+        features = np.random.default_rng(3).normal(size=(len(x_nexts), 3))
+        ds = OfflineDataset(
+            xs=np.zeros(len(x_nexts), dtype=int), actions=np.zeros(len(x_nexts), dtype=int),
+            rewards=np.zeros(len(x_nexts)), x_nexts=x_nexts,
+            features=features, num_states=7, num_actions=1,
+        )
+        observed, inverse, summed = ds.next_state_groups
+        want_observed, want_inverse = np.unique(x_nexts, return_inverse=True)
+        assert observed.tolist() == [1, 4, 5]
+        for got, want in ((observed, want_observed), (inverse, want_inverse),
+                          (summed, add_at_groups(ds)[2])):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
 
 class TestApplyPsiHat:
     def test_zero_vector(self, default_dataset):

@@ -321,6 +321,40 @@ class TestCli:
         assert float(values["decomposition_residual"]) <= 1e-8
         assert float(values["identity_residual"]) <= 1e-8
 
+    def test_solve_without_results_scores_no_iterates(self, tmp_path, capsys,
+                                                      monkeypatch):
+        """Only the --results row reads the mean-iterate suboptimality, so a
+        recorded solve without it never scores the iterates."""
+        def refuse(*args):
+            raise AssertionError("iterates scored without --results")
+
+        monkeypatch.setattr(harness, "mean_iterate_suboptimality", refuse)
+        self.pipeline(tmp_path, ("--record-trajectory",))
+        assert "suboptimality = " in capsys.readouterr().out
+
+    def test_solve_results_row_scores_iterates(self, tmp_path, capsys):
+        """With --record-trajectory and --results the row's mean suboptimality
+        is finite and equals mean_iterate_suboptimality on the loaded run.
+        The run file and the printed line are those of a solve without
+        --results."""
+        results = tmp_path / "results.csv"
+        mdp_path, data_path, run_path = self.pipeline(
+            tmp_path, ("--record-trajectory", "--results", str(results)))
+        printed = capsys.readouterr().out.splitlines()[-1]  # after generate's and collect's
+        header, line = results.read_text().strip().split("\n")
+        row = dict(zip(header.split(","), line.split(",")))
+        mdp = fogas.load_mdp(mdp_path)
+        run = fogas.load_run(run_path, mdp)
+        want = harness.mean_iterate_suboptimality(mdp, run, solve_optimal(mdp)[1].return_value)
+        assert np.isfinite(want) and float(row["mean_suboptimality"]) == want
+
+        plain_path = tmp_path / "plain.npz"
+        assert cli_main(["solve", "--mdp", str(mdp_path), "--data", str(data_path),
+                         "--auto-tune", "--T", "40", "--seed", "0", "--record-trajectory",
+                         "--out", str(plain_path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [printed]
+        assert plain_path.read_bytes() == run_path.read_bytes()
+
     def test_diagnose_without_trajectory_advises(self, tmp_path, capsys):
         mdp_path, data_path, run_path = self.pipeline(tmp_path)
         code = cli_main(["diagnose", "--mdp", str(mdp_path), "--data",

@@ -651,6 +651,60 @@ class TestRecordedRuns:
             for name in ("lambda_final", "theta_bar_final", "output_param"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
+    def test_trajectories_are_read_only_views_of_one_table(self, default_mdp):
+        """Every field of every seed's trajectory is a read-only view into one
+        table, which holds the trajectories and one more row (lambda_1 and
+        theta_bar_0): nothing is copied per seed."""
+        S, T, d = 3, 20, default_mdp.dim
+        datasets = uniform_datasets(default_mdp, 256, range(S))
+        runs = run_fogas_batch(default_mdp, datasets, [
+            FogasConfig(T=T, seed=s, auto_tune=True, record_trajectory=True) for s in range(S)])
+        arrays = [getattr(run.trajectory, f.name) for run in runs for f in fields(FogasTrajectory)]
+        table = arrays[0].base
+        for arr in arrays:
+            assert arr.base is table and np.shares_memory(arr, table)
+            assert not arr.flags.writeable
+        assert table.nbytes == sum(arr.nbytes for arr in arrays) + 8 * (5 * S * d + S)
+        for arr in (runs[1].trajectory.lambdas, runs[2].trajectory.grad_sq_norms):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+    @pytest.mark.filterwarnings("ignore:auto-tuned run with T=1")
+    def test_single_iteration(self, default_mdp, default_dataset):
+        """At T=1 a recorded run has a one-row trajectory, lambda_1 = 0 and
+        theta_bar_1 = theta_1, and an unrecorded run has none."""
+        config = FogasConfig(T=1, seed=0, auto_tune=True)
+        assert run_fogas(default_mdp, default_dataset, config).trajectory is None
+        run = run_fogas(default_mdp, default_dataset, replace(config, record_trajectory=True))
+        trajectory = run.trajectory
+        for f in fields(FogasTrajectory):
+            assert len(getattr(trajectory, f.name)) == 1, f.name
+        assert np.all(trajectory.lambdas == 0.0)
+        assert np.array_equal(trajectory.theta_bars, trajectory.thetas)
+        assert np.array_equal(trajectory.theta_bars[0], run.theta_bar_final)
+
+    def test_recorded_peak_is_bounded(self, default_mdp):
+        """A recorded S=4, T=5000 batch holds its trajectories once. Its
+        tracemalloc peak is at most the table's (T+1)(5Sd + S) floats (3.36 MB
+        at d=4) plus 512 KiB for the estimators, the loop's arrays and the
+        output policies; a copy of the trajectories would add 3.36 MB. The
+        bound was set before the test first ran. A two-iteration run first
+        fills the datasets' and the MDP's cached arrays and numpy's lazy
+        imports, which would otherwise count."""
+        S, T, d = 4, 5000, default_mdp.dim
+        datasets = uniform_datasets(default_mdp, 1024, range(S))
+        configs = [FogasConfig(T=T, seed=s, auto_tune=True, record_trajectory=True)
+                   for s in range(S)]
+        run_fogas_batch(default_mdp, datasets, [replace(c, T=2) for c in configs])
+        tracemalloc.start()
+        try:
+            runs = run_fogas_batch(default_mdp, datasets, configs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(run.trajectory is not None for run in runs)
+        assert peak <= 8 * (T + 1) * (5 * S * d + S) + 2**19
+
 
 class TestRunSerialization:
     def test_archive_entries(self, recorded_run, tmp_path):
