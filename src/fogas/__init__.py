@@ -38,18 +38,12 @@ from .solver import (
     FogasConfig,
     FogasRun,
     FogasTrajectory,
-    best_response_theta,
     canonical_d_theta,
     gradient_norm_bound,
-    lambda_gradient,
-    lambda_update,
     load_run,
-    mu_hat_features,
-    occupancy_operator,
     run_fogas,
     run_fogas_batch,
     save_run,
-    site_weights,
     theoretical_min_iterations,
     theoretical_rates,
 )

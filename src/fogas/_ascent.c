@@ -1,0 +1,176 @@
+/* The FOGAS ascent loop of one seed: all T iterations in one call.
+ *
+ * fogas.solver builds this file on first use with plain -O3 -fPIC -shared
+ * (see _kernel there) and calls fogas_ascend once per seed through ctypes.
+ * The numpy step helpers in solver.py are the specification it follows.
+ *
+ * Layout: the sites (x0, then the seed's observed next states) are innermost.
+ * phi is (A, d, m) and W = gamma C is (d, m) with a zero column at x0, so
+ * every per-site loop runs over m contiguous floats without reassociating a
+ * sum, and -O3 vectorizes it without -ffast-math. The two m-long reductions
+ * keep 8 fixed partial sums, so every call sums in the same order.
+ *
+ * No d x d occupancy operator is formed: with F_pi (d, m), row j holding
+ * sum_a pi(a|x_i) phi_j(x_i, a), mu-hat's features are F_pi (W^T lambda)
+ * + (1-gamma) F_pi[:, 0] and the lambda-gradient is W (F_pi^T theta)
+ * + omega - theta, O(m d) work per iteration.
+ */
+#include <math.h>
+#include <stdint.h>
+#include <string.h>
+
+#if defined(__x86_64__) && defined(__GLIBC__)
+/* glibc's libmvec has a vector exp; declaring it lets the exp loop call it. */
+double exp(double) __attribute__((simd("notinbranch")));
+#endif
+
+typedef int64_t i64;
+
+static double dot(const double *x, const double *y, i64 m)
+{
+    double acc[8] = {0.0};
+    i64 i = 0;
+    for (; i + 8 <= m; i += 8)
+        for (int k = 0; k < 8; k++)
+            acc[k] += x[i + k] * y[i + k];
+    for (int k = 0; i < m; i++, k++)
+        acc[k] += x[i] * y[i];
+    return ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+}
+
+static int all_finite(const double *x, i64 d)
+{
+    for (i64 j = 0; j < d; j++)
+        if (!isfinite(x[j]))
+            return 0;
+    return 1;
+}
+
+/* Runs iterations 1..T from lambda_1 = theta_bar_0 = 0. The softmax skips its
+ * max-shift in iterations 1..shift_free. work holds (A + d + 2) m floats.
+ * out receives lambda_{T+1}, theta_bar_T and alpha theta_bar_{J-1}, d each.
+ * With a table, row t (at t * row_stride) receives lambda_{t+1}, theta_bar_t,
+ * theta_t, mu-hat's features and g_t, d each, then g_t^T Lambda g_t.
+ *
+ * Returns 0, or the iteration t whose lambda_{t+1} or theta_bar_t left the
+ * finite numbers; finite[0..2] then say whether lambda_{t+1}, theta_bar_t
+ * and g_t are finite. */
+i64 fogas_ascend(i64 T, i64 A, i64 d, i64 m, const double *phi, const double *W,
+                 const double *omega, const double *lambda_mat, double x0_weight,
+                 double alpha, double eta, double contraction, double d_theta,
+                 double tie_tol, i64 shift_free, i64 J, double *work, double *out,
+                 int *finite, double *table, i64 row_stride)
+{
+    double *L = work, *F = L + A * m, *u = F + d * m, *s = u + m;
+    double lam[d], theta_bar[d], scaled[d], phimu[d], theta[d], g[d], lg[d];
+    memset(lam, 0, sizeof lam);
+    memset(theta_bar, 0, sizeof theta_bar);
+
+    for (i64 t = 1; t <= T; t++) {
+        for (i64 j = 0; j < d; j++)
+            scaled[j] = alpha * theta_bar[j];
+        if (t == J)
+            memcpy(out + 2 * d, scaled, sizeof scaled);
+
+        /* Logits <phi(x_i, a), alpha theta_bar_{t-1}>, softmax over a per site. */
+        for (i64 a = 0; a < A; a++) {
+            double *La = L + a * m;
+            const double *Pa = phi + a * d * m;
+            for (i64 i = 0; i < m; i++)
+                La[i] = scaled[0] * Pa[i];
+            for (i64 j = 1; j < d; j++)
+                for (i64 i = 0; i < m; i++)
+                    La[i] += scaled[j] * Pa[j * m + i];
+        }
+        if (t > shift_free) {
+            memcpy(s, L, m * sizeof *s);
+            for (i64 a = 1; a < A; a++)
+                for (i64 i = 0; i < m; i++)
+                    s[i] = L[a * m + i] > s[i] ? L[a * m + i] : s[i];
+            for (i64 a = 0; a < A; a++)
+                for (i64 i = 0; i < m; i++)
+                    L[a * m + i] -= s[i];
+        }
+#pragma omp simd
+        for (i64 i = 0; i < A * m; i++)
+            L[i] = exp(L[i]);
+        memcpy(s, L, m * sizeof *s);
+        for (i64 a = 1; a < A; a++)
+            for (i64 i = 0; i < m; i++)
+                s[i] += L[a * m + i];
+        for (i64 a = 0; a < A; a++)
+            for (i64 i = 0; i < m; i++)
+                L[a * m + i] /= s[i];
+
+        /* F_pi, then mu-hat's features through u = W^T lambda (zero at x0). */
+        for (i64 j = 0; j < d; j++) {
+            double *Fj = F + j * m;
+            for (i64 i = 0; i < m; i++)
+                Fj[i] = L[i] * phi[j * m + i];
+            for (i64 a = 1; a < A; a++)
+                for (i64 i = 0; i < m; i++)
+                    Fj[i] += L[a * m + i] * phi[(a * d + j) * m + i];
+        }
+        for (i64 i = 0; i < m; i++)
+            u[i] = lam[0] * W[i];
+        for (i64 j = 1; j < d; j++)
+            for (i64 i = 0; i < m; i++)
+                u[i] += lam[j] * W[j * m + i];
+        double sq = 0.0;
+        for (i64 j = 0; j < d; j++) {
+            phimu[j] = dot(F + j * m, u, m) + x0_weight * F[j * m];
+            theta[j] = phimu[j] - lam[j];
+            sq += theta[j] * theta[j];
+        }
+
+        /* Best response over the ball; a tie goes to the origin. */
+        double norm = sqrt(sq), scale = -d_theta / (norm > tie_tol ? norm : INFINITY);
+        for (i64 j = 0; j < d; j++) {
+            theta[j] *= scale;
+            theta_bar[j] += theta[j];
+        }
+
+        /* g = W (F_pi^T theta) + omega - theta, then the lambda step. */
+        for (i64 i = 0; i < m; i++)
+            u[i] = theta[0] * F[i];
+        for (i64 j = 1; j < d; j++)
+            for (i64 i = 0; i < m; i++)
+                u[i] += theta[j] * F[j * m + i];
+        for (i64 j = 0; j < d; j++)
+            g[j] = dot(W + j * m, u, m) + omega[j] - theta[j];
+        double check = 0.0;
+        for (i64 j = 0; j < d; j++) {
+            double acc = 0.0;
+            for (i64 k = 0; k < d; k++)
+                acc += lambda_mat[j * d + k] * g[k];
+            lg[j] = acc;
+            lam[j] = (lam[j] + acc * eta) * contraction;
+            check += lam[j] + theta_bar[j];
+        }
+
+        /* One test per iteration; a finite sum that overflowed only costs the
+         * exact check. A non-finite g makes Lambda g, and so lambda, non-finite. */
+        if (!isfinite(check)) {
+            finite[0] = all_finite(lam, d);
+            finite[1] = all_finite(theta_bar, d);
+            finite[2] = all_finite(g, d);
+            if (!(finite[0] && finite[1] && finite[2]))
+                return t;
+        }
+
+        if (table) {
+            double *row = table + t * row_stride, grad_sq = 0.0;
+            memcpy(row, lam, sizeof lam);
+            memcpy(row + d, theta_bar, sizeof theta_bar);
+            memcpy(row + 2 * d, theta, sizeof theta);
+            memcpy(row + 3 * d, phimu, sizeof phimu);
+            memcpy(row + 4 * d, g, sizeof g);
+            for (i64 j = 0; j < d; j++)
+                grad_sq += g[j] * lg[j];
+            row[5 * d] = grad_sq;
+        }
+    }
+    memcpy(out, lam, sizeof lam);
+    memcpy(out + d, theta_bar, sizeof theta_bar);
+    return 0;
+}

@@ -202,11 +202,9 @@ def uniform_policy(num_states: int, num_actions: int) -> TabularPolicy:
     return TabularPolicy(np.full((num_states, num_actions), 1.0 / num_actions))
 
 
-def _stable_softmax_rows(logits: np.ndarray, axis: int = -1, shift: bool = True) -> np.ndarray:
-    """Softmax over ``axis`` in place. Without the max-``shift`` every |logit|
-    must be at most 700 - ln(length of ``axis``), so no exp or sum overflows."""
-    if shift:
-        logits -= np.maximum.reduce(logits, axis=axis, keepdims=True)
+def _stable_softmax_rows(logits: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax over ``axis`` in place, shifted by the maximum."""
+    logits -= np.maximum.reduce(logits, axis=axis, keepdims=True)
     np.exp(logits, out=logits)
     logits /= np.add.reduce(logits, axis=axis, keepdims=True)
     return logits
@@ -226,20 +224,16 @@ def action_major_phi(mdp: LinearMdp, states) -> np.ndarray:
     return mdp.phi[A * np.asarray(states) + np.arange(A)[:, None]]
 
 
-def action_major_softmax(phi_states: np.ndarray, scaled_param: np.ndarray, out=None,
-                         shift: bool = True) -> np.ndarray:
+def action_major_softmax(phi_states: np.ndarray, scaled_param: np.ndarray) -> np.ndarray:
     """pi(a|x) at the states of ``phi_states`` (A, k, d, from ``action_major_phi``),
     pi the softmax of <phi(x,a), scaled_param>.
 
-    One GEMM forms the logits, into ``out`` (..., A*k) if given. A
-    ``scaled_param`` of shape (..., d) gives one policy per row and a result
-    of shape (..., A, k). ``shift=False`` skips the max-shift, for logits
-    known to lie within the bound of ``_stable_softmax_rows``.
+    One GEMM forms the logits. A ``scaled_param`` of shape (..., d) gives one
+    policy per row and a result of shape (..., A, k).
     """
     A, k, d = phi_states.shape
-    logits = np.matmul(scaled_param, phi_states.reshape(A * k, d).T, out=out)
-    return _stable_softmax_rows(logits.reshape(scaled_param.shape[:-1] + (A, k)), axis=-2,
-                                shift=shift)
+    logits = scaled_param @ phi_states.reshape(A * k, d).T
+    return _stable_softmax_rows(logits.reshape(scaled_param.shape[:-1] + (A, k)), axis=-2)
 
 
 def softmax_from_logit_param(mdp: LinearMdp, scaled_param: np.ndarray) -> TabularPolicy:

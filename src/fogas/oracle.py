@@ -41,7 +41,6 @@ class PolicyEvaluation:
     v: np.ndarray  # (X,)
     theta_pi: np.ndarray  # (d,)
     mu: np.ndarray  # (X*A,)
-    nu: np.ndarray  # (X,)
     lambda_pi: np.ndarray  # (d,)
     return_value: float
 
@@ -74,7 +73,6 @@ def evaluate_policy(mdp, policy) -> PolicyEvaluation:
         v=phi_pi @ theta_pi,
         theta_pi=theta_pi,
         mu=(probs * nu[:, None]).ravel(),
-        nu=nu,
         lambda_pi=lambda_pi,
         return_value=float(start @ theta_pi),
     )

@@ -8,18 +8,24 @@ and value functions at the sites: the initial state and the observed next
 states; everything over the full state space lives in the oracle and
 diagnostics.
 
-The data enter an iteration only through the d x d occupancy operator
+The data enter an iteration only through the occupancy operator
 M_t = gamma C F_{pi_t} (C the estimator's columns, F_{pi_t} the policy-weighted
 features at the next states): mu-hat's features are (1-gamma) f_x0 + lambda^T M_t
-and the lambda-gradient is omega + M_t theta - theta. The site features are
-gathered once per run, action-major, so each softmax reduces over a middle axis.
+and the lambda-gradient is omega + M_t theta - theta. The numpy step helpers
+here state one iteration; the loop itself runs in C, one call per seed, in
+``_ascent.c``, which ``_kernel`` builds on first use.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import platform
+import tempfile
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -28,8 +34,6 @@ from .linmdp import (
     LinearMdp,
     TabularPolicy,
     _readonly,
-    action_major_phi,
-    action_major_softmax,
     read_arrays,
     softmax_from_logit_param,
     write_arrays,
@@ -38,6 +42,13 @@ from .linmdp import (
 BEST_RESPONSE_TIE_TOL = 1e-14
 # Logits within 700 - ln A of zero need no max-shift: exp overflows past 709.78.
 SOFTMAX_LOGIT_LIMIT = 700.0
+
+_KERNEL_SOURCE = Path(__file__).with_name("_ascent.c")
+_COMPILER = "cc"
+# Plain -O3: -ffast-math would let the compiler drop the loop's isfinite test
+# and reorder its sums, and -march=native would tie a cached build to one CPU.
+_CFLAGS = ("-O3", "-fPIC", "-shared", "-fopenmp-simd")
+_kernel_handle = None  # fogas_ascend, once loaded
 
 
 @dataclass(frozen=True)
@@ -175,78 +186,39 @@ class FogasRun:
     trajectory: FogasTrajectory | None
 
 
-def best_response_theta(g: np.ndarray, d_theta, out=None) -> np.ndarray:
+def best_response_theta(g: np.ndarray, d_theta) -> np.ndarray:
     """Minimizer of <theta, g> over the ball of radius d_theta, per row of g.
 
     ``g`` has shape (..., d) and ``d_theta`` broadcasts against (..., 1). A row
     with a tie (g numerically zero) gets the origin, which leaves its
-    cumulative policy parameter, and hence its policy, unchanged. ``out`` may be ``g``.
+    cumulative policy parameter, and hence its policy, unchanged.
     """
     norm = np.sqrt(np.vecdot(g, g))[..., None]
     # Dividing by infinity sends a tied row to the origin.
-    return np.multiply(g, -d_theta / np.where(norm > BEST_RESPONSE_TIE_TOL, norm, np.inf),
-                       out=out)
+    return g * (-d_theta / np.where(norm > BEST_RESPONSE_TIE_TOL, norm, np.inf))
 
 
-def site_weights(x0: int, gamma: float, psi_hats: list[PsiHat]) -> tuple[np.ndarray, np.ndarray]:
-    """The sites, x0 then the union of the observed next states, and the
-    weights (S, d+1, 1+k): rows 0..d-1 of row s are gamma times the columns of
-    ``psi_hats[s]``, zero at x0 and at next states it did not observe, so the
-    sites stay one array for every seed; row d is 1-gamma at x0, the weight
-    of f_x0 in mu-hat's features.
-    """
-    union = np.unique(np.concatenate([p.observed_states for p in psi_hats]))
-    weights = np.zeros((len(psi_hats), psi_hats[0].dim + 1, 1 + len(union)))
-    weights[:, -1, 0] = 1.0 - gamma
-    for row, psi_hat in enumerate(psi_hats):
-        weights[row][:-1, 1 + np.searchsorted(union, psi_hat.observed_states)] = \
-            gamma * psi_hat.columns
-    return np.concatenate(([x0], union)), weights
-
-
-def occupancy_operator(
-    weights: np.ndarray, probs: np.ndarray, phi_sites: np.ndarray, out=None, scratch=None
-) -> np.ndarray:
-    """The block [M; (1-gamma) f_x0^T], shape (..., d+1, d), of the operator
-    M = gamma C F_pi and f_x0 = sum_a pi(a|x0) phi(x0,a).
-
-    ``probs`` (..., A, m) is pi at the sites, ``phi_sites`` (A, m, d) their
-    action-major features and ``weights`` (..., d+1, m) from ``site_weights``.
-    F_pi (row j: sum_a pi(a|x_j) phi(x_j,a)) is one contraction over the
-    actions, into ``scratch`` (..., m, d), and the block weights F_pi one GEMM
-    per seed.
-    """
-    f_pi = np.einsum("...am,amd->...md", probs, phi_sites, out=scratch)
-    return np.matmul(weights, f_pi, out=out)
-
-
-def mu_hat_features(
-    lam: np.ndarray, operator: np.ndarray, x0_term: np.ndarray, out=None
-) -> np.ndarray:
+def mu_hat_features(lam: np.ndarray, operator: np.ndarray, x0_term: np.ndarray) -> np.ndarray:
     """Feature expectation of the estimated occupancy mu-hat at (lambda, pi):
-    lambda^T M + (1-gamma) f_x0, where ``operator`` M is the first d rows of
-    ``occupancy_operator``'s block and ``x0_term`` its last.
+    lambda^T M + (1-gamma) f_x0, where ``operator`` is M = gamma C F_pi, (d, d),
+    and ``x0_term`` is (1-gamma) f_x0.
 
     With a leading seed axis, ``operator`` is (S, d, d) and the rest (S, d).
     """
-    return np.add(np.vecmat(lam, operator, out=out), x0_term, out=out)
+    return np.vecmat(lam, operator) + x0_term
 
 
-def lambda_gradient(
-    omega: np.ndarray, operator: np.ndarray, theta: np.ndarray, out=None
-) -> np.ndarray:
+def lambda_gradient(omega: np.ndarray, operator: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """omega + gamma * PsiHat v - theta = omega + M theta - theta, the ascent
     direction for lambda, where v = v_{theta, pi} and M = gamma C F_pi.
 
     With a leading seed axis, ``operator`` is (S, d, d) and ``theta`` (S, d).
     """
-    g = np.matvec(operator, theta, out=out)
-    return np.subtract(np.add(g, omega, out=g), theta, out=g)
+    return np.matvec(operator, theta) + omega - theta
 
 
 def lambda_update(
-    lambda_t: np.ndarray, g: np.ndarray, lambda_mat: np.ndarray, eta, contraction,
-    out=(None, None),
+    lambda_t: np.ndarray, g: np.ndarray, lambda_mat: np.ndarray, eta, contraction
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed form of the stabilized, preconditioned mirror ascent step,
     (lambda_t + eta Lambda g) * contraction with contraction = 1/(1 + rho eta),
@@ -256,37 +228,25 @@ def lambda_update(
     - rho/2 * ||lambda||^2_{Lambda^{-1}}; it needs eta > 0 and rho >= 0,
     which ``FogasConfig`` checks. ``lambda_mat`` is Lambda, (d, d); with a
     leading seed axis it is (S, d, d), ``lambda_t`` and ``g`` are (S, d), and
-    ``eta`` and ``contraction`` broadcast against (S, d). ``out`` holds an
-    array or None for each result.
+    ``eta`` and ``contraction`` broadcast against (S, d).
     """
     lambda_g = np.matvec(lambda_mat, g)
-    grad_sq = np.vecdot(g, lambda_g, out=out[1])
-    lam_next = np.add(lambda_t, np.multiply(lambda_g, eta, out=lambda_g), out=out[0])
-    return np.multiply(lam_next, contraction, out=lam_next), grad_sq
-
-
-def _failed_rows(t, g, lam_next, theta_bar) -> dict:
-    """Row -> error for each seed whose iteration t left the finite numbers."""
-    finite = np.isfinite([lam_next, theta_bar, g]).all(axis=-1).T.tolist()  # (S, 3)
-    return {row: FloatingPointError(
-        f"non-finite iterate at iteration {t} (lambda finite: {f[0]}, "
-        f"theta_bar finite: {f[1]}, gradient finite: {f[2]})"
-    ) for row, f in enumerate(finite) if not all(f)}
+    return (lambda_t + lambda_g * eta) * contraction, np.vecdot(g, lambda_g)
 
 
 def run_fogas_batch(
     mdp: LinearMdp, datasets: list[OfflineDataset], configs: list[FogasConfig]
 ) -> list[FogasRun | Exception]:
-    """Run one ascent loop over S seeds at once: seed s runs ``configs[s]`` on
+    """Run the ascent loop for S seeds: seed s runs ``configs[s]`` on
     ``datasets[s]``.
 
     Returns one ``FogasRun`` per seed, or the exception that ended that seed:
     a failure while resolving its config or building its estimator, or the
     ``FloatingPointError`` of a non-finite iterate. A seed that fails in the
-    loop is frozen in place; the others run to T. The configs must share T and
-    ``record_trajectory``; the rates may differ. Each seed's results equal
-    those of its own ``run_fogas`` up to roundoff: the seeds' estimator columns
-    are zero-padded to the union of their observed next states.
+    loop stops there; the others run to T. The configs must share T and
+    ``record_trajectory``, so a recorded batch shares one table; the rates may
+    differ. Each seed's results equal those of its own ``run_fogas`` bit for
+    bit.
     """
     if len(datasets) != len(configs) or not configs:
         raise ValueError("need one dataset per config and at least one of each")
@@ -305,125 +265,152 @@ def run_fogas_batch(
     return results
 
 
-def _ascend(mdp: LinearMdp, prepared: list, results: list) -> None:
-    """The ascent loop over the prepared seeds; fills their slots of ``results``.
+def shift_free_iterations(config: FogasConfig, mdp: LinearMdp) -> int:
+    """How many iterations, from the first, take their softmax without the
+    max-shift: alpha (t-1) d_theta R bounds every logit of iteration t, since
+    ||theta_bar_{t-1}|| <= (t-1) d_theta, and within 700 - ln A of zero neither
+    an exp nor a sum of A of them overflows. On the schedule the bound only
+    reaches sqrt(2 ln A T)."""
+    growth = mdp.feature_bound * (config.alpha * config.d_theta)
+    steps = (SOFTMAX_LOGIT_LIMIT - math.log(mdp.num_actions)) / growth if growth else math.inf
+    return config.T if steps >= config.T else math.floor(steps) + 1
 
-    Prepared seed i keeps row i of every per-seed array, each allocated once,
-    before the loop. A seed that fails is frozen at the origin (zero step
-    sizes, lambda = theta_bar = 0), so its row stays finite and reports no
-    second error.
 
-    Iteration t writes its record into one flat frame: lambda_{t+1},
-    theta_bar_t, theta_t, mu-hat's features and g_t as (S, d) blocks, then
-    g_t^T Lambda g_t (S,). Two frames alternate by the parity of t, so
-    lambda_t and theta_bar_{t-1} are read from the other one. A recorded run
-    copies frame t into row t of a (T+1)-row table, whose row 0 holds
-    lambda_1 = theta_bar_0 = 0, and each seed's trajectory is views into it.
+def _kernel_libs() -> tuple:
+    """Libraries the kernel links: libm, and on x86-64 glibc its vector exp
+    (libmvec), which ``_ascent.c`` declares there."""
+    if platform.machine() == "x86_64" and platform.libc_ver()[0] == "glibc":
+        return ("-lm", "-lmvec")
+    return ("-lm",)
+
+
+def _kernel_path(source: bytes, directory: Path) -> Path:
+    """The build of ``source`` in ``directory``, named by a hash of the source
+    and the compiler command."""
+    import hashlib  # here and in _build_kernel: at import they would add ~8 ms
+
+    key = hashlib.sha256(repr((_COMPILER, _CFLAGS, _kernel_libs())).encode() + source)
+    return directory / f"_ascent-{key.hexdigest()[:16]}.so"
+
+
+def _build_kernel(source: bytes, path: Path) -> None:
+    """Compile ``source`` to a temporary name next to ``path``, then move it
+    into place, so no process sees a partial file."""
+    import subprocess
+
+    partial = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    command = [_COMPILER, *_CFLAGS, "-x", "c", "-", "-o", str(partial), *_kernel_libs()]
+    try:
+        done = subprocess.run(command, input=source, capture_output=True)
+    except OSError as e:
+        raise RuntimeError(f"the ascent loop is built on first use by `{' '.join(command)}`, "
+                           f"but the C compiler {_COMPILER!r} could not be run: {e}") from e
+    if done.returncode:
+        partial.unlink(missing_ok=True)
+        raise RuntimeError(f"`{' '.join(command)}` failed building the ascent loop:\n"
+                           + done.stderr.decode(errors="replace"))
+    os.replace(partial, path)
+
+
+def _kernel():
+    """``fogas_ascend`` from ``_ascent.c``, built on first use (never at import)
+    and kept for the process.
+
+    The build goes to the package's ``__pycache__``, named by ``_kernel_path``;
+    a process that finds it there starts no compiler. Where that directory
+    cannot be written, the build goes to a private temporary directory.
     """
-    slots, cfgs, psi_hats = zip(*prepared)
-    T, S, d = cfgs[0].T, len(cfgs), mdp.dim
-    record = cfgs[0].record_trajectory
+    global _kernel_handle
+    if _kernel_handle is None:
+        source = _KERNEL_SOURCE.read_bytes()
+        cache = _KERNEL_SOURCE.with_name("__pycache__")
+        path = _kernel_path(source, cache)
+        if not path.exists():
+            try:
+                cache.mkdir(exist_ok=True)
+            except OSError:
+                pass
+            if not os.access(cache, os.W_OK):
+                path = _kernel_path(source, Path(tempfile.mkdtemp(prefix="fogas-")))
+            _build_kernel(source, path)
+        ascend = ctypes.CDLL(str(path)).fogas_ascend
+        i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+        ascend.argtypes = [i64] * 4 + [ptr] * 4 + [f64] * 6 + [i64] * 2 + [ptr] * 4 + [i64]
+        ascend.restype = i64
+        _kernel_handle = ascend
+    return _kernel_handle
 
-    # Per-seed rates as full (S, d) rows: numpy multiplies equal shapes faster
-    # than it broadcasts a column.
-    alpha, eta, rho, d_theta = (np.array([[getattr(cfg, name)] * d for cfg in cfgs])
-                                for name in ("alpha", "eta", "rho", "d_theta"))
-    contraction, omega = 1.0 / (1.0 + rho * eta), np.tile(mdp.omega, (S, 1))
-    lambda_mat = np.stack([p.covariance.lambda_mat for p in psi_hats])  # (S, d, d)
-    sites, weights = site_weights(mdp.x0, mdp.gamma, psi_hats)
-    phi_sites = action_major_phi(mdp, sites)  # (A, m, d), m = 1+k sites
-    A, m = phi_sites.shape[:2]
-    # alpha (t-1) d_theta R bounds every logit: no max-shift while it is in bounds.
-    growth = mdp.feature_bound * float(np.max(alpha * d_theta))
-    unshifted_steps = (SOFTMAX_LOGIT_LIMIT - math.log(A)) / growth if growth else math.inf
 
-    chosen = [int(np.random.default_rng(c.seed).integers(1, T + 1)) for c in cfgs]
-    draws: dict[int, list] = {}
-    for row, J in enumerate(chosen):
-        draws.setdefault(J, []).append(row)
-    output_params = np.empty((S, d))
+def _ascend(mdp: LinearMdp, prepared: list, results: list) -> None:
+    """Run each prepared seed's loop as one kernel call; fill their slots of
+    ``results``.
 
-    width = 5 * S * d  # a frame's five (S, d) blocks; its last S floats hold g^T Lambda g
-    frames = np.zeros((2, width + S))  # frame 0 holds lambda_1 = theta_bar_0 = 0
-    views = [(*frame[:width].reshape(5, S, d), frame[width:]) for frame in frames]
-    # Per parity of t, made once: frame t, lambda_t and theta_bar_{t-1} from
-    # the other frame, frame t's views, and lambda_{t+1} and theta_bar_t as
-    # one array for the fused finite test.
-    steps = [(frames[p], *views[1 - p][:2], *views[p], frames[p, :2 * S * d])
-             for p in (0, 1)]
-    scaled, logits, f_pi = np.empty((S, d)), np.empty((S, A * m)), np.empty((S, m, d))
-    # The block [M; (1-gamma) f_x0^T] row-major, so each of its rows, x0_term
-    # among them, is one contiguous (S, d) array across the seeds.
-    block = np.empty((d + 1, S, d)).transpose(1, 0, 2)
-    operator, x0_term = block[:, :d], block[:, d]
-    if record:
-        table = np.empty((T + 1, width + S))
+    A recorded batch writes one (T+1, S, 5d+1) table: row t of seed s holds
+    lambda_{t+1}, theta_bar_t, theta_t, mu-hat's features, g_t and
+    g_t^T Lambda g_t; row 0 holds lambda_1 = theta_bar_0 = 0. Each seed's
+    trajectory is read-only views into it.
+    """
+    ascend = _kernel()
+    T, d = prepared[0][1].T, mdp.dim
+    table = None
+    if prepared[0][1].record_trajectory:
+        table = np.empty((T + 1, len(prepared), 5 * d + 1))
         table[0] = 0.0
-    errors = {}  # row -> the error that ended its seed
-
-    # A non-finite iterate is reported below, so numpy's warnings would repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, T + 1):
-            (frame, lam, theta_bar_prev, lam_next, theta_bar, theta, phimu, g, grad_sq,
-             tested) = steps[t & 1]
-            np.multiply(alpha, theta_bar_prev, out=scaled)  # the policies in force at iteration t
-            for row in draws.get(t, ()):
-                output_params[row] = scaled[row]
-            probs = action_major_softmax(phi_sites, scaled, out=logits,
-                                         shift=t - 1 > unshifted_steps)  # (S, A, m)
-            occupancy_operator(weights, probs, phi_sites, out=block, scratch=f_pi)
-
-            # Value-parameter step: best response to the estimated feature occupancy.
-            mu_hat_features(lam, operator, x0_term, out=phimu)
-            best_response_theta(np.subtract(phimu, lam, out=theta), d_theta, out=theta)
-
-            # Policy step in cumulative form.
-            np.add(theta_bar_prev, theta, out=theta_bar)
-
-            # Feature-occupancy step.
-            lambda_gradient(omega, operator, theta, out=g)
-            lambda_update(lam, g, lambda_mat, eta, contraction, out=(lam_next, grad_sq))
-
-            # One fused test per iteration; a finite sum that overflowed only
-            # costs the exact per-seed check. A non-finite g makes Lambda g, and
-            # so lambda_next, non-finite, so g needs no sum of its own.
-            if not math.isfinite(np.add.reduce(tested)):
-                failed = _failed_rows(t, g, lam_next, theta_bar)
-                errors.update(failed)
-                if len(errors) == S:
-                    break
-                rows = list(failed)
-                for frozen in (eta, contraction, d_theta, lam_next, theta_bar):
-                    frozen[rows] = 0.0
-
-            if record:
-                table[t] = frame
-
-    del probs, logits, f_pi  # before the output policies' (X, A) tables
-    lam, theta_bar = steps[T & 1][3:5]  # lambda_{T+1} and theta_bar_T
-    if record:  # (T+1, 5, S, d) and (T, S) views of the table
-        history, grad_sq_norms = table[:, :width].reshape(T + 1, 5, S, d), table[1:, width:]
-    for row, slot in enumerate(slots):
-        if row in errors:
-            results[slot] = errors[row]
+    for row, (slot, cfg, psi_hat) in enumerate(prepared):
+        chosen = int(np.random.default_rng(cfg.seed).integers(1, T + 1))
+        out, finite = np.empty((3, d)), (ctypes.c_int * 3)()
+        rows = None if table is None else table[:, row]
+        failed_at = _ascend_seed(ascend, mdp, cfg, psi_hat, chosen, out, finite, rows)
+        if failed_at:
+            results[slot] = FloatingPointError(
+                f"non-finite iterate at iteration {failed_at} (lambda finite: "
+                f"{bool(finite[0])}, theta_bar finite: {bool(finite[1])}, "
+                f"gradient finite: {bool(finite[2])})")
             continue
-        output_param = output_params[row]
+        lam, theta_bar, output_param = out
         results[slot] = FogasRun(
-            config=cfgs[row],
-            chosen_index=chosen[row],
-            lambda_final=_readonly(lam[row]),
-            theta_bar_final=_readonly(theta_bar[row]),
+            config=cfg,
+            chosen_index=chosen,
+            lambda_final=_readonly(lam),
+            theta_bar_final=_readonly(theta_bar),
             output_param=_readonly(output_param),
             output_policy=softmax_from_logit_param(mdp, output_param),
-            trajectory=FogasTrajectory(
-                lambdas=history[:-1, 0, row],
-                thetas=history[1:, 2, row],
-                theta_bars=history[1:, 1, row],
-                phi_mu_hats=history[1:, 3, row],
-                g_lambdas=history[1:, 4, row],
-                grad_sq_norms=grad_sq_norms[:, row],
-            ) if record else None,
+            trajectory=None if rows is None else FogasTrajectory(
+                lambdas=rows[:-1, :d],
+                thetas=rows[1:, 2 * d:3 * d],
+                theta_bars=rows[1:, d:2 * d],
+                phi_mu_hats=rows[1:, 3 * d:4 * d],
+                g_lambdas=rows[1:, 4 * d:5 * d],
+                grad_sq_norms=rows[1:, 5 * d],
+            ),
         )
+
+
+def _ascend_seed(ascend, mdp: LinearMdp, cfg: FogasConfig, psi_hat: PsiHat, chosen: int,
+                 out: np.ndarray, finite, rows: np.ndarray | None) -> int:
+    """One seed's kernel call; returns the iteration that failed, or 0.
+
+    The m = 1+k sites are x0 and the observed next states. Their features are
+    gathered straight into the kernel's (A, d, m) layout, and the estimator
+    columns into W = gamma C, (d, m), zero at x0.
+    """
+    A, d = mdp.num_actions, mdp.dim
+    sites = np.concatenate(([mdp.x0], psi_hat.observed_states))
+    m = len(sites)
+    phi_sites = mdp.phi[(A * sites + np.arange(A)[:, None])[:, None], np.arange(d)[:, None]]
+    weights = np.zeros((d, m))
+    np.multiply(psi_hat.columns, mdp.gamma, out=weights[:, 1:])
+    work = np.empty((A + d + 2) * m)
+    omega, lambda_mat = (np.ascontiguousarray(a, dtype=np.float64)
+                         for a in (mdp.omega, psi_hat.covariance.lambda_mat))
+    return ascend(
+        cfg.T, A, d, m, phi_sites.ctypes.data, weights.ctypes.data, omega.ctypes.data,
+        lambda_mat.ctypes.data, 1.0 - mdp.gamma, cfg.alpha, cfg.eta,
+        1.0 / (1.0 + cfg.rho * cfg.eta), cfg.d_theta, BEST_RESPONSE_TIE_TOL,
+        shift_free_iterations(cfg, mdp), chosen, work.ctypes.data, out.ctypes.data, finite,
+        None if rows is None else rows.ctypes.data,
+        0 if rows is None else rows.strides[0] // rows.itemsize,
+    )
 
 
 def run_fogas(mdp: LinearMdp, dataset: OfflineDataset, config: FogasConfig) -> FogasRun:

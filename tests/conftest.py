@@ -1,7 +1,7 @@
 """Shared fixtures (a default environment, datasets, one recorded run) and
 the dense and per-iterate references the vectorized code is tested against.
-The dense (X*A, X) kernel, the (T, X, A) iterate tables and the ascent loop
-without the occupancy operator exist only here; the package never forms
+The dense (X*A, X) kernel, the (T, X, A) iterate tables, the d x d occupancy
+operator and a numpy ascent loop exist only here; the package never forms
 them. So does the relaxed-LP feasibility check, which only tests call."""
 
 import warnings
@@ -118,7 +118,6 @@ def dense_evaluate_policy(mdp, probs):
         "v": v,
         "theta_pi": mdp.omega + gamma * mdp.psi @ v,
         "mu": mu,
-        "nu": nu,
         "lambda_pi": mdp.phi.T @ mu,
         "return_value": float(mu @ r),
     }
@@ -153,6 +152,32 @@ def dense_greedy_policy(mdp, sweeps=2000):
     for _ in range(sweeps):
         q = mdp.rewards + mdp.gamma * P @ q.reshape(X, A).max(axis=1)
     return q.reshape(X, A).argmax(axis=1)
+
+
+def site_weights(x0: int, gamma: float, psi_hats) -> tuple[np.ndarray, np.ndarray]:
+    """The sites, x0 then the union of the observed next states, and the
+    weights (S, d+1, 1+k): rows 0..d-1 of row s are gamma times the columns of
+    ``psi_hats[s]``, zero at x0 and at next states it did not observe, so the
+    sites stay one array for every seed; row d is 1-gamma at x0, the weight
+    of f_x0 in mu-hat's features.
+    """
+    union = np.unique(np.concatenate([p.observed_states for p in psi_hats]))
+    weights = np.zeros((len(psi_hats), psi_hats[0].dim + 1, 1 + len(union)))
+    weights[:, -1, 0] = 1.0 - gamma
+    for row, psi_hat in enumerate(psi_hats):
+        weights[row][:-1, 1 + np.searchsorted(union, psi_hat.observed_states)] = \
+            gamma * psi_hat.columns
+    return np.concatenate(([x0], union)), weights
+
+
+def occupancy_operator(weights, probs, phi_sites):
+    """The block [M; (1-gamma) f_x0^T], shape (..., d+1, d), of the operator
+    M = gamma C F_pi and f_x0 = sum_a pi(a|x0) phi(x0,a).
+
+    ``probs`` (..., A, m) is pi at the sites, ``phi_sites`` (A, m, d) their
+    action-major features and ``weights`` (..., d+1, m) from ``site_weights``.
+    """
+    return weights @ np.einsum("...am,amd->...md", probs, phi_sites)
 
 
 def softmax_features(phi_states, scaled_param):

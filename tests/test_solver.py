@@ -1,6 +1,9 @@
 """The ascent loop and its closed-form updates, checked against dense
 materializations, finite differences, and random feasible points."""
 
+import os
+import subprocess
+import tempfile
 import time
 import tracemalloc
 from dataclasses import asdict, fields, replace
@@ -23,11 +26,9 @@ from fogas.solver import (
     lambda_update,
     load_run,
     mu_hat_features,
-    occupancy_operator,
     run_fogas,
     run_fogas_batch,
     save_run,
-    site_weights,
     theoretical_min_iterations,
 )
 
@@ -35,11 +36,13 @@ from conftest import (
     edit_archive,
     iterate_params,
     iterate_policy_tables,
+    occupancy_operator,
     psi_hat_apply,
     random_mdp,
     random_policy,
     read_archive,
     reference_ascend,
+    site_weights,
 )
 
 
@@ -172,8 +175,8 @@ class TestLambdaUpdate:
 
 
 def site_operator(mdp, psi_hat, probs, gamma=0.9):
-    """(M, (1-gamma) f_x0) of a policy table, through the loop's helpers on the
-    sites of one estimator."""
+    """(M, (1-gamma) f_x0) of a policy table, through the reference operator on
+    the sites of one estimator."""
     sites, weights = site_weights(mdp.x0, gamma, [psi_hat])
     block = occupancy_operator(weights[0], probs[sites].T, action_major_phi(mdp, sites))
     return block[:-1], block[-1]
@@ -357,9 +360,10 @@ class TestRunFogas:
 
 class TestLoopMemory:
     def test_peak_is_bounded(self):
-        """At X=1e4 (k=8386 observed next states) the loop holds one action-major
-        copy of the site features, 2.1 MB, and per iteration an (S, 1+k, d)
-        F_pi, 0.5 MB; the estimator and its groups take about 2 MB."""
+        """At X=1e4 (k=8386 observed next states) the loop holds one (A, d, 1+k)
+        copy of the site features, 2.1 MB, W = gamma C, 0.5 MB, and the
+        kernel's (A + d + 2)(1+k) work floats, 0.9 MB; the estimator and its
+        groups take about 2 MB."""
         mdp = fogas.generate_linear_mdp(10_000, 4, 8, gamma=0.9, seed=0)
         ds = collect_dataset(mdp, fogas.uniform_policy(10_000, 4), n=20_000,
                              sampling_mode="uniform", seed=0)
@@ -372,8 +376,51 @@ class TestLoopMemory:
         assert peak <= 8e6
 
 
-# Batched and solo runs differ only by roundoff: zero-padded columns change
-# the summation order. Relative to each field's largest absolute value.
+class TestKernelBuild:
+    """The compiled loop is built on first use into a cache keyed by its
+    source and compiler command, and loaded from there afterwards."""
+
+    def test_warm_cache_starts_no_compiler(self, default_mdp, default_dataset, monkeypatch):
+        solver._kernel()  # the build is in the cache from here on
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError(f"compiler started: {args}")
+
+        monkeypatch.setattr(subprocess, "run", no_compiler)
+        monkeypatch.setattr(solver, "_kernel_handle", None)
+        run = run_fogas(default_mdp, default_dataset, FogasConfig(T=5, auto_tune=True))
+        assert np.all(np.isfinite(run.lambda_final))
+
+    def test_changed_source_gets_new_name(self, tmp_path):
+        source = solver._KERNEL_SOURCE.read_bytes()
+        name = solver._kernel_path(source, tmp_path)
+        assert solver._kernel_path(source, tmp_path) == name
+        assert solver._kernel_path(source + b"\n", tmp_path) != name
+
+    def test_unwritable_cache_builds_privately(self, default_mdp, default_dataset, monkeypatch,
+                                               tmp_path):
+        """Where the package's __pycache__ cannot be written, the build goes to
+        a private temporary directory, and the cache gets nothing."""
+        monkeypatch.setattr(solver, "_CFLAGS", solver._CFLAGS + ("-DFOGAS_UNCACHED",))
+        monkeypatch.setattr(solver, "_kernel_handle", None)
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        monkeypatch.setattr(tempfile, "mkdtemp", lambda prefix: str(tmp_path))
+        cache = solver._KERNEL_SOURCE.with_name("__pycache__")
+        cached = set(cache.glob("_ascent-*"))
+        run_fogas(default_mdp, default_dataset, FogasConfig(T=5, auto_tune=True))
+        assert set(cache.glob("_ascent-*")) == cached
+        source = solver._KERNEL_SOURCE.read_bytes()
+        assert list(tmp_path.iterdir()) == [solver._kernel_path(source, tmp_path)]
+
+    def test_missing_compiler_is_named(self, default_mdp, default_dataset, monkeypatch):
+        monkeypatch.setattr(solver, "_COMPILER", "fogas-no-such-cc")
+        monkeypatch.setattr(solver, "_kernel_handle", None)
+        with pytest.raises(RuntimeError, match="C compiler 'fogas-no-such-cc'"):
+            run_fogas(default_mdp, default_dataset, FogasConfig(T=5, auto_tune=True))
+
+
+# Tolerance between two runs of one seed, relative to each field's largest
+# absolute value. Batched and solo runs make the same kernel call per seed.
 BATCH_RTOL = 1e-10
 
 
@@ -585,16 +632,17 @@ class TestRunFogasBatch:
         assert np.allclose(theta[1], [-0.6, -0.8], atol=1e-15)
 
 
-def shift_flags(monkeypatch):
-    """The ``shift`` argument of every softmax the loop takes, in order."""
-    flags = []
+def shift_free_counts(monkeypatch):
+    """The count of shift-free iterations the loop is given, one per seed."""
+    counts = []
+    count_of = solver.shift_free_iterations
 
-    def recording(phi_states, scaled_param, out=None, shift=True):
-        flags.append(shift)
-        return action_major_softmax(phi_states, scaled_param, out=out, shift=shift)
+    def recording(config, mdp):
+        counts.append(count_of(config, mdp))
+        return counts[-1]
 
-    monkeypatch.setattr(solver, "action_major_softmax", recording)
-    return flags
+    monkeypatch.setattr(solver, "shift_free_iterations", recording)
+    return counts
 
 
 class TestShiftFreeSoftmax:
@@ -606,12 +654,12 @@ class TestShiftFreeSoftmax:
         """alpha d_theta R passes the limit at once, and the logits pass exp's
         overflow point (about 709.78) within the run: every softmax from t=2
         on is shifted, and each step matches the reference."""
-        flags = shift_flags(monkeypatch)
+        counts = shift_free_counts(monkeypatch)
         cfg = FogasConfig(T=30, seed=0, auto_tune=True, alpha=50.0, record_trajectory=True)
         run = run_fogas(default_mdp, default_dataset, cfg)
         bound = run.config.alpha * run.config.d_theta * default_mdp.feature_bound
         assert bound > 700.0
-        assert flags == [False] + [True] * 29
+        assert counts == [1]  # the first shifted iteration is t=2
         logits = default_mdp.phi @ (run.config.alpha * run.trajectory.theta_bars.T)
         assert np.abs(logits).max() > 710.0
         for f in fields(FogasTrajectory):
@@ -619,17 +667,25 @@ class TestShiftFreeSoftmax:
         assert_runs_close(run, reference_ascend(default_mdp, default_dataset, cfg,
                                                 follow=run.trajectory), REFERENCE_RTOL)
 
+    def test_loop_reads_the_count(self, default_mdp, default_dataset, monkeypatch):
+        """The same run told that every iteration is shift-free overflows exp
+        and stops: the loop skips the shift exactly where the count says."""
+        monkeypatch.setattr(solver, "shift_free_iterations", lambda config, mdp: config.T)
+        cfg = FogasConfig(T=30, seed=0, auto_tune=True, alpha=50.0)
+        with pytest.raises(FloatingPointError, match="iteration"):
+            run_fogas(default_mdp, default_dataset, cfg)
+
     def test_switch_mid_run(self, default_mdp, default_dataset, monkeypatch):
         """With alpha set so that the bound reaches the limit halfway, the
         first 21 softmaxes skip the shift and the other 19 take it; both
         halves match the reference step by step."""
-        flags = shift_flags(monkeypatch)
+        counts = shift_free_counts(monkeypatch)
         d_theta = fogas.canonical_d_theta(default_mdp)
         limit = 700.0 - np.log(default_mdp.num_actions)
         alpha = limit / (20.5 * d_theta * default_mdp.feature_bound)  # (t-1) = 20.5 at the limit
         cfg = FogasConfig(T=40, seed=1, auto_tune=True, alpha=alpha, record_trajectory=True)
         run = run_fogas(default_mdp, default_dataset, cfg)
-        assert flags == [False] * 21 + [True] * 19
+        assert counts == [21]  # the first shifted iteration is t=22
         assert_runs_close(run, reference_ascend(default_mdp, default_dataset, cfg,
                                                 follow=run.trajectory), REFERENCE_RTOL)
 
