@@ -123,17 +123,7 @@ def _cmd_collect(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    if args.T is not None and args.T < 1:
-        print("T must be ≥ 1", file=sys.stderr)
-        return 2
-    mdp = linmdp.load_mdp(args.mdp)
-    dataset = load_dataset(args.data, mdp)
-
-    fogas_spec: dict = {"auto_tune": args.auto_tune, "delta": args.delta}
-    if args.T is not None:
-        fogas_spec["T"] = args.T
-    if args.d_theta is not None:
-        fogas_spec["d_theta"] = args.d_theta
+    rates = {}
     if args.rates is not None:
         try:
             alpha, rho, eta, beta = (float(v) for v in args.rates.split(","))
@@ -141,20 +131,20 @@ def _cmd_solve(args) -> int:
             print("--rates expects four comma-separated values: alpha,rho,eta,beta",
                   file=sys.stderr)
             return 2
-        fogas_spec.update({"alpha": alpha, "rho": rho, "eta": eta, "beta": beta})
-        fogas_spec.setdefault("d_theta", solver.canonical_d_theta(mdp))
+        rates = {"alpha": alpha, "rho": rho, "eta": eta, "beta": beta}
     elif not args.auto_tune:
         print("either --auto-tune or --rates is required", file=sys.stderr)
         return 2
-
     try:
-        config = harness.fogas_config_from_spec(
-            mdp, len(dataset), args.seed, fogas_spec,
-            record_trajectory=args.record_trajectory,
+        config = solver.FogasConfig(
+            T=args.T, seed=args.seed, auto_tune=args.auto_tune, delta=args.delta,
+            d_theta=args.d_theta, record_trajectory=args.record_trajectory, **rates,
         )
-    except ValueError as e:  # a flag out of range: delta, seed, a rate or d_theta
+    except ValueError as e:  # a flag out of range: T, delta, seed, a rate or d_theta
         print(str(e), file=sys.stderr)
         return 2
+    mdp = linmdp.load_mdp(args.mdp)
+    dataset = load_dataset(args.data, mdp)
     start = time.perf_counter()
     run = solver.run_fogas(mdp, dataset, config)
     # Only the --results row reads the mean-iterate suboptimality; scoring

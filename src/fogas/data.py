@@ -64,7 +64,7 @@ class OfflineDataset:
 
     @cached_property
     def next_state_groups(self):
-        """(unique observed next states, per-sample position, summed features).
+        """(unique observed next states, summed features).
 
         ``summed_features`` column j is the sum of phi_i over samples whose
         next state is ``observed_states[j]``.
@@ -75,7 +75,7 @@ class OfflineDataset:
         inverse = (np.cumsum(counts > 0) - 1)[self.x_nexts]
         summed = np.array([np.bincount(inverse, weights=column, minlength=len(observed))
                            for column in self.features.T])  # same order as np.add.at
-        return observed, inverse, _readonly(summed)
+        return observed, _readonly(summed)
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,7 @@ def estimate_psi(dataset: OfflineDataset, beta: float) -> PsiHat:
     for unobserved next states are identically zero.
     """
     cov = build_covariance(dataset, beta)
-    observed, _, summed = dataset.next_state_groups
+    observed, summed = dataset.next_state_groups
     columns = cov.solve(summed) / len(dataset)
     return PsiHat(
         num_states=dataset.num_states,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from numbers import Real
 
 import numpy as np
@@ -13,7 +13,7 @@ from .data import OfflineDataset, build_covariance, collect_dataset
 from .diagnostics import score_iterates
 from .linmdp import LinearMdp, TabularPolicy, generate_linear_mdp, load_mdp, uniform_policy
 from .oracle import evaluate_policy, solve_optimal
-from .solver import FogasConfig, FogasRun, run_fogas_batch, theoretical_min_iterations
+from .solver import FogasConfig, FogasRun, _is_int, run_fogas_batch
 
 RESULTS_HEADER = "mdp_id,n,seed,T,coverage_ratio,suboptimality,mean_suboptimality,wall_time_ms,status"
 
@@ -48,6 +48,8 @@ class ExperimentConfig:
         "mdp", "behavior", "sampling_mode", "n_values", "seeds", "fogas",
     }
     _GENERATOR_KEYS = ("states", "actions", "dim", "gamma")
+    # Every FogasConfig field but those each cell sets itself.
+    _FOGAS_KEYS = {f.name for f in fields(FogasConfig)} - {"seed", "record_trajectory"}
 
     def __post_init__(self):
         if "path" not in self.mdp:
@@ -73,6 +75,9 @@ class ExperimentConfig:
             raise ValueError(f"n values must be integers >= 1, got {self.n_values!r}")
         if self.sampling_mode not in ("occupancy", "uniform"):
             raise ValueError(f"unknown sampling_mode {self.sampling_mode!r}")
+        unknown = set(self.fogas) - self._FOGAS_KEYS
+        if unknown:
+            raise ValueError(f"unknown fogas config keys: {sorted(unknown)}")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -124,52 +129,6 @@ class ExperimentRecord:
                 self.status,
             ]
         )
-
-
-def _is_int(value) -> bool:
-    """An int or numpy integer, not a bool: a float or bool is never truncated."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _iteration_count(fogas_spec: dict, key: str, default: int | None = None) -> int:
-    value = fogas_spec.get(key, default)
-    if not _is_int(value) or value < 1:
-        raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
-def resolve_iterations(mdp: LinearMdp, n: int, fogas_spec: dict) -> int:
-    """T from the config dict: explicit value, or the theoretical minimum
-    (rounded up) capped by "T_cap" when auto-tuning. Both must be integers >= 1."""
-    cap = _iteration_count(fogas_spec, "T_cap", 20000)
-    if fogas_spec.get("T") is not None:
-        return _iteration_count(fogas_spec, "T")
-    delta = float(fogas_spec.get("delta", 0.05))
-    if not 0.0 < delta < 1.0:  # checked here too: t_min divides by log(1/delta)
-        raise ValueError("delta must lie in (0, 1)")
-    t_min = int(np.ceil(theoretical_min_iterations(mdp, n=n, delta=delta)))
-    return max(1, min(t_min, cap))
-
-
-def fogas_config_from_spec(
-    mdp: LinearMdp, n: int, seed: int, fogas_spec: dict, record_trajectory: bool = True
-) -> FogasConfig:
-    known = {"auto_tune", "T", "T_cap", "delta", "alpha", "rho", "eta", "beta", "d_theta"}
-    unknown = set(fogas_spec) - known
-    if unknown:
-        raise ValueError(f"unknown fogas config keys: {sorted(unknown)}")
-    return FogasConfig(
-        T=resolve_iterations(mdp, n, fogas_spec),
-        seed=seed,
-        auto_tune=bool(fogas_spec.get("auto_tune", True)),
-        delta=float(fogas_spec.get("delta", 0.05)),
-        alpha=fogas_spec.get("alpha"),
-        rho=fogas_spec.get("rho"),
-        eta=fogas_spec.get("eta"),
-        beta=fogas_spec.get("beta"),
-        d_theta=fogas_spec.get("d_theta"),
-        record_trajectory=record_trajectory,
-    )
 
 
 def mean_iterate_suboptimality(mdp: LinearMdp, run: FogasRun, rho_star: float) -> float:
@@ -228,10 +187,11 @@ def run_group(
     for slot, seed in enumerate(seeds):
         start = time.perf_counter()
         try:
+            config = FogasConfig(**{"auto_tune": True, **fogas_spec}, seed=seed,
+                                 record_trajectory=True)
             dataset = collect_dataset(
                 mdp, behavior, n=n, sampling_mode=sampling_mode, seed=seed
             )
-            config = fogas_config_from_spec(mdp, n, seed, fogas_spec)
         except Exception as e:  # this cell's error; the others still run
             results[slot] = e
             continue

@@ -53,15 +53,18 @@ _kernel_handle = None  # fogas_ascend, once loaded
 
 @dataclass(frozen=True)
 class FogasConfig:
-    """Solver hyperparameters.
+    """Solver hyperparameters, and the one place a run's schedule is resolved.
 
-    With ``auto_tune`` set, any rate left as None is filled from the
-    theoretical schedule (which needs the MDP features and the sample count;
-    see ``resolved``). Explicitly set values always win, which is how the
-    stabilization ablation (rho=0) is run.
+    ``resolved`` fills, from the MDP features and the sample count, what is
+    left as None: T becomes the theoretical minimum iteration count (rounded
+    up) capped by ``T_cap``, d_theta the canonical radius sqrt(d)/(1-gamma),
+    and, with ``auto_tune`` set, the rates come from the theoretical schedule.
+    Explicitly set values always win, which is how the stabilization ablation
+    (rho=0) is run.
     """
 
-    T: int
+    T: int | None = None
+    T_cap: int = 20000
     seed: int = 0
     auto_tune: bool = False
     delta: float = 0.05
@@ -73,10 +76,13 @@ class FogasConfig:
     record_trajectory: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.T, (int, np.integer)) or self.T < 1:
-            raise ValueError("T must be an integer >= 1")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError("seed must be an integer >= 0")
+        for name, low in (("T", 1), ("T_cap", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= low or name == "T" and value is None):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name in ("auto_tune", "record_trajectory"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         for name in ("alpha", "rho", "eta", "beta", "d_theta"):
@@ -91,23 +97,26 @@ class FogasConfig:
             raise ValueError("rho must be >= 0")
 
     def resolved(self, mdp: LinearMdp, n: int) -> "FogasConfig":
-        """Fill unset rates from the theoretical schedule (auto_tune only)."""
-        if None not in (self.alpha, self.rho, self.eta, self.beta, self.d_theta):
-            return self
-        if not self.auto_tune:
-            raise ValueError(
-                "all of alpha, rho, eta, beta, d_theta must be set unless auto_tune"
-            )
-        rates = theoretical_rates(mdp, n=n, T=self.T, delta=self.delta)
+        """The config with T, d_theta and (auto_tune only) the rates filled."""
         t_min = theoretical_min_iterations(mdp, n=n, delta=self.delta)
-        if self.T < t_min:
+        T = max(1, min(math.ceil(t_min), self.T_cap)) if self.T is None else self.T
+        unset = [k for k in ("alpha", "rho", "eta", "beta") if getattr(self, k) is None]
+        if unset and not self.auto_tune:
+            raise ValueError("all of alpha, rho, eta, beta must be set unless auto_tune")
+        if unset and T < t_min:
             warnings.warn(
-                f"auto-tuned run with T={self.T} below the theoretical minimum "
+                f"auto-tuned run with T={T} below the theoretical minimum "
                 f"{t_min:.0f}; proceeding anyway",
                 stacklevel=2,
             )
-        updates = {k: v for k, v in rates.items() if getattr(self, k) is None}
-        return replace(self, **updates)
+        rates = theoretical_rates(mdp, n=n, T=T, delta=self.delta) if unset else {}
+        d_theta = canonical_d_theta(mdp) if self.d_theta is None else self.d_theta
+        return replace(self, T=T, d_theta=d_theta, **{k: rates[k] for k in unset})
+
+
+def _is_int(value) -> bool:
+    """An int or numpy integer, not a bool: a float or bool is never truncated."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def canonical_d_theta(mdp: LinearMdp) -> float:
@@ -243,15 +252,13 @@ def run_fogas_batch(
     Returns one ``FogasRun`` per seed, or the exception that ended that seed:
     a failure while resolving its config or building its estimator, or the
     ``FloatingPointError`` of a non-finite iterate. A seed that fails in the
-    loop stops there; the others run to T. The configs must share T and
-    ``record_trajectory``, so a recorded batch shares one table; the rates may
-    differ. Each seed's results equal those of its own ``run_fogas`` bit for
-    bit.
+    loop stops there; the others run to T. The resolved configs must share T
+    and ``record_trajectory``, so a recorded batch shares one table; the rates
+    may differ. Each seed's results equal those of its own ``run_fogas`` bit
+    for bit.
     """
     if len(datasets) != len(configs) or not configs:
         raise ValueError("need one dataset per config and at least one of each")
-    if len({(c.T, c.record_trajectory) for c in configs}) > 1:
-        raise ValueError("batched configs must share T and record_trajectory")
     results: list = [None] * len(configs)
     prepared = []
     for slot, (dataset, config) in enumerate(zip(datasets, configs)):
@@ -260,6 +267,8 @@ def run_fogas_batch(
             prepared.append((slot, cfg, estimate_psi(dataset, cfg.beta)))
         except Exception as e:  # this seed's error; the others still run
             results[slot] = e
+    if len({(cfg.T, cfg.record_trajectory) for _, cfg, _ in prepared}) > 1:
+        raise ValueError("batched configs must share T and record_trajectory")
     if prepared:
         _ascend(mdp, prepared, results)
     return results
@@ -426,10 +435,12 @@ def run_fogas(mdp: LinearMdp, dataset: OfflineDataset, config: FogasConfig) -> F
     return result
 
 
-# Run-file entries: the config's fields as scalars, then the arrays, whose
+# Run-file entries: the config's fields as scalars, typed by the first type of
+# their annotation (an ``int | None`` T is int64), then the arrays, whose
 # shapes ``load_run`` checks against the config's T and the MDP's d.
 _RUN_ENTRIES = {
-    **{f"config.{f.name}": ({"int": np.int64, "bool": np.bool_}.get(f.type, np.float64), 0)
+    **{f"config.{f.name}": ({"int": np.int64, "bool": np.bool_}.get(f.type.split(" |")[0],
+                                                                   np.float64), 0)
        for f in fields(FogasConfig)},
     "chosen_index": (np.int64, 0),
     **dict.fromkeys(("lambda_final", "theta_bar_final", "output_param"), (np.float64, 1)),

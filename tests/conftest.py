@@ -294,7 +294,7 @@ def add_at_groups(dataset):
     observed, inverse = np.unique(dataset.x_nexts, return_inverse=True)
     summed = np.zeros((dataset.dim, len(observed)))
     np.add.at(summed.T, inverse, dataset.features)
-    return observed, inverse, summed
+    return observed, summed
 
 
 def looped_gap_terms(mdp, psi_hat, trajectory, comparators, alpha):

@@ -9,6 +9,7 @@ import fogas
 from fogas import harness
 from fogas.cli import main as cli_main
 from fogas.oracle import evaluate_policy, solve_optimal
+from fogas.solver import FogasConfig, canonical_d_theta, theoretical_min_iterations
 
 from conftest import edit_archive, read_archive
 
@@ -77,16 +78,18 @@ class TestExperimentConfig:
 
 
 class TestResolveIterations:
+    """A sweep's T comes from ``FogasConfig.resolved``: the explicit value, or
+    the theoretical minimum rounded up and capped by T_cap."""
+
     def test_explicit_wins(self, default_mdp):
-        assert harness.resolve_iterations(default_mdp, 4096, {"T": 7}) == 7
+        assert FogasConfig(T=7, auto_tune=True).resolved(default_mdp, 4096).T == 7
 
     def test_cap_applies(self, default_mdp):
-        T = harness.resolve_iterations(default_mdp, 10**7, {"T_cap": 500})
+        T = FogasConfig(T_cap=500, auto_tune=True).resolved(default_mdp, 10**7).T
         assert T == 500
 
     def test_theorem_minimum_used(self, default_mdp):
-        from fogas.solver import theoretical_min_iterations
-        T = harness.resolve_iterations(default_mdp, 1024, {})
+        T = FogasConfig(auto_tune=True).resolved(default_mdp, 1024).T
         assert T == int(np.ceil(theoretical_min_iterations(default_mdp, 1024, 0.05)))
 
 
@@ -405,6 +408,23 @@ class TestCli:
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert float(row["wall_time_ms"]) > 0
 
+    def test_solve_rates_resolves_T_and_radius(self, tmp_path, capsys):
+        """Without --T and --d-theta, T is the theoretical minimum rounded up
+        and the radius sqrt(d)/(1-gamma), as in an auto-tuned run."""
+        mdp_path = self.generate(tmp_path)
+        data_path, run_path = tmp_path / "d.npz", tmp_path / "run.npz"
+        cli_main(["collect", "--mdp", str(mdp_path), "--n", "128", "--out", str(data_path)])
+        assert cli_main(["solve", "--mdp", str(mdp_path), "--data", str(data_path),
+                         "--rates", "0.01,0.1,0.05,0.001", "--out", str(run_path)]) == 0
+        entries = read_archive(run_path)
+        mdp = fogas.load_mdp(mdp_path)
+        for name, dtype, want in (
+                ("T", np.int64, np.ceil(theoretical_min_iterations(mdp, 128, 0.05))),
+                ("T_cap", np.int64, 20000),
+                ("d_theta", np.float64, canonical_d_theta(mdp))):
+            entry = entries[f"config.{name}"]
+            assert entry.dtype == dtype and entry.shape == () and entry == want, name
+
     def test_solve_auto_tune_keeps_d_theta(self, tmp_path, capsys):
         _, _, run_path = self.pipeline(tmp_path, ("--d-theta", "0.5"))
         assert read_archive(run_path)["config.d_theta"] == 0.5
@@ -482,7 +502,9 @@ class TestCli:
                               ({"seeds": [1.5]}, "seeds must be integers"),
                               ({"seeds": [0, -1]}, "seeds must be integers >= 0"),
                               ({"mdp": {**mdp, "seed": -1}}, "mdp seed must be an integer"),
-                              ({"mdp": {**mdp, "gamma": 1.5}}, "mdp gamma must lie in")):
+                              ({"mdp": {**mdp, "gamma": 1.5}}, "mdp gamma must lie in"),
+                              ({"fogas": {"auto_tune": True, "etta": 0.1}},
+                               "unknown fogas config keys: ['etta']")):
             cfg_path.write_text(json.dumps({"mdp": mdp, **grid}))
             assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
             assert message in capsys.readouterr().err

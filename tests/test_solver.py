@@ -73,6 +73,17 @@ class TestConfig:
                 with pytest.raises(ValueError, match=f"{name} is not finite"):
                     FogasConfig(T=5, **{name: value})
 
+    def test_integer_and_bool_fields_typed(self):
+        """A bool is not an integer and a string is not a bool: neither is
+        truncated or read as true."""
+        for name, low in (("T", 1), ("T_cap", 1), ("seed", 0)):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer >= {low}, "
+                                                 "got True$"):
+                FogasConfig(**{name: True})
+        for name in ("auto_tune", "record_trajectory"):
+            with pytest.raises(ValueError, match=f"^{name} must be a bool, got 'false'$"):
+                FogasConfig(**{name: "false"})
+
     def test_manual_mode_requires_all_rates(self, default_mdp):
         cfg = FogasConfig(T=5, alpha=0.1, eta=0.1, beta=0.1, d_theta=1.0)
         with pytest.raises(ValueError, match="auto_tune"):
@@ -352,9 +363,14 @@ class TestRunFogas:
                                  sampling_mode="uniform", seed=0)
             cfg = FogasConfig(T=300, seed=0, auto_tune=True)
             run_fogas(default_mdp, ds, cfg)  # warm up caches
-            start = time.perf_counter()
-            run_fogas(default_mdp, ds, cfg)
-            times[n] = time.perf_counter() - start
+            # Each call takes well under a millisecond: the minimum of five
+            # ignores a call the host delayed.
+            calls = []
+            for _ in range(5):
+                start = time.perf_counter()
+                run_fogas(default_mdp, ds, cfg)
+                calls.append(time.perf_counter() - start)
+            times[n] = min(calls)
         assert times[16384] <= 2.5 * times[8192]
 
 
@@ -592,6 +608,14 @@ class TestRunFogasBatch:
                                 [FogasConfig(T=20, auto_tune=True), other])
         with pytest.raises(ValueError):
             run_fogas_batch(default_mdp, datasets, [FogasConfig(T=20, auto_tune=True)])
+
+    def test_unresolved_T_shared(self, default_mdp):
+        """Configs without T resolve it per seed; seeds of one n share it."""
+        datasets = uniform_datasets(default_mdp, 256, range(3))
+        batch = run_fogas_batch(default_mdp, datasets, [FogasConfig(auto_tune=True, seed=s)
+                                                        for s in range(3)])
+        t_min = theoretical_min_iterations(default_mdp, n=256, delta=0.05)
+        assert [run.config.T for run in batch] == [int(np.ceil(t_min))] * 3
 
     def test_step_helpers_row_by_row(self, default_mdp):
         """Each row of a stacked helper call equals the one-seed call."""
