@@ -1,8 +1,10 @@
-/* The FOGAS ascent loop of one seed: all T iterations in one call.
+/* The compiled kernels of fogas: the FOGAS ascent loop of one seed (all T
+ * iterations in one call) and the next-state search of dataset collection.
  *
- * fogas.solver builds this file on first use with plain -O3 -fPIC -shared
- * (see _kernel there) and calls fogas_ascend once per seed through ctypes.
- * The numpy step helpers in solver.py are the specification it follows.
+ * fogas._native builds this file on first use with plain -O3 -fPIC -shared
+ * and loads it through ctypes. fogas.solver calls fogas_ascend once per seed;
+ * the numpy step helpers in solver.py are the specification it follows.
+ * fogas.data calls fogas_next_states once per dataset.
  *
  * Layout: the sites (x0, then the seed's observed next states) are innermost.
  * phi is (A, d, m) and W = gamma C is (d, m) with a zero column at x0, so
@@ -173,4 +175,45 @@ i64 fogas_ascend(i64 T, i64 A, i64 d, i64 m, const double *phi, const double *W,
     memcpy(out, lam, sizeof lam);
     memcpy(out + d, theta_bar, sizeof theta_bar);
     return 0;
+}
+
+
+/* Samples advanced through the search together: their dependency chains
+ * (a gather, a d-long dot, a compare) overlap. */
+#define NEXT_STATE_LANES 8
+
+static inline void next_state_lanes(i64 lanes, i64 X, i64 d, i64 top, const double *features,
+                                    const double *psi_cum, const double *u, i64 *x_next)
+{
+    i64 pos[NEXT_STATE_LANES] = {0};
+    for (i64 step = top; step > 0; step >>= 1)
+        for (i64 l = 0; l < lanes; l++) {
+            i64 probe = pos[l] + step - 1 < X - 1 ? pos[l] + step - 1 : X - 1;
+            const double *f = features + l * d, *c = psi_cum + probe * d;
+            double cdf = 0.0;
+            for (i64 j = 0; j < d; j++)
+                cdf += f[j] * c[j];
+            pos[l] += step & -(i64)((cdf <= u[l]) & (pos[l] + step <= X));
+        }
+    memcpy(x_next, pos, lanes * sizeof *pos);
+}
+
+/* x_next[i] = the number of states x' whose CDF <phi_i, psi_cum[x']> is <= u[i],
+ * i.e. the sampled next state, or X for a draw at or above the row's total.
+ * features is (n, d) and psi_cum (X, d), both row-major. The search takes the
+ * steps 2^k, ..., 2, 1 (2^k the largest power of two <= X) from 0, each only
+ * where the probed CDF is <= u[i] and the step stays within X. */
+void fogas_next_states(i64 n, i64 X, i64 d, const double *features, const double *psi_cum,
+                       const double *u, i64 *x_next)
+{
+    i64 top = 1;
+    while (top <= X / 2)
+        top <<= 1;
+    for (i64 i = 0; i < n; i += NEXT_STATE_LANES) {
+        if (n - i >= NEXT_STATE_LANES)
+            next_state_lanes(NEXT_STATE_LANES, X, d, top, features + i * d, psi_cum, u + i,
+                             x_next + i);
+        else
+            next_state_lanes(n - i, X, d, top, features + i * d, psi_cum, u + i, x_next + i);
+    }
 }

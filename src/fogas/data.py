@@ -3,8 +3,9 @@ regularized least-squares transition estimator.
 
 Collection never forms the (X*A, X) kernel: the CDF of row (x, a) is
 phi(x,a)^T cumsum(Psi), so each next state is found by bisection over the
-columns of cumsum(Psi) in O(d log X). The estimator aggregates transitions by
-next state before solving, so building it costs at most min(n, X) SPD solves.
+rows of cumsum(Psi)^T in O(d log X), in the compiled kernel (``_native``). The
+estimator aggregates transitions by next state before solving, so building it
+costs at most min(n, X) SPD solves.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _native
 from .linmdp import SAMPLE_CHUNK_BYTES, LinearMdp, _readonly, read_arrays, write_arrays
 from .oracle import evaluate_policy
 
@@ -57,10 +59,6 @@ class OfflineDataset:
 
     def __len__(self) -> int:
         return len(self.xs)
-
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
 
     @cached_property
     def next_state_groups(self):
@@ -138,12 +136,8 @@ class PsiHat:
     def __post_init__(self):
         object.__setattr__(self, "columns", _readonly(self.columns))
 
-    @property
-    def dim(self) -> int:
-        return self.columns.shape[0]
-
     def dense(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.num_states))
+        out = np.zeros((self.columns.shape[0], self.num_states))
         out[:, self.observed_states] = self.columns
         return out
 
@@ -177,7 +171,7 @@ def collect_dataset(
 
     X'_i is the first state whose cumulative probability
     <phi_i, cumsum(Psi)[:, x']> exceeds a uniform draw u_i, found by a
-    bisection over all samples of a chunk at once. A draw at or above a row's
+    bisection in C, one call for all samples. A draw at or above a row's
     total (a row summing to slightly less than 1) goes to the last state with
     positive mass in that row.
     """
@@ -196,19 +190,12 @@ def collect_dataset(
 
     u = rng.random(n)
     features = mdp.phi.take(sa, axis=0)
-    psi_cum = np.cumsum(mdp.psi.T, axis=0)  # (X, d): row x' gathers as one block
-    # x_next counts the states whose CDF is <= u; X means the draw missed.
-    x_next = np.zeros(n, dtype=np.int64)
-    chunk = max(1, SAMPLE_CHUNK_BYTES // (8 * d))
-    for lo in range(0, n, chunk):
-        f, u_c = features[lo : lo + chunk], u[lo : lo + chunk]
-        pos = x_next[lo : lo + chunk]  # a view: the steps update x_next in place
-        for k in reversed(range(X.bit_length())):  # steps 2^k, ..., 2, 1 sum to >= X
-            step = 1 << k
-            probe = np.minimum(pos + (step - 1), X - 1)
-            below = np.einsum("ij,ij->i", f, psi_cum[probe]) <= u_c
-            below &= pos + step <= X
-            pos += step * below
+    # (X, d), row-major: the kernel reads row x' as d contiguous floats, and
+    # cumsum of the transpose would otherwise return it in Fortran order.
+    psi_cum = np.cumsum(mdp.psi.T, axis=0, out=np.empty((X, d)))
+    x_next = np.empty(n, dtype=np.int64)  # X where the draw missed
+    _native._kernel().fogas_next_states(n, X, d, features.ctypes.data, psi_cum.ctypes.data,
+                                        u.ctypes.data, x_next.ctypes.data)
     missed = np.flatnonzero(x_next == X)
     rows_per_block = max(1, SAMPLE_CHUNK_BYTES // (8 * X))
     for lo in range(0, len(missed), rows_per_block):

@@ -58,7 +58,7 @@ def score_iterates(
     one GEMM against K[(a,x)] = psi(x) phi(x,a)^T adds to Psi Phi_pi; one d x d
     solve per block gives theta^{pi_t}, and a second pass over the chunks
     reads v^{pi_t}. K takes at most a quarter of ``SAMPLE_CHUNK_BYTES``, and
-    a block's two action-major (B, A, states) tables and four (B, d, d)
+    a block's two action-major (A, states, B) tables and four (B, d, d)
     stacks at most half. Returns theta^{pi_t} (T, d), rho(pi_t) (T,),
     Psi v^{pi_t} (T, d), sum_t v_{theta_t, pi_t} (X,) and
     sum_t lambda_t (v^{pi_t})^T (d, X).
@@ -80,15 +80,16 @@ def score_iterates(
         for c in chunks:
             probs = None
             phi_c = action_major_phi(mdp, c)
-            probs = action_major_softmax(phi_c, params[t])  # (B, A, states of c)
+            probs = action_major_softmax(phi_c, params[t])  # (A, states of c, B)
             phi_c = phi_c.reshape(-1, d)  # row a * (states of c) + x
+            rows = probs.reshape(-1, B)
             kernel = np.tile(mdp.psi[:, c].T, (A, 1))[:, :, None] * phi_c[:, None, :]
-            psi_phi += probs.reshape(B, -1) @ kernel.reshape(-1, d * d)
+            psi_phi += rows.T @ kernel.reshape(-1, d * d)
             del kernel
-            weighted = probs.reshape(B, -1).T @ trajectory.thetas[t]  # sum_t pi_t theta_t
+            weighted = rows @ trajectory.thetas[t]  # sum_t pi_t theta_t
             v_sum[c] += np.einsum("kd,kd->k", phi_c, weighted).reshape(A, -1).sum(axis=0)
             if c.start <= mdp.x0 < c.stop:  # Phi_pi[x0], (B, d)
-                phi_x0 = probs[:, :, mdp.x0 - c.start] @ mdp.phi_by_state[mdp.x0]
+                phi_x0 = probs[:, mdp.x0 - c.start].T @ mdp.phi_by_state[mdp.x0]
         psi_phi = psi_phi.reshape(B, d, d)
         theta_stars[t] = theta = solve_flow(mdp, psi_phi)[0]
         psi_vs[t] = (psi_phi @ theta[:, :, None])[:, :, 0]
@@ -98,10 +99,11 @@ def score_iterates(
             if len(chunks) > 1:
                 probs = None
                 probs = action_major_softmax(phi_c, params[t])
-            q = (theta @ phi_c.reshape(-1, d).T).reshape(B, A, -1)
-            q *= probs
-            lambda_v[:, c] += trajectory.lambdas[t].T @ q.sum(axis=1)  # v^{pi_t} on c
-            del q
+            q = phi_c.reshape(-1, d) @ theta.T  # (A * states of c, B)
+            q *= probs.reshape(-1, B)
+            v = q.reshape(A, -1, B).sum(axis=0)  # v^{pi_t} on c, (states of c, B)
+            lambda_v[:, c] += trajectory.lambdas[t].T @ v.T
+            del q, v
         del probs
     return theta_stars, rho_ts, psi_vs, v_sum, lambda_v
 

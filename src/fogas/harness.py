@@ -78,6 +78,7 @@ class ExperimentConfig:
         unknown = set(self.fogas) - self._FOGAS_KEYS
         if unknown:
             raise ValueError(f"unknown fogas config keys: {sorted(unknown)}")
+        FogasConfig(**{"auto_tune": True, **self.fogas})  # checks the values
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":

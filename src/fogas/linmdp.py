@@ -229,11 +229,13 @@ def action_major_softmax(phi_states: np.ndarray, scaled_param: np.ndarray) -> np
     pi the softmax of <phi(x,a), scaled_param>.
 
     One GEMM forms the logits. A ``scaled_param`` of shape (..., d) gives one
-    policy per row and a result of shape (..., A, k).
+    policy per row and a result of shape (A, k, ...): the softmax then runs
+    over A rows of contiguous floats.
     """
     A, k, d = phi_states.shape
-    logits = scaled_param @ phi_states.reshape(A * k, d).T
-    return _stable_softmax_rows(logits.reshape(scaled_param.shape[:-1] + (A, k)), axis=-2)
+    batch = scaled_param.shape[:-1]
+    logits = phi_states.reshape(A * k, d) @ scaled_param.reshape(-1, d).T
+    return _stable_softmax_rows(logits.reshape(A, -1), axis=0).reshape((A, k) + batch)
 
 
 def softmax_from_logit_param(mdp: LinearMdp, scaled_param: np.ndarray) -> TabularPolicy:

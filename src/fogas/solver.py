@@ -13,22 +13,20 @@ M_t = gamma C F_{pi_t} (C the estimator's columns, F_{pi_t} the policy-weighted
 features at the next states): mu-hat's features are (1-gamma) f_x0 + lambda^T M_t
 and the lambda-gradient is omega + M_t theta - theta. The numpy step helpers
 here state one iteration; the loop itself runs in C, one call per seed, in
-``_ascent.c``, which ``_kernel`` builds on first use.
+``_kernel.c``, which ``_native`` builds on first use.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
-import os
-import platform
-import tempfile
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
-from pathlib import Path
+from numbers import Real
 
 import numpy as np
 
+from . import _native
 from .data import OfflineDataset, PsiHat, estimate_psi
 from .linmdp import (
     LinearMdp,
@@ -43,12 +41,6 @@ BEST_RESPONSE_TIE_TOL = 1e-14
 # Logits within 700 - ln A of zero need no max-shift: exp overflows past 709.78.
 SOFTMAX_LOGIT_LIMIT = 700.0
 
-_KERNEL_SOURCE = Path(__file__).with_name("_ascent.c")
-_COMPILER = "cc"
-# Plain -O3: -ffast-math would let the compiler drop the loop's isfinite test
-# and reorder its sums, and -march=native would tie a cached build to one CPU.
-_CFLAGS = ("-O3", "-fPIC", "-shared", "-fopenmp-simd")
-_kernel_handle = None  # fogas_ascend, once loaded
 
 
 @dataclass(frozen=True)
@@ -83,10 +75,12 @@ class FogasConfig:
         for name in ("auto_tune", "record_trajectory"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
+        if not (isinstance(self.delta, Real) and 0.0 < self.delta < 1.0):
+            raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
         for name in ("alpha", "rho", "eta", "beta", "d_theta"):
             val = getattr(self, name)
+            if not (val is None or isinstance(val, Real)):
+                raise ValueError(f"{name} must be a number, got {val!r}")
             if val is not None and not math.isfinite(val):
                 raise ValueError(f"{name} is not finite")
         for name in ("alpha", "eta", "beta", "d_theta"):
@@ -285,71 +279,6 @@ def shift_free_iterations(config: FogasConfig, mdp: LinearMdp) -> int:
     return config.T if steps >= config.T else math.floor(steps) + 1
 
 
-def _kernel_libs() -> tuple:
-    """Libraries the kernel links: libm, and on x86-64 glibc its vector exp
-    (libmvec), which ``_ascent.c`` declares there."""
-    if platform.machine() == "x86_64" and platform.libc_ver()[0] == "glibc":
-        return ("-lm", "-lmvec")
-    return ("-lm",)
-
-
-def _kernel_path(source: bytes, directory: Path) -> Path:
-    """The build of ``source`` in ``directory``, named by a hash of the source
-    and the compiler command."""
-    import hashlib  # here and in _build_kernel: at import they would add ~8 ms
-
-    key = hashlib.sha256(repr((_COMPILER, _CFLAGS, _kernel_libs())).encode() + source)
-    return directory / f"_ascent-{key.hexdigest()[:16]}.so"
-
-
-def _build_kernel(source: bytes, path: Path) -> None:
-    """Compile ``source`` to a temporary name next to ``path``, then move it
-    into place, so no process sees a partial file."""
-    import subprocess
-
-    partial = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    command = [_COMPILER, *_CFLAGS, "-x", "c", "-", "-o", str(partial), *_kernel_libs()]
-    try:
-        done = subprocess.run(command, input=source, capture_output=True)
-    except OSError as e:
-        raise RuntimeError(f"the ascent loop is built on first use by `{' '.join(command)}`, "
-                           f"but the C compiler {_COMPILER!r} could not be run: {e}") from e
-    if done.returncode:
-        partial.unlink(missing_ok=True)
-        raise RuntimeError(f"`{' '.join(command)}` failed building the ascent loop:\n"
-                           + done.stderr.decode(errors="replace"))
-    os.replace(partial, path)
-
-
-def _kernel():
-    """``fogas_ascend`` from ``_ascent.c``, built on first use (never at import)
-    and kept for the process.
-
-    The build goes to the package's ``__pycache__``, named by ``_kernel_path``;
-    a process that finds it there starts no compiler. Where that directory
-    cannot be written, the build goes to a private temporary directory.
-    """
-    global _kernel_handle
-    if _kernel_handle is None:
-        source = _KERNEL_SOURCE.read_bytes()
-        cache = _KERNEL_SOURCE.with_name("__pycache__")
-        path = _kernel_path(source, cache)
-        if not path.exists():
-            try:
-                cache.mkdir(exist_ok=True)
-            except OSError:
-                pass
-            if not os.access(cache, os.W_OK):
-                path = _kernel_path(source, Path(tempfile.mkdtemp(prefix="fogas-")))
-            _build_kernel(source, path)
-        ascend = ctypes.CDLL(str(path)).fogas_ascend
-        i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-        ascend.argtypes = [i64] * 4 + [ptr] * 4 + [f64] * 6 + [i64] * 2 + [ptr] * 4 + [i64]
-        ascend.restype = i64
-        _kernel_handle = ascend
-    return _kernel_handle
-
-
 def _ascend(mdp: LinearMdp, prepared: list, results: list) -> None:
     """Run each prepared seed's loop as one kernel call; fill their slots of
     ``results``.
@@ -359,7 +288,7 @@ def _ascend(mdp: LinearMdp, prepared: list, results: list) -> None:
     g_t^T Lambda g_t; row 0 holds lambda_1 = theta_bar_0 = 0. Each seed's
     trajectory is read-only views into it.
     """
-    ascend = _kernel()
+    ascend = _native._kernel().fogas_ascend
     T, d = prepared[0][1].T, mdp.dim
     table = None
     if prepared[0][1].record_trajectory:

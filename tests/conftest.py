@@ -162,7 +162,7 @@ def site_weights(x0: int, gamma: float, psi_hats) -> tuple[np.ndarray, np.ndarra
     of f_x0 in mu-hat's features.
     """
     union = np.unique(np.concatenate([p.observed_states for p in psi_hats]))
-    weights = np.zeros((len(psi_hats), psi_hats[0].dim + 1, 1 + len(union)))
+    weights = np.zeros((len(psi_hats), psi_hats[0].columns.shape[0] + 1, 1 + len(union)))
     weights[:, -1, 0] = 1.0 - gamma
     for row, psi_hat in enumerate(psi_hats):
         weights[row][:-1, 1 + np.searchsorted(union, psi_hat.observed_states)] = \
@@ -292,7 +292,7 @@ def edit_archive(path, edit) -> None:
 def add_at_groups(dataset):
     """Reference for ``OfflineDataset.next_state_groups``: per-sample ``np.add.at``."""
     observed, inverse = np.unique(dataset.x_nexts, return_inverse=True)
-    summed = np.zeros((dataset.dim, len(observed)))
+    summed = np.zeros((dataset.features.shape[1], len(observed)))
     np.add.at(summed.T, inverse, dataset.features)
     return observed, summed
 

@@ -119,6 +119,38 @@ class TestCollect:
         assert np.array_equal(ds.xs * A + ds.actions, sa)
         assert np.array_equal(ds.x_nexts, x_next)
 
+    @pytest.mark.parametrize("X", [1, 2, 3, 4, 7, 8, 9, 1023, 1024, 1025])
+    def test_single_draws_at_step_schedule_edges(self, X):
+        """The search steps 2^k, ..., 2, 1 with 2^k the largest power of two
+        <= X; these X sit at the edges of that schedule. Short rows
+        (row_mass 0.6) send many draws past the last state, which then has
+        no mass, so a miss taken for a hit on it shows."""
+        A, d = 2, min(3, 2 * X)
+        base = fogas.generate_linear_mdp(X, A, d, 0.9, seed=X)
+        behavior = fogas.uniform_policy(X, A)
+        short_psi = base.psi.copy()
+        if X > 1:
+            short_psi[:, -1] = 0.0
+        for row_mass, psi in ((1.0, base.psi), (0.6, short_psi)):
+            mdp = fogas.LinearMdp(num_states=X, num_actions=A, dim=d, phi=row_mass * base.phi,
+                                  psi=psi, omega=base.omega, gamma=0.9, x0=0)
+            for seed in range(25):
+                ds = collect_dataset(mdp, behavior, n=1, sampling_mode="uniform", seed=seed)
+                sa, x_next = dense_collect(mdp, behavior, n=1, sampling_mode="uniform",
+                                           seed=seed)
+                assert np.array_equal(ds.xs * A + ds.actions, sa)
+                assert np.array_equal(ds.x_nexts, x_next)
+
+    def test_cumulative_psi_reaches_kernel_row_major(self):
+        """The compiled search reads cumsum(Psi) as (X, d) row-major; the plain
+        cumsum of Psi^T is Fortran-ordered, and read row-major it sends most
+        draws to wrong states."""
+        mdp = random_mdp(2, num_states=60, num_actions=3, dim=7)
+        behavior = fogas.uniform_policy(60, 3)
+        ds = collect_dataset(mdp, behavior, n=2000, sampling_mode="uniform", seed=4)
+        _, x_next = dense_collect(mdp, behavior, n=2000, sampling_mode="uniform", seed=4)
+        assert np.array_equal(ds.x_nexts, x_next)
+
     def test_scratch_memory_is_bounded(self):
         # The dense (X*A, X) kernel alone would be 288 MB at this size.
         X, A, d, n = 3000, 4, 8, 20000

@@ -171,19 +171,6 @@ class TestSweep:
         records = harness.run_sweep(config)
         assert all(r.status.startswith("error:") for r in records)
         assert all(r.message for r in records)
-        # A non-finite rate fails each cell's config, not the whole sweep.
-        config = self.make_config(fogas={"auto_tune": True, "T": 30, "eta": float("nan")})
-        records = harness.run_sweep(config)
-        assert len(records) == 4
-        assert all(r.status == "error:ValueError" for r in records)
-        assert all(r.message == "eta is not finite" for r in records)
-        # A T or T_cap that is not an integer >= 1 fails each cell, not truncated.
-        for key, value in (("T", 2.7), ("T", 0), ("T_cap", 2.5), ("T_cap", True)):
-            config = self.make_config(fogas={"auto_tune": True, key: value})
-            records = harness.run_sweep(config)
-            assert all(r.status == "error:ValueError" for r in records)
-            assert all(r.message == f"{key} must be an integer >= 1, got {value!r}"
-                       for r in records)
 
     def test_summary_median(self):
         records = harness.run_sweep(self.make_config())
@@ -504,7 +491,21 @@ class TestCli:
                               ({"mdp": {**mdp, "seed": -1}}, "mdp seed must be an integer"),
                               ({"mdp": {**mdp, "gamma": 1.5}}, "mdp gamma must lie in"),
                               ({"fogas": {"auto_tune": True, "etta": 0.1}},
-                               "unknown fogas config keys: ['etta']")):
+                               "unknown fogas config keys: ['etta']"),
+                              # Bad fogas values fail the parse, not every cell; a
+                              # T or T_cap is never truncated.
+                              ({"fogas": {"auto_tune": True, "T": 30, "eta": float("nan")}},
+                               "eta is not finite"),
+                              *(({"fogas": {"auto_tune": True, key: value}},
+                                 f"{key} must be an integer >= 1, got {value!r}")
+                                for key, value in (("T", 2.7), ("T", 0), ("T_cap", 2.5),
+                                                   ("T_cap", True))),
+                              ({"fogas": {"auto_tune": "false", "T": 20}},
+                               "auto_tune must be a bool, got 'false'"),
+                              ({"fogas": {"auto_tune": True, "delta": "0.1"}},
+                               "delta must lie in (0, 1), got '0.1'"),
+                              ({"fogas": {"auto_tune": True, "eta": "0.1"}},
+                               "eta must be a number, got '0.1'")):
             cfg_path.write_text(json.dumps({"mdp": mdp, **grid}))
             assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
             assert message in capsys.readouterr().err

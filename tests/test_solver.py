@@ -1,6 +1,7 @@
 """The ascent loop and its closed-form updates, checked against dense
 materializations, finite differences, and random feasible points."""
 
+import ctypes
 import os
 import subprocess
 import tempfile
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import fogas
 from fogas.data import build_covariance, collect_dataset, estimate_psi
 from fogas.linmdp import action_major_phi, action_major_softmax
-from fogas import solver
+from fogas import _native, solver
 from fogas.solver import (
     FogasConfig,
     FogasTrajectory,
@@ -393,44 +394,63 @@ class TestLoopMemory:
 
 
 class TestKernelBuild:
-    """The compiled loop is built on first use into a cache keyed by its
+    """The compiled kernels are built on first use into a cache keyed by their
     source and compiler command, and loaded from there afterwards."""
 
     def test_warm_cache_starts_no_compiler(self, default_mdp, default_dataset, monkeypatch):
-        solver._kernel()  # the build is in the cache from here on
+        _native._kernel()  # the build is in the cache from here on
 
         def no_compiler(*args, **kwargs):
             raise AssertionError(f"compiler started: {args}")
 
         monkeypatch.setattr(subprocess, "run", no_compiler)
-        monkeypatch.setattr(solver, "_kernel_handle", None)
+        monkeypatch.setattr(_native, "_kernel_handle", None)
         run = run_fogas(default_mdp, default_dataset, FogasConfig(T=5, auto_tune=True))
         assert np.all(np.isfinite(run.lambda_final))
 
     def test_changed_source_gets_new_name(self, tmp_path):
-        source = solver._KERNEL_SOURCE.read_bytes()
-        name = solver._kernel_path(source, tmp_path)
-        assert solver._kernel_path(source, tmp_path) == name
-        assert solver._kernel_path(source + b"\n", tmp_path) != name
+        source = _native._KERNEL_SOURCE.read_bytes()
+        name = _native._kernel_path(source, tmp_path)
+        assert _native._kernel_path(source, tmp_path) == name
+        assert _native._kernel_path(source + b"\n", tmp_path) != name
 
     def test_unwritable_cache_builds_privately(self, default_mdp, default_dataset, monkeypatch,
                                                tmp_path):
         """Where the package's __pycache__ cannot be written, the build goes to
         a private temporary directory, and the cache gets nothing."""
-        monkeypatch.setattr(solver, "_CFLAGS", solver._CFLAGS + ("-DFOGAS_UNCACHED",))
-        monkeypatch.setattr(solver, "_kernel_handle", None)
+        monkeypatch.setattr(_native, "_CFLAGS", _native._CFLAGS + ("-DFOGAS_UNCACHED",))
+        monkeypatch.setattr(_native, "_kernel_handle", None)
         monkeypatch.setattr(os, "access", lambda path, mode: False)
         monkeypatch.setattr(tempfile, "mkdtemp", lambda prefix: str(tmp_path))
-        cache = solver._KERNEL_SOURCE.with_name("__pycache__")
-        cached = set(cache.glob("_ascent-*"))
+        cache = _native._KERNEL_SOURCE.with_name("__pycache__")
+        cached = set(cache.glob("_kernel-*"))
         run_fogas(default_mdp, default_dataset, FogasConfig(T=5, auto_tune=True))
-        assert set(cache.glob("_ascent-*")) == cached
-        source = solver._KERNEL_SOURCE.read_bytes()
-        assert list(tmp_path.iterdir()) == [solver._kernel_path(source, tmp_path)]
+        assert set(cache.glob("_kernel-*")) == cached
+        source = _native._KERNEL_SOURCE.read_bytes()
+        assert list(tmp_path.iterdir()) == [_native._kernel_path(source, tmp_path)]
+
+    def test_collect_then_solve_loads_one_library(self, default_mdp, monkeypatch, tmp_path):
+        """Collection and the loop share one build and one load per process."""
+        monkeypatch.setattr(_native, "_CFLAGS", _native._CFLAGS + ("-DFOGAS_SHARED",))
+        monkeypatch.setattr(_native, "_kernel_handle", None)
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        monkeypatch.setattr(tempfile, "mkdtemp", lambda prefix: str(tmp_path))
+        loads, builds = [], []
+        monkeypatch.setattr(_native.ctypes, "CDLL",
+                            lambda path, cdll=ctypes.CDLL: loads.append(path) or cdll(path))
+        monkeypatch.setattr(_native, "_build_kernel",
+                            lambda source, path, build=_native._build_kernel:
+                            builds.append(path) or build(source, path))
+        ds = collect_dataset(default_mdp, fogas.uniform_policy(5, 3), n=64,
+                             sampling_mode="uniform", seed=0)
+        run_fogas(default_mdp, ds, FogasConfig(T=5, auto_tune=True))
+        source = _native._KERNEL_SOURCE.read_bytes()
+        assert builds == [_native._kernel_path(source, tmp_path)]
+        assert loads == [str(builds[0])]
 
     def test_missing_compiler_is_named(self, default_mdp, default_dataset, monkeypatch):
-        monkeypatch.setattr(solver, "_COMPILER", "fogas-no-such-cc")
-        monkeypatch.setattr(solver, "_kernel_handle", None)
+        monkeypatch.setattr(_native, "_COMPILER", "fogas-no-such-cc")
+        monkeypatch.setattr(_native, "_kernel_handle", None)
         with pytest.raises(RuntimeError, match="C compiler 'fogas-no-such-cc'"):
             run_fogas(default_mdp, default_dataset, FogasConfig(T=5, auto_tune=True))
 
@@ -630,7 +650,7 @@ class TestRunFogasBatch:
         eta, rho, d_theta = np.array([[0.1], [0.3]]), np.array([[0.5], [0.0]]), \
             np.array([[2.0], [0.5]])
         contraction = 1.0 / (1.0 + rho * eta)
-        probs = action_major_softmax(phi_sites, params)
+        probs = np.moveaxis(action_major_softmax(phi_sites, params), -1, 0)  # (2, A, m)
         block = occupancy_operator(weights, probs, phi_sites)
         phimu = mu_hat_features(lam, block[:, :-1], block[:, -1])
         g = lambda_gradient(default_mdp.omega, block[:, :-1], theta)
