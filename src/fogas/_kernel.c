@@ -2,8 +2,11 @@
  * iterations in one call) and the next-state search of dataset collection.
  *
  * fogas._native builds this file on first use with plain -O3 -fPIC -shared
- * and loads it through ctypes. fogas.solver calls fogas_ascend once per seed;
- * the numpy step helpers in solver.py are the specification it follows.
+ * and loads it through ctypes. fogas.solver calls fogas_ascend once per seed.
+ * Its specification is the numpy step functions of tests/conftest.py, one
+ * per step (the best response, mu-hat's features, the lambda-gradient, the
+ * lambda step with g^T Lambda g), which reference_ascend chains into the
+ * loop the tests compare this one against.
  * fogas.data calls fogas_next_states once per dataset.
  *
  * Layout: the sites (x0, then the seed's observed next states) are innermost.

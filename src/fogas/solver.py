@@ -8,12 +8,9 @@ and value functions at the sites: the initial state and the observed next
 states; everything over the full state space lives in the oracle and
 diagnostics.
 
-The data enter an iteration only through the occupancy operator
-M_t = gamma C F_{pi_t} (C the estimator's columns, F_{pi_t} the policy-weighted
-features at the next states): mu-hat's features are (1-gamma) f_x0 + lambda^T M_t
-and the lambda-gradient is omega + M_t theta - theta. The numpy step helpers
-here state one iteration; the loop itself runs in C, one call per seed, in
-``_kernel.c``, which ``_native`` builds on first use.
+The loop runs in C, one call per seed, in ``_kernel.c``, which ``_native``
+builds on first use. Its numpy specification, one function per step, is in
+``tests/conftest.py``, and the tests hold the kernel to it.
 """
 
 from __future__ import annotations
@@ -37,10 +34,10 @@ from .linmdp import (
     write_arrays,
 )
 
+# A best-response direction no longer than this is a tie: theta_t is the origin.
 BEST_RESPONSE_TIE_TOL = 1e-14
 # Logits within 700 - ln A of zero need no max-shift: exp overflows past 709.78.
 SOFTMAX_LOGIT_LIMIT = 700.0
-
 
 
 @dataclass(frozen=True)
@@ -119,14 +116,13 @@ def canonical_d_theta(mdp: LinearMdp) -> float:
 
 
 def theoretical_rates(mdp: LinearMdp, n: int, T: int, delta: float) -> dict:
-    """The full hyperparameter schedule as a dict of concrete rates."""
+    """The four rates alpha, beta, rho, eta of the theoretical schedule, as a dict."""
     d = mdp.dim
     gamma = mdp.gamma
     R = mdp.feature_bound
     A = mdp.num_actions
     log_A = np.log(A) if A > 1 else 1.0  # degenerate single-action case
     return {
-        "d_theta": canonical_d_theta(mdp),
         "beta": R**2 / (d * T),
         "alpha": float(np.sqrt(2.0 * (1.0 - gamma) ** 2 * log_A / (R**2 * d * T))),
         "rho": float(
@@ -187,54 +183,6 @@ class FogasRun:
     output_param: np.ndarray  # alpha * theta_bar_{J-1}
     output_policy: TabularPolicy
     trajectory: FogasTrajectory | None
-
-
-def best_response_theta(g: np.ndarray, d_theta) -> np.ndarray:
-    """Minimizer of <theta, g> over the ball of radius d_theta, per row of g.
-
-    ``g`` has shape (..., d) and ``d_theta`` broadcasts against (..., 1). A row
-    with a tie (g numerically zero) gets the origin, which leaves its
-    cumulative policy parameter, and hence its policy, unchanged.
-    """
-    norm = np.sqrt(np.vecdot(g, g))[..., None]
-    # Dividing by infinity sends a tied row to the origin.
-    return g * (-d_theta / np.where(norm > BEST_RESPONSE_TIE_TOL, norm, np.inf))
-
-
-def mu_hat_features(lam: np.ndarray, operator: np.ndarray, x0_term: np.ndarray) -> np.ndarray:
-    """Feature expectation of the estimated occupancy mu-hat at (lambda, pi):
-    lambda^T M + (1-gamma) f_x0, where ``operator`` is M = gamma C F_pi, (d, d),
-    and ``x0_term`` is (1-gamma) f_x0.
-
-    With a leading seed axis, ``operator`` is (S, d, d) and the rest (S, d).
-    """
-    return np.vecmat(lam, operator) + x0_term
-
-
-def lambda_gradient(omega: np.ndarray, operator: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """omega + gamma * PsiHat v - theta = omega + M theta - theta, the ascent
-    direction for lambda, where v = v_{theta, pi} and M = gamma C F_pi.
-
-    With a leading seed axis, ``operator`` is (S, d, d) and ``theta`` (S, d).
-    """
-    return np.matvec(operator, theta) + omega - theta
-
-
-def lambda_update(
-    lambda_t: np.ndarray, g: np.ndarray, lambda_mat: np.ndarray, eta, contraction
-) -> tuple[np.ndarray, np.ndarray]:
-    """Closed form of the stabilized, preconditioned mirror ascent step,
-    (lambda_t + eta Lambda g) * contraction with contraction = 1/(1 + rho eta),
-    and g^T Lambda g, both from one product Lambda g.
-
-    The step is the exact argmax of <lambda, g> - ||lambda - lambda_t||^2_{Lambda^{-1}}/(2 eta)
-    - rho/2 * ||lambda||^2_{Lambda^{-1}}; it needs eta > 0 and rho >= 0,
-    which ``FogasConfig`` checks. ``lambda_mat`` is Lambda, (d, d); with a
-    leading seed axis it is (S, d, d), ``lambda_t`` and ``g`` are (S, d), and
-    ``eta`` and ``contraction`` broadcast against (S, d).
-    """
-    lambda_g = np.matvec(lambda_mat, g)
-    return (lambda_t + lambda_g * eta) * contraction, np.vecdot(g, lambda_g)
 
 
 def run_fogas_batch(

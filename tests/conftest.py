@@ -1,8 +1,14 @@
 """Shared fixtures (a default environment, datasets, one recorded run) and
 the dense and per-iterate references the vectorized code is tested against.
-The dense (X*A, X) kernel, the (T, X, A) iterate tables, the d x d occupancy
-operator and a numpy ascent loop exist only here; the package never forms
-them. So does the relaxed-LP feasibility check, which only tests call."""
+The dense (X*A, X) kernel and the (T, X, A) iterate tables exist only here;
+the package never forms them. So does the relaxed-LP feasibility check, which
+only tests call.
+
+The FOGAS step is stated here once, in numpy, one function per step:
+``best_response_theta``, ``mu_hat_features``, ``lambda_gradient`` and
+``lambda_update``. ``reference_ascend`` chains them into the loop. They are
+the specification of the compiled loop in ``fogas/_kernel.c``: the tests
+compare its recorded steps against them."""
 
 import warnings
 from dataclasses import fields
@@ -11,12 +17,11 @@ import numpy as np
 import pytest
 
 import fogas
-from fogas import solver
 from fogas.data import estimate_psi
 from fogas.diagnostics import eval_f, v_of_theta_policy
 from fogas.linmdp import _stable_softmax_rows, softmax_from_logit_param
 from fogas.oracle import evaluate_policy
-from fogas.solver import FogasRun, FogasTrajectory, best_response_theta
+from fogas.solver import BEST_RESPONSE_TIE_TOL, FogasRun, FogasTrajectory
 
 # Auto-tuned short runs deliberately sit below the theoretical minimum
 # iteration count; the warning is expected and checked once in test_solver.
@@ -154,32 +159,6 @@ def dense_greedy_policy(mdp, sweeps=2000):
     return q.reshape(X, A).argmax(axis=1)
 
 
-def site_weights(x0: int, gamma: float, psi_hats) -> tuple[np.ndarray, np.ndarray]:
-    """The sites, x0 then the union of the observed next states, and the
-    weights (S, d+1, 1+k): rows 0..d-1 of row s are gamma times the columns of
-    ``psi_hats[s]``, zero at x0 and at next states it did not observe, so the
-    sites stay one array for every seed; row d is 1-gamma at x0, the weight
-    of f_x0 in mu-hat's features.
-    """
-    union = np.unique(np.concatenate([p.observed_states for p in psi_hats]))
-    weights = np.zeros((len(psi_hats), psi_hats[0].columns.shape[0] + 1, 1 + len(union)))
-    weights[:, -1, 0] = 1.0 - gamma
-    for row, psi_hat in enumerate(psi_hats):
-        weights[row][:-1, 1 + np.searchsorted(union, psi_hat.observed_states)] = \
-            gamma * psi_hat.columns
-    return np.concatenate(([x0], union)), weights
-
-
-def occupancy_operator(weights, probs, phi_sites):
-    """The block [M; (1-gamma) f_x0^T], shape (..., d+1, d), of the operator
-    M = gamma C F_pi and f_x0 = sum_a pi(a|x0) phi(x0,a).
-
-    ``probs`` (..., A, m) is pi at the sites, ``phi_sites`` (A, m, d) their
-    action-major features and ``weights`` (..., d+1, m) from ``site_weights``.
-    """
-    return weights @ np.einsum("...am,amd->...md", probs, phi_sites)
-
-
 def softmax_features(phi_states, scaled_param):
     """Reference: sum_a pi(a|x) phi(x,a) per state, pi the softmax of
     <phi(x,a), scaled_param>, reduced over a trailing action axis.
@@ -195,13 +174,47 @@ def softmax_features(phi_states, scaled_param):
     return (probs[..., None, :] @ phi_states)[..., 0, :]
 
 
+def best_response_theta(c, d_theta):
+    """theta_t, the minimizer of <theta, c> over the ball of radius d_theta,
+    where c is mu-hat's features minus lambda_t. A tie (|c| at most the
+    solver's ``BEST_RESPONSE_TIE_TOL``) gets the origin, which leaves the
+    cumulative parameter, and so the policy, unchanged."""
+    norm = np.sqrt(c @ c)
+    return c * (-d_theta / (norm if norm > BEST_RESPONSE_TIE_TOL else np.inf))
+
+
+def mu_hat_features(lam, features, C, gamma):
+    """Feature expectation of the estimated occupancy mu-hat at (lambda, pi):
+    (1-gamma) f_x0 + gamma (lambda^T C) F_next.
+
+    ``features`` (1+k, d) holds f(x) = sum_a pi(a|x) phi(x,a) at x0, then at
+    the k observed next states (F_next), and C (d, k) the estimator's columns.
+    """
+    return (1.0 - gamma) * features[0] + gamma * (lam @ C) @ features[1:]
+
+
+def lambda_gradient(theta, features, C, omega, gamma):
+    """g = omega + gamma Psi-hat v - theta, the ascent direction for lambda,
+    where v = F_next theta is v_{theta, pi} at the observed next states
+    (``features`` and C as in ``mu_hat_features``)."""
+    return omega + gamma * C @ (features[1:] @ theta) - theta
+
+
+def lambda_update(lam, g, lambda_mat, eta, rho):
+    """(lambda_{t+1}, g^T Lambda g): the stabilized, preconditioned step
+    (lambda_t + eta Lambda g) / (1 + rho eta), the exact argmax of
+    <lambda, g> - ||lambda - lambda_t||^2_{Lambda^{-1}} / (2 eta)
+    - rho/2 ||lambda||^2_{Lambda^{-1}} for eta > 0 and rho >= 0."""
+    lambda_g = lambda_mat @ g
+    return (lam + eta * lambda_g) / (1.0 + rho * eta), g @ lambda_g
+
+
 def reference_ascend(mdp, dataset, config, follow=None):
-    """Reference: one seed's FOGAS run without the occupancy operator.
+    """Reference: one seed's FOGAS run, the step functions above in a loop.
 
     Per iteration: the softmax features at x0 and the observed next states,
-    mu-hat features as (1-gamma) f_x0 + gamma (lambda^T C) F_next, the best
-    response, the gradient from v at the next states, g^T Lambda g, and the
-    lambda step with Lambda g formed again. A non-finite iterate raises the
+    mu-hat's features, the best response, the lambda-gradient, and the lambda
+    step with g^T Lambda g. A non-finite iterate raises the
     ``FloatingPointError`` of ``run_fogas_batch``, with its message.
 
     With ``follow``, a recorded trajectory, iteration t > 1 starts from its
@@ -225,12 +238,11 @@ def reference_ascend(mdp, dataset, config, follow=None):
         if t == J:
             output_param = scaled
         features = softmax_features(phi_sites, scaled)
-        phimu = (1.0 - gamma) * features[0] + gamma * (lam_t @ C) @ features[1:]
+        phimu = mu_hat_features(lam_t, features, C, gamma)
         theta = best_response_theta(phimu - lam_t, cfg.d_theta)
         theta_bar = theta_bar + theta
-        g = mdp.omega + gamma * C @ (features[1:] @ theta) - theta
-        grad_sq = g @ (lambda_mat @ g)
-        lam_next = (lam_t + cfg.eta * (lambda_mat @ g)) / (1.0 + cfg.rho * cfg.eta)
+        g = lambda_gradient(theta, features, C, mdp.omega, gamma)
+        lam_next, grad_sq = lambda_update(lam_t, g, lambda_mat, cfg.eta, cfg.rho)
         finite = [bool(np.all(np.isfinite(a))) for a in (lam_next, theta_bar, g)]
         if not all(finite):
             raise FloatingPointError(

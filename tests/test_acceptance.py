@@ -12,15 +12,16 @@ from fogas import harness
 from fogas.data import build_covariance, collect_dataset, estimate_psi
 from fogas.diagnostics import build_comparators, duality_gap_report, player_regrets
 from fogas.oracle import evaluate_policy
-from fogas.solver import (
-    FogasConfig,
-    best_response_theta,
-    gradient_norm_bound,
-    lambda_update,
-    run_fogas,
-)
+from fogas.solver import FogasConfig, gradient_norm_bound, run_fogas
 
-from conftest import dense_kernel, random_mdp, random_policy, relaxed_lp_feasibility
+from conftest import (
+    best_response_theta,
+    dense_kernel,
+    lambda_update,
+    random_mdp,
+    random_policy,
+    relaxed_lp_feasibility,
+)
 
 
 def _verdict(name, ok, detail):
@@ -146,7 +147,7 @@ def test_a7_closed_form_updates():
             return -(lam @ g - diff @ inv @ diff / (2 * eta)
                      - rho * (lam @ inv @ lam) / 2.0)
 
-        closed, _ = lambda_update(lam_t, g, cov.lambda_mat, eta, 1.0 / (1.0 + rho * eta))
+        closed, _ = lambda_update(lam_t, g, cov.lambda_mat, eta, rho)
         res = minimize(neg_obj, lam_t, method="Nelder-Mead",
                        options={"xatol": 1e-10, "fatol": 1e-14,
                                 "maxiter": 10_000})

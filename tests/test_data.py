@@ -78,13 +78,20 @@ class TestCollect:
         assert counts[0] == 0
         assert counts[1] > 0 and counts[2] > counts[1]
 
-    @pytest.mark.parametrize("chunk_rows", [7, None])
-    def test_chunked_sampling_matches_one_block(self, chunk_rows, monkeypatch):
-        mdp = random_mdp(4, num_states=40, num_actions=3, dim=5)
-        if chunk_rows is not None:
-            monkeypatch.setattr(fogas.data, "SAMPLE_CHUNK_BYTES", chunk_rows * 8 * 5)
+    @pytest.mark.parametrize("missed_block_rows", [7, None])
+    def test_missed_draws_in_blocks_match_one_block(self, missed_block_rows, monkeypatch):
+        """Rows of mass 0.6 send about 40% of the draws past their total. The
+        fallback that sends those to the last state with mass takes them 7
+        rows at a time, or all in one block, and both give the dense draws."""
+        base = random_mdp(4, num_states=40, num_actions=3, dim=5)
+        mdp = fogas.LinearMdp(num_states=40, num_actions=3, dim=5, phi=0.6 * base.phi,
+                              psi=base.psi, omega=base.omega, gamma=0.9, x0=base.x0)
+        if missed_block_rows is not None:
+            monkeypatch.setattr(fogas.data, "SAMPLE_CHUNK_BYTES", missed_block_rows * 8 * 40)
         ds = collect_dataset(mdp, fogas.uniform_policy(40, 3), n=3000,
                              sampling_mode="uniform", seed=9)
+        # About 1200 misses and 45 hits land on the last state.
+        assert np.count_nonzero(ds.x_nexts == 39) > 700
         # The same draws through one (n, X) inverse-CDF block.
         sa, x_next = dense_collect(mdp, fogas.uniform_policy(40, 3), n=3000,
                                    sampling_mode="uniform", seed=9)
@@ -102,7 +109,7 @@ class TestCollect:
         st.integers(0, 10**6),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_dense_reference_sampler(self, X, A, d, mode, n, chunk_rows,
+    def test_matches_dense_reference_sampler(self, X, A, d, mode, n, missed_block_rows,
                                              row_mass, seed):
         # row_mass < 1 leaves rows short, so many draws miss every state.
         d = min(d, X * A)
@@ -113,7 +120,7 @@ class TestCollect:
         )
         behavior = random_policy(X, A, np.random.default_rng(seed))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fogas.data, "SAMPLE_CHUNK_BYTES", min(chunk_rows, n) * 8 * d)
+            mp.setattr(fogas.data, "SAMPLE_CHUNK_BYTES", missed_block_rows * 8 * X)
             ds = collect_dataset(mdp, behavior, n=n, sampling_mode=mode, seed=seed)
         sa, x_next = dense_collect(mdp, behavior, n=n, sampling_mode=mode, seed=seed)
         assert np.array_equal(ds.xs * A + ds.actions, sa)

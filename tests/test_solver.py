@@ -1,5 +1,6 @@
-"""The ascent loop and its closed-form updates, checked against dense
-materializations, finite differences, and random feasible points."""
+"""The ascent loop and its closed-form updates: the reference step functions
+of conftest checked against dense materializations, finite differences and
+random feasible points, and the compiled loop checked against them."""
 
 import ctypes
 import os
@@ -16,17 +17,12 @@ from hypothesis import strategies as st
 
 import fogas
 from fogas.data import build_covariance, collect_dataset, estimate_psi
-from fogas.linmdp import action_major_phi, action_major_softmax
 from fogas import _native, solver
 from fogas.solver import (
     FogasConfig,
     FogasTrajectory,
-    best_response_theta,
     gradient_norm_bound,
-    lambda_gradient,
-    lambda_update,
     load_run,
-    mu_hat_features,
     run_fogas,
     run_fogas_batch,
     save_run,
@@ -34,16 +30,17 @@ from fogas.solver import (
 )
 
 from conftest import (
+    best_response_theta,
     edit_archive,
     iterate_params,
     iterate_policy_tables,
-    occupancy_operator,
+    lambda_gradient,
+    lambda_update,
+    mu_hat_features,
     psi_hat_apply,
-    random_mdp,
     random_policy,
     read_archive,
     reference_ascend,
-    site_weights,
 )
 
 
@@ -133,73 +130,41 @@ class TestBestResponse:
 class TestLambdaUpdate:
     def test_zero_everything(self, default_dataset):
         cov = build_covariance(default_dataset, beta=0.1)
-        out, grad_sq = lambda_update(np.zeros(4), np.zeros(4), cov.lambda_mat, eta=1.0,
-                                      contraction=0.5)
+        out, grad_sq = lambda_update(np.zeros(4), np.zeros(4), cov.lambda_mat, eta=1.0, rho=1.0)
         assert np.all(out == 0.0)
         assert grad_sq == 0.0
 
     def test_hand_arithmetic(self):
-        from fogas.data import Covariance
-        cov = Covariance(beta=1.0, lambda_mat=np.eye(2))
-        out, grad_sq = lambda_update(np.array([1.0, 0.0]), np.array([1.0, 1.0]),
-                                     cov.lambda_mat, eta=1.0, contraction=0.5)
+        out, grad_sq = lambda_update(np.array([1.0, 0.0]), np.array([1.0, 1.0]), np.eye(2),
+                                     eta=1.0, rho=1.0)
         assert np.allclose(out, [1.0, 0.5], atol=1e-15)
         assert grad_sq == 2.0
 
-    def test_first_order_condition(self, default_dataset):
-        cov = build_covariance(default_dataset, beta=0.1)
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            lam_t = rng.normal(size=4)
-            g = rng.normal(size=4)
-            eta = float(rng.uniform(0.01, 2.0))
-            rho = float(rng.uniform(0.0, 2.0))
-            lam_next, _ = lambda_update(lam_t, g, cov.lambda_mat, eta, 1.0 / (1.0 + rho * eta))
-            foc = -g + cov.solve(lam_next - lam_t) / eta + rho * cov.solve(lam_next)
+    def test_first_order_condition(self, recorded_run, default_dataset):
+        """Every (lambda_t, g_t, lambda_{t+1}) the loop recorded is a stationary
+        point of the proximal objective that ``lambda_update`` maximizes."""
+        cfg, tr = recorded_run.config, recorded_run.trajectory
+        cov = build_covariance(default_dataset, cfg.beta)
+        nexts = np.vstack([tr.lambdas[1:], recorded_run.lambda_final])
+        assert cfg.rho > 0 and np.abs(nexts).max() > 0
+        for lam_t, g, lam_next in zip(tr.lambdas, tr.g_lambdas, nexts):
+            foc = -g + cov.solve(lam_next - lam_t) / cfg.eta + cfg.rho * cov.solve(lam_next)
             assert np.abs(foc).max() <= 1e-9
 
-    def test_matches_numeric_maximizer(self):
-        """d=2: compare the closed form against a derivative-free maximizer of
-        the displayed proximal objective."""
-        from scipy.optimize import minimize
-        from fogas.data import Covariance
-        rng = np.random.default_rng(2)
-        for _ in range(25):
-            A = rng.normal(size=(2, 2))
-            mat = A @ A.T + 0.5 * np.eye(2)
-            cov = Covariance(beta=0.5, lambda_mat=0.5 * (mat + mat.T))
-            inv = np.linalg.inv(cov.lambda_mat)
-            lam_t = rng.normal(size=2)
-            g = rng.normal(size=2)
-            eta = float(rng.uniform(0.05, 1.0))
-            rho = float(rng.uniform(0.0, 1.0))
 
-            def neg_objective(lam):
-                d = lam - lam_t
-                return -(lam @ g - d @ inv @ d / (2 * eta)
-                         - rho * (lam @ inv @ lam) / 2.0)
-
-            closed, _ = lambda_update(lam_t, g, cov.lambda_mat, eta, 1.0 / (1.0 + rho * eta))
-            res = minimize(neg_objective, lam_t, method="Nelder-Mead",
-                           options={"xatol": 1e-10, "fatol": 1e-14,
-                                    "maxiter": 10_000})
-            assert np.abs(closed - res.x).max() <= 1e-6
-
-
-def site_operator(mdp, psi_hat, probs, gamma=0.9):
-    """(M, (1-gamma) f_x0) of a policy table, through the reference operator on
-    the sites of one estimator."""
-    sites, weights = site_weights(mdp.x0, gamma, [psi_hat])
-    block = occupancy_operator(weights[0], probs[sites].T, action_major_phi(mdp, sites))
-    return block[:-1], block[-1]
+def site_features(mdp, psi_hat, probs):
+    """f(x) = sum_a pi(a|x) phi(x,a) at the sites, x0 then the observed next
+    states of ``psi_hat``, for a policy table ``probs``: shape (1+k, d)."""
+    sites = np.concatenate(([mdp.x0], psi_hat.observed_states))
+    return (probs[sites, None, :] @ mdp.phi_by_state[sites])[:, 0]
 
 
 class TestMuHatFeatures:
     def test_zero_lambda(self, default_mdp, default_dataset):
         psi_hat = estimate_psi(default_dataset, beta=0.1)
         policy = fogas.uniform_policy(5, 3)
-        operator, x0_term = site_operator(default_mdp, psi_hat, policy.probs)
-        out = mu_hat_features(np.zeros(4), operator, x0_term)
+        features = site_features(default_mdp, psi_hat, policy.probs)
+        out = mu_hat_features(np.zeros(4), features, psi_hat.columns, 0.9)
         expected = 0.1 * policy.probs[0] @ default_mdp.phi_by_state[0]
         assert np.abs(out - expected).max() <= 1e-14
 
@@ -209,8 +174,8 @@ class TestMuHatFeatures:
                              sampling_mode="uniform", seed=0)
         psi_hat = estimate_psi(ds, beta=1.0)
         lam = np.array([0.2, -0.3])
-        operator, x0_term = site_operator(mdp, psi_hat, fogas.uniform_policy(1, 2).probs)
-        out = mu_hat_features(lam, operator, x0_term)
+        features = site_features(mdp, psi_hat, fogas.uniform_policy(1, 2).probs)
+        out = mu_hat_features(lam, features, psi_hat.columns, 0.9)
         # Hand evaluation: X' is the single state, pi uniform over e1, e2.
         mean_phi = np.array([0.5, 0.5])
         inner = ds.features[0] @ np.linalg.solve(psi_hat.covariance.lambda_mat, lam)
@@ -228,23 +193,25 @@ class TestMuHatFeatures:
             nu_hat = 0.1 * default_mdp.nu0 + 0.9 * psi_hat.dense().T @ lam
             mu_hat = (policy.probs * nu_hat[:, None]).ravel()
             expected = default_mdp.phi.T @ mu_hat
-            operator, x0_term = site_operator(default_mdp, psi_hat, policy.probs)
-            out = mu_hat_features(lam, operator, x0_term)
+            features = site_features(default_mdp, psi_hat, policy.probs)
+            out = mu_hat_features(lam, features, psi_hat.columns, 0.9)
             assert np.abs(out - expected).max() <= 1e-10
 
 
 class TestLambdaGradient:
-    def test_theta_omega_zero_value(self, default_mdp):
-        # A value of zero at the next states: the operator term M theta vanishes.
-        g = lambda_gradient(default_mdp.omega, np.zeros((4, 4)), default_mdp.omega)
+    def test_theta_omega_zero_value(self, default_mdp, default_dataset):
+        # A value of zero at the next states: only omega - theta remains.
+        psi_hat = estimate_psi(default_dataset, beta=0.1)
+        features = np.zeros((1 + len(psi_hat.observed_states), 4))
+        g = lambda_gradient(default_mdp.omega, features, psi_hat.columns, default_mdp.omega,
+                            0.9)
         assert np.abs(g).max() <= 1e-15
 
     def test_zero_gamma_limit(self, default_dataset, default_mdp):
         psi_hat = estimate_psi(default_dataset, beta=0.1)
         theta = np.array([0.1, 0.2, 0.3, 0.4])
-        operator, _ = site_operator(default_mdp, psi_hat,
-                                    fogas.uniform_policy(5, 3).probs, gamma=0.0)
-        g = lambda_gradient(default_mdp.omega, operator, theta)
+        features = site_features(default_mdp, psi_hat, fogas.uniform_policy(5, 3).probs)
+        g = lambda_gradient(theta, features, psi_hat.columns, default_mdp.omega, 0.0)
         assert np.abs(g - (default_mdp.omega - theta)).max() <= 1e-15
 
     def test_matches_finite_difference(self, default_mdp):
@@ -257,10 +224,10 @@ class TestLambdaGradient:
         rng = np.random.default_rng(9)
         policy = random_policy(5, 3, rng)
         probs = policy.probs
-        operator, x0_term = site_operator(default_mdp, psi_hat, probs)
+        features = site_features(default_mdp, psi_hat, probs)
 
         def value(lam):
-            phimu = mu_hat_features(lam, operator, x0_term)
+            phimu = mu_hat_features(lam, features, psi_hat.columns, 0.9)
             theta = best_response_theta(phimu - lam, d_theta)
             q = (default_mdp.phi @ theta).reshape(5, 3)
             v = (probs * q).sum(axis=1)
@@ -269,11 +236,11 @@ class TestLambdaGradient:
 
         for _ in range(5):
             lam = rng.normal(size=4)
-            phimu = mu_hat_features(lam, operator, x0_term)
+            phimu = mu_hat_features(lam, features, psi_hat.columns, 0.9)
             if np.linalg.norm(phimu - lam) <= 1e-6:
                 continue
             theta = best_response_theta(phimu - lam, d_theta)
-            g = lambda_gradient(default_mdp.omega, operator, theta)
+            g = lambda_gradient(theta, features, psi_hat.columns, default_mdp.omega, 0.9)
             for k in range(4):
                 e = np.zeros(4)
                 e[k] = 1e-5
@@ -563,8 +530,8 @@ class TestRunFogasBatch:
     @settings(max_examples=40, deadline=None)
     def test_matches_reference_loop(self, mdp_seed, num_states, num_actions, dim, T,
                                     x0_pick, cells):
-        """Each step of each seed equals ``reference_ascend``, the step sequence
-        without the occupancy operator, from the batch's recorded state.
+        """Each step of each seed equals ``reference_ascend``, conftest's step
+        functions in a loop, from the batch's recorded state.
 
         Followed, not free-running: the best response can amplify roundoff
         several times per iteration, and in about 1 of 1500 such random runs
@@ -636,44 +603,6 @@ class TestRunFogasBatch:
                                                         for s in range(3)])
         t_min = theoretical_min_iterations(default_mdp, n=256, delta=0.05)
         assert [run.config.T for run in batch] == [int(np.ceil(t_min))] * 3
-
-    def test_step_helpers_row_by_row(self, default_mdp):
-        """Each row of a stacked helper call equals the one-seed call."""
-        psi_hats = [estimate_psi(ds, beta=0.1)
-                    for ds in uniform_datasets(default_mdp, 512, (3, 4))]
-        assert all(len(p.observed_states) == 5 for p in psi_hats)
-        sites, weights = site_weights(default_mdp.x0, 0.9, psi_hats)
-        phi_sites = action_major_phi(default_mdp, sites)
-        lambda_mat = np.stack([p.covariance.lambda_mat for p in psi_hats])
-        rng = np.random.default_rng(5)
-        params, lam, theta = (rng.normal(size=(2, 4)) for _ in range(3))
-        eta, rho, d_theta = np.array([[0.1], [0.3]]), np.array([[0.5], [0.0]]), \
-            np.array([[2.0], [0.5]])
-        contraction = 1.0 / (1.0 + rho * eta)
-        probs = np.moveaxis(action_major_softmax(phi_sites, params), -1, 0)  # (2, A, m)
-        block = occupancy_operator(weights, probs, phi_sites)
-        phimu = mu_hat_features(lam, block[:, :-1], block[:, -1])
-        g = lambda_gradient(default_mdp.omega, block[:, :-1], theta)
-        stacked = (probs, block, phimu,
-                   best_response_theta(phimu - lam, d_theta), g,
-                   *lambda_update(lam, g, lambda_mat, eta, contraction))
-        for s, p in enumerate(psi_hats):
-            pr = action_major_softmax(phi_sites, params[s])
-            bl = occupancy_operator(site_weights(default_mdp.x0, 0.9, [p])[1][0],
-                                    pr, phi_sites)
-            ph = mu_hat_features(lam[s], bl[:-1], bl[-1])
-            gs = lambda_gradient(default_mdp.omega, bl[:-1], theta[s])
-            single = (pr, bl, ph, best_response_theta(ph - lam[s], d_theta[s, 0]), gs,
-                      *lambda_update(lam[s], gs, p.covariance.lambda_mat, eta[s, 0],
-                                     contraction[s, 0]))
-            for got, want in zip(stacked, single):
-                assert np.abs(got[s] - want).max() <= 1e-13 * np.abs(want).max()
-
-    def test_best_response_ties_per_row(self):
-        theta = best_response_theta(np.array([[0.0, 0.0], [3.0, 4.0]]),
-                                    np.array([[2.0], [1.0]]))
-        assert np.all(theta[0] == 0.0)
-        assert np.allclose(theta[1], [-0.6, -0.8], atol=1e-15)
 
 
 def shift_free_counts(monkeypatch):
@@ -884,7 +813,8 @@ class TestTrajectoryStepIdentities:
         self, mdp_seed, num_states, num_actions, dim, T, alpha
     ):
         """Every recorded iterate follows from the previous one through the
-        step helpers; this pins the index bookkeeping the diagnostics use."""
+        reference step functions; this pins the index bookkeeping the
+        diagnostics use."""
         dim = min(dim, num_states * num_actions)
         mdp = fogas.generate_linear_mdp(num_states, num_actions, dim, 0.9, mdp_seed)
         ds = collect_dataset(mdp, fogas.uniform_policy(num_states, num_actions),
@@ -894,23 +824,18 @@ class TestTrajectoryStepIdentities:
         run = run_fogas(mdp, ds, cfg)
         cfg, tr = run.config, run.trajectory
         psi_hat = estimate_psi(ds, cfg.beta)
-        sites, weights = site_weights(mdp.x0, mdp.gamma, [psi_hat])
-        phi_sites = action_major_phi(mdp, sites)
         tables = iterate_policy_tables(mdp, tr, cfg.alpha)
-        params = iterate_params(tr, cfg.alpha)
 
         for t in range(T):
-            probs = action_major_softmax(phi_sites, params[t])
-            block = occupancy_operator(weights[0], probs, phi_sites)
-            phimu = mu_hat_features(tr.lambdas[t], block[:-1], block[-1])
+            features = site_features(mdp, psi_hat, tables[t])
+            phimu = mu_hat_features(tr.lambdas[t], features, psi_hat.columns, mdp.gamma)
             assert np.abs(tr.phi_mu_hats[t] - phimu).max() <= 1e-12
-            g = lambda_gradient(mdp.omega, block[:-1], tr.thetas[t])
+            g = lambda_gradient(tr.thetas[t], features, psi_hat.columns, mdp.omega, mdp.gamma)
             assert np.abs(tr.g_lambdas[t] - g).max() <= 1e-12
             if t + 1 == T:
                 break
             lam_next, _ = lambda_update(tr.lambdas[t], tr.g_lambdas[t],
-                                        psi_hat.covariance.lambda_mat, cfg.eta,
-                                        1.0 / (1.0 + cfg.rho * cfg.eta))
+                                        psi_hat.covariance.lambda_mat, cfg.eta, cfg.rho)
             assert np.abs(tr.lambdas[t + 1] - lam_next).max() <= 1e-12
             # Cumulative form equals the multiplicative mirror-ascent step.
             boost = np.exp(cfg.alpha * (mdp.phi @ tr.thetas[t]))
