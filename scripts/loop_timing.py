@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Time the FOGAS ascent loop in microseconds per iteration.
 
-Runs ``run_fogas_batch`` at three fixed shapes with one BLAS thread, each
-shape without and with its trajectory recorded. The loop's time per
-iteration is a T-iteration run's time less a one-iteration run's, over T - 1,
-which takes the set-up (the estimator, the covariance, the output policy) out.
+Runs ``run_fogas`` at three fixed shapes with one BLAS thread, each shape
+without and with its trajectory recorded; a shape of S seeds is S
+``run_fogas`` calls, one per seed's dataset, timed together. The loop's time
+per iteration is a T-iteration run's time less a one-iteration run's, over
+T - 1, which takes the set-up (the estimator, the covariance, the output
+policy) out.
 
 With one tree (the package on PYTHONPATH), each of the two runs is timed as
 the minimum wall time over ``--repeats`` runs, and the one-iteration run is
@@ -39,7 +41,7 @@ import warnings
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# S seeds on an (X, A, d) MDP with n uniform samples each, T iterations.
+# S seeds (one run each) on an (X, A, d) MDP with n uniform samples each, T iterations.
 SHAPES = {
     "S4_X5_A3_d4": dict(seeds=4, states=5, actions=3, dim=4, n=16384, T=2000),
     "S1_X100_A4_d8": dict(seeds=1, states=100, actions=4, dim=8, n=50000, T=2000),
@@ -58,22 +60,20 @@ def prepare(fogas, shape: dict):
     datasets = [fogas.collect_dataset(mdp, behavior, n=shape["n"],
                                       sampling_mode="uniform", seed=s)
                 for s in range(shape["seeds"])]
-    fogas.run_fogas_batch(mdp, datasets, [fogas.FogasConfig(T=1, auto_tune=True)] * len(datasets))
+    for dataset in datasets:
+        fogas.run_fogas(mdp, dataset, fogas.FogasConfig(T=1, auto_tune=True))
     return fogas, mdp, datasets
 
 
 def timed_run(side, T: int, record: bool, clock) -> float:
-    """Seconds of ``clock`` one batch run of T iterations takes."""
+    """Seconds of ``clock`` the shape's runs of T iterations take, one per seed."""
     fogas, mdp, datasets = side
     configs = [fogas.FogasConfig(T=T, seed=s, auto_tune=True, record_trajectory=record)
                for s in range(len(datasets))]
     start = clock()
-    runs = fogas.run_fogas_batch(mdp, datasets, configs)
-    elapsed = clock() - start
-    for run in runs:
-        if isinstance(run, Exception):
-            raise run
-    return elapsed
+    for dataset, config in zip(datasets, configs):
+        fogas.run_fogas(mdp, dataset, config)
+    return clock() - start
 
 
 def time_shape(side, T: int, repeats: int) -> dict:

@@ -42,7 +42,6 @@ from .solver import (
     gradient_norm_bound,
     load_run,
     run_fogas,
-    run_fogas_batch,
     save_run,
     theoretical_min_iterations,
     theoretical_rates,

@@ -1,15 +1,15 @@
-/* The compiled kernels of fogas: the FOGAS ascent loop of one seed (all T
+/* The compiled kernels of fogas: the FOGAS ascent loop of one run (all T
  * iterations in one call) and the next-state search of dataset collection.
  *
  * fogas._native builds this file on first use with plain -O3 -fPIC -shared
- * and loads it through ctypes. fogas.solver calls fogas_ascend once per seed.
+ * and loads it through ctypes. fogas.solver calls fogas_ascend once per run.
  * Its specification is the numpy step functions of tests/conftest.py, one
  * per step (the best response, mu-hat's features, the lambda-gradient, the
  * lambda step with g^T Lambda g), which reference_ascend chains into the
  * loop the tests compare this one against.
  * fogas.data calls fogas_next_states once per dataset.
  *
- * Layout: the sites (x0, then the seed's observed next states) are innermost.
+ * Layout: the sites (x0, then the run's observed next states) are innermost.
  * phi is (A, d, m) and W = gamma C is (d, m) with a zero column at x0, so
  * every per-site loop runs over m contiguous floats without reassociating a
  * sum, and -O3 vectorizes it without -ffast-math. The two m-long reductions
@@ -54,7 +54,7 @@ static int all_finite(const double *x, i64 d)
 /* Runs iterations 1..T from lambda_1 = theta_bar_0 = 0. The softmax skips its
  * max-shift in iterations 1..shift_free. work holds (A + d + 2) m floats.
  * out receives lambda_{T+1}, theta_bar_T and alpha theta_bar_{J-1}, d each.
- * With a table, row t (at t * row_stride) receives lambda_{t+1}, theta_bar_t,
+ * With a table, its row t (5d + 1 floats) receives lambda_{t+1}, theta_bar_t,
  * theta_t, mu-hat's features and g_t, d each, then g_t^T Lambda g_t.
  *
  * Returns 0, or the iteration t whose lambda_{t+1} or theta_bar_t left the
@@ -64,7 +64,7 @@ i64 fogas_ascend(i64 T, i64 A, i64 d, i64 m, const double *phi, const double *W,
                  const double *omega, const double *lambda_mat, double x0_weight,
                  double alpha, double eta, double contraction, double d_theta,
                  double tie_tol, i64 shift_free, i64 J, double *work, double *out,
-                 int *finite, double *table, i64 row_stride)
+                 int *finite, double *table)
 {
     double *L = work, *F = L + A * m, *u = F + d * m, *s = u + m;
     double lam[d], theta_bar[d], scaled[d], phimu[d], theta[d], g[d], lg[d];
@@ -164,7 +164,7 @@ i64 fogas_ascend(i64 T, i64 A, i64 d, i64 m, const double *phi, const double *W,
         }
 
         if (table) {
-            double *row = table + t * row_stride, grad_sq = 0.0;
+            double *row = table + t * (5 * d + 1), grad_sq = 0.0;
             memcpy(row, lam, sizeof lam);
             memcpy(row + d, theta_bar, sizeof theta_bar);
             memcpy(row + 2 * d, theta, sizeof theta);

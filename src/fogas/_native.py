@@ -25,7 +25,9 @@ def _kernel_path(source: bytes, directory: Path) -> Path:
 
 def _build_kernel(source: bytes, path: Path) -> None:
     """Compile ``source`` to a temporary name next to ``path``, then move it
-    into place, so no process sees a partial file."""
+    into place, so no process sees a partial file. Once it is in place, the
+    directory's other ``_kernel-*.so`` builds, of older sources or compiler
+    commands, are removed."""
     import subprocess
 
     partial = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -42,6 +44,9 @@ def _build_kernel(source: bytes, path: Path) -> None:
         raise RuntimeError(f"`{' '.join(command)}` failed building the C kernel:\n"
                            + done.stderr.decode(errors="replace"))
     os.replace(partial, path)
+    for stale in path.parent.glob("_kernel-*.so"):
+        if stale != path:
+            stale.unlink(missing_ok=True)
 
 
 def _kernel() -> ctypes.CDLL:
@@ -67,8 +72,7 @@ def _kernel() -> ctypes.CDLL:
             _build_kernel(source, path)
         lib = ctypes.CDLL(str(path))
         i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-        lib.fogas_ascend.argtypes = [i64] * 4 + [ptr] * 4 + [f64] * 6 + [i64] * 2 + [ptr] * 4 \
-            + [i64]
+        lib.fogas_ascend.argtypes = [i64] * 4 + [ptr] * 4 + [f64] * 6 + [i64] * 2 + [ptr] * 4
         lib.fogas_ascend.restype = i64
         lib.fogas_next_states.argtypes = [i64] * 3 + [ptr] * 4
         lib.fogas_next_states.restype = None

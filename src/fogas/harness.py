@@ -11,26 +11,41 @@ import numpy as np
 
 from .data import OfflineDataset, build_covariance, collect_dataset
 from .diagnostics import score_iterates
-from .linmdp import LinearMdp, TabularPolicy, generate_linear_mdp, load_mdp, uniform_policy
+from .linmdp import (
+    LinearMdp,
+    TabularPolicy,
+    check_generator_dim,
+    generate_linear_mdp,
+    load_mdp,
+    uniform_policy,
+)
 from .oracle import evaluate_policy, solve_optimal
-from .solver import FogasConfig, FogasRun, _is_int, run_fogas_batch
+from .solver import FogasConfig, FogasRun, _is_int, run_fogas
 
 RESULTS_HEADER = "mdp_id,n,seed,T,coverage_ratio,suboptimality,mean_suboptimality,wall_time_ms,status"
 
 
-def behavior_policy(mdp: LinearMdp, spec: str) -> TabularPolicy:
-    """Parse a behavior spec: "uniform" or "eps:<v>" (epsilon-uniform mix of
-    the oracle-optimal policy; eps:0 is exactly the optimal policy)."""
+def _behavior_epsilon(spec: str) -> float | None:
+    """Parse a behavior spec: None for "uniform", v for "eps:<v>", v in [0, 1]."""
     if spec == "uniform":
-        return uniform_policy(mdp.num_states, mdp.num_actions)
-    if spec.startswith("eps:"):
+        return None
+    if isinstance(spec, str) and spec.startswith("eps:"):
         eps = float(spec[4:])
         if not 0.0 <= eps <= 1.0:
             raise ValueError(f"epsilon must lie in [0, 1], got {eps}")
-        pi_star, _ = solve_optimal(mdp)
-        mix = (1.0 - eps) * pi_star.probs + eps / mdp.num_actions
-        return TabularPolicy(mix)
+        return eps
     raise ValueError(f"unknown behavior spec {spec!r}")
+
+
+def behavior_policy(mdp: LinearMdp, spec: str) -> TabularPolicy:
+    """The behavior policy of a spec: "uniform" or "eps:<v>" (epsilon-uniform
+    mix of the oracle-optimal policy; eps:0 is exactly the optimal policy)."""
+    eps = _behavior_epsilon(spec)
+    if eps is None:
+        return uniform_policy(mdp.num_states, mdp.num_actions)
+    pi_star, _ = solve_optimal(mdp)
+    mix = (1.0 - eps) * pi_star.probs + eps / mdp.num_actions
+    return TabularPolicy(mix)
 
 
 @dataclass(frozen=True)
@@ -62,6 +77,7 @@ class ExperimentConfig:
                 value = self.mdp.get(key, 0)
                 if not _is_int(value) or value < low:
                     raise ValueError(f"mdp {key} must be an integer >= {low}, got {value!r}")
+            check_generator_dim(self.mdp["states"], self.mdp["actions"], self.mdp["dim"])
             gamma = self.mdp["gamma"]
             if isinstance(gamma, bool) or not isinstance(gamma, Real) or not 0.0 < gamma < 1.0:
                 raise ValueError(f"mdp gamma must lie in (0, 1), got {gamma!r}")
@@ -73,6 +89,7 @@ class ExperimentConfig:
             raise ValueError("n_values list must be nonempty")
         if not all(_is_int(n) and n >= 1 for n in self.n_values):
             raise ValueError(f"n values must be integers >= 1, got {self.n_values!r}")
+        _behavior_epsilon(self.behavior)  # checks the spec
         if self.sampling_mode not in ("occupancy", "uniform"):
             raise ValueError(f"unknown sampling_mode {self.sampling_mode!r}")
         unknown = set(self.fogas) - self._FOGAS_KEYS
@@ -168,56 +185,6 @@ def score_run(
     )
 
 
-def run_group(
-    mdp: LinearMdp,
-    behavior: TabularPolicy,
-    sampling_mode: str,
-    n: int,
-    seeds: list[int],
-    fogas_spec: dict,
-) -> list[tuple[ExperimentRecord, FogasRun] | Exception]:
-    """The cells (n, seed) of one sample size, their ascent loops run as one batch.
-
-    Collects each seed's data, runs ``run_fogas_batch`` once and scores each
-    run. Returns, per seed, ``(record, run)`` or the exception that ended the
-    seed in collection, the loop or scoring. A record's wall time is its own
-    collection and scoring plus an equal share of the batch's loop time.
-    """
-    results: list = [None] * len(seeds)
-    cells = []  # (slot, dataset, config, collection seconds)
-    for slot, seed in enumerate(seeds):
-        start = time.perf_counter()
-        try:
-            config = FogasConfig(**{"auto_tune": True, **fogas_spec}, seed=seed,
-                                 record_trajectory=True)
-            dataset = collect_dataset(
-                mdp, behavior, n=n, sampling_mode=sampling_mode, seed=seed
-            )
-        except Exception as e:  # this cell's error; the others still run
-            results[slot] = e
-            continue
-        cells.append((slot, dataset, config, time.perf_counter() - start))
-    if not cells:
-        return results
-
-    start = time.perf_counter()
-    runs = run_fogas_batch(mdp, [c[1] for c in cells], [c[2] for c in cells])
-    loop_share = (time.perf_counter() - start) / len(cells)
-
-    for (slot, dataset, _, collect_s), run in zip(cells, runs):
-        if isinstance(run, Exception):
-            results[slot] = run
-            continue
-        # Backdate the start so the record counts collection and the loop share.
-        start = time.perf_counter() - collect_s - loop_share
-        try:
-            record = score_run(mdp, dataset, run, start)
-            results[slot] = (record, run)
-        except Exception as e:
-            results[slot] = e
-    return results
-
-
 def run_cell(
     mdp: LinearMdp,
     behavior: TabularPolicy,
@@ -228,36 +195,34 @@ def run_cell(
 ) -> tuple[ExperimentRecord, FogasRun]:
     """One (n, seed) cell: collect data, run the solver, score against the oracle.
 
-    The one-seed case of ``run_group``; a failure raises.
+    The record's wall time is the whole cell's; a failure raises.
     """
-    (result,) = run_group(mdp, behavior, sampling_mode, n, [seed], fogas_spec)
-    if isinstance(result, Exception):
-        raise result
-    return result
+    start = time.perf_counter()
+    config = FogasConfig(**{"auto_tune": True, **fogas_spec}, seed=seed, record_trajectory=True)
+    dataset = collect_dataset(mdp, behavior, n=n, sampling_mode=sampling_mode, seed=seed)
+    run = run_fogas(mdp, dataset, config)
+    return score_run(mdp, dataset, run, start), run
 
 
 def run_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:
-    """Run the full grid in (n, seed) order; failures become per-row error records.
-
-    The seeds of one n run as one batch (``run_group``): they share T, which
-    depends only on n and the MDP.
-    """
+    """Run the full grid in (n, seed) order, one ``run_cell`` per cell; a failed
+    cell becomes an error record."""
     mdp = config.load_mdp()
     behavior = behavior_policy(mdp, config.behavior)
-    seeds = [int(seed) for seed in config.seeds]
     records = []
     for n in config.n_values:
-        results = run_group(mdp, behavior, config.sampling_mode, int(n), seeds, config.fogas)
-        for seed, result in zip(seeds, results):
-            if isinstance(result, Exception):  # exit code handled by caller
-                records.append(ExperimentRecord(
-                    n=int(n), seed=seed, T=0,
+        for seed in config.seeds:
+            try:
+                record, _ = run_cell(mdp, behavior, config.sampling_mode, int(n), int(seed),
+                                     config.fogas)
+            except Exception as e:  # exit code handled by caller
+                record = ExperimentRecord(
+                    n=int(n), seed=int(seed), T=0,
                     coverage_ratio=float("nan"), suboptimality=float("nan"),
                     mean_suboptimality=float("nan"), wall_time_ms=0.0,
-                    status=f"error:{type(result).__name__}", message=str(result),
-                ))
-            else:
-                records.append(result[0])
+                    status=f"error:{type(e).__name__}", message=str(e),
+                )
+            records.append(record)
     return records
 
 

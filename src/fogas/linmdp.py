@@ -148,6 +148,16 @@ def validate_linear_mdp(mdp: LinearMdp) -> list[str]:
     return report
 
 
+def check_generator_dim(num_states: int, num_actions: int, dim: int) -> None:
+    """The generator's rule on d: at least 1 and at most num_states*num_actions."""
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    if dim > num_states * num_actions:
+        raise ValueError(
+            f"dim ({dim}) must not exceed num_states*num_actions ({num_states * num_actions})"
+        )
+
+
 def generate_linear_mdp(
     num_states: int, num_actions: int, dim: int, gamma: float, seed: int
 ) -> LinearMdp:
@@ -159,12 +169,7 @@ def generate_linear_mdp(
     <phi, omega> lands in [0,1] and ||omega|| <= sqrt(d). Feature norms are at
     most 1 under this construction; the actual maximum is recorded.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if dim > num_states * num_actions:
-        raise ValueError(
-            f"dim ({dim}) must not exceed num_states*num_actions ({num_states * num_actions})"
-        )
+    check_generator_dim(num_states, num_actions, dim)
     rng = np.random.default_rng(seed)
     psi = rng.dirichlet(np.ones(num_states), size=dim)  # (d, X), rows are anchors
     phi = rng.dirichlet(np.ones(dim), size=num_states * num_actions)

@@ -8,7 +8,7 @@ and value functions at the sites: the initial state and the observed next
 states; everything over the full state space lives in the oracle and
 diagnostics.
 
-The loop runs in C, one call per seed, in ``_kernel.c``, which ``_native``
+The loop runs in C, one call per run, in ``_kernel.c``, which ``_native``
 builds on first use. Its numpy specification, one function per step, is in
 ``tests/conftest.py``, and the tests hold the kernel to it.
 """
@@ -167,7 +167,7 @@ class FogasTrajectory:
     grad_sq_norms: np.ndarray  # (T,), g^T Lambda g per iteration
 
     def __post_init__(self):
-        # Read-only views, not copies: a recorded batch's fields share one table.
+        # Read-only views, not copies: a recorded run's fields share one table.
         for f in fields(self):
             view = np.asarray(getattr(self, f.name), dtype=np.float64).view()
             view.flags.writeable = False
@@ -185,37 +185,6 @@ class FogasRun:
     trajectory: FogasTrajectory | None
 
 
-def run_fogas_batch(
-    mdp: LinearMdp, datasets: list[OfflineDataset], configs: list[FogasConfig]
-) -> list[FogasRun | Exception]:
-    """Run the ascent loop for S seeds: seed s runs ``configs[s]`` on
-    ``datasets[s]``.
-
-    Returns one ``FogasRun`` per seed, or the exception that ended that seed:
-    a failure while resolving its config or building its estimator, or the
-    ``FloatingPointError`` of a non-finite iterate. A seed that fails in the
-    loop stops there; the others run to T. The resolved configs must share T
-    and ``record_trajectory``, so a recorded batch shares one table; the rates
-    may differ. Each seed's results equal those of its own ``run_fogas`` bit
-    for bit.
-    """
-    if len(datasets) != len(configs) or not configs:
-        raise ValueError("need one dataset per config and at least one of each")
-    results: list = [None] * len(configs)
-    prepared = []
-    for slot, (dataset, config) in enumerate(zip(datasets, configs)):
-        try:
-            cfg = config.resolved(mdp, len(dataset))
-            prepared.append((slot, cfg, estimate_psi(dataset, cfg.beta)))
-        except Exception as e:  # this seed's error; the others still run
-            results[slot] = e
-    if len({(cfg.T, cfg.record_trajectory) for _, cfg, _ in prepared}) > 1:
-        raise ValueError("batched configs must share T and record_trajectory")
-    if prepared:
-        _ascend(mdp, prepared, results)
-    return results
-
-
 def shift_free_iterations(config: FogasConfig, mdp: LinearMdp) -> int:
     """How many iterations, from the first, take their softmax without the
     max-shift: alpha (t-1) d_theta R bounds every logit of iteration t, since
@@ -227,54 +196,54 @@ def shift_free_iterations(config: FogasConfig, mdp: LinearMdp) -> int:
     return config.T if steps >= config.T else math.floor(steps) + 1
 
 
-def _ascend(mdp: LinearMdp, prepared: list, results: list) -> None:
-    """Run each prepared seed's loop as one kernel call; fill their slots of
-    ``results``.
+def run_fogas(mdp: LinearMdp, dataset: OfflineDataset, config: FogasConfig) -> FogasRun:
+    """Run the full ascent loop and return the randomized-index output policy.
 
-    A recorded batch writes one (T+1, S, 5d+1) table: row t of seed s holds
-    lambda_{t+1}, theta_bar_t, theta_t, mu-hat's features, g_t and
-    g_t^T Lambda g_t; row 0 holds lambda_1 = theta_bar_0 = 0. Each seed's
-    trajectory is read-only views into it.
+    The returned policy is the iterate in force at the drawn iteration J, i.e.
+    the softmax of alpha times the cumulative parameter after J-1 updates. An
+    iterate that leaves the finite numbers raises ``FloatingPointError``.
+
+    A recorded run writes one (T+1, 5d+1) table: row t holds lambda_{t+1},
+    theta_bar_t, theta_t, mu-hat's features, g_t and g_t^T Lambda g_t; row 0
+    holds lambda_1 = theta_bar_0 = 0. The trajectory is read-only views into it.
     """
-    ascend = _native._kernel().fogas_ascend
-    T, d = prepared[0][1].T, mdp.dim
+    cfg = config.resolved(mdp, len(dataset))
+    psi_hat = estimate_psi(dataset, cfg.beta)
+    T, d = cfg.T, mdp.dim
+    chosen = int(np.random.default_rng(cfg.seed).integers(1, T + 1))
+    out, finite = np.empty((3, d)), (ctypes.c_int * 3)()
     table = None
-    if prepared[0][1].record_trajectory:
-        table = np.empty((T + 1, len(prepared), 5 * d + 1))
+    if cfg.record_trajectory:
+        table = np.empty((T + 1, 5 * d + 1))
         table[0] = 0.0
-    for row, (slot, cfg, psi_hat) in enumerate(prepared):
-        chosen = int(np.random.default_rng(cfg.seed).integers(1, T + 1))
-        out, finite = np.empty((3, d)), (ctypes.c_int * 3)()
-        rows = None if table is None else table[:, row]
-        failed_at = _ascend_seed(ascend, mdp, cfg, psi_hat, chosen, out, finite, rows)
-        if failed_at:
-            results[slot] = FloatingPointError(
-                f"non-finite iterate at iteration {failed_at} (lambda finite: "
-                f"{bool(finite[0])}, theta_bar finite: {bool(finite[1])}, "
-                f"gradient finite: {bool(finite[2])})")
-            continue
-        lam, theta_bar, output_param = out
-        results[slot] = FogasRun(
-            config=cfg,
-            chosen_index=chosen,
-            lambda_final=_readonly(lam),
-            theta_bar_final=_readonly(theta_bar),
-            output_param=_readonly(output_param),
-            output_policy=softmax_from_logit_param(mdp, output_param),
-            trajectory=None if rows is None else FogasTrajectory(
-                lambdas=rows[:-1, :d],
-                thetas=rows[1:, 2 * d:3 * d],
-                theta_bars=rows[1:, d:2 * d],
-                phi_mu_hats=rows[1:, 3 * d:4 * d],
-                g_lambdas=rows[1:, 4 * d:5 * d],
-                grad_sq_norms=rows[1:, 5 * d],
-            ),
-        )
+    failed_at = _ascend(mdp, cfg, psi_hat, chosen, out, finite, table)
+    if failed_at:
+        raise FloatingPointError(
+            f"non-finite iterate at iteration {failed_at} (lambda finite: "
+            f"{bool(finite[0])}, theta_bar finite: {bool(finite[1])}, "
+            f"gradient finite: {bool(finite[2])})")
+    lam, theta_bar, output_param = out
+    return FogasRun(
+        config=cfg,
+        chosen_index=chosen,
+        lambda_final=_readonly(lam),
+        theta_bar_final=_readonly(theta_bar),
+        output_param=_readonly(output_param),
+        output_policy=softmax_from_logit_param(mdp, output_param),
+        trajectory=None if table is None else FogasTrajectory(
+            lambdas=table[:-1, :d],
+            thetas=table[1:, 2 * d:3 * d],
+            theta_bars=table[1:, d:2 * d],
+            phi_mu_hats=table[1:, 3 * d:4 * d],
+            g_lambdas=table[1:, 4 * d:5 * d],
+            grad_sq_norms=table[1:, 5 * d],
+        ),
+    )
 
 
-def _ascend_seed(ascend, mdp: LinearMdp, cfg: FogasConfig, psi_hat: PsiHat, chosen: int,
-                 out: np.ndarray, finite, rows: np.ndarray | None) -> int:
-    """One seed's kernel call; returns the iteration that failed, or 0.
+def _ascend(mdp: LinearMdp, cfg: FogasConfig, psi_hat: PsiHat, chosen: int,
+            out: np.ndarray, finite, table: np.ndarray | None) -> int:
+    """The run's one kernel call; returns the iteration that failed, or 0.
 
     The m = 1+k sites are x0 and the observed next states. Their features are
     gathered straight into the kernel's (A, d, m) layout, and the estimator
@@ -289,27 +258,13 @@ def _ascend_seed(ascend, mdp: LinearMdp, cfg: FogasConfig, psi_hat: PsiHat, chos
     work = np.empty((A + d + 2) * m)
     omega, lambda_mat = (np.ascontiguousarray(a, dtype=np.float64)
                          for a in (mdp.omega, psi_hat.covariance.lambda_mat))
-    return ascend(
+    return _native._kernel().fogas_ascend(
         cfg.T, A, d, m, phi_sites.ctypes.data, weights.ctypes.data, omega.ctypes.data,
         lambda_mat.ctypes.data, 1.0 - mdp.gamma, cfg.alpha, cfg.eta,
         1.0 / (1.0 + cfg.rho * cfg.eta), cfg.d_theta, BEST_RESPONSE_TIE_TOL,
         shift_free_iterations(cfg, mdp), chosen, work.ctypes.data, out.ctypes.data, finite,
-        None if rows is None else rows.ctypes.data,
-        0 if rows is None else rows.strides[0] // rows.itemsize,
+        None if table is None else table.ctypes.data,
     )
-
-
-def run_fogas(mdp: LinearMdp, dataset: OfflineDataset, config: FogasConfig) -> FogasRun:
-    """Run the full ascent loop and return the randomized-index output policy.
-
-    The returned policy is the iterate in force at the drawn iteration J, i.e.
-    the softmax of alpha times the cumulative parameter after J-1 updates.
-    This is the one-seed case of ``run_fogas_batch``; a failure raises.
-    """
-    (result,) = run_fogas_batch(mdp, [dataset], [config])
-    if isinstance(result, Exception):
-        raise result
-    return result
 
 
 # Run-file entries: the config's fields as scalars, typed by the first type of

@@ -210,12 +210,12 @@ def lambda_update(lam, g, lambda_mat, eta, rho):
 
 
 def reference_ascend(mdp, dataset, config, follow=None):
-    """Reference: one seed's FOGAS run, the step functions above in a loop.
+    """Reference: one FOGAS run, the step functions above in a loop.
 
     Per iteration: the softmax features at x0 and the observed next states,
     mu-hat's features, the best response, the lambda-gradient, and the lambda
     step with g^T Lambda g. A non-finite iterate raises the
-    ``FloatingPointError`` of ``run_fogas_batch``, with its message.
+    ``FloatingPointError`` of ``run_fogas``, with its message.
 
     With ``follow``, a recorded trajectory, iteration t > 1 starts from its
     lambda_t and theta_bar_{t-1} instead of the reference's own, so each

@@ -1,6 +1,7 @@
 """Experiment harness and command-line interface, end to end."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -148,22 +149,37 @@ class TestSweep:
         assert strip_timing(a) == strip_timing(b)
 
     def test_records_match_per_seed_cells(self):
-        """A sweep batches the seeds of each n; its records equal the one-seed
-        cells' apart from wall time, within the batched-loop tolerance
-        (relative to each field's largest absolute value)."""
+        """A sweep's records equal the one-seed cells' in every field but the
+        wall time."""
         config = self.make_config(n_values=(64, 256), seeds=(0, 1, 2))
         records = harness.run_sweep(config)
         mdp = config.load_mdp()
         beh = harness.behavior_policy(mdp, config.behavior)
         cells = [harness.run_cell(mdp, beh, config.sampling_mode, n, seed, config.fogas)[0]
                  for n in config.n_values for seed in config.seeds]
-        assert [(r.n, r.seed, r.T, r.status) for r in records] == \
-            [(r.n, r.seed, r.T, r.status) for r in cells]
-        for name in ("coverage_ratio", "suboptimality", "mean_suboptimality"):
-            got = np.array([getattr(r, name) for r in records])
-            want = np.array([getattr(r, name) for r in cells])
-            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        assert [replace(r, wall_time_ms=0.0) for r in records] == \
+            [replace(r, wall_time_ms=0.0) for r in cells]
         assert all(r.wall_time_ms > 0 for r in records)
+
+    def test_one_cell_and_one_run_per_grid_point(self, monkeypatch):
+        """``run_sweep`` calls ``run_cell``, and it ``run_fogas``, once per
+        (n, seed), in grid order, failed cells included."""
+        calls = {"run_cell": [], "run_fogas": []}
+        for name in calls:
+            def counting(*args, name=name, original=getattr(harness, name)):
+                calls[name].append(args)
+                return original(*args)
+            monkeypatch.setattr(harness, name, counting)
+        grid = [(n, seed) for n in (64, 128, 256) for seed in (3, 0)]
+        harness.run_sweep(self.make_config(n_values=(64, 128, 256), seeds=(3, 0)))
+        assert [args[3:5] for args in calls["run_cell"]] == grid
+        assert [(len(ds), cfg.seed) for _, ds, cfg in calls["run_fogas"]] == grid
+        for name in calls:
+            calls[name].clear()
+        failing = self.make_config(fogas={"auto_tune": True, "T": 30, "eta": 1e250,
+                                          "d_theta": 1e100})
+        assert all(r.status == "error:FloatingPointError" for r in harness.run_sweep(failing))
+        assert len(calls["run_cell"]) == len(calls["run_fogas"]) == 4
 
     def test_failures_recorded_per_row(self):
         config = self.make_config(
@@ -490,6 +506,11 @@ class TestCli:
                               ({"seeds": [0, -1]}, "seeds must be integers >= 0"),
                               ({"mdp": {**mdp, "seed": -1}}, "mdp seed must be an integer"),
                               ({"mdp": {**mdp, "gamma": 1.5}}, "mdp gamma must lie in"),
+                              ({"mdp": {**mdp, "states": 2, "actions": 1, "dim": 3}},
+                               "dim (3) must not exceed num_states*num_actions (2)"),
+                              ({"behavior": "eps:2"}, "epsilon must lie in [0, 1], got 2.0"),
+                              ({"behavior": "bogus"}, "unknown behavior spec 'bogus'"),
+                              ({"behavior": 3}, "unknown behavior spec 3"),
                               ({"fogas": {"auto_tune": True, "etta": 0.1}},
                                "unknown fogas config keys: ['etta']"),
                               # Bad fogas values fail the parse, not every cell; a

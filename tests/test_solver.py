@@ -12,7 +12,7 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fogas
@@ -24,7 +24,6 @@ from fogas.solver import (
     gradient_norm_bound,
     load_run,
     run_fogas,
-    run_fogas_batch,
     save_run,
     theoretical_min_iterations,
 )
@@ -282,6 +281,14 @@ class TestRunFogas:
         # 4 cells, 400 draws: each expected 100 with sd ~8.7.
         assert np.all(np.abs(counts - 100) <= 40)
 
+    def test_unresolved_T_resolved_per_config(self, default_mdp):
+        """A config without T resolves it from its own dataset's n."""
+        for n in (64, 256):
+            (ds,) = uniform_datasets(default_mdp, n, [0])
+            run = run_fogas(default_mdp, ds, FogasConfig(auto_tune=True))
+            t_min = theoretical_min_iterations(default_mdp, n=n, delta=0.05)
+            assert run.config.T == int(np.ceil(t_min))
+
     def test_gradient_bound_enforced(self, default_mdp, default_dataset):
         cfg = FogasConfig(T=60, seed=0, auto_tune=True, record_trajectory=True)
         run = run_fogas(default_mdp, default_dataset, cfg)
@@ -381,6 +388,25 @@ class TestKernelBuild:
         assert _native._kernel_path(source, tmp_path) == name
         assert _native._kernel_path(source + b"\n", tmp_path) != name
 
+    def test_build_replaces_stale_builds(self, monkeypatch, tmp_path):
+        """A build, once moved into place, removes the cache's other
+        ``_kernel-*.so`` builds and nothing else; a failed build removes
+        nothing."""
+        source = tmp_path / "_kernel.c"
+        source.write_bytes(_native._KERNEL_SOURCE.read_bytes())
+        cache = tmp_path / "__pycache__"
+        cache.mkdir()
+        stale, other = cache / "_kernel-0123456789abcdef.so", cache / "_ascent-0123.so"
+        for path in (stale, other):
+            path.write_bytes(b"an old build")
+        monkeypatch.setattr(_native, "_KERNEL_SOURCE", source)
+        monkeypatch.setattr(_native, "_kernel_handle", None)
+        with pytest.raises(RuntimeError, match="failed building"):
+            _native._build_kernel(b"not C", cache / "_kernel-fedcba9876543210.so")
+        assert sorted(cache.iterdir()) == [other, stale]
+        _native._kernel()
+        assert sorted(cache.iterdir()) == [other, _native._kernel_path(source.read_bytes(), cache)]
+
     def test_unwritable_cache_builds_privately(self, default_mdp, default_dataset, monkeypatch,
                                                tmp_path):
         """Where the package's __pycache__ cannot be written, the build goes to
@@ -422,24 +448,25 @@ class TestKernelBuild:
             run_fogas(default_mdp, default_dataset, FogasConfig(T=5, auto_tune=True))
 
 
-# Tolerance between two runs of one seed, relative to each field's largest
-# absolute value. Batched and solo runs make the same kernel call per seed.
-BATCH_RTOL = 1e-10
+# The loop and ``reference_ascend`` differ only in the order of roundoff.
+REFERENCE_RTOL = 1e-12
 
 
-def assert_runs_close(batched, solo, rtol=BATCH_RTOL):
-    assert batched.chosen_index == solo.chosen_index
-    assert batched.config == solo.config
-    pairs = [(batched.lambda_final, solo.lambda_final),
-             (batched.theta_bar_final, solo.theta_bar_final),
-             (batched.output_param, solo.output_param)]
-    assert (batched.trajectory is None) == (solo.trajectory is None)
-    if solo.trajectory is not None:
-        pairs += [(getattr(batched.trajectory, f.name), getattr(solo.trajectory, f.name))
+def assert_runs_close(run, reference):
+    """The same draw J and config, and every final parameter and trajectory
+    field within ``REFERENCE_RTOL`` of the reference's largest absolute value."""
+    assert run.chosen_index == reference.chosen_index
+    assert run.config == reference.config
+    pairs = [(run.lambda_final, reference.lambda_final),
+             (run.theta_bar_final, reference.theta_bar_final),
+             (run.output_param, reference.output_param)]
+    assert (run.trajectory is None) == (reference.trajectory is None)
+    if reference.trajectory is not None:
+        pairs += [(getattr(run.trajectory, f.name), getattr(reference.trajectory, f.name))
                   for f in fields(FogasTrajectory)]
     for got, want in pairs:
         assert got.shape == want.shape
-        assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+        assert np.abs(got - want).max() <= REFERENCE_RTOL * np.abs(want).max()
 
 
 def uniform_datasets(mdp, n, seeds):
@@ -448,75 +475,13 @@ def uniform_datasets(mdp, n, seeds):
             for s in seeds]
 
 
-# The loop and ``reference_ascend`` differ only in the order of roundoff.
-REFERENCE_RTOL = 1e-12
-
-
 def reference_error(error_type, mdp, dataset, config):
     with pytest.raises(error_type) as error:
         reference_ascend(mdp, dataset, config)
     return error.value
 
 
-class TestRunFogasBatch:
-    @given(
-        mdp_seed=st.integers(0, 10**6),
-        num_states=st.integers(2, 6),
-        num_actions=st.integers(1, 3),
-        dim=st.integers(1, 4),
-        T=st.integers(1, 40),
-        cells=st.lists(st.tuples(st.integers(2, 24), st.floats(0.01, 1.0)),
-                       min_size=1, max_size=4),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_matches_solo_runs(self, mdp_seed, num_states, num_actions, dim, T, cells):
-        """Seeds with their own n, alpha and observed next states, batched,
-        give each seed's solo run: the same draw J, and each run one
-        ``reference_ascend`` step from its own recorded state at every t.
-
-        Each run follows its own trajectory, not the other's: the best
-        response can amplify roundoff several times per iteration, so in about
-        1 of 1500 random cases two free-running loops that differ only in
-        summation order drift past 1e-10 of each other.
-        """
-        dim = min(dim, num_states * num_actions)
-        mdp = fogas.generate_linear_mdp(num_states, num_actions, dim, 0.9, mdp_seed)
-        beh = fogas.uniform_policy(num_states, num_actions)
-        datasets = [collect_dataset(mdp, beh, n=n, sampling_mode="uniform",
-                                    seed=mdp_seed + i)
-                    for i, (n, _) in enumerate(cells)]
-        observed = {tuple(ds.next_state_groups[0]) for ds in datasets}
-        assume(len(cells) == 1 or len(observed) > 1)
-        configs = [FogasConfig(T=T, seed=mdp_seed + i, auto_tune=True, alpha=alpha,
-                               record_trajectory=True)
-                   for i, (_, alpha) in enumerate(cells)]
-        batch = run_fogas_batch(mdp, datasets, configs)
-        assert len(batch) == len(cells)
-        for run, ds, cfg in zip(batch, datasets, configs):
-            solo = run_fogas(mdp, ds, cfg)
-            assert run.chosen_index == solo.chosen_index
-            for r in (run, solo):
-                assert_runs_close(r, reference_ascend(mdp, ds, cfg, follow=r.trajectory),
-                                  REFERENCE_RTOL)
-
-    def test_nonfinite_seed_leaves_batch(self, default_mdp):
-        datasets = uniform_datasets(default_mdp, 256, range(3))
-        configs = [FogasConfig(T=50, seed=s, auto_tune=True, record_trajectory=True)
-                   for s in range(3)]
-        configs[1] = replace(configs[1], eta=1e250, d_theta=1e100)
-        batch = run_fogas_batch(default_mdp, datasets, configs)
-        assert isinstance(batch[1], FloatingPointError)
-        with pytest.raises(FloatingPointError) as solo_error:
-            run_fogas(default_mdp, datasets[1], configs[1])
-        assert str(batch[1]) == str(solo_error.value)
-        assert str(batch[1]) == str(
-            reference_error(FloatingPointError, default_mdp, datasets[1], configs[1]))
-        assert "iteration" in str(batch[1])
-        for s in (0, 2):
-            assert_runs_close(batch[s], run_fogas(default_mdp, datasets[s], configs[s]))
-            assert_runs_close(batch[s], reference_ascend(default_mdp, datasets[s], configs[s]),
-                              REFERENCE_RTOL)
-
+class TestReferenceLoop:
     @given(
         mdp_seed=st.integers(0, 10**6),
         num_states=st.integers(2, 8),
@@ -524,89 +489,52 @@ class TestRunFogasBatch:
         dim=st.integers(1, 5),
         T=st.integers(1, 30),
         x0_pick=st.integers(1, 7),
-        cells=st.lists(st.tuples(st.integers(2, 32), st.floats(0.01, 1.0)),
-                       min_size=1, max_size=3),
+        n=st.integers(2, 32),
+        alpha=st.floats(0.01, 1.0),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_matches_reference_loop(self, mdp_seed, num_states, num_actions, dim, T,
-                                    x0_pick, cells):
-        """Each step of each seed equals ``reference_ascend``, conftest's step
-        functions in a loop, from the batch's recorded state.
+                                    x0_pick, n, alpha):
+        """Each step of a run equals ``reference_ascend``, conftest's step
+        functions in a loop, from the run's recorded state.
 
         Followed, not free-running: the best response can amplify roundoff
         several times per iteration, and in about 1 of 1500 such random runs
-        two free-running loops (this one and the previous one too) drift past
-        1e-12 of the reference by T=30. The default-MDP cases of
-        ``test_nonfinite_seed_leaves_batch`` and ``test_failed_seeds_keep_slots``
-        compare free-running. Every run stays within its gradient norm bound.
+        two free-running loops drift past 1e-12 of each other by T=30. The
+        default-MDP cases of ``test_nonfinite_run_matches_reference`` compare
+        free-running. Every run stays within its gradient norm bound.
         """
         dim = min(dim, num_states * num_actions)
         mdp = fogas.generate_linear_mdp(num_states, num_actions, dim, 0.9, mdp_seed)
         mdp = replace(mdp, x0=1 + (x0_pick - 1) % (num_states - 1))
         beh = fogas.uniform_policy(num_states, num_actions)
-        datasets = [collect_dataset(mdp, beh, n=n, sampling_mode="uniform",
-                                    seed=mdp_seed + i)
-                    for i, (n, _) in enumerate(cells)]
-        configs = [FogasConfig(T=T, seed=mdp_seed + i, auto_tune=True, alpha=alpha,
-                               record_trajectory=True)
-                   for i, (_, alpha) in enumerate(cells)]
-        for run, ds, cfg in zip(run_fogas_batch(mdp, datasets, configs), datasets, configs):
-            assert_runs_close(run, reference_ascend(mdp, ds, cfg, follow=run.trajectory),
-                              REFERENCE_RTOL)
-            assert run.trajectory.grad_sq_norms.max() <= \
-                gradient_norm_bound(run.config, mdp) + 1e-8
+        ds = collect_dataset(mdp, beh, n=n, sampling_mode="uniform", seed=mdp_seed)
+        cfg = FogasConfig(T=T, seed=mdp_seed, auto_tune=True, alpha=alpha,
+                          record_trajectory=True)
+        run = run_fogas(mdp, ds, cfg)
+        assert_runs_close(run, reference_ascend(mdp, ds, cfg, follow=run.trajectory))
+        assert run.trajectory.grad_sq_norms.max() <= gradient_norm_bound(run.config, mdp) + 1e-8
 
-    def test_setup_failure_fills_only_its_slot(self, default_mdp):
-        datasets = uniform_datasets(default_mdp, 128, range(2))
-        configs = [FogasConfig(T=20, seed=0, auto_tune=True),
-                   FogasConfig(T=20, seed=1, alpha=0.1)]  # manual, rates unset
-        batch = run_fogas_batch(default_mdp, datasets, configs)
-        assert isinstance(batch[1], ValueError) and "auto_tune" in str(batch[1])
-        assert_runs_close(batch[0], run_fogas(default_mdp, datasets[0], configs[0]))
-
-    @pytest.mark.parametrize("setup_slot, loop_slot", [(0, 2), (1, 0)])
-    def test_failed_seeds_keep_slots(self, default_mdp, setup_slot, loop_slot):
-        """A batch of 4: one seed fails setup and one goes non-finite in the
-        loop; the other two match their solo runs and the reference. With
-        (1, 0) the seed that fails in the loop holds row 0 of the batch."""
-        datasets = uniform_datasets(default_mdp, 256, range(4))
-        configs = [FogasConfig(T=50, seed=s, auto_tune=True, record_trajectory=True)
-                   for s in range(4)]
-        configs[setup_slot] = FogasConfig(T=50, seed=setup_slot, alpha=0.1,
-                                          record_trajectory=True)  # rates unset
-        configs[loop_slot] = replace(configs[loop_slot], eta=1e250, d_theta=1e100)
-        batch = run_fogas_batch(default_mdp, datasets, configs)
-        assert isinstance(batch[setup_slot], ValueError)
-        assert "auto_tune" in str(batch[setup_slot])
-        assert isinstance(batch[loop_slot], FloatingPointError)
-        assert str(batch[loop_slot]) == str(reference_error(
-            FloatingPointError, default_mdp, datasets[loop_slot], configs[loop_slot]))
-        for s in set(range(4)) - {setup_slot, loop_slot}:
-            assert_runs_close(batch[s], run_fogas(default_mdp, datasets[s], configs[s]))
-            assert_runs_close(batch[s], reference_ascend(default_mdp, datasets[s], configs[s]),
-                              REFERENCE_RTOL)
-
-    def test_shared_fields_required(self, default_mdp):
-        datasets = uniform_datasets(default_mdp, 64, range(2))
-        for other in (FogasConfig(T=21, auto_tune=True),
-                      FogasConfig(T=20, auto_tune=True, record_trajectory=True)):
-            with pytest.raises(ValueError, match="share T"):
-                run_fogas_batch(default_mdp, datasets,
-                                [FogasConfig(T=20, auto_tune=True), other])
-        with pytest.raises(ValueError):
-            run_fogas_batch(default_mdp, datasets, [FogasConfig(T=20, auto_tune=True)])
-
-    def test_unresolved_T_shared(self, default_mdp):
-        """Configs without T resolve it per seed; seeds of one n share it."""
+    def test_nonfinite_run_matches_reference(self, default_mdp):
+        """A run whose iterates leave the finite numbers raises the reference's
+        error, which names the iteration; the runs of the seeds beside it match
+        the reference free-running."""
         datasets = uniform_datasets(default_mdp, 256, range(3))
-        batch = run_fogas_batch(default_mdp, datasets, [FogasConfig(auto_tune=True, seed=s)
-                                                        for s in range(3)])
-        t_min = theoretical_min_iterations(default_mdp, n=256, delta=0.05)
-        assert [run.config.T for run in batch] == [int(np.ceil(t_min))] * 3
+        configs = [FogasConfig(T=50, seed=s, auto_tune=True, record_trajectory=True)
+                   for s in range(3)]
+        configs[1] = replace(configs[1], eta=1e250, d_theta=1e100)
+        with pytest.raises(FloatingPointError) as error:
+            run_fogas(default_mdp, datasets[1], configs[1])
+        assert str(error.value) == str(
+            reference_error(FloatingPointError, default_mdp, datasets[1], configs[1]))
+        assert "iteration" in str(error.value)
+        for s in (0, 2):
+            assert_runs_close(run_fogas(default_mdp, datasets[s], configs[s]),
+                              reference_ascend(default_mdp, datasets[s], configs[s]))
 
 
 def shift_free_counts(monkeypatch):
-    """The count of shift-free iterations the loop is given, one per seed."""
+    """The count of shift-free iterations the loop is given, one per run."""
     counts = []
     count_of = solver.shift_free_iterations
 
@@ -638,7 +566,7 @@ class TestShiftFreeSoftmax:
         for f in fields(FogasTrajectory):
             assert np.all(np.isfinite(getattr(run.trajectory, f.name)))
         assert_runs_close(run, reference_ascend(default_mdp, default_dataset, cfg,
-                                                follow=run.trajectory), REFERENCE_RTOL)
+                                                follow=run.trajectory))
 
     def test_loop_reads_the_count(self, default_mdp, default_dataset, monkeypatch):
         """The same run told that every iteration is shift-free overflows exp
@@ -660,41 +588,39 @@ class TestShiftFreeSoftmax:
         run = run_fogas(default_mdp, default_dataset, cfg)
         assert counts == [21]  # the first shifted iteration is t=22
         assert_runs_close(run, reference_ascend(default_mdp, default_dataset, cfg,
-                                                follow=run.trajectory), REFERENCE_RTOL)
+                                                follow=run.trajectory))
 
 
 class TestRecordedRuns:
     @pytest.mark.parametrize("alpha", [None, 50.0])
     def test_recording_changes_no_result(self, default_mdp, alpha):
-        """A batch run without its trajectory gives bit for bit the results of
-        the same run with it, for the schedule's alpha and for one whose
-        softmaxes are shifted."""
-        datasets = uniform_datasets(default_mdp, 256, range(3))
-        configs = [FogasConfig(T=60, seed=s, auto_tune=True, alpha=alpha) for s in range(3)]
-        plain = run_fogas_batch(default_mdp, datasets, configs)
-        recorded = run_fogas_batch(default_mdp, datasets,
-                                   [replace(c, record_trajectory=True) for c in configs])
-        for a, b in zip(plain, recorded):
+        """A run without its trajectory gives bit for bit the results of the
+        same run with it, for the schedule's alpha and for one whose softmaxes
+        are shifted."""
+        for s, ds in enumerate(uniform_datasets(default_mdp, 256, range(3))):
+            config = FogasConfig(T=60, seed=s, auto_tune=True, alpha=alpha)
+            a = run_fogas(default_mdp, ds, config)
+            b = run_fogas(default_mdp, ds, replace(config, record_trajectory=True))
             assert a.trajectory is None and b.trajectory is not None
             assert a.chosen_index == b.chosen_index
             for name in ("lambda_final", "theta_bar_final", "output_param"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
-    def test_trajectories_are_read_only_views_of_one_table(self, default_mdp):
-        """Every field of every seed's trajectory is a read-only view into one
-        table, which holds the trajectories and one more row (lambda_1 and
-        theta_bar_0): nothing is copied per seed."""
-        S, T, d = 3, 20, default_mdp.dim
-        datasets = uniform_datasets(default_mdp, 256, range(S))
-        runs = run_fogas_batch(default_mdp, datasets, [
-            FogasConfig(T=T, seed=s, auto_tune=True, record_trajectory=True) for s in range(S)])
-        arrays = [getattr(run.trajectory, f.name) for run in runs for f in fields(FogasTrajectory)]
+    def test_trajectories_are_read_only_views_of_one_table(self, default_mdp, default_dataset):
+        """Every field of a run's trajectory is a read-only view into one
+        table, which holds the trajectory and one more row (lambda_1 and
+        theta_bar_0): nothing is copied."""
+        T, d = 20, default_mdp.dim
+        run = run_fogas(default_mdp, default_dataset,
+                        FogasConfig(T=T, seed=0, auto_tune=True, record_trajectory=True))
+        arrays = [getattr(run.trajectory, f.name) for f in fields(FogasTrajectory)]
         table = arrays[0].base
+        assert table.flags.c_contiguous
         for arr in arrays:
             assert arr.base is table and np.shares_memory(arr, table)
             assert not arr.flags.writeable
-        assert table.nbytes == sum(arr.nbytes for arr in arrays) + 8 * (5 * S * d + S)
-        for arr in (runs[1].trajectory.lambdas, runs[2].trajectory.grad_sq_norms):
+        assert table.nbytes == sum(arr.nbytes for arr in arrays) + 8 * (5 * d + 1)
+        for arr in (run.trajectory.lambdas, run.trajectory.grad_sq_norms):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
 
@@ -713,26 +639,25 @@ class TestRecordedRuns:
         assert np.array_equal(trajectory.theta_bars[0], run.theta_bar_final)
 
     def test_recorded_peak_is_bounded(self, default_mdp):
-        """A recorded S=4, T=5000 batch holds its trajectories once. Its
-        tracemalloc peak is at most the table's (T+1)(5Sd + S) floats (3.36 MB
-        at d=4) plus 512 KiB for the estimators, the loop's arrays and the
-        output policies; a copy of the trajectories would add 3.36 MB. The
-        bound was set before the test first ran. A two-iteration run first
-        fills the datasets' and the MDP's cached arrays and numpy's lazy
-        imports, which would otherwise count."""
-        S, T, d = 4, 5000, default_mdp.dim
-        datasets = uniform_datasets(default_mdp, 1024, range(S))
-        configs = [FogasConfig(T=T, seed=s, auto_tune=True, record_trajectory=True)
-                   for s in range(S)]
-        run_fogas_batch(default_mdp, datasets, [replace(c, T=2) for c in configs])
+        """A recorded T=5000 run holds its trajectory once. Its tracemalloc
+        peak is at most the table's (T+1)(5d + 1) floats (0.84 MB at d=4) plus
+        512 KiB for the estimator, the loop's arrays and the output policy; a
+        copy of the trajectory would add 0.84 MB. The bound was set before the
+        test first ran. A two-iteration run first fills the dataset's and the
+        MDP's cached arrays and numpy's lazy imports, which would otherwise
+        count."""
+        T, d = 5000, default_mdp.dim
+        (ds,) = uniform_datasets(default_mdp, 1024, [0])
+        config = FogasConfig(T=T, seed=0, auto_tune=True, record_trajectory=True)
+        run_fogas(default_mdp, ds, replace(config, T=2))
         tracemalloc.start()
         try:
-            runs = run_fogas_batch(default_mdp, datasets, configs)
+            run = run_fogas(default_mdp, ds, config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert all(run.trajectory is not None for run in runs)
-        assert peak <= 8 * (T + 1) * (5 * S * d + S) + 2**19
+        assert run.trajectory is not None
+        assert peak <= 8 * (T + 1) * (5 * d + 1) + 2**19
 
 
 class TestRunSerialization:
