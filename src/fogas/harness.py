@@ -67,6 +67,11 @@ class ExperimentConfig:
     _FOGAS_KEYS = {f.name for f in fields(FogasConfig)} - {"seed", "record_trajectory"}
 
     def __post_init__(self):
+        kind, allowed = (("path", {"path"}) if "path" in self.mdp
+                         else ("generator", {*self._GENERATOR_KEYS, "seed"}))
+        unknown = set(self.mdp) - allowed
+        if unknown:
+            raise ValueError(f"unknown keys in a {kind} mdp spec: {sorted(unknown)}")
         if "path" not in self.mdp:
             missing = [key for key in self._GENERATOR_KEYS if key not in self.mdp]
             if missing:

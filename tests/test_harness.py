@@ -505,6 +505,10 @@ class TestCli:
                               ({"seeds": [1.5]}, "seeds must be integers"),
                               ({"seeds": [0, -1]}, "seeds must be integers >= 0"),
                               ({"mdp": {**mdp, "seed": -1}}, "mdp seed must be an integer"),
+                              ({"mdp": {**mdp, "sed": 7}},
+                               "unknown keys in a generator mdp spec: ['sed']"),
+                              ({"mdp": {"path": str(tmp_path / "m.npz"), "states": 5}},
+                               "unknown keys in a path mdp spec: ['states']"),
                               ({"mdp": {**mdp, "gamma": 1.5}}, "mdp gamma must lie in"),
                               ({"mdp": {**mdp, "states": 2, "actions": 1, "dim": 3}},
                                "dim (3) must not exceed num_states*num_actions (2)"),
