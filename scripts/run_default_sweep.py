@@ -8,14 +8,14 @@ import argparse
 import warnings
 
 from fogas import harness
+from fogas.data import SAMPLING_MODES
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results.csv")
     parser.add_argument("--behavior", default="uniform")
-    parser.add_argument("--mode", default="uniform",
-                        choices=["uniform", "occupancy"])
+    parser.add_argument("--mode", default="uniform", choices=SAMPLING_MODES)
     parser.add_argument("--t-cap", type=int, default=20000)
     args = parser.parse_args()
 

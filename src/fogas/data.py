@@ -16,8 +16,11 @@ from functools import cached_property
 import numpy as np
 
 from . import _native
-from .linmdp import SAMPLE_CHUNK_BYTES, LinearMdp, _readonly, read_arrays, write_arrays
+from .linmdp import (SAMPLE_CHUNK_BYTES, LinearMdp, _check_int, _readonly, read_arrays,
+                     write_arrays)
 from .oracle import evaluate_policy
+
+SAMPLING_MODES = ("occupancy", "uniform")  # how ``collect_dataset`` draws the pairs
 
 _DATASET_ENTRIES = {"x": (np.int64, 1), "a": (np.int64, 1), "r": (np.float64, 1),
                     "x_next": (np.int64, 1)}
@@ -167,7 +170,7 @@ def collect_dataset(
     ``sampling_mode`` selects how the pairs (X_i, A_i) are drawn: "occupancy"
     draws them i.i.d. from the exact discounted occupancy of the behavior
     policy (via the tabular oracle), "uniform" draws them uniformly over the
-    state-action space.
+    state-action space. n (>= 1), seed (>= 0) and the mode are checked first.
 
     X'_i is the first state whose cumulative probability
     <phi_i, cumsum(Psi)[:, x']> exceeds a uniform draw u_i, found by a
@@ -175,18 +178,18 @@ def collect_dataset(
     total (a row summing to slightly less than 1) goes to the last state with
     positive mass in that row.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_int("n", n, 1)
+    _check_int("seed", seed, 0)
+    if sampling_mode not in SAMPLING_MODES:
+        raise ValueError(f"unknown sampling_mode {sampling_mode!r}")
     X, A, d = mdp.num_states, mdp.num_actions, mdp.dim
     rng = np.random.default_rng(seed)
     if sampling_mode == "occupancy":
         mu = evaluate_policy(mdp, behavior).mu
         mu = np.clip(mu, 0.0, None)
         sa = rng.choice(X * A, size=n, p=mu / mu.sum())
-    elif sampling_mode == "uniform":
-        sa = rng.integers(0, X * A, size=n)
     else:
-        raise ValueError(f"unknown sampling_mode {sampling_mode!r}")
+        sa = rng.integers(0, X * A, size=n)
 
     u = rng.random(n)
     features = mdp.phi.take(sa, axis=0)

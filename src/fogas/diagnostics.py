@@ -25,11 +25,10 @@ from .linmdp import (
     action_major_softmax,
 )
 from .oracle import solve_flow, solve_optimal
-from .solver import FogasRun, FogasTrajectory, canonical_d_theta
+from .solver import FogasRun, FogasTrajectory
 
 DECOMPOSITION_TOL = 1e-8
 IDENTITY_TOL = 1e-8
-D_THETA_MATCH_RTOL = 1e-12
 
 
 def v_of_theta_policy(mdp: LinearMdp, probs: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -186,7 +185,6 @@ class GapReport:
     decomposition_residual: float
     suboptimality_lhs: float  # (1/T) sum_t (rho(pi*) - rho(pi_t))
     identity_residual: float
-    identity_asserted: bool  # False when the run used a nonstandard theta ball
 
     CSV_COLUMNS = (
         "gap,regret_pi,regret_lambda,regret_theta,err_psi_scaled,"
@@ -217,9 +215,11 @@ def duality_gap_report(
 ) -> GapReport:
     """Fill a GapReport from a recorded run and verify the exact identities.
 
-    The gap/suboptimality identity is only asserted when the run used the
-    canonical ball radius sqrt(d)/(1-gamma); with a manual radius the residual
-    is still reported but not checked.
+    Both identities hold at every theta-ball radius, so ``check_identities``
+    asserts both for any run. The gap/suboptimality one needs no particular
+    radius because f(lambda*, pi*, theta) = <lambda*, omega> = rho(pi*) for
+    every theta (lambda* meets pi*'s flow constraint) and
+    f(lambda_t, pi_t, theta^{pi_t}) = rho(pi_t) for every lambda_t.
     """
     if run.trajectory is None:
         raise ValueError("run was not recorded with record_trajectory")
@@ -246,11 +246,6 @@ def duality_gap_report(
     decomposition_residual = abs(gap - (r_pi + r_lam + r_theta) / T - err_scaled)
     suboptimality_lhs = float(np.mean(comp.rho_star - comp.rho_ts))
     identity_residual = abs(suboptimality_lhs - gap)
-
-    radius = canonical_d_theta(mdp)
-    identity_asserted = bool(
-        abs(cfg.d_theta - radius) <= D_THETA_MATCH_RTOL * max(1.0, radius)
-    )
     if check_identities:
         # Written so that a NaN residual fails the check.
         if not decomposition_residual <= DECOMPOSITION_TOL:
@@ -258,7 +253,7 @@ def duality_gap_report(
                 f"duality-gap decomposition residual {decomposition_residual:.3e} "
                 f"exceeds {DECOMPOSITION_TOL}"
             )
-        if identity_asserted and not identity_residual <= IDENTITY_TOL:
+        if not identity_residual <= IDENTITY_TOL:
             raise AssertionError(
                 f"gap/suboptimality identity residual {identity_residual:.3e} "
                 f"exceeds {IDENTITY_TOL}"
@@ -272,5 +267,4 @@ def duality_gap_report(
         decomposition_residual=decomposition_residual,
         suboptimality_lhs=suboptimality_lhs,
         identity_residual=identity_residual,
-        identity_asserted=identity_asserted,
     )

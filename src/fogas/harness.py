@@ -5,22 +5,22 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, fields
-from numbers import Real
 
 import numpy as np
 
-from .data import OfflineDataset, build_covariance, collect_dataset
+from .data import SAMPLING_MODES, OfflineDataset, build_covariance, collect_dataset
 from .diagnostics import score_iterates
 from .linmdp import (
     LinearMdp,
     TabularPolicy,
-    check_generator_dim,
+    _is_int,
+    check_generator_args,
     generate_linear_mdp,
     load_mdp,
     uniform_policy,
 )
 from .oracle import evaluate_policy, solve_optimal
-from .solver import FogasConfig, FogasRun, _is_int, run_fogas
+from .solver import FogasConfig, FogasRun, run_fogas
 
 RESULTS_HEADER = "mdp_id,n,seed,T,coverage_ratio,suboptimality,mean_suboptimality,wall_time_ms,status"
 
@@ -50,7 +50,8 @@ def behavior_policy(mdp: LinearMdp, spec: str) -> TabularPolicy:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One sweep: a grid of sample sizes crossed with seeds on a single MDP."""
+    """One sweep: a grid of sample sizes crossed with seeds on a single MDP.
+    A bad value fails here, through the check of the function that uses it."""
 
     mdp: dict  # {"path": ...} or generator params
     behavior: str = "uniform"
@@ -59,14 +60,18 @@ class ExperimentConfig:
     seeds: tuple = tuple(range(10))
     fogas: dict = field(default_factory=lambda: {"auto_tune": True})
 
-    _KNOWN_KEYS = {
-        "mdp", "behavior", "sampling_mode", "n_values", "seeds", "fogas",
-    }
     _GENERATOR_KEYS = ("states", "actions", "dim", "gamma")
     # Every FogasConfig field but those each cell sets itself.
     _FOGAS_KEYS = {f.name for f in fields(FogasConfig)} - {"seed", "record_trajectory"}
 
     def __post_init__(self):
+        for key in ("mdp", "fogas"):
+            if not isinstance(getattr(self, key), dict):
+                raise ValueError(f"{key} must be an object, got {getattr(self, key)!r}")
+        for key in ("n_values", "seeds"):
+            if not isinstance(getattr(self, key), (list, tuple)):
+                raise ValueError(f"{key} must be a list, got {getattr(self, key)!r}")
+            object.__setattr__(self, key, tuple(getattr(self, key)))
         kind, allowed = (("path", {"path"}) if "path" in self.mdp
                          else ("generator", {*self._GENERATOR_KEYS, "seed"}))
         unknown = set(self.mdp) - allowed
@@ -78,14 +83,10 @@ class ExperimentConfig:
                 raise ValueError(
                     f"mdp config needs a path or the generator keys; missing {missing}"
                 )
-            for key, low in (("states", 1), ("actions", 1), ("dim", 1), ("seed", 0)):
-                value = self.mdp.get(key, 0)
-                if not _is_int(value) or value < low:
-                    raise ValueError(f"mdp {key} must be an integer >= {low}, got {value!r}")
-            check_generator_dim(self.mdp["states"], self.mdp["actions"], self.mdp["dim"])
-            gamma = self.mdp["gamma"]
-            if isinstance(gamma, bool) or not isinstance(gamma, Real) or not 0.0 < gamma < 1.0:
-                raise ValueError(f"mdp gamma must lie in (0, 1), got {gamma!r}")
+            try:
+                check_generator_args(**self.mdp)
+            except ValueError as e:
+                raise ValueError(f"mdp {e}") from None
         if len(self.seeds) == 0:
             raise ValueError("seeds list must be nonempty")
         if not all(_is_int(seed) and seed >= 0 for seed in self.seeds):
@@ -95,7 +96,7 @@ class ExperimentConfig:
         if not all(_is_int(n) and n >= 1 for n in self.n_values):
             raise ValueError(f"n values must be integers >= 1, got {self.n_values!r}")
         _behavior_epsilon(self.behavior)  # checks the spec
-        if self.sampling_mode not in ("occupancy", "uniform"):
+        if self.sampling_mode not in SAMPLING_MODES:
             raise ValueError(f"unknown sampling_mode {self.sampling_mode!r}")
         unknown = set(self.fogas) - self._FOGAS_KEYS
         if unknown:
@@ -106,24 +107,21 @@ class ExperimentConfig:
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path) as f:
             doc = json.load(f)
-        unknown = set(doc) - cls._KNOWN_KEYS
+        if not isinstance(doc, dict):
+            raise ValueError(f"a sweep config must be a JSON object, got {type(doc).__name__}")
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("n_values", "seeds"):
-            if key in doc:
-                doc[key] = tuple(doc[key])
+        if "mdp" not in doc:
+            raise ValueError("a sweep config needs an mdp spec")
         return cls(**doc)
 
     def load_mdp(self) -> LinearMdp:
         if "path" in self.mdp:
             return load_mdp(self.mdp["path"])
-        return generate_linear_mdp(
-            num_states=self.mdp["states"],
-            num_actions=self.mdp["actions"],
-            dim=self.mdp["dim"],
-            gamma=float(self.mdp["gamma"]),
-            seed=self.mdp.get("seed", 0),
-        )
+        spec = self.mdp
+        return generate_linear_mdp(spec["states"], spec["actions"], spec["dim"], spec["gamma"],
+                                   spec.get("seed", 0))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -57,10 +58,9 @@ class LinearMdp:
 
     def __post_init__(self):
         X, A, d = self.num_states, self.num_actions, self.dim
-        if X < 1 or A < 1 or d < 1:
-            raise ValueError("num_states, num_actions and dim must be >= 1")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
+        for name in ("num_states", "num_actions", "dim"):
+            _check_int(name, getattr(self, name), 1)
+        _check_gamma(self.gamma)
         if not 0 <= self.x0 < X:
             raise ValueError(f"x0 must be a state index in [0, {X}), got {self.x0}")
         phi = _readonly(self.phi)
@@ -148,14 +148,33 @@ def validate_linear_mdp(mdp: LinearMdp) -> list[str]:
     return report
 
 
-def check_generator_dim(num_states: int, num_actions: int, dim: int) -> None:
-    """The generator's rule on d: at least 1 and at most num_states*num_actions."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if dim > num_states * num_actions:
-        raise ValueError(
-            f"dim ({dim}) must not exceed num_states*num_actions ({num_states * num_actions})"
-        )
+def _is_int(value) -> bool:
+    """An int or numpy integer, not a bool: a float or bool is never truncated."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_int(name: str, value, low: int) -> None:
+    """Every integer input's rule: an integer (``_is_int``) >= ``low``."""
+    if not (_is_int(value) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _check_gamma(gamma) -> None:
+    """The discount's rule, for the generator and every LinearMdp."""
+    if isinstance(gamma, bool) or not isinstance(gamma, Real) or not 0.0 < gamma < 1.0:
+        raise ValueError(f"gamma must lie in (0, 1), got {gamma!r}")
+
+
+def check_generator_args(states, actions, dim, gamma, seed=0) -> None:
+    """``generate_linear_mdp``'s rules, named as the CLI flags and sweep spec keys:
+    integers states, actions, dim >= 1 with dim <= states*actions, an integer
+    seed >= 0 and a real gamma in (0, 1)."""
+    for name, value, low in (("states", states, 1), ("actions", actions, 1), ("dim", dim, 1),
+                             ("seed", seed, 0)):
+        _check_int(name, value, low)
+    if dim > states * actions:
+        raise ValueError(f"dim ({dim}) must not exceed num_states*num_actions ({states * actions})")
+    _check_gamma(gamma)
 
 
 def generate_linear_mdp(
@@ -169,7 +188,7 @@ def generate_linear_mdp(
     <phi, omega> lands in [0,1] and ||omega|| <= sqrt(d). Feature norms are at
     most 1 under this construction; the actual maximum is recorded.
     """
-    check_generator_dim(num_states, num_actions, dim)
+    check_generator_args(num_states, num_actions, dim, gamma, seed)
     rng = np.random.default_rng(seed)
     psi = rng.dirichlet(np.ones(num_states), size=dim)  # (d, X), rows are anchors
     phi = rng.dirichlet(np.ones(dim), size=num_states * num_actions)

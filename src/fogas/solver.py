@@ -28,6 +28,7 @@ from .data import OfflineDataset, PsiHat, estimate_psi
 from .linmdp import (
     LinearMdp,
     TabularPolicy,
+    _check_int,
     _readonly,
     read_arrays,
     softmax_from_logit_param,
@@ -47,9 +48,9 @@ class FogasConfig:
     ``resolved`` fills, from the MDP features and the sample count, what is
     left as None: T becomes the theoretical minimum iteration count (rounded
     up) capped by ``T_cap``, d_theta the canonical radius sqrt(d)/(1-gamma),
-    and, with ``auto_tune`` set, the rates come from the theoretical schedule.
-    Explicitly set values always win, which is how the stabilization ablation
-    (rho=0) is run.
+    and, with ``auto_tune`` set, the rates come from the theoretical schedule
+    (without it, all four must be given). Explicitly set values always win,
+    which is how the stabilization ablation (rho=0) is run.
     """
 
     T: int | None = None
@@ -66,9 +67,8 @@ class FogasConfig:
 
     def __post_init__(self):
         for name, low in (("T", 1), ("T_cap", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not (_is_int(value) and value >= low or name == "T" and value is None):
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            if name != "T" or self.T is not None:
+                _check_int(name, getattr(self, name), low)
         for name in ("auto_tune", "record_trajectory"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
@@ -86,14 +86,14 @@ class FogasConfig:
                 raise ValueError(f"{name} must be positive")
         if self.rho is not None and self.rho < 0:
             raise ValueError("rho must be >= 0")
+        if not self.auto_tune and None in (self.alpha, self.rho, self.eta, self.beta):
+            raise ValueError("all of alpha, rho, eta, beta must be set unless auto_tune")
 
     def resolved(self, mdp: LinearMdp, n: int) -> "FogasConfig":
         """The config with T, d_theta and (auto_tune only) the rates filled."""
         t_min = theoretical_min_iterations(mdp, n=n, delta=self.delta)
         T = max(1, min(math.ceil(t_min), self.T_cap)) if self.T is None else self.T
         unset = [k for k in ("alpha", "rho", "eta", "beta") if getattr(self, k) is None]
-        if unset and not self.auto_tune:
-            raise ValueError("all of alpha, rho, eta, beta must be set unless auto_tune")
         if unset and T < t_min:
             warnings.warn(
                 f"auto-tuned run with T={T} below the theoretical minimum "
@@ -103,11 +103,6 @@ class FogasConfig:
         rates = theoretical_rates(mdp, n=n, T=T, delta=self.delta) if unset else {}
         d_theta = canonical_d_theta(mdp) if self.d_theta is None else self.d_theta
         return replace(self, T=T, d_theta=d_theta, **{k: rates[k] for k in unset})
-
-
-def _is_int(value) -> bool:
-    """An int or numpy integer, not a bool: a float or bool is never truncated."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def canonical_d_theta(mdp: LinearMdp) -> float:
@@ -303,8 +298,9 @@ def save_run(run: FogasRun, path) -> None:
 def load_run(path, mdp: LinearMdp) -> FogasRun:
     """Read a run file written by ``save_run``; a malformed file raises ValueError.
 
-    J must lie in [1, T], and every array must match the config's T (or have
-    no rows, for a trajectory not recorded) and the MDP's dimension d.
+    J must lie in [1, T], and every array must match the config's T and the
+    MDP's dimension d; the trajectory's arrays have T rows when the config's
+    ``record_trajectory`` is set and none when it is not.
     """
     with read_arrays(path, "run", _RUN_ENTRIES) as arrays:
         config = FogasConfig(**{key.removeprefix("config."): arr.item()
@@ -313,7 +309,7 @@ def load_run(path, mdp: LinearMdp) -> FogasRun:
         chosen_index = int(arrays["chosen_index"])
         if not 1 <= chosen_index <= T:
             raise ValueError(f"chosen_index {chosen_index} outside [1, {T}]")
-        rows = T if len(arrays["grad_sq_norms"]) else 0
+        rows = T if config.record_trajectory else 0
         shapes = {**dict.fromkeys(("lambda_final", "theta_bar_final", "output_param"), (d,)),
                   **{f.name: (rows, d) for f in fields(FogasTrajectory)},
                   "grad_sq_norms": (rows,)}
@@ -328,5 +324,5 @@ def load_run(path, mdp: LinearMdp) -> FogasRun:
             theta_bar_final=_readonly(arrays["theta_bar_final"]),
             output_param=_readonly(arrays["output_param"]),
             output_policy=softmax_from_logit_param(mdp, arrays["output_param"]),
-            trajectory=trajectory if rows else None,
+            trajectory=trajectory if config.record_trajectory else None,
         )

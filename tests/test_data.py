@@ -228,6 +228,16 @@ class TestCollect:
             collect_dataset(default_mdp, fogas.uniform_policy(5, 3), n=10,
                             sampling_mode="rollout", seed=0)
 
+    @pytest.mark.parametrize("n, seed, message", [
+        (0, 0, "n must be an integer >= 1, got 0"),
+        (10, -1, "seed must be an integer >= 0, got -1"),
+    ])
+    def test_bad_n_or_seed_rejected(self, default_mdp, n, seed, message):
+        with pytest.raises(ValueError) as excinfo:
+            collect_dataset(default_mdp, fogas.uniform_policy(5, 3), n=n,
+                            sampling_mode="uniform", seed=seed)
+        assert str(excinfo.value) == message
+
 
 class TestCovariance:
     def test_rank_one_closed_form(self):

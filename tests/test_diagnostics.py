@@ -203,7 +203,8 @@ class TestLoopFreeAgainstLoops:
     def test_matches_per_iterate_loops(self, X, A, d, gamma, T, d_theta, seed):
         """Gap, regrets and estimation error against the per-iterate
         reference, with the canonical or a manual radius, for the estimated
-        and the injected true Psi-hat."""
+        and the injected true Psi-hat; the gap/suboptimality identity holds at
+        either radius."""
         d = min(d, X * A)
         base = fogas.generate_linear_mdp(X, A, d, gamma, seed)
         mdp = fogas.LinearMdp(
@@ -218,7 +219,7 @@ class TestLoopFreeAgainstLoops:
         cfg, traj = run.config, run.trajectory
         comp = build_comparators(mdp, traj, cfg.alpha)
         report = duality_gap_report(run, mdp, ds, check_identities=False)
-        assert report.identity_asserted or d_theta is not None
+        assert report.identity_residual <= 1e-8
 
         psi_hat = estimate_psi(ds, cfg.beta)
         gap, r_pi, r_lam, r_theta, err = looped_gap_terms(mdp, psi_hat, traj, comp,
@@ -276,7 +277,6 @@ class TestGapReport:
         report = duality_gap_report(recorded_run, default_mdp, default_dataset)
         assert report.decomposition_residual <= 1e-8
         assert report.identity_residual <= 1e-8
-        assert report.identity_asserted
 
     def test_zero_reward_gap_vanishes(self):
         base = random_mdp(50)
@@ -291,14 +291,15 @@ class TestGapReport:
         report = duality_gap_report(run, mdp, ds)
         assert abs(report.gap) <= 1e-10
 
-    def test_manual_radius_skips_identity(self, default_mdp, default_dataset):
+    def test_manual_radius_asserts_identity(self, default_mdp, default_dataset):
+        """Both identities hold at any theta-ball radius, and both are asserted."""
         cfg = FogasConfig(T=20, seed=0, auto_tune=True, d_theta=1.0,
                           record_trajectory=True)
         run = run_fogas(default_mdp, default_dataset, cfg)
-        report = duality_gap_report(run, default_mdp, default_dataset)
-        assert not report.identity_asserted
-        assert report.decomposition_residual <= 1e-8  # holds for any radius
-        assert np.isfinite(report.identity_residual)
+        report = duality_gap_report(run, default_mdp, default_dataset,
+                                    check_identities=True)
+        assert report.decomposition_residual <= 1e-8
+        assert report.identity_residual <= 1e-8
 
     def test_missing_trajectory_rejected(self, default_mdp, default_dataset):
         run = run_fogas(default_mdp, default_dataset,

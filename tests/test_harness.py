@@ -71,6 +71,10 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"mdp {key} must"):
             harness.ExperimentConfig(mdp=mdp)
 
+    def test_unknown_sampling_mode_rejected(self):
+        with pytest.raises(ValueError, match="^unknown sampling_mode 'bogus'$"):
+            harness.ExperimentConfig(mdp={"path": "x"}, sampling_mode="bogus")
+
     def test_generator_params(self):
         cfg = harness.ExperimentConfig(
             mdp={"states": 5, "actions": 3, "dim": 4, "gamma": 0.9, "seed": 2})
@@ -236,7 +240,7 @@ class TestCli:
         code = cli_main(["generate", "--states", "5", "--actions", "3", "--dim", "4",
                          "--gamma", "0.9", "--seed", "-1", "--out", str(tmp_path / "m.npz")])
         assert code == 2
-        assert "--seed must be" in capsys.readouterr().err
+        assert capsys.readouterr().err == "seed must be an integer >= 0, got -1\n"
 
     def test_generate_bad_dim(self, tmp_path, capsys):
         code = cli_main(["generate", "--states", "5", "--actions", "3",
@@ -244,6 +248,20 @@ class TestCli:
                          "--out", str(tmp_path / "m.npz")])
         assert code == 2
         assert "dim must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--states", "0", "states must be an integer >= 1, got 0"),
+        ("--gamma", "1.5", "gamma must lie in (0, 1), got 1.5"),
+    ])
+    def test_generate_flag_out_of_range(self, tmp_path, capsys, flag, value, message):
+        argv = {"--states": "5", "--actions": "3", "--dim": "4", "--gamma": "0.9",
+                flag: value}
+        mdp_path = tmp_path / "m.npz"
+        code = cli_main(["generate", *(x for item in argv.items() for x in item),
+                         "--out", str(mdp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == message + "\n"
+        assert not mdp_path.exists()
 
     def test_validate_flags_corruption(self, tmp_path, capsys):
         mdp_path = self.generate(tmp_path)
@@ -297,7 +315,16 @@ class TestCli:
         code = cli_main(["collect", "--mdp", str(mdp_path), "--n", "16", "--seed", "-1",
                          "--out", str(data_path)])
         assert code == 2
-        assert "--seed must be" in capsys.readouterr().err
+        assert capsys.readouterr().err == "seed must be an integer >= 0, got -1\n"
+        assert not data_path.exists()
+
+    def test_collect_bad_behavior(self, tmp_path, capsys):
+        mdp_path = self.generate(tmp_path)
+        data_path = tmp_path / "d.npz"
+        code = cli_main(["collect", "--mdp", str(mdp_path), "--n", "16",
+                         "--behavior", "bogus", "--out", str(data_path)])
+        assert code == 2
+        assert capsys.readouterr().err == "unknown behavior spec 'bogus'\n"
         assert not data_path.exists()
 
     def pipeline(self, tmp_path, extra_solve_args=()):
@@ -450,7 +477,10 @@ class TestCli:
         (("--auto-tune", "--T", "20", "--d-theta", "-1"), "d_theta must be positive"),
         (("--rates", "0.1,0.1,-1,0.1", "--T", "20"), "eta must be positive"),
         (("--auto-tune", "--T", "20", "--seed", "-3"), "seed must be an integer >= 0"),
-    ], ids=["delta-2", "delta-0-auto-T", "delta-1-auto-T", "d-theta", "rates", "seed"])
+        (("--rates", "0.1,0.2,0.3", "--T", "20"),
+         "--rates expects four comma-separated values: alpha,rho,eta,beta"),
+    ], ids=["delta-2", "delta-0-auto-T", "delta-1-auto-T", "d-theta", "rates", "seed",
+            "three-rates"])
     def test_solve_flag_out_of_range(self, tmp_path, capsys, args, message):
         mdp_path = self.generate(tmp_path)
         data_path = tmp_path / "d.npz"
@@ -471,6 +501,8 @@ class TestCli:
                          str(data_path), "--T", "5", "--seed", "0",
                          "--out", str(tmp_path / "run.npz")])
         assert code == 2
+        assert capsys.readouterr().err == (
+            "all of alpha, rho, eta, beta must be set unless auto_tune\n")
 
     def test_sweep_csv(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -530,10 +562,25 @@ class TestCli:
                               ({"fogas": {"auto_tune": True, "delta": "0.1"}},
                                "delta must lie in (0, 1), got '0.1'"),
                               ({"fogas": {"auto_tune": True, "eta": "0.1"}},
-                               "eta must be a number, got '0.1'")):
+                               "eta must be a number, got '0.1'"),
+                              # Manual rates are all given, or the parse fails
+                              # instead of every cell.
+                              ({"fogas": {"auto_tune": False, "T": 20}},
+                               "all of alpha, rho, eta, beta must be set unless auto_tune"),
+                              ({"mdp": "mypath"}, "mdp must be an object, got 'mypath'"),
+                              ({"mdp": 5}, "mdp must be an object, got 5"),
+                              ({"fogas": ["T"]}, "fogas must be an object, got ['T']"),
+                              ({"seeds": 3}, "seeds must be a list, got 3"),
+                              ({"n_values": "64"}, "n_values must be a list, got '64'")):
             cfg_path.write_text(json.dumps({"mdp": mdp, **grid}))
             assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
             assert message in capsys.readouterr().err
+            assert not out.exists()
+        for doc, message in (([mdp], "a sweep config must be a JSON object, got list"),
+                             ({"seeds": [0]}, "a sweep config needs an mdp spec")):
+            cfg_path.write_text(json.dumps(doc))
+            assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == message + "\n"
             assert not out.exists()
 
     def test_sweep_reports_failed_cells(self, tmp_path, capsys):

@@ -81,10 +81,11 @@ class TestConfig:
             with pytest.raises(ValueError, match=f"^{name} must be a bool, got 'false'$"):
                 FogasConfig(**{name: "false"})
 
-    def test_manual_mode_requires_all_rates(self, default_mdp):
-        cfg = FogasConfig(T=5, alpha=0.1, eta=0.1, beta=0.1, d_theta=1.0)
-        with pytest.raises(ValueError, match="auto_tune"):
-            cfg.resolved(default_mdp, n=100)
+    def test_manual_mode_requires_all_rates(self):
+        """The rule needs neither the MDP nor n, so the config itself checks it."""
+        with pytest.raises(ValueError, match="^all of alpha, rho, eta, beta must be set "
+                                             "unless auto_tune$"):
+            FogasConfig(T=5, alpha=0.1, eta=0.1, beta=0.1, d_theta=1.0)
 
     def test_auto_tune_fills_schedule(self, default_mdp):
         cfg = FogasConfig(T=100, auto_tune=True).resolved(default_mdp, n=10_000)
@@ -702,6 +703,38 @@ class TestRunSerialization:
         edit_archive(path, edit)
         with pytest.raises(ValueError, match=f"{field} is not finite"):
             load_run(path, default_mdp)
+
+    @pytest.mark.parametrize("chosen_index", [0, 51])
+    def test_chosen_index_outside_run_rejected(self, recorded_run, default_mdp, tmp_path,
+                                               chosen_index):
+        path = tmp_path / "run.npz"
+        save_run(recorded_run, path)
+        edit_archive(path, lambda doc: doc.update(chosen_index=np.array(chosen_index)))
+        with pytest.raises(ValueError) as excinfo:
+            load_run(path, default_mdp)
+        assert str(excinfo.value) == f"{path}: chosen_index {chosen_index} outside [1, 50]"
+
+    def test_recorded_run_without_trajectory_rejected(self, recorded_run, default_mdp,
+                                                      tmp_path):
+        """A run recorded with its trajectory emptied does not load as unrecorded."""
+        path = tmp_path / "run.npz"
+        save_run(recorded_run, path)
+        edit_archive(path, lambda doc: doc.update(
+            {f.name: doc[f.name][:0] for f in fields(FogasTrajectory)}))
+        with pytest.raises(ValueError) as excinfo:
+            load_run(path, default_mdp)
+        assert str(excinfo.value) == f"{path}: lambdas has shape (0, 4), expected (50, 4)"
+
+    def test_unrecorded_run_claiming_trajectory_rejected(self, default_mdp,
+                                                         default_dataset, tmp_path):
+        run = run_fogas(default_mdp, default_dataset,
+                        FogasConfig(T=10, seed=1, auto_tune=True))
+        path = tmp_path / "run.npz"
+        save_run(run, path)
+        edit_archive(path, lambda doc: doc.update({"config.record_trajectory": np.array(True)}))
+        with pytest.raises(ValueError) as excinfo:
+            load_run(path, default_mdp)
+        assert str(excinfo.value) == f"{path}: lambdas has shape (0, 4), expected (10, 4)"
 
     def test_round_trip(self, default_mdp, default_dataset, tmp_path):
         cfg = FogasConfig(T=20, seed=2, auto_tune=True, record_trajectory=True)
