@@ -181,6 +181,7 @@ SUITES = {
         "X5_A3_d4": dict(states=5, actions=3, dim=4, n=16384, T=7235),
         "X100_A4_d8": dict(states=100, actions=4, dim=8, n=50000, T=2000),
         "X1000_A4_d8": dict(states=1000, actions=4, dim=8, n=20000, T=20),
+        "X1000_A4_d8_T2000": dict(states=1000, actions=4, dim=8, n=20000, T=2000),
     }),
 }
 TINY = {"states": 30, "n": 256, "T": 10}

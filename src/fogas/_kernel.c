@@ -1,5 +1,6 @@
 /* The compiled kernels of fogas: the FOGAS ascent loop of one run (all T
- * iterations in one call) and the next-state search of dataset collection.
+ * iterations in one call), the d x d flow solves of a block of policies and
+ * the next-state search of dataset collection.
  *
  * fogas._native builds this file on first use with plain -O3 -fPIC -shared
  * and loads it through ctypes. fogas.solver calls fogas_ascend once per run.
@@ -7,7 +8,9 @@
  * per step (the best response, mu-hat's features, the lambda-gradient, the
  * lambda step with g^T Lambda g), which reference_ascend chains into the
  * loop the tests compare this one against.
- * fogas.data calls fogas_next_states once per dataset.
+ * fogas.oracle.solve_flow calls fogas_solve_flow once per block of policies;
+ * its specification is reference_solve_flow in tests/conftest.py, numpy's
+ * LAPACK solve. fogas.data calls fogas_next_states once per dataset.
  *
  * Layout: the sites (x0, then the run's observed next states) are innermost.
  * phi is (A, d, m) and W = gamma C is (d, m) with a zero column at x0, so
@@ -180,6 +183,63 @@ i64 fogas_ascend(i64 T, i64 A, i64 d, i64 m, const double *phi, const double *W,
     return 0;
 }
 
+
+static void swap(double *u, double *v)
+{
+    double s = *u;
+    *u = *v;
+    *v = s;
+}
+
+/* For each b < B, with P_b the row-major (d, d) block b of P: theta_b =
+ * (I - gamma P_b)^{-1} rhs_b, by Gaussian elimination with partial pivoting,
+ * psi_v_b = P_b theta_b and rho_b = (1 - gamma) <start_b, theta_b>. out holds
+ * B rows (theta_b, psi_v_b, rho_b) of 2d + 1 floats, then d * d floats of
+ * scratch for I - gamma P_b. Returns 0, or 1 + the first b whose I - gamma P_b
+ * meets an exactly zero pivot, the singular case that LAPACK's getrf reports. */
+i64 fogas_solve_flow(i64 B, i64 d, const double *P, double gamma, const double *rhs,
+                     const double *start, double *out)
+{
+    double *M = out + B * (2 * d + 1);
+    for (i64 b = 0; b < B; b++) {
+        const double *Pb = P + b * d * d;
+        double *x = out + b * (2 * d + 1);
+        for (i64 i = 0; i < d * d; i++)
+            M[i] = -gamma * Pb[i];
+        for (i64 i = 0; i < d; i++) {
+            M[i * d + i] += 1.0;
+            x[i] = rhs[b * d + i];
+        }
+        for (i64 k = 0; k < d; k++) {
+            i64 p = k;
+            for (i64 i = k + 1; i < d; i++)
+                if (fabs(M[i * d + k]) > fabs(M[p * d + k]))
+                    p = i;
+            if (M[p * d + k] == 0.0)
+                return b + 1;
+            if (p != k) {
+                for (i64 j = k; j < d; j++)
+                    swap(M + k * d + j, M + p * d + j);
+                swap(x + k, x + p);
+            }
+            for (i64 i = k + 1; i < d; i++) {
+                double f = M[i * d + k] / M[k * d + k];
+                for (i64 j = k + 1; j < d; j++)
+                    M[i * d + j] -= f * M[k * d + j];
+                x[i] -= f * x[k];
+            }
+        }
+        for (i64 k = d - 1; k >= 0; k--) {
+            for (i64 j = k + 1; j < d; j++)
+                x[k] -= M[k * d + j] * x[j];
+            x[k] /= M[k * d + k];
+        }
+        for (i64 i = 0; i < d; i++)
+            x[d + i] = dot(Pb + i * d, x, d);
+        x[2 * d] = (1.0 - gamma) * dot(start + b * d, x, d);
+    }
+    return 0;
+}
 
 /* Samples advanced through the search together: their dependency chains
  * (a gather, a d-long dot, a compare) overlap. */

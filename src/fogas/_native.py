@@ -1,5 +1,6 @@
-"""The compiled kernels of ``_kernel.c`` (the ascent loop and the next-state
-search), built on first use, never at import, and loaded once per process."""
+"""The compiled kernels of ``_kernel.c`` (the ascent loop, the d x d flow
+solves and the next-state search), built on first use, never at import, and
+loaded once per process."""
 
 import ctypes
 import os
@@ -50,8 +51,8 @@ def _build_kernel(source: bytes, path: Path) -> None:
 
 
 def _kernel() -> ctypes.CDLL:
-    """The library, with the signatures of ``fogas_ascend`` and
-    ``fogas_next_states`` set, kept for the process.
+    """The library, with the signatures of ``fogas_ascend``,
+    ``fogas_solve_flow`` and ``fogas_next_states`` set, kept for the process.
 
     The build goes to the package's ``__pycache__``, named by ``_kernel_path``;
     a process that finds it there starts no compiler. Where that directory
@@ -74,6 +75,8 @@ def _kernel() -> ctypes.CDLL:
         i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
         lib.fogas_ascend.argtypes = [i64] * 4 + [ptr] * 4 + [f64] * 6 + [i64] * 2 + [ptr] * 4
         lib.fogas_ascend.restype = i64
+        lib.fogas_solve_flow.argtypes = [i64, i64, ptr, f64] + [ptr] * 3
+        lib.fogas_solve_flow.restype = i64
         lib.fogas_next_states.argtypes = [i64] * 3 + [ptr] * 4
         lib.fogas_next_states.restype = None
         _kernel_handle = lib

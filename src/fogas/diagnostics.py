@@ -54,13 +54,13 @@ def score_iterates(
     """Exact evaluation of every iterate policy, reduced over the states.
 
     Per block of iterates and chunk of states, one GEMM forms the logits and
-    one GEMM against K[(a,x)] = psi(x) phi(x,a)^T adds to Psi Phi_pi; one d x d
-    solve per block gives theta^{pi_t}, and a second pass over the chunks
-    reads v^{pi_t}. K takes at most a quarter of ``SAMPLE_CHUNK_BYTES``, and
-    a block's two action-major (A, states, B) tables and four (B, d, d)
-    stacks at most half. Returns theta^{pi_t} (T, d), rho(pi_t) (T,),
-    Psi v^{pi_t} (T, d), sum_t v_{theta_t, pi_t} (X,) and
-    sum_t lambda_t (v^{pi_t})^T (d, X).
+    one GEMM against K[(a,x)] = psi(x) phi(x,a)^T adds to Psi Phi_pi; one
+    ``solve_flow`` call per block gives theta^{pi_t}, rho(pi_t) and
+    Psi v^{pi_t}, and a second pass over the chunks reads v^{pi_t}. K takes at
+    most a quarter of ``SAMPLE_CHUNK_BYTES``, and a block's two action-major
+    (A, states, B) tables and its (B, d, d) stacks at most half. Returns
+    theta^{pi_t} (T, d), rho(pi_t) (T,), Psi v^{pi_t} (T, d),
+    sum_t v_{theta_t, pi_t} (X,) and sum_t lambda_t (v^{pi_t})^T (d, X).
     """
     X, A, d = mdp.num_states, mdp.num_actions, mdp.dim
     T = len(trajectory.thetas)
@@ -89,10 +89,8 @@ def score_iterates(
             v_sum[c] += np.einsum("kd,kd->k", phi_c, weighted).reshape(A, -1).sum(axis=0)
             if c.start <= mdp.x0 < c.stop:  # Phi_pi[x0], (B, d)
                 phi_x0 = probs[:, mdp.x0 - c.start].T @ mdp.phi_by_state[mdp.x0]
-        psi_phi = psi_phi.reshape(B, d, d)
-        theta_stars[t] = theta = solve_flow(mdp, psi_phi)[0]
-        psi_vs[t] = (psi_phi @ theta[:, :, None])[:, :, 0]
-        rho_ts[t] = (1.0 - mdp.gamma) * np.einsum("bd,bd->b", phi_x0, theta)
+        theta, rho_ts[t], psi_vs[t] = solve_flow(mdp, psi_phi.reshape(B, d, d), phi_x0)
+        theta_stars[t] = theta
         for c in chunks:
             phi_c = action_major_phi(mdp, c)
             if len(chunks) > 1:

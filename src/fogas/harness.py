@@ -13,6 +13,7 @@ from .diagnostics import score_iterates
 from .linmdp import (
     LinearMdp,
     TabularPolicy,
+    _check_path,
     _is_int,
     check_generator_args,
     generate_linear_mdp,
@@ -77,7 +78,9 @@ class ExperimentConfig:
         unknown = set(self.mdp) - allowed
         if unknown:
             raise ValueError(f"unknown keys in a {kind} mdp spec: {sorted(unknown)}")
-        if "path" not in self.mdp:
+        if "path" in self.mdp:
+            _check_path("mdp path", self.mdp["path"])
+        else:
             missing = [key for key in self._GENERATOR_KEYS if key not in self.mdp]
             if missing:
                 raise ValueError(

@@ -9,6 +9,7 @@ construction.
 
 from __future__ import annotations
 
+import os
 import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -159,9 +160,21 @@ def _check_int(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def _is_real(value) -> bool:
+    """A real number, not a bool: True is never taken for a rate of 1."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _check_path(name: str, value) -> None:
+    """Every file path's rule: a str or os.PathLike; an integer would be taken
+    for an open file descriptor."""
+    if not isinstance(value, (str, os.PathLike)):
+        raise ValueError(f"{name} must be a file path, got {value!r}")
+
+
 def _check_gamma(gamma) -> None:
     """The discount's rule, for the generator and every LinearMdp."""
-    if isinstance(gamma, bool) or not isinstance(gamma, Real) or not 0.0 < gamma < 1.0:
+    if not (_is_real(gamma) and 0.0 < gamma < 1.0):
         raise ValueError(f"gamma must lie in (0, 1), got {gamma!r}")
 
 
@@ -308,13 +321,15 @@ def read_arrays(path, kind: str, spec: dict):
     arrays, a dict without the kind entry.
 
     ``spec`` maps each entry name to its exact dtype and number of dimensions.
-    Anything else raises ValueError with ``path`` in the message: a file that
+    Anything else raises ValueError with ``path`` in the message: a ``path``
+    that is not a file path (``_check_path``), a file that
     is not a zip archive (such as a text file), a truncated archive, a pickled
     or object array, another kind, a missing or unexpected entry, a wrong dtype
     (an index stored as float is not cast), a wrong number of dimensions and a
     non-finite float. A ValueError raised in the ``with`` block, where the
     caller checks the shapes and builds its object, gets the path too.
     """
+    _check_path("path", path)
     expected = f"fogas-{kind}/1"
     try:
         with open(path, "rb") as f:

@@ -6,11 +6,16 @@ parameter is theta_pi = M^{-1} omega and the feature occupancy is
 lambda_pi = M^{-T} (1-gamma) Phi_pi[x0]. M is invertible for gamma < 1 because
 the nonzero spectrum of Psi Phi_pi is that of the stochastic kernel P_pi.
 Values and occupancies over the full state space follow in O(X*A*d), so no
-X x X array is ever formed. ``evaluate_policy`` scores one policy; the
-iterates of a run are scored in blocks by ``diagnostics.score_iterates``,
-which shares the d x d solve ``solve_flow``. ``solve_optimal`` finds the
-optimal policy by policy iteration, one ``evaluate_policy`` and one greedy
-step per round.
+X x X array is ever formed.
+
+``solve_flow`` is the one entry to these solves: one call of the C kernel
+``fogas_solve_flow`` (``_kernel.c``) solves a block of them by Gaussian
+elimination with partial pivoting. Its specification, numpy's LAPACK solve,
+is ``reference_solve_flow`` in ``tests/conftest.py``. ``evaluate_policy``
+scores one policy with one call (theta_pi on M, lambda_pi on M^T); the
+iterates of a run are scored in blocks by ``diagnostics.score_iterates``, one
+call per block. ``solve_optimal`` finds the optimal policy by policy
+iteration, one ``evaluate_policy`` and one greedy step per round.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import _native
 
 # Policy iteration switches an action only on a gain above SWITCH_TOL * (1+|q|),
 # so roundoff alone cannot make it cycle; MAX_ROUNDS caps it all the same (the
@@ -45,26 +52,50 @@ class PolicyEvaluation:
     return_value: float
 
 
-def solve_flow(mdp, psi_phi_pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """theta_pi = M^{-1} omega, M = I - gamma Psi Phi_pi, for one d x d
-    Psi Phi_pi or a (T, d, d) stack of them. Returns theta_pi, (d,) or (T, d),
-    and M."""
-    M = np.eye(mdp.dim) - mdp.gamma * psi_phi_pi
-    return np.linalg.solve(M, mdp.omega[:, None])[..., 0], M
+def solve_flow(mdp, operators: np.ndarray, phi_x0: np.ndarray,
+               rhs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The flow solves of a block of B policies, in one kernel call.
+
+    For each d x d operator P_b of ``operators`` (B, d, d) and row b of
+    ``phi_x0`` and ``rhs`` (B, d each; omega in every row by default):
+    theta_b = (I - gamma P_b)^{-1} rhs_b, rho_b = (1-gamma) <phi_x0_b,
+    theta_b> and P_b theta_b. With P_b = Psi Phi_{pi_b} and phi_x0_b =
+    Phi_{pi_b}[x0] these are theta^{pi_b}, the return rho(pi_b) and
+    Psi v^{pi_b}; with P_b transposed and rhs_b = (1-gamma) Phi_pi[x0],
+    theta_b is lambda_pi. Returns theta (B, d), rho (B,) and P theta (B, d).
+    An exactly singular I - gamma P_b raises ``np.linalg.LinAlgError``.
+    """
+    B, d = phi_x0.shape
+    if rhs is None:
+        rhs = np.repeat(mdp.omega[None], B, axis=0)
+    operators, phi_x0, rhs = (np.ascontiguousarray(a, dtype=np.float64)
+                              for a in (operators, phi_x0, rhs))
+    if operators.shape != (B, d, d) or rhs.shape != (B, d):
+        raise ValueError(f"operators {operators.shape} and rhs {rhs.shape} do not match "
+                         f"phi_x0 {phi_x0.shape}")
+    out = np.empty(B * (2 * d + 1) + d * d)  # rows (theta_b, P_b theta_b, rho_b), scratch
+    singular = _native._kernel().fogas_solve_flow(
+        B, d, operators.ctypes.data, mdp.gamma, rhs.ctypes.data, phi_x0.ctypes.data,
+        out.ctypes.data)
+    if singular:
+        raise np.linalg.LinAlgError(f"Singular matrix: I - gamma P_b at b = {singular - 1}")
+    rows = out[:B * (2 * d + 1)].reshape(B, 2 * d + 1)
+    return rows[:, :d], rows[:, 2 * d], rows[:, d:2 * d]
 
 
 def evaluate_policy(mdp, policy) -> PolicyEvaluation:
     """Exact values and occupancies of one policy, from its features Phi_pi
-    (X, d) and two d x d solves: ``solve_flow`` for theta_pi, M^T for lambda_pi."""
+    (X, d) and one ``solve_flow`` call: M for theta_pi, M^T for lambda_pi."""
     X, A = mdp.num_states, mdp.num_actions
     probs = policy.probs
     if probs.shape != (X, A):
         raise ValueError(f"policy table must have shape ({X}, {A}), got {probs.shape}")
     gamma = mdp.gamma
     phi_pi = np.einsum("xa,xad->xd", probs, mdp.phi_by_state)  # (X, d)
-    theta_pi, M = solve_flow(mdp, mdp.psi @ phi_pi)
-    start = (1.0 - gamma) * phi_pi[mdp.x0]
-    lambda_pi = np.linalg.solve(M.T, start)
+    psi_phi, phi_x0 = mdp.psi @ phi_pi, phi_pi[mdp.x0]
+    (theta_pi, lambda_pi), (return_value, _), _ = solve_flow(
+        mdp, np.array([psi_phi, psi_phi.T]), np.array([phi_x0, phi_x0]),
+        np.array([mdp.omega, (1.0 - gamma) * phi_x0]))
     # Flow: nu = (1-gamma) nu0 + gamma Psi^T lambda, then mu = pi o nu.
     nu = gamma * (mdp.psi.T @ lambda_pi)
     nu[mdp.x0] += 1.0 - gamma
@@ -74,7 +105,7 @@ def evaluate_policy(mdp, policy) -> PolicyEvaluation:
         theta_pi=theta_pi,
         mu=(probs * nu[:, None]).ravel(),
         lambda_pi=lambda_pi,
-        return_value=float(start @ theta_pi),
+        return_value=float(return_value),
     )
 
 

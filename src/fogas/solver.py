@@ -19,7 +19,6 @@ import ctypes
 import math
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
-from numbers import Real
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .linmdp import (
     LinearMdp,
     TabularPolicy,
     _check_int,
+    _is_real,
     _readonly,
     read_arrays,
     softmax_from_logit_param,
@@ -72,11 +72,11 @@ class FogasConfig:
         for name in ("auto_tune", "record_trajectory"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
-        if not (isinstance(self.delta, Real) and 0.0 < self.delta < 1.0):
+        if not (_is_real(self.delta) and 0.0 < self.delta < 1.0):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
         for name in ("alpha", "rho", "eta", "beta", "d_theta"):
             val = getattr(self, name)
-            if not (val is None or isinstance(val, Real)):
+            if not (val is None or _is_real(val)):
                 raise ValueError(f"{name} must be a number, got {val!r}")
             if val is not None and not math.isfinite(val):
                 raise ValueError(f"{name} is not finite")
@@ -280,7 +280,12 @@ def save_run(run: FogasRun, path) -> None:
     """Write a run as a "fogas-run/1" archive (``write_arrays``) at ``path``: the
     resolved config's fields as scalars, J, the final parameters and the
     trajectory's arrays, with no rows if it was not recorded; floats
-    round-trip bit for bit."""
+    round-trip bit for bit. A run whose trajectory is kept or not against its
+    config's ``record_trajectory`` raises ValueError, since ``load_run`` would
+    refuse the file."""
+    if (run.trajectory is not None) != run.config.record_trajectory:
+        raise ValueError(f"the run's trajectory is {'' if run.trajectory else 'not '}kept, "
+                         f"but its config has record_trajectory={run.config.record_trajectory}")
     d = len(run.lambda_final)
     trajectory = run.trajectory or FogasTrajectory(*[np.empty((0, d))] * 5, np.empty(0))
     write_arrays(

@@ -8,7 +8,10 @@ The FOGAS step is stated here once, in numpy, one function per step:
 ``best_response_theta``, ``mu_hat_features``, ``lambda_gradient`` and
 ``lambda_update``. ``reference_ascend`` chains them into the loop. They are
 the specification of the compiled loop in ``fogas/_kernel.c``: the tests
-compare its recorded steps against them."""
+compare its recorded steps against them.
+
+The flow solve of ``fogas_solve_flow``, which ``fogas.oracle.solve_flow``
+calls, is stated here too: ``reference_solve_flow``, numpy's LAPACK solve."""
 
 import warnings
 from dataclasses import fields
@@ -126,6 +129,18 @@ def dense_evaluate_policy(mdp, probs):
         "lambda_pi": mdp.phi.T @ mu,
         "return_value": float(mu @ r),
     }
+
+
+def reference_solve_flow(operators, phi_x0, gamma, rhs):
+    """Reference for ``oracle.solve_flow``: per b, theta_b = (I - gamma P_b)^{-1}
+    rhs_b by ``np.linalg.solve``, rho_b = (1-gamma) <phi_x0_b, theta_b> and
+    P_b theta_b, for operators (B, d, d), phi_x0 (B, d) and rhs (B, d), or
+    (d,) for one right-hand side in every row."""
+    d = operators.shape[-1]
+    theta = np.linalg.solve(np.eye(d) - gamma * operators, np.broadcast_to(
+        rhs, phi_x0.shape)[..., None])[..., 0]
+    return (theta, (1.0 - gamma) * np.einsum("bd,bd->b", phi_x0, theta),
+            (operators @ theta[..., None])[..., 0])
 
 
 def relaxed_lp_feasibility(mdp, policy, lam: np.ndarray | None = None) -> dict:

@@ -123,6 +123,16 @@ def test_malformed_file_rejected(files, default_mdp, tmp_path, capsys, kind, cor
     assert str(path) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_non_path_refused(default_mdp, kind):
+    """A path that is not a str or os.PathLike is refused before any file is
+    opened: ``open`` would take an integer for a file descriptor (0 reads,
+    then closes, standard input)."""
+    for path in (0, True, None, 1.5):
+        with pytest.raises(ValueError, match=f"^path must be a file path, got {path!r}$"):
+            load(kind, path, default_mdp)
+
+
 def test_mdp_round_trip_bitwise(default_mdp, tmp_path):
     """A -0.0 and a subnormal keep their bits in every array of the MDP."""
     phi, omega = default_mdp.phi.copy(), default_mdp.omega.copy()

@@ -541,6 +541,10 @@ class TestCli:
                                "unknown keys in a generator mdp spec: ['sed']"),
                               ({"mdp": {"path": str(tmp_path / "m.npz"), "states": 5}},
                                "unknown keys in a path mdp spec: ['states']"),
+                              # An integer path would be opened as a file descriptor.
+                              *(({"mdp": {"path": path}}, f"mdp path must be a file path, "
+                                                          f"got {path!r}")
+                                for path in (0, None, ["m.npz"], True)),
                               ({"mdp": {**mdp, "gamma": 1.5}}, "mdp gamma must lie in"),
                               ({"mdp": {**mdp, "states": 2, "actions": 1, "dim": 3}},
                                "dim (3) must not exceed num_states*num_actions (2)"),

@@ -3,6 +3,8 @@ Monte-Carlo occupancy estimates, brute-force policy sampling, explicit
 matrix inverses, and the dense X x X reference solver.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from conftest import (
     dense_greedy_policy,
     random_mdp,
     random_policy,
+    reference_solve_flow,
     relaxed_lp_feasibility,
 )
 
@@ -141,6 +144,90 @@ class TestLowRankAgainstDense:
     def test_table_shape_checked(self, default_mdp):
         with pytest.raises(ValueError, match="shape"):
             evaluate_policy(default_mdp, fogas.uniform_policy(4, 3))
+
+
+def assert_close(actual, expected, rtol=1e-12):
+    """Each array within rtol of the largest entry of its reference."""
+    for a, e in zip(actual, expected):
+        assert a.shape == e.shape
+        assert np.abs(a - e).max() <= rtol * np.abs(e).max()
+
+
+class TestSolveFlow:
+    """The kernel's flow solve against its numpy specification,
+    ``reference_solve_flow``."""
+
+    @pytest.mark.parametrize("X, A, d, B", [
+        (4, 2, 1, 1), (4, 2, 1, 6), (5, 3, 4, 1), (5, 3, 4, 40), (12, 3, 8, 25),
+        (30, 4, 8, 3),
+    ])
+    def test_policy_operators_match_reference(self, X, A, d, B):
+        """Psi Phi_pi of generated MDPs and random policies, B = 1 and d = 1 included."""
+        rng = np.random.default_rng(X * 100 + d * 10 + B)
+        for seed in range(3):
+            mdp = fogas.generate_linear_mdp(X, A, d, gamma=0.9, seed=seed)
+            probs = np.array([random_policy(X, A, rng).probs for _ in range(B)])
+            phi_pis = np.einsum("bxa,xad->bxd", probs, mdp.phi_by_state)
+            operators = mdp.psi @ phi_pis
+            phi_x0 = phi_pis[:, mdp.x0]
+            assert_close(oracle.solve_flow(mdp, operators, phi_x0),
+                         reference_solve_flow(operators, phi_x0, mdp.gamma, mdp.omega))
+
+    def test_general_matrices_match_reference(self):
+        """M = I - gamma P drawn with no diagonal dominance, so the pivots
+        move at every column."""
+        rng = np.random.default_rng(0)
+        for d in range(1, 9):
+            gamma, B = 0.9, 50
+            M = rng.standard_normal((B, d, d))
+            operators = (np.eye(d) - M) / gamma
+            mdp = SimpleNamespace(gamma=gamma, omega=rng.standard_normal(d))
+            phi_x0, rhs = rng.standard_normal((2, B, d))
+            assert_close(oracle.solve_flow(mdp, operators, phi_x0),
+                         reference_solve_flow(operators, phi_x0, gamma, mdp.omega), 1e-11)
+            assert_close(oracle.solve_flow(mdp, operators, phi_x0, rhs),
+                         reference_solve_flow(operators, phi_x0, gamma, rhs), 1e-11)
+
+    def test_zero_first_pivot_swaps_rows(self):
+        """M = [[0, 1], [1, 0]]: the first column's pivot is in row 1."""
+        mdp = SimpleNamespace(gamma=0.5, omega=np.array([3.0, 5.0]))
+        operators = np.array([[[2.0, -2.0], [-2.0, 2.0]]])  # (I - M) / gamma
+        theta, rho, psi_v = oracle.solve_flow(mdp, operators, np.array([[1.0, 0.0]]))
+        assert np.array_equal(theta, [[5.0, 3.0]])
+        assert np.array_equal(rho, [2.5])
+        assert np.array_equal(psi_v, [[4.0, -4.0]])
+
+    def test_transposed_solve_is_lambda(self):
+        """On M^T with rhs (1-gamma) Phi_pi[x0], the solve gives the feature
+        occupancy lambda_pi of the dense X x X reference."""
+        rng = np.random.default_rng(1)
+        for seed in range(5):
+            mdp = random_mdp(seed)
+            probs = random_policy(5, 3, rng).probs
+            phi_pi = np.einsum("xa,xad->xd", probs, mdp.phi_by_state)
+            phi_x0 = phi_pi[mdp.x0][None]
+            (lam,), _, _ = oracle.solve_flow(mdp, (mdp.psi @ phi_pi).T[None], phi_x0,
+                                             (1.0 - mdp.gamma) * phi_x0)
+            expected = dense_evaluate_policy(mdp, probs)["lambda_pi"]
+            assert np.abs(lam - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_singular_raises(self):
+        """An exactly singular M raises LinAlgError, as numpy's solve does,
+        and names the operator; it never returns a silent inf."""
+        mdp = SimpleNamespace(gamma=0.5, omega=np.ones(2))
+        singular = np.diag([2.0, 0.0])  # M = I - e1 e1^T
+        operators = np.stack([np.zeros((2, 2)), singular])
+        phi_x0 = np.ones((2, 2))
+        with pytest.raises(np.linalg.LinAlgError):
+            reference_solve_flow(operators, phi_x0, mdp.gamma, mdp.omega)
+        with pytest.raises(np.linalg.LinAlgError, match="at b = 1$"):
+            oracle.solve_flow(mdp, operators, phi_x0)
+
+    def test_shapes_checked(self, default_mdp):
+        with pytest.raises(ValueError, match="do not match"):
+            oracle.solve_flow(default_mdp, np.zeros((2, 4, 4)), np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="do not match"):
+            oracle.solve_flow(default_mdp, np.zeros((1, 4, 4)), np.zeros((1, 4)), np.ones(4))
 
 
 class TestSolveOptimal:

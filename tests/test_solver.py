@@ -70,6 +70,13 @@ class TestConfig:
                 with pytest.raises(ValueError, match=f"{name} is not finite"):
                     FogasConfig(T=5, **{name: value})
 
+    def test_bool_is_not_a_real(self):
+        """True is not read as a rate, radius or delta of 1, nor False as 0."""
+        for name in ("delta", "alpha", "rho", "eta", "beta", "d_theta"):
+            for value in (True, False):
+                with pytest.raises(ValueError, match=f"^{name} must"):
+                    FogasConfig(T=5, auto_tune=True, **{name: value})
+
     def test_integer_and_bool_fields_typed(self):
         """A bool is not an integer and a string is not a bool: neither is
         truncated or read as true."""
@@ -667,15 +674,17 @@ class TestRunSerialization:
         final parameters and the trajectory's arrays, which have no rows when
         the trajectory was not recorded, and nothing else."""
         path = tmp_path / "run.npz"
-        expected = {
-            **{f"config.{k}": v for k, v in asdict(recorded_run.config).items()},
-            "chosen_index": recorded_run.chosen_index,
-            "lambda_final": recorded_run.lambda_final,
-            "theta_bar_final": recorded_run.theta_bar_final,
-            "output_param": recorded_run.output_param,
-        }
         for trajectory in (recorded_run.trajectory, None):
-            save_run(replace(recorded_run, trajectory=trajectory), path)
+            run = replace(recorded_run, trajectory=trajectory, config=replace(
+                recorded_run.config, record_trajectory=trajectory is not None))
+            expected = {
+                **{f"config.{k}": v for k, v in asdict(run.config).items()},
+                "chosen_index": run.chosen_index,
+                "lambda_final": run.lambda_final,
+                "theta_bar_final": run.theta_bar_final,
+                "output_param": run.output_param,
+            }
+            save_run(run, path)
             entries = read_archive(path)
             assert entries.pop("kind") == "fogas-run/1"
             for f in fields(FogasTrajectory):
@@ -735,6 +744,19 @@ class TestRunSerialization:
         with pytest.raises(ValueError) as excinfo:
             load_run(path, default_mdp)
         assert str(excinfo.value) == f"{path}: lambdas has shape (0, 4), expected (10, 4)"
+
+    def test_trajectory_against_config_refused(self, recorded_run, tmp_path):
+        """A run that keeps its trajectory against its config's
+        record_trajectory, or drops it against it, is not written: load_run
+        would refuse the file."""
+        path = tmp_path / "run.npz"
+        for run, kept in ((replace(recorded_run, trajectory=None), "not kept"),
+                          (replace(recorded_run, config=replace(
+                              recorded_run.config, record_trajectory=False)), "kept")):
+            with pytest.raises(ValueError, match=f"^the run's trajectory is {kept}, but its "
+                                                 "config has record_trajectory="):
+                save_run(run, path)
+            assert not path.exists()
 
     def test_round_trip(self, default_mdp, default_dataset, tmp_path):
         cfg = FogasConfig(T=20, seed=2, auto_tune=True, record_trajectory=True)
