@@ -125,6 +125,8 @@ def _cmd_solve(args) -> int:
         return 2
     mdp = linmdp.load_mdp(args.mdp)
     dataset = load_dataset(args.data, mdp)
+    if args.results:
+        harness.check_results_file(args.results)
     start = time.perf_counter()
     run = solver.run_fogas(mdp, dataset, config)
     # Only the --results row reads the mean-iterate suboptimality; scoring
@@ -133,20 +135,12 @@ def _cmd_solve(args) -> int:
     record = harness.score_run(mdp, dataset, scored, start)
     solver.save_run(run, args.out)
     if args.results:
-        _append_record(args.results, record)
+        harness.write_records([record], args.results, append=True)
     print(
         f"J = {run.chosen_index}, suboptimality = {record.suboptimality:.6g}, "
         f"coverage ratio = {record.coverage_ratio:.6g}"
     )
     return 0
-
-
-def _append_record(path, record) -> None:
-    new_file = not os.path.exists(path)
-    with open(path, "a") as f:
-        if new_file:
-            f.write(harness.RESULTS_HEADER + "\n")
-        f.write(record.csv_row() + "\n")
 
 
 def _cmd_sweep(args) -> int:
@@ -155,8 +149,19 @@ def _cmd_sweep(args) -> int:
     except ValueError as e:
         print(str(e), file=sys.stderr)
         return 2
-    records = harness.run_sweep(config)
-    harness.write_records(records, args.out)
+    if os.path.isdir(args.out):  # os.replace would fail only after the grid
+        print(f"{args.out}: Is a directory", file=sys.stderr)
+        return 1
+    # Rows go to a sibling that replaces --out at the end; creating it fails before any cell.
+    partial = f"{args.out}.{os.getpid()}.tmp"
+    open(partial, "w").close()
+    try:
+        records = harness.run_sweep(config)
+        harness.write_records(records, partial)
+        os.replace(partial, args.out)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
     for rec in records:
         if rec.status != "ok":
             print(f"n={rec.n} seed={rec.seed} {rec.status}: {rec.message}",
@@ -180,8 +185,7 @@ def _cmd_diagnose(args) -> int:
         return 1
     report = diagnostics.duality_gap_report(run, mdp, dataset, check_identities=False)
     with open(args.out, "w") as f:
-        f.write(diagnostics.GapReport.CSV_COLUMNS + "\n")
-        f.write(report.csv_row() + "\n")
+        f.write(f"{diagnostics.GapReport.CSV_COLUMNS}\n{report.csv_row()}\n")
     print(
         f"gap = {report.gap:.6g}, decomposition residual = "
         f"{report.decomposition_residual:.3e}, identity residual = "
@@ -207,6 +211,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except FileNotFoundError as e:
         print(f"file not found: {e.filename}", file=sys.stderr)
+        return 1
+    except OSError as e:
+        print(f"{e.filename}: {e.strerror}", file=sys.stderr)
         return 1
     except (FloatingPointError, ValueError, RuntimeError) as e:
         print(str(e), file=sys.stderr)

@@ -181,28 +181,15 @@ class GapReport:
     regret_theta: float
     err_psi_scaled: float  # (gamma / T) * gap-estimation error
     decomposition_residual: float
-    suboptimality_lhs: float  # (1/T) sum_t (rho(pi*) - rho(pi_t))
     identity_residual: float
+    suboptimality: float  # (1/T) sum_t (rho(pi*) - rho(pi_t))
 
-    CSV_COLUMNS = (
-        "gap,regret_pi,regret_lambda,regret_theta,err_psi_scaled,"
-        "decomposition_residual,identity_residual,suboptimality"
-    )
+    # The gap-report CSV's header; each column names a field.
+    CSV_COLUMNS = ("gap,regret_pi,regret_lambda,regret_theta,err_psi_scaled,"
+                   "decomposition_residual,identity_residual,suboptimality")
 
     def csv_row(self) -> str:
-        return ",".join(
-            repr(v)
-            for v in (
-                self.gap,
-                self.regret_pi,
-                self.regret_lambda,
-                self.regret_theta,
-                self.err_psi_scaled,
-                self.decomposition_residual,
-                self.identity_residual,
-                self.suboptimality_lhs,
-            )
-        )
+        return ",".join(repr(getattr(self, column)) for column in self.CSV_COLUMNS.split(","))
 
 
 def duality_gap_report(
@@ -242,8 +229,8 @@ def duality_gap_report(
     err = gap_estimation_error(mdp, psi_hat, trajectory, comp)
     err_scaled = mdp.gamma * err / T
     decomposition_residual = abs(gap - (r_pi + r_lam + r_theta) / T - err_scaled)
-    suboptimality_lhs = float(np.mean(comp.rho_star - comp.rho_ts))
-    identity_residual = abs(suboptimality_lhs - gap)
+    suboptimality = float(np.mean(comp.rho_star - comp.rho_ts))
+    identity_residual = abs(suboptimality - gap)
     if check_identities:
         # Written so that a NaN residual fails the check.
         if not decomposition_residual <= DECOMPOSITION_TOL:
@@ -263,6 +250,6 @@ def duality_gap_report(
         regret_theta=r_theta / T,
         err_psi_scaled=err_scaled,
         decomposition_residual=decomposition_residual,
-        suboptimality_lhs=suboptimality_lhs,
         identity_residual=identity_residual,
+        suboptimality=suboptimality,
     )

@@ -23,6 +23,7 @@ from .linmdp import (
 from .oracle import evaluate_policy, solve_optimal
 from .solver import FogasConfig, FogasRun, run_fogas
 
+# The results CSV's header; each column names an ExperimentRecord attribute.
 RESULTS_HEADER = "mdp_id,n,seed,T,coverage_ratio,suboptimality,mean_suboptimality,wall_time_ms,status"
 
 
@@ -30,12 +31,13 @@ def _behavior_epsilon(spec: str) -> float | None:
     """Parse a behavior spec: None for "uniform", v for "eps:<v>", v in [0, 1]."""
     if spec == "uniform":
         return None
-    if isinstance(spec, str) and spec.startswith("eps:"):
-        eps = float(spec[4:])
-        if not 0.0 <= eps <= 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1], got {eps}")
-        return eps
-    raise ValueError(f"unknown behavior spec {spec!r}")
+    try:
+        eps = float(spec[4:] if isinstance(spec, str) and spec.startswith("eps:") else "nan")
+    except ValueError:  # not a number after "eps:"
+        eps = float("nan")
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError(f'behavior must be "uniform" or "eps:<v>" with v in [0, 1], got {spec!r}')
+    return eps
 
 
 def behavior_policy(mdp: LinearMdp, spec: str) -> TabularPolicy:
@@ -129,6 +131,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentRecord:
+    mdp_id = "mdp"  # one MDP per sweep; a class constant, not a field
     n: int
     seed: int
     T: int
@@ -140,19 +143,7 @@ class ExperimentRecord:
     message: str = ""  # the exception message of a failed cell; not a CSV column
 
     def csv_row(self) -> str:
-        return ",".join(
-            [
-                "mdp",  # the mdp_id column: one MDP per sweep
-                str(self.n),
-                str(self.seed),
-                str(self.T),
-                repr(self.coverage_ratio),
-                repr(self.suboptimality),
-                repr(self.mean_suboptimality),
-                f"{self.wall_time_ms:.3f}",
-                self.status,
-            ]
-        )
+        return ",".join(str(getattr(self, column)) for column in RESULTS_HEADER.split(","))
 
 
 def mean_iterate_suboptimality(mdp: LinearMdp, run: FogasRun, rho_star: float) -> float:
@@ -232,9 +223,22 @@ def run_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:
     return records
 
 
-def write_records(records: list[ExperimentRecord], path) -> None:
-    with open(path, "w") as f:
-        f.write(RESULTS_HEADER + "\n")
+def check_results_file(path) -> None:
+    """Raise ValueError unless ``path`` is missing, empty or starts with the results header."""
+    try:
+        with open(path, errors="replace") as f:
+            first = f.readline().rstrip("\n")
+    except FileNotFoundError:
+        return
+    if first and first != RESULTS_HEADER:
+        raise ValueError(f"{path} is not a results CSV: its first line is not {RESULTS_HEADER}")
+
+
+def write_records(records: list[ExperimentRecord], path, append: bool = False) -> None:
+    """Replace ``path`` with the rows, or append them; an empty file gets the header first."""
+    with open(path, "a" if append else "w") as f:
+        if f.tell() == 0:
+            f.write(RESULTS_HEADER + "\n")
         for rec in records:
             f.write(rec.csv_row() + "\n")
 

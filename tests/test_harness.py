@@ -1,7 +1,8 @@
 """Experiment harness and command-line interface, end to end."""
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,10 +31,11 @@ class TestBehaviorPolicy:
         assert np.allclose(beh.probs, 1.0 / 3.0)
 
     def test_invalid_specs(self, default_mdp):
-        with pytest.raises(ValueError):
-            harness.behavior_policy(default_mdp, "eps:1.5")
-        with pytest.raises(ValueError):
-            harness.behavior_policy(default_mdp, "greedy")
+        for spec in ("eps:1.5", "greedy", "eps:abc", "eps:", "eps:nan"):
+            message = f'behavior must be "uniform" or "eps:<v>" with v in [0, 1], got {spec!r}'
+            with pytest.raises(ValueError) as info:
+                harness.behavior_policy(default_mdp, spec)
+            assert str(info.value) == message
 
 
 class TestExperimentConfig:
@@ -80,6 +82,31 @@ class TestExperimentConfig:
             mdp={"states": 5, "actions": 3, "dim": 4, "gamma": 0.9, "seed": 2})
         mdp = cfg.load_mdp()
         assert mdp.num_states == 5 and mdp.dim == 4
+
+
+class TestExperimentSpecs:
+    SPEC_DIR = Path(__file__).resolve().parent.parent / "experiments"
+
+    def test_every_spec_parses(self):
+        paths = sorted(self.SPEC_DIR.glob("*.json"))
+        assert paths
+        for path in paths:
+            harness.ExperimentConfig.from_json(path)
+
+    def test_default_grid(self):
+        """The default sample-size grid, A9's cells among them, every key
+        written out."""
+        path = self.SPEC_DIR / "default.json"
+        assert harness.ExperimentConfig.from_json(path) == harness.ExperimentConfig(
+            mdp={"states": 5, "actions": 3, "dim": 4, "gamma": 0.9, "seed": 0},
+            behavior="uniform",
+            sampling_mode="uniform",
+            n_values=(256, 1024, 4096, 16384),
+            seeds=tuple(range(10)),
+            fogas={"auto_tune": True, "T_cap": 20000},
+        )
+        assert set(json.loads(path.read_text())) == {
+            f.name for f in fields(harness.ExperimentConfig)}
 
 
 class TestResolveIterations:
@@ -289,6 +316,13 @@ class TestCli:
         assert cli_main(["validate", "--mdp", str(tmp_path / "nope.npz")]) == 1
         assert "not found" in capsys.readouterr().err
 
+    def test_out_is_directory(self, tmp_path, capsys):
+        """Any OSError exits 1 with one line naming the file."""
+        code = cli_main(["generate", "--states", "5", "--actions", "3", "--dim", "4",
+                         "--gamma", "0.9", "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"{tmp_path}: Is a directory\n"
+
     def test_collect_row_count(self, tmp_path, capsys):
         mdp_path = self.generate(tmp_path)
         data_path = tmp_path / "d.npz"
@@ -321,11 +355,13 @@ class TestCli:
     def test_collect_bad_behavior(self, tmp_path, capsys):
         mdp_path = self.generate(tmp_path)
         data_path = tmp_path / "d.npz"
-        code = cli_main(["collect", "--mdp", str(mdp_path), "--n", "16",
-                         "--behavior", "bogus", "--out", str(data_path)])
-        assert code == 2
-        assert capsys.readouterr().err == "unknown behavior spec 'bogus'\n"
-        assert not data_path.exists()
+        for spec in ("bogus", "eps:abc", "eps:"):
+            code = cli_main(["collect", "--mdp", str(mdp_path), "--n", "16",
+                             "--behavior", spec, "--out", str(data_path)])
+            assert code == 2
+            assert capsys.readouterr().err == (
+                f'behavior must be "uniform" or "eps:<v>" with v in [0, 1], got {spec!r}\n')
+            assert not data_path.exists()
 
     def pipeline(self, tmp_path, extra_solve_args=()):
         mdp_path = self.generate(tmp_path)
@@ -387,6 +423,30 @@ class TestCli:
                          "--out", str(plain_path)]) == 0
         assert capsys.readouterr().out.splitlines() == [printed]
         assert plain_path.read_bytes() == run_path.read_bytes()
+
+    def test_solve_results_appends_under_its_header_only(self, tmp_path, capsys):
+        """--results appends a row to a new, empty or results file, and refuses
+        a file with another first line before running the solver."""
+        mdp_path, data_path, run_path = self.pipeline(tmp_path)
+        solve = ["solve", "--mdp", str(mdp_path), "--data", str(data_path),
+                 "--auto-tune", "--T", "40", "--out", str(run_path), "--results"]
+        results = tmp_path / "results.csv"
+        results.write_text("")
+        for seed in ("0", "1"):
+            assert cli_main([*solve, str(results), "--seed", seed]) == 0
+        header, *rows = results.read_text().splitlines()
+        assert header == harness.RESULTS_HEADER
+        assert [row.split(",")[2] for row in rows] == ["0", "1"]
+
+        other = tmp_path / "other.csv"
+        other.write_text("a,b,c\n1,2,3\n")
+        run_path.unlink()
+        capsys.readouterr()
+        assert cli_main([*solve, str(other)]) == 1
+        assert capsys.readouterr().err == (
+            f"{other} is not a results CSV: its first line is not {harness.RESULTS_HEADER}\n")
+        assert other.read_text() == "a,b,c\n1,2,3\n"
+        assert not run_path.exists()
 
     def test_diagnose_without_trajectory_advises(self, tmp_path, capsys):
         mdp_path, data_path, run_path = self.pipeline(tmp_path)
@@ -521,6 +581,53 @@ class TestCli:
         printed = capsys.readouterr().out
         assert "median_mean_suboptimality" in printed
 
+    def test_sweep_unwritable_out_runs_no_cell(self, tmp_path, capsys, monkeypatch):
+        """An --out in a missing directory, or one that is a directory, fails
+        before the first cell."""
+        calls = []
+        monkeypatch.setattr(harness, "run_cell", lambda *args: calls.append(args))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"mdp": {"states": 5, "actions": 3, "dim": 4,
+                                                "gamma": 0.9}, "n_values": [64]}))
+        missing = tmp_path / "missing" / "results.csv"
+        assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(missing)]) == 1
+        assert capsys.readouterr().err.startswith(f"file not found: {missing}")
+        assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"{tmp_path}: Is a directory\n"
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_sweep_replaces_out_only_when_done(self, tmp_path, capsys, monkeypatch):
+        """An existing --out keeps its content while the grid runs and when the
+        sweep is interrupted; the partial file is removed either way."""
+        class Interrupted(BaseException):
+            pass
+
+        out = tmp_path / "results.csv"
+        out.write_text("old\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "mdp": {"states": 5, "actions": 3, "dim": 4, "gamma": 0.9},
+            "n_values": [64], "seeds": [0, 1], "fogas": {"auto_tune": True, "T": 20}}))
+        run_cell = harness.run_cell
+
+        def checking(*args):
+            assert out.read_text() == "old\n"
+            if interrupt:
+                raise Interrupted
+            return run_cell(*args)
+
+        monkeypatch.setattr(harness, "run_cell", checking)
+        interrupt = True
+        with pytest.raises(Interrupted):
+            cli_main(["sweep", "--config", str(cfg_path), "--out", str(out)])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "results.csv"]
+        assert out.read_text() == "old\n"
+        interrupt = False
+        assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == harness.RESULTS_HEADER
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "results.csv"]
+
     def test_sweep_incomplete_generator_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"mdp": {"states": 5}}))
@@ -548,9 +655,9 @@ class TestCli:
                               ({"mdp": {**mdp, "gamma": 1.5}}, "mdp gamma must lie in"),
                               ({"mdp": {**mdp, "states": 2, "actions": 1, "dim": 3}},
                                "dim (3) must not exceed num_states*num_actions (2)"),
-                              ({"behavior": "eps:2"}, "epsilon must lie in [0, 1], got 2.0"),
-                              ({"behavior": "bogus"}, "unknown behavior spec 'bogus'"),
-                              ({"behavior": 3}, "unknown behavior spec 3"),
+                              *(({"behavior": spec}, 'behavior must be "uniform" or '
+                                                     f'"eps:<v>" with v in [0, 1], got {spec!r}')
+                                for spec in ("eps:2", "bogus", 3, "eps:x")),
                               ({"fogas": {"auto_tune": True, "etta": 0.1}},
                                "unknown fogas config keys: ['etta']"),
                               # Bad fogas values fail the parse, not every cell; a
