@@ -9,6 +9,8 @@ Suites, each at fixed shapes:
   file the CLI writes (named as the benchmark names them, whatever their
   format). Each file's size and one load's tracemalloc peak are taken once.
 - score: ``diagnostics.score_iterates`` of one recorded run.
+- sweep: one ``harness.run_sweep`` of an MDP file, a grid of n values x S
+  seeds (the benchmark's sweep workloads' shapes, seeds 0..S-1).
 
 One side is the package on PYTHONPATH, "this". ``--against TREE`` imports the
 package of another source tree (TREE/src/fogas) beside it as
@@ -16,10 +18,15 @@ package of another source tree (TREE/src/fogas) beside it as
 the two versions' code, not their installs. After a warm-up of each side,
 every round measures each side once in CPU time (``time.process_time``), in
 an order reversed every round, with one BLAS thread. Each quantity reports
-per side its rounds, minimum and median, and with two sides the per-round
-ratio this / against the same way. With two sides the io suite raises unless
-both draw equal datasets at each round's seed, and the score suite records
-the largest relative difference of rho(pi_t) between them.
+per side its rounds, minimum and median, and with two sides the ratio this /
+against the same way, one per pair of rounds: the sum of the pair's two
+rounds on this side over the same sum on the other. Each side goes first
+once in a pair, so the ratio does not carry the advantage of the side
+measured first, and with two sides the rounds must be even. With two sides
+the io suite raises unless both draw equal datasets at each round's seed,
+the sweep suite raises unless both write the same records but for their wall
+times, and the score suite records the largest relative difference of
+rho(pi_t) between them.
 
 The numbers go to the ``--label`` entry of the ``timing`` section of ``--out``
 (default BENCH_<suite>.json); the rest of the file is kept as it is.
@@ -27,6 +34,7 @@ The numbers go to the ``--label`` entry of the ``timing`` section of ``--out``
 """
 
 import argparse
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -44,8 +52,9 @@ METHOD = (
     "scripts/timing.py SUITE: this tree's fogas and, with --against, another tree's in one "
     "process; after a warm-up of each side, every round measures each side once in CPU time "
     "(time.process_time), in an order reversed every round, one BLAS thread; per side each "
-    "quantity gives its `rounds`, `min` and `median`, and `ratio` this / against per round; "
-    "quantities without rounds are taken once per side")
+    "quantity gives its `rounds`, `min` and `median`, and `ratio` this / against per pair of "
+    "rounds (each side first once in a pair; the pair's summed times); quantities without "
+    "rounds are taken once per side")
 
 
 def timed(func, *args):
@@ -58,12 +67,10 @@ def timed(func, *args):
 def sampler(fogas, shape: dict):
     """The shape's MDP, built by ``fogas``, and a call that collects its dataset
     at a given seed (uniform behavior and sampling unless the shape names them)."""
-    from fogas.harness import behavior_policy  # this tree's, for both sides: only
-                                               # the collection itself is compared
-
+    harness = importlib.import_module(fogas.__name__ + ".harness")  # the side's own
     mdp = fogas.generate_linear_mdp(shape["states"], shape["actions"], shape["dim"],
                                     gamma=0.9, seed=0)
-    behavior = behavior_policy(mdp, shape.get("behavior", "uniform"))
+    behavior = harness.behavior_policy(mdp, shape.get("behavior", "uniform"))
     return mdp, lambda seed: fogas.collect_dataset(
         mdp, behavior, n=shape["n"], sampling_mode=shape.get("sampling_mode", "uniform"),
         seed=seed)
@@ -162,6 +169,34 @@ def rho_difference(this, against, seed: int) -> dict:
     return {"rho_max_rel_diff": float((abs(this - against) / abs(against)).max())}
 
 
+def sweep_side(fogas, shape: dict, workdir: str):
+    """The sweep suite's measure of one side: ``run_sweep`` on its own MDP file,
+    which each pass loads, as ``fogas sweep`` does."""
+    harness = importlib.import_module(fogas.__name__ + ".harness")
+    path = os.path.join(workdir, "mdp.npz")
+    fogas.save_mdp(fogas.generate_linear_mdp(shape["states"], shape["actions"], shape["dim"],
+                                             gamma=0.9, seed=0), path)
+    config = harness.ExperimentConfig(
+        mdp={"path": path}, behavior=shape["behavior"], sampling_mode=shape["sampling_mode"],
+        n_values=shape["n"], seeds=tuple(range(shape["seeds"])),
+        fogas={"auto_tune": True, **{key: shape[key] for key in ("T", "T_cap") if key in shape}})
+
+    def measure(seed):
+        records, seconds = timed(harness.run_sweep, config)
+        return {"sweep_ms": 1e3 * seconds}, [
+            repr({**dataclasses.asdict(rec), "wall_time_ms": None}) for rec in records]
+
+    return measure, {}
+
+
+def equal_records(this, against, seed: int) -> dict:
+    """Raises unless both sides wrote the same records but for their wall times."""
+    for mine, theirs in zip(this, against, strict=True):
+        if mine != theirs:
+            raise AssertionError(f"the two trees wrote different records: {mine} != {theirs}")
+    return {}
+
+
 # Per suite: the side builder, the check of two sides' round outputs, and the
 # shapes: an (X, A, d) MDP with n samples, S seeds and T iterations where the
 # suite uses them. --tiny caps the TINY keys of every shape.
@@ -183,8 +218,22 @@ SUITES = {
         "X1000_A4_d8": dict(states=1000, actions=4, dim=8, n=20000, T=20),
         "X1000_A4_d8_T2000": dict(states=1000, actions=4, dim=8, n=20000, T=2000),
     }),
+    "sweep": (sweep_side, equal_records, {
+        "sweep_small": dict(states=5, actions=3, dim=4, behavior="uniform",
+                            sampling_mode="uniform", n=(256, 16384), seeds=4, T_cap=20000),
+        "sweep_large_state": dict(states=1000, actions=4, dim=8, behavior="eps:0.5",
+                                  sampling_mode="occupancy", n=(20000,), seeds=2, T=20),
+    }),
 }
 TINY = {"states": 30, "n": 256, "T": 10}
+
+
+def shrink(value, cap: int):
+    """``value`` capped at ``cap``; a tuple of n values is capped entry by entry,
+    without the repeats that capping makes."""
+    if isinstance(value, tuple):
+        return tuple(dict.fromkeys(min(v, cap) for v in value))
+    return min(value, cap)
 
 
 def summary(values: list) -> dict:
@@ -211,7 +260,9 @@ def run_rounds(sides: dict, rounds: int, check=None) -> dict:
                 worst[key] = max(worst.get(key, value), value)
     for by_side in series.values():
         if len(by_side) == 2:
-            by_side["ratio"] = [a / b for a, b in zip(by_side["this"], by_side["against"])]
+            this, against = by_side["this"], by_side["against"]
+            by_side["ratio"] = [(this[r] + this[r + 1]) / (against[r] + against[r + 1])
+                                for r in range(0, len(this) - 1, 2)]
     return {**{quantity: {name: summary(values) for name, values in by_side.items()}
                for quantity, by_side in series.items()}, **worst}
 
@@ -251,6 +302,8 @@ def main():
     args = parser.parse_args()
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
+    if args.against is not None and args.rounds % 2:
+        parser.error("--rounds must be even with --against: the ratio is taken per pair of rounds")
     if args.against is not None and not os.path.isfile(
             os.path.join(args.against, "src", "fogas", "__init__.py")):
         parser.error(f"no src/fogas package under {args.against}")
@@ -270,7 +323,8 @@ def main():
     results = {}
     for name, shape in shapes.items():
         if args.tiny:
-            shape = {key: min(value, TINY.get(key, value)) for key, value in shape.items()}
+            shape = {key: shrink(value, TINY[key]) if key in TINY else value
+                     for key, value in shape.items()}
         with tempfile.TemporaryDirectory() as workdir:
             sides, once = {}, {}
             for side_name, package in packages.items():

@@ -10,7 +10,11 @@
  * loop the tests compare this one against.
  * fogas.oracle.solve_flow calls fogas_solve_flow once per block of policies;
  * its specification is reference_solve_flow in tests/conftest.py, numpy's
- * LAPACK solve. fogas.data calls fogas_next_states once per dataset.
+ * LAPACK solve. fogas.data calls fogas_next_states once per dataset for the
+ * next states and, in occupancy sampling, once more for the state-action
+ * pairs: with d = 1, features of ones and psi_cum the occupancy's normalized
+ * CDF, x_next[i] counts the CDF entries <= u[i], which is numpy's
+ * searchsorted(side="right") and so Generator.choice(p=...).
  *
  * Layout: the sites (x0, then the run's observed next states) are innermost.
  * phi is (A, d, m) and W = gamma C is (d, m) with a zero column at x0, so

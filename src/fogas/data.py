@@ -3,7 +3,8 @@ regularized least-squares transition estimator.
 
 Collection never forms the (X*A, X) kernel: the CDF of row (x, a) is
 phi(x,a)^T cumsum(Psi), so each next state is found by bisection over the
-rows of cumsum(Psi)^T in O(d log X), in the compiled kernel (``_native``). The
+rows of cumsum(Psi)^T in O(d log X), in the compiled kernel (``_native``); the
+same search with d = 1 draws the occupancy pairs from their CDF. The
 estimator aggregates transitions by next state before solving, so building it
 costs at most min(n, X) SPD solves.
 """
@@ -78,6 +79,11 @@ class OfflineDataset:
                            for column in self.features.T])  # same order as np.add.at
         return observed, _readonly(summed)
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """(1/n) sum_i phi_i phi_i^T, the data part of every ``build_covariance``."""
+        return _readonly((self.features.T @ self.features) / len(self))
+
 
 @dataclass(frozen=True)
 class Covariance:
@@ -116,9 +122,8 @@ class Covariance:
 
 
 def build_covariance(dataset: OfflineDataset, beta: float) -> Covariance:
-    """Lambda = beta*I + (1/n) sum_i phi_i phi_i^T; ``Covariance`` checks beta."""
-    n, d = dataset.features.shape
-    mat = beta * np.eye(d) + (dataset.features.T @ dataset.features) / n
+    """Lambda = beta*I + ``dataset.gram``; ``Covariance`` checks beta."""
+    mat = beta * np.eye(dataset.features.shape[1]) + dataset.gram
     mat = 0.5 * (mat + mat.T)  # kill roundoff asymmetry from the BLAS product
     return Covariance(beta=beta, lambda_mat=mat)
 
@@ -171,6 +176,9 @@ def collect_dataset(
     draws them i.i.d. from the exact discounted occupancy of the behavior
     policy (via the tabular oracle), "uniform" draws them uniformly over the
     state-action space. n (>= 1), seed (>= 0) and the mode are checked first.
+    Occupancy pairs are drawn by the search below with d = 1 over their CDF,
+    as ``Generator.choice(X * A, size=n, p=mu / mu.sum())`` draws them; an
+    occupancy whose total is zero or not finite raises ValueError.
 
     X'_i is the first state whose cumulative probability
     <phi_i, cumsum(Psi)[:, x']> exceeds a uniform draw u_i, found by a
@@ -185,9 +193,15 @@ def collect_dataset(
     X, A, d = mdp.num_states, mdp.num_actions, mdp.dim
     rng = np.random.default_rng(seed)
     if sampling_mode == "occupancy":
-        mu = evaluate_policy(mdp, behavior).mu
-        mu = np.clip(mu, 0.0, None)
-        sa = rng.choice(X * A, size=n, p=mu / mu.sum())
+        mu = np.clip(evaluate_policy(mdp, behavior).mu, 0.0, None)
+        total = mu.sum()
+        if not (np.isfinite(total) and total > 0.0):
+            raise ValueError(f"the occupancy sums to {total}, not a positive number")
+        cdf = np.cumsum(mu / total)
+        cdf /= cdf[-1]  # as Generator.choice forms it
+        u_pairs, ones, sa = rng.random(n), np.ones(n), np.empty(n, dtype=np.int64)
+        _native._kernel().fogas_next_states(n, X * A, 1, ones.ctypes.data, cdf.ctypes.data,
+                                            u_pairs.ctypes.data, sa.ctypes.data)
     else:
         sa = rng.integers(0, X * A, size=n)
 

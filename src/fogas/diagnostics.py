@@ -24,7 +24,7 @@ from .linmdp import (
     action_major_phi,
     action_major_softmax,
 )
-from .oracle import solve_flow, solve_optimal
+from .oracle import solve_flow
 from .solver import FogasRun, FogasTrajectory
 
 DECOMPOSITION_TOL = 1e-8
@@ -49,8 +49,8 @@ def eval_f(mdp: LinearMdp, lam: np.ndarray, policy, theta: np.ndarray) -> float:
 
 
 def score_iterates(
-    mdp: LinearMdp, trajectory: FogasTrajectory, alpha: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    mdp: LinearMdp, trajectory: FogasTrajectory, alpha: float, *, values: bool = True
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Exact evaluation of every iterate policy, reduced over the states.
 
     Per block of iterates and chunk of states, one GEMM forms the logits and
@@ -61,6 +61,8 @@ def score_iterates(
     (A, states, B) tables and its (B, d, d) stacks at most half. Returns
     theta^{pi_t} (T, d), rho(pi_t) (T,), Psi v^{pi_t} (T, d),
     sum_t v_{theta_t, pi_t} (X,) and sum_t lambda_t (v^{pi_t})^T (d, X).
+    With ``values=False`` the last two are None, and neither their products
+    nor the second pass are made; the first three do not change.
     """
     X, A, d = mdp.num_states, mdp.num_actions, mdp.dim
     T = len(trajectory.thetas)
@@ -69,7 +71,7 @@ def score_iterates(
     chunks = [slice(lo, min(lo + states, X)) for lo in range(0, X, states)]
     params = np.vstack([np.zeros(d), alpha * trajectory.theta_bars[:-1]])  # pi_1 uniform
     theta_stars, psi_vs, rho_ts = np.empty((T, d)), np.empty((T, d)), np.empty(T)
-    v_sum, lambda_v = np.zeros(X), np.zeros((d, X))
+    v_sum, lambda_v = (np.zeros(X), np.zeros((d, X))) if values else (None, None)
 
     # Each table-sized array is dropped before the next one is made.
     for lo in range(0, T, block):
@@ -85,13 +87,14 @@ def score_iterates(
             kernel = np.tile(mdp.psi[:, c].T, (A, 1))[:, :, None] * phi_c[:, None, :]
             psi_phi += rows.T @ kernel.reshape(-1, d * d)
             del kernel
-            weighted = rows @ trajectory.thetas[t]  # sum_t pi_t theta_t
-            v_sum[c] += np.einsum("kd,kd->k", phi_c, weighted).reshape(A, -1).sum(axis=0)
+            if values:
+                weighted = rows @ trajectory.thetas[t]  # sum_t pi_t theta_t
+                v_sum[c] += np.einsum("kd,kd->k", phi_c, weighted).reshape(A, -1).sum(axis=0)
             if c.start <= mdp.x0 < c.stop:  # Phi_pi[x0], (B, d)
                 phi_x0 = probs[:, mdp.x0 - c.start].T @ mdp.phi_by_state[mdp.x0]
         theta, rho_ts[t], psi_vs[t] = solve_flow(mdp, psi_phi.reshape(B, d, d), phi_x0)
         theta_stars[t] = theta
-        for c in chunks:
+        for c in chunks if values else ():
             phi_c = action_major_phi(mdp, c)
             if len(chunks) > 1:
                 probs = None
@@ -121,7 +124,7 @@ class Comparators:
 
 
 def build_comparators(mdp: LinearMdp, trajectory: FogasTrajectory, alpha: float) -> Comparators:
-    pi_star, star_eval = solve_optimal(mdp)
+    pi_star, star_eval = mdp.optimal
     return Comparators(
         pi_star, star_eval.lambda_pi, star_eval.return_value,
         *score_iterates(mdp, trajectory, alpha),

@@ -20,7 +20,7 @@ from .linmdp import (
     load_mdp,
     uniform_policy,
 )
-from .oracle import evaluate_policy, solve_optimal
+from .oracle import evaluate_policy
 from .solver import FogasConfig, FogasRun, run_fogas
 
 # The results CSV's header; each column names an ExperimentRecord attribute.
@@ -46,7 +46,7 @@ def behavior_policy(mdp: LinearMdp, spec: str) -> TabularPolicy:
     eps = _behavior_epsilon(spec)
     if eps is None:
         return uniform_policy(mdp.num_states, mdp.num_actions)
-    pi_star, _ = solve_optimal(mdp)
+    pi_star, _ = mdp.optimal
     mix = (1.0 - eps) * pi_star.probs + eps / mdp.num_actions
     return TabularPolicy(mix)
 
@@ -150,7 +150,7 @@ def mean_iterate_suboptimality(mdp: LinearMdp, run: FogasRun, rho_star: float) -
     """(1/T) sum_t (rho(pi*) - rho(pi_t)), exact returns from the oracle."""
     if run.trajectory is None:
         raise ValueError("run was not recorded with record_trajectory")
-    rho_ts = score_iterates(mdp, run.trajectory, run.config.alpha)[1]
+    rho_ts = score_iterates(mdp, run.trajectory, run.config.alpha, values=False)[1]
     return float(np.mean(rho_star - rho_ts))
 
 
@@ -165,7 +165,7 @@ def score_run(
     ``start`` is the ``time.perf_counter()`` reading the wall time counts from.
     The mean-iterate suboptimality is NaN when the run has no trajectory.
     """
-    _, star_eval = solve_optimal(mdp)
+    _, star_eval = mdp.optimal
     out_eval = evaluate_policy(mdp, run.output_policy)
     mean_sub = float("nan")
     if run.trajectory is not None:
@@ -235,12 +235,14 @@ def check_results_file(path) -> None:
 
 
 def write_records(records: list[ExperimentRecord], path, append: bool = False) -> None:
-    """Replace ``path`` with the rows, or append them; an empty file gets the header first."""
-    with open(path, "a" if append else "w") as f:
-        if f.tell() == 0:
-            f.write(RESULTS_HEADER + "\n")
-        for rec in records:
-            f.write(rec.csv_row() + "\n")
+    """Replace ``path`` with the rows, or append them; an empty file gets the
+    header first, and a last line that lacks its newline gets it first."""
+    with open(path, "ab+" if append else "wb+") as f:
+        size = f.tell()  # in append mode the writes go to the end, wherever it reads
+        f.seek(max(size - 1, 0))
+        last = f.read(1)  # b"" for an empty file
+        head = RESULTS_HEADER + "\n" if not size else "" if last == b"\n" else "\n"
+        f.write((head + "".join(rec.csv_row() + "\n" for rec in records)).encode())
 
 
 def summarize_by_n(records: list[ExperimentRecord]) -> dict[int, float]:

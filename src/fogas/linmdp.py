@@ -96,6 +96,16 @@ class LinearMdp:
         out[self.x0] = 1.0
         return _readonly(out)
 
+    @cached_property
+    def optimal(self):
+        """(pi*, its evaluation) by ``oracle.solve_optimal``, once per MDP; read-only."""
+        from .oracle import solve_optimal
+
+        policy, evaluation = solve_optimal(self)
+        for name in ("q", "v", "theta_pi", "mu", "lambda_pi"):
+            getattr(evaluation, name).flags.writeable = False
+        return policy, evaluation
+
     @property
     def phi_by_state(self) -> np.ndarray:
         """phi reshaped to (X, A, d)."""

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -228,6 +229,34 @@ class TestCollect:
             collect_dataset(default_mdp, fogas.uniform_policy(5, 3), n=10,
                             sampling_mode="rollout", seed=0)
 
+    @pytest.mark.parametrize("X, A, d", [(30, 4, 8), (5, 3, 4), (1, 1, 1)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_occupancy_pairs_equal_generator_choice(self, X, A, d, seed):
+        """Under eps:0 (pi*, deterministic) the pairs of the actions pi* never
+        takes have no mass, so the CDF has flat runs; the pairs drawn still
+        equal ``Generator.choice``'s (``dense_collect`` draws with it), and so
+        do X*A = 1's zeros, and the next states drawn after them are equal."""
+        from fogas.harness import behavior_policy
+
+        mdp = fogas.generate_linear_mdp(X, A, d, 0.9, seed)
+        behavior = behavior_policy(mdp, "eps:0")
+        if A > 1:
+            assert (evaluate_policy(mdp, behavior).mu == 0).sum() >= X * (A - 1)
+        ds = collect_dataset(mdp, behavior, n=3000, sampling_mode="occupancy", seed=seed)
+        sa, x_next = dense_collect(mdp, behavior, n=3000, sampling_mode="occupancy", seed=seed)
+        np.testing.assert_array_equal(ds.xs * A + ds.actions, sa)
+        np.testing.assert_array_equal(ds.x_nexts, x_next)
+
+    @pytest.mark.parametrize("mass", [0.0, np.nan, np.inf])
+    def test_degenerate_occupancy_rejected(self, default_mdp, mass, monkeypatch):
+        """An occupancy whose total is zero or not finite raises before any draw."""
+        real = evaluate_policy(default_mdp, fogas.uniform_policy(5, 3))
+        monkeypatch.setattr(fogas.data, "evaluate_policy",
+                            lambda mdp, policy: replace(real, mu=np.full(15, mass)))
+        with pytest.raises(ValueError, match="occupancy sums to"):
+            collect_dataset(default_mdp, fogas.uniform_policy(5, 3), n=10,
+                            sampling_mode="occupancy", seed=0)
+
     @pytest.mark.parametrize("n, seed, message", [
         (0, 0, "n must be an integer >= 1, got 0"),
         (10, -1, "seed must be an integer >= 0, got -1"),
@@ -284,6 +313,19 @@ class TestCovariance:
             cov.solve(np.ones(2))
         with pytest.raises(ValueError, match="finite"):
             Covariance(beta=1.0, lambda_mat=np.diag([np.nan, 1.0]))
+
+    def test_gram_formed_once(self, default_mdp):
+        """Two covariances of one dataset are bit-equal, and the second reads
+        the dataset's cached (1/n) F^T F instead of forming it again."""
+        ds = collect_dataset(default_mdp, fogas.uniform_policy(5, 3), n=500,
+                             sampling_mode="uniform", seed=4)
+        first = build_covariance(ds, beta=0.05).lambda_mat
+        np.testing.assert_array_equal(build_covariance(ds, beta=0.05).lambda_mat, first)
+        np.testing.assert_array_equal(ds.gram, (ds.features.T @ ds.features) / 500)
+        assert not ds.gram.flags.writeable
+        vars(ds)["gram"] = np.zeros((4, 4))
+        np.testing.assert_array_equal(build_covariance(ds, beta=0.05).lambda_mat,
+                                      0.05 * np.eye(4))
 
     def test_solve_many_columns(self, default_dataset):
         cov = build_covariance(default_dataset, beta=0.05)

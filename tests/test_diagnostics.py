@@ -375,6 +375,26 @@ class TestScoreIterates:
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12
 
+    @pytest.mark.parametrize("budget", [1, 3072])
+    def test_values_false_matches_full_pass(self, budget, monkeypatch):
+        """Without the values, theta^{pi_t}, rho(pi_t) and Psi v^{pi_t} are
+        bit-equal to the full pass's, in blocks of either budget of
+        ``test_blocks_match_one_block``."""
+        base = fogas.generate_linear_mdp(7, 3, 4, 0.9, 4)
+        mdp = fogas.LinearMdp(num_states=7, num_actions=3, dim=4, phi=base.phi,
+                              psi=base.psi, omega=base.omega, gamma=0.9, x0=3)
+        ds = collect_dataset(mdp, fogas.uniform_policy(7, 3), n=64,
+                             sampling_mode="uniform", seed=1)
+        run = run_fogas(mdp, ds, FogasConfig(T=11, seed=1, auto_tune=True,
+                                             record_trajectory=True))
+        monkeypatch.setattr(fogas.diagnostics, "SAMPLE_CHUNK_BYTES", budget)
+        full = score_iterates(mdp, run.trajectory, run.config.alpha)
+        *scores, v_sum, lambda_v = score_iterates(mdp, run.trajectory, run.config.alpha,
+                                                  values=False)
+        assert v_sum is None and lambda_v is None
+        for got, want in zip(scores, full[:3], strict=True):
+            np.testing.assert_array_equal(got, want)
+
     def test_report_memory_bounded_in_T(self):
         """At X=100, A=4, d=8 the report's tracemalloc peak stays under 8 MB at
         T=2000 and grows by at most 640 bytes per iterate from T=500 to 4000;

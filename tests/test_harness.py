@@ -212,6 +212,24 @@ class TestSweep:
         assert all(r.status == "error:FloatingPointError" for r in harness.run_sweep(failing))
         assert len(calls["run_cell"]) == len(calls["run_fogas"]) == 4
 
+    def test_optimal_policy_solved_once_per_sweep(self, monkeypatch):
+        """An eps:0.5 occupancy sweep solves pi* once, for the behavior and
+        every cell's scores, and the shared evaluation cannot be edited."""
+        calls = []
+
+        def counting(mdp, original=fogas.oracle.solve_optimal):
+            calls.append(mdp)
+            return original(mdp)
+        monkeypatch.setattr(fogas.oracle, "solve_optimal", counting)
+        config = self.make_config(behavior="eps:0.5", sampling_mode="occupancy")
+        records = harness.run_sweep(config)
+        assert [r.status for r in records] == ["ok"] * 4
+        assert len(calls) == 1
+        _, star = calls[0].optimal
+        for name in ("q", "v", "theta_pi", "mu", "lambda_pi"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(star, name)[0] = 0.0
+
     def test_failures_recorded_per_row(self):
         config = self.make_config(
             fogas={"auto_tune": True, "T": 30, "eta": 1e250, "d_theta": 1e100})
@@ -447,6 +465,22 @@ class TestCli:
             f"{other} is not a results CSV: its first line is not {harness.RESULTS_HEADER}\n")
         assert other.read_text() == "a,b,c\n1,2,3\n"
         assert not run_path.exists()
+
+    def test_solve_results_ends_an_unterminated_last_row(self, tmp_path):
+        """A results file whose last row lacks its newline gets it before the
+        appended row, so the two rows stay apart."""
+        mdp_path, data_path, run_path = self.pipeline(tmp_path)
+        results = tmp_path / "results.csv"
+        solve = ["solve", "--mdp", str(mdp_path), "--data", str(data_path), "--auto-tune",
+                 "--T", "40", "--out", str(run_path), "--results", str(results)]
+        assert cli_main([*solve, "--seed", "0"]) == 0
+        results.write_text(results.read_text().removesuffix("\n"))
+        assert cli_main([*solve, "--seed", "1"]) == 0
+        header, *rows = results.read_text().split("\n")
+        assert header == harness.RESULTS_HEADER
+        assert rows[-1] == ""
+        assert [row.split(",")[2] for row in rows[:-1]] == ["0", "1"]
+        assert all(len(row.split(",")) == len(header.split(",")) for row in rows[:-1])
 
     def test_diagnose_without_trajectory_advises(self, tmp_path, capsys):
         mdp_path, data_path, run_path = self.pipeline(tmp_path)
