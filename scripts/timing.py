@@ -7,8 +7,12 @@ Suites, each at fixed shapes:
   ``us_per_iter`` a T-iteration run less it, over T - 1.
 - io: ``collect_dataset`` at the round's seed, and the save and load of each
   file the CLI writes (named as the benchmark names them, whatever their
-  format). Each file's size and one load's tracemalloc peak are taken once.
-- score: ``diagnostics.score_iterates`` of one recorded run.
+  format). One collect call's tracemalloc peak, and each file's size and one
+  load's peak, are taken once.
+- score: ``diagnostics.score_iterates`` of one recorded run, both ways each
+  round: ``score_ms`` without the value reductions (``values=False``, as
+  every sweep cell scores) and ``score_full_ms`` with them (the full pass of
+  ``fogas diagnose``).
 - sweep: one ``harness.run_sweep`` of an MDP file, a grid of n values x S
   seeds (the benchmark's sweep workloads' shapes, seeds 0..S-1).
 
@@ -76,6 +80,16 @@ def sampler(fogas, shape: dict):
         seed=seed)
 
 
+def traced_peak(func, *args) -> int:
+    """The tracemalloc peak, in bytes, of one call ``func(*args)``."""
+    tracemalloc.start()
+    try:
+        func(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def loop_side(fogas, shape: dict, workdir: str):
     """The loop suite's measure of one side, and its next-state count."""
     mdp, collect = sampler(fogas, shape)
@@ -130,16 +144,12 @@ def io_side(fogas, shape: dict, workdir: str):
 
     measure(0)  # writes the files, and keeps first-use allocations out of the peaks
     once = {}
+    if "n" in shape:
+        once["collect_peak_mib"] = traced_peak(collect, 0) / 2**20
     for kind, (_, load, _, name, extra) in files.items():
         path = os.path.join(workdir, name)
-        tracemalloc.start()
-        try:
-            load(path, *extra)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         once[f"{kind}.bytes"] = os.path.getsize(path)
-        once[f"{kind}.load_peak_mib"] = peak / 2**20
+        once[f"{kind}.load_peak_mib"] = traced_peak(load, path, *extra) / 2**20
     return measure, once
 
 
@@ -158,9 +168,12 @@ def score_side(fogas, shape: dict, workdir: str):
         T=shape["T"], auto_tune=True, record_trajectory=True))
 
     def measure(seed):
-        scores, seconds = timed(fogas.diagnostics.score_iterates, mdp, run.trajectory,
-                                run.config.alpha)
-        return {"score_ms": 1e3 * seconds}, scores[1]
+        out = {}
+        for quantity, values in (("score_ms", False), ("score_full_ms", True)):
+            scores, seconds = timed(lambda: fogas.diagnostics.score_iterates(
+                mdp, run.trajectory, run.config.alpha, values=values))
+            out[quantity] = 1e3 * seconds
+        return out, scores[1]
 
     return measure, {}
 

@@ -1,31 +1,45 @@
 /* The compiled kernels of fogas: the FOGAS ascent loop of one run (all T
- * iterations in one call), the d x d flow solves of a block of policies and
- * the next-state search of dataset collection.
+ * iterations in one call), the d x d flow solves of a block of policies, the
+ * exact scores of a run's T iterate policies and the next-state search of
+ * dataset collection.
  *
- * fogas._native builds this file on first use with plain -O3 -fPIC -shared
- * and loads it through ctypes. fogas.solver calls fogas_ascend once per run.
- * Its specification is the numpy step functions of tests/conftest.py, one
- * per step (the best response, mu-hat's features, the lambda-gradient, the
- * lambda step with g^T Lambda g), which reference_ascend chains into the
- * loop the tests compare this one against.
+ * fogas._native builds this file on first use with -O3 -fPIC -shared
+ * -ffp-contract=off and loads it through ctypes. fogas.solver calls
+ * fogas_ascend once per run. Its specification is the numpy step functions
+ * of tests/conftest.py, one per step (the best response, mu-hat's features,
+ * the lambda-gradient, the lambda step with g^T Lambda g), which
+ * reference_ascend chains into the loop the tests compare this one against.
  * fogas.oracle.solve_flow calls fogas_solve_flow once per block of policies;
  * its specification is reference_solve_flow in tests/conftest.py, numpy's
- * LAPACK solve. fogas.data calls fogas_next_states once per dataset for the
- * next states and, in occupancy sampling, once more for the state-action
- * pairs: with d = 1, features of ones and psi_cum the occupancy's normalized
- * CDF, x_next[i] counts the CDF entries <= u[i], which is numpy's
- * searchsorted(side="right") and so Generator.choice(p=...).
+ * LAPACK solve. fogas.diagnostics.score_iterates calls fogas_score_iterates
+ * once per run; its specification is reference_score_iterates there, numpy
+ * GEMMs and the same flow solves. Both solve their d x d systems with one
+ * Gaussian elimination, eliminate. fogas.data calls fogas_next_states once
+ * per dataset for the next states and, in occupancy sampling, once more for
+ * the state-action pairs: with d = 1, features of ones and psi_cum the
+ * occupancy's normalized CDF, x_next[i] counts the CDF entries <= u[i],
+ * which is numpy's searchsorted(side="right") and so Generator.choice(p=...).
  *
- * Layout: the sites (x0, then the run's observed next states) are innermost.
- * phi is (A, d, m) and W = gamma C is (d, m) with a zero column at x0, so
- * every per-site loop runs over m contiguous floats without reassociating a
- * sum, and -O3 vectorizes it without -ffast-math. The two m-long reductions
- * keep 8 fixed partial sums, so every call sums in the same order.
+ * Layout of the loop: the sites (x0, then the run's observed next states)
+ * are innermost. phi is (A, d, m) and W = gamma C is (d, m) with a zero
+ * column at x0, so every per-site loop runs over m contiguous floats without
+ * reassociating a sum, and -O3 vectorizes it without -ffast-math. The two
+ * m-long reductions keep 8 fixed partial sums, so every call sums in the
+ * same order.
  *
  * No d x d occupancy operator is formed: with F_pi (d, m), row j holding
  * sum_a pi(a|x_i) phi_j(x_i, a), mu-hat's features are F_pi (W^T lambda)
  * + (1-gamma) F_pi[:, 0] and the lambda-gradient is W (F_pi^T theta)
  * + omega - theta, O(m d) work per iteration.
+ *
+ * Layout of the scorer: the iterates are innermost, L lanes to a block. Per
+ * state, each lane's logits, softmax, Phi_pi(x) and psi(x) Phi_pi(x)^T run
+ * over L contiguous floats, and so does the elimination, every lane's pivot
+ * a select. Its two passes over the states are built for AVX-512F, AVX2 and
+ * the baseline (target_clones on x86-64 glibc, picked at load time), and no
+ * clone fuses a multiply-add (-ffp-contract=off). The ascent loop stays
+ * uncloned: at the sweep shapes its m is about 6 sites, and a wider build of
+ * it measured slower there.
  */
 #include <math.h>
 #include <stdint.h>
@@ -38,7 +52,8 @@ double exp(double) __attribute__((simd("notinbranch")));
 
 typedef int64_t i64;
 
-static double dot(const double *x, const double *y, i64 m)
+/* Inlined, so each caller's build (a scorer clone too) runs its own copy. */
+static inline __attribute__((always_inline)) double dot(const double *x, const double *y, i64 m)
 {
     double acc[8] = {0.0};
     i64 i = 0;
@@ -188,59 +203,345 @@ i64 fogas_ascend(i64 T, i64 A, i64 d, i64 m, const double *phi, const double *W,
 }
 
 
-static void swap(double *u, double *v)
+/* x[:, l] = (I - gamma P_l)^{-1} x[:, l] for each lane l < L, P_l the (d, d)
+ * matrix P[(i * d + j) * L + l] and x (d, L), by Gaussian elimination with
+ * partial pivoting. The lanes run in step: each lane's pivot search, row swap
+ * and zero-pivot test are selects, so every lane does the arithmetic of the
+ * elimination of its matrix alone (L = 1). M (d * d, L) and best, piv and f
+ * (L each) are scratch. singular[l] becomes 1 where lane l meets an exactly
+ * zero pivot, the singular case that LAPACK's getrf reports; that lane's x
+ * is then not finite. */
+static inline __attribute__((always_inline)) void
+eliminate(i64 d, i64 L, const double *P, double gamma, double *x, double *M, double *best,
+          double *piv, double *f, double *singular)
 {
-    double s = *u;
-    *u = *v;
-    *v = s;
+    for (i64 i = 0; i < d * d * L; i++)
+        M[i] = -gamma * P[i];
+    for (i64 l = 0; l < L; l++)
+        singular[l] = 0.0;
+    for (i64 i = 0; i < d; i++)
+        for (i64 l = 0; l < L; l++)
+            M[(i * d + i) * L + l] += 1.0;
+    for (i64 k = 0; k < d; k++) {
+        double *Mk = M + k * d * L;
+        for (i64 l = 0; l < L; l++) {
+            best[l] = fabs(Mk[k * L + l]);
+            piv[l] = k;
+        }
+        for (i64 i = k + 1; i < d; i++)
+            for (i64 l = 0; l < L; l++) {
+                double a = fabs(M[(i * d + k) * L + l]);
+                int larger = a > best[l];
+                piv[l] = larger ? i : piv[l];
+                best[l] = larger ? a : best[l];
+            }
+        for (i64 l = 0; l < L; l++)
+            singular[l] = best[l] == 0.0 ? 1.0 : singular[l];
+        for (i64 i = k + 1; i < d; i++) {
+            double *Mi = M + i * d * L;
+            for (i64 j = k; j < d; j++)
+                for (i64 l = 0; l < L; l++) {
+                    double top = Mk[j * L + l];
+                    int swap = piv[l] == i;
+                    Mk[j * L + l] = swap ? Mi[j * L + l] : top;
+                    Mi[j * L + l] = swap ? top : Mi[j * L + l];
+                }
+            for (i64 l = 0; l < L; l++) {
+                double top = x[k * L + l];
+                int swap = piv[l] == i;
+                x[k * L + l] = swap ? x[i * L + l] : top;
+                x[i * L + l] = swap ? top : x[i * L + l];
+            }
+        }
+        for (i64 i = k + 1; i < d; i++) {
+            double *Mi = M + i * d * L;
+            for (i64 l = 0; l < L; l++)
+                f[l] = Mi[k * L + l] / Mk[k * L + l];
+            for (i64 j = k + 1; j < d; j++)
+                for (i64 l = 0; l < L; l++)
+                    Mi[j * L + l] -= f[l] * Mk[j * L + l];
+            for (i64 l = 0; l < L; l++)
+                x[i * L + l] -= f[l] * x[k * L + l];
+        }
+    }
+    for (i64 k = d - 1; k >= 0; k--) {
+        for (i64 j = k + 1; j < d; j++)
+            for (i64 l = 0; l < L; l++)
+                x[k * L + l] -= M[(k * d + j) * L + l] * x[j * L + l];
+        for (i64 l = 0; l < L; l++)
+            x[k * L + l] /= M[(k * d + k) * L + l];
+    }
 }
 
 /* For each b < B, with P_b the row-major (d, d) block b of P: theta_b =
- * (I - gamma P_b)^{-1} rhs_b, by Gaussian elimination with partial pivoting,
- * psi_v_b = P_b theta_b and rho_b = (1 - gamma) <start_b, theta_b>. out holds
- * B rows (theta_b, psi_v_b, rho_b) of 2d + 1 floats, then d * d floats of
- * scratch for I - gamma P_b. Returns 0, or 1 + the first b whose I - gamma P_b
- * meets an exactly zero pivot, the singular case that LAPACK's getrf reports. */
+ * (I - gamma P_b)^{-1} rhs_b by eliminate, psi_v_b = P_b theta_b and rho_b =
+ * (1 - gamma) <start_b, theta_b>. out holds B rows (theta_b, psi_v_b, rho_b)
+ * of 2d + 1 floats, then d * d floats of scratch. Returns 0, or 1 + the
+ * first b whose I - gamma P_b is singular. */
 i64 fogas_solve_flow(i64 B, i64 d, const double *P, double gamma, const double *rhs,
                      const double *start, double *out)
 {
-    double *M = out + B * (2 * d + 1);
+    double *M = out + B * (2 * d + 1), best, piv, f, singular;
     for (i64 b = 0; b < B; b++) {
         const double *Pb = P + b * d * d;
         double *x = out + b * (2 * d + 1);
-        for (i64 i = 0; i < d * d; i++)
-            M[i] = -gamma * Pb[i];
-        for (i64 i = 0; i < d; i++) {
-            M[i * d + i] += 1.0;
-            x[i] = rhs[b * d + i];
-        }
-        for (i64 k = 0; k < d; k++) {
-            i64 p = k;
-            for (i64 i = k + 1; i < d; i++)
-                if (fabs(M[i * d + k]) > fabs(M[p * d + k]))
-                    p = i;
-            if (M[p * d + k] == 0.0)
-                return b + 1;
-            if (p != k) {
-                for (i64 j = k; j < d; j++)
-                    swap(M + k * d + j, M + p * d + j);
-                swap(x + k, x + p);
-            }
-            for (i64 i = k + 1; i < d; i++) {
-                double f = M[i * d + k] / M[k * d + k];
-                for (i64 j = k + 1; j < d; j++)
-                    M[i * d + j] -= f * M[k * d + j];
-                x[i] -= f * x[k];
-            }
-        }
-        for (i64 k = d - 1; k >= 0; k--) {
-            for (i64 j = k + 1; j < d; j++)
-                x[k] -= M[k * d + j] * x[j];
-            x[k] /= M[k * d + k];
-        }
+        memcpy(x, rhs + b * d, d * sizeof *x);
+        eliminate(d, 1, Pb, gamma, x, M, &best, &piv, &f, &singular);
+        if (singular)
+            return b + 1;
         for (i64 i = 0; i < d; i++)
             x[d + i] = dot(Pb + i * d, x, d);
         x[2 * d] = (1.0 - gamma) * dot(start + b * d, x, d);
+    }
+    return 0;
+}
+
+/* The scorer's lanes are padded to a multiple of SCORE_PAD, so every exp runs
+ * in a full vector of the widest clone (8 doubles) and no iterate's scores
+ * depend on how T splits into blocks. Its two passes are built per
+ * instruction set, picked at load time; each lane does its own iterate's
+ * arithmetic in a fixed order, and -ffp-contract=off keeps every clone from
+ * fusing a multiply-add, so a lane rounds as the default build does (but for
+ * the last bits of exp, which each instruction set's libmvec computes).
+ * Everything the passes call but exp is inlined into them (always_inline):
+ * a 4 x 4 solve in baseline code, called from the AVX-512 clone, measured
+ * about 3x slower than in a baseline build, from mixing SSE and AVX code. */
+#define SCORE_PAD 8
+/* The states that flow_block's pass takes at a time. */
+#define SCORE_GROUP 4
+#if defined(__x86_64__) && defined(__GLIBC__)
+#define SCORE_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#else
+#define SCORE_CLONES
+#endif
+
+/* F[j][l] = sum_a pi_l(a|x) phi_j(x, a) at one state x, for the L lanes of
+ * par (d, L), pi_l the softmax of <phi(x, a), par[:, l]>, shifted by its
+ * largest logit; phx is phi(x, .) (A, d), and e (A, L) and s (L) are scratch. */
+static inline __attribute__((always_inline)) void
+policy_features(i64 A, i64 d, i64 L, const double *phx, const double *par, double *e,
+                double *s, double *F)
+{
+    for (i64 a = 0; a < A; a++) {
+        double *ea = e + a * L;
+        for (i64 l = 0; l < L; l++)
+            ea[l] = phx[a * d] * par[l];
+        for (i64 j = 1; j < d; j++)
+            for (i64 l = 0; l < L; l++)
+                ea[l] += phx[a * d + j] * par[j * L + l];
+    }
+    memcpy(s, e, L * sizeof *s);
+    for (i64 a = 1; a < A; a++)
+        for (i64 l = 0; l < L; l++)
+            s[l] = e[a * L + l] > s[l] ? e[a * L + l] : s[l];
+    for (i64 a = 0; a < A; a++)
+        for (i64 l = 0; l < L; l++)
+            e[a * L + l] -= s[l];
+    for (i64 i = 0; i < A * L; i += SCORE_PAD) {
+#pragma omp simd
+        for (int k = 0; k < SCORE_PAD; k++)
+            e[i + k] = exp(e[i + k]);
+    }
+    memcpy(s, e, L * sizeof *s);
+    for (i64 a = 1; a < A; a++)
+        for (i64 l = 0; l < L; l++)
+            s[l] += e[a * L + l];
+    for (i64 l = 0; l < L; l++)
+        s[l] = 1.0 / s[l];
+    for (i64 j = 0; j < d; j++) {
+        double *Fj = F + j * L;
+        for (i64 l = 0; l < L; l++)
+            Fj[l] = e[l] * phx[j];
+        for (i64 a = 1; a < A; a++)
+            for (i64 l = 0; l < L; l++)
+                Fj[l] += e[a * L + l] * phx[a * d + j];
+        for (i64 l = 0; l < L; l++)
+            Fj[l] *= s[l];
+    }
+}
+
+/* vs[l] = <F[:, l], w[:, l]> for F and w (d, L). */
+static inline __attribute__((always_inline)) void
+lane_dots(i64 d, i64 L, const double *F, const double *w, double *vs)
+{
+    for (i64 l = 0; l < L; l++)
+        vs[l] = F[l] * w[l];
+    for (i64 j = 1; j < d; j++)
+        for (i64 l = 0; l < L; l++)
+            vs[l] += F[j * L + l] * w[j * L + l];
+}
+
+/* Rows l < B of rows (B, d) into columns l of cols (d, L); the padded lanes
+ * l >= B get zeros. */
+static void lanes_of(i64 B, i64 L, i64 d, const double *rows, double *cols)
+{
+    for (i64 j = 0; j < d; j++)
+        for (i64 l = 0; l < L; l++)
+            cols[j * L + l] = l < B ? rows[l * d + j] : 0.0;
+}
+
+/* The scorer's work, fogas_score_lane_floats(A, d) floats per lane: the
+ * lanes' softmax parameters, theta_t (then theta^{pi_t}) and lambda_t, (d, L)
+ * each, and the scratch of policy_features, the flow pass and eliminate. */
+struct lanes {
+    double *par, *th, *lam, *e, *F, *f0, *acc, *M, *s, *vs, *best, *piv, *f, *singular;
+};
+
+i64 fogas_score_lane_floats(i64 A, i64 d)
+{
+    return 2 * d * d + (4 + SCORE_GROUP) * d + A + 6;
+}
+
+static struct lanes lanes_in(double *work, i64 A, i64 d, i64 L)
+{
+    struct lanes w;
+    w.par = work;
+    w.th = w.par + d * L;
+    w.lam = w.th + d * L;
+    w.e = w.lam + d * L;
+    w.F = w.e + A * L;
+    w.f0 = w.F + SCORE_GROUP * d * L;
+    w.acc = w.f0 + d * L;
+    w.M = w.acc + d * d * L;
+    w.s = w.M + d * d * L;
+    w.vs = w.s + L;
+    w.best = w.vs + L;
+    w.piv = w.best + L;
+    w.f = w.piv + L;
+    w.singular = w.f + L;
+    return w;
+}
+
+/* acc += sum_g psi_g Phi_g^T over the G states of a group, psi_g = psg[g]
+ * (d) and Phi_g = F[g] (d, L). Inlined with a constant G, each lane's
+ * running sum stays in a register across the group, added to in the order
+ * of the states. */
+static inline __attribute__((always_inline)) void
+accumulate(i64 G, i64 d, i64 L, const double *psg, const double *restrict F,
+           double *restrict acc)
+{
+    for (i64 i = 0; i < d; i++)
+        for (i64 j = 0; j < d; j++) {
+            double *restrict acc_ij = acc + (i * d + j) * L;
+            for (i64 l = 0; l < L; l++) {
+                double sum = acc_ij[l];
+                for (i64 g = 0; g < G; g++)
+                    sum += psg[g * d + i] * F[(g * d + j) * L + l];
+                acc_ij[l] = sum;
+            }
+        }
+}
+
+/* One block of L lanes, B of them iterates, in w. One pass over the states,
+ * SCORE_GROUP at a time, forms every lane's Psi Phi_pi and Phi_pi(x0), and
+ * with v_sum adds sum_{l < B} <Phi_pi(x), theta_l> to v_sum[x], w->th
+ * holding the lanes' theta_t. Then w->th receives the lanes' theta^{pi_t}
+ * by eliminate, and rows l < B of out (theta^{pi_t}, Psi v^{pi_t},
+ * rho(pi_t)). Returns 0, or 1 + the first lane l < B whose
+ * I - gamma Psi Phi_pi is singular. */
+SCORE_CLONES
+static i64 flow_block(i64 X, i64 A, i64 d, i64 L, i64 B, const double *phi, const double *psi,
+                      const double *omega, double gamma, i64 x0, const struct lanes *w,
+                      double *out, double *v_sum)
+{
+    double *th = w->th, *F = w->F, *f0 = w->f0, *acc = w->acc, *vs = w->vs;
+    double psg[SCORE_GROUP * d];
+    L &= -SCORE_PAD;  /* a no-op that lets the lane loops drop their remainders */
+
+    memset(acc, 0, d * d * L * sizeof *acc);
+    for (i64 x = 0; x < X; x += SCORE_GROUP) {
+        i64 G = X - x < SCORE_GROUP ? X - x : SCORE_GROUP;
+        for (i64 g = 0; g < G; g++) {
+            double *Fg = F + g * d * L;
+            policy_features(A, d, L, phi + (x + g) * A * d, w->par, w->e, w->s, Fg);
+            if (x + g == x0)
+                memcpy(f0, Fg, d * L * sizeof *Fg);
+            for (i64 i = 0; i < d; i++)
+                psg[g * d + i] = psi[i * X + x + g];
+            for (i64 j = 0; j < d && v_sum; j++)
+                v_sum[x + g] += dot(Fg + j * L, th + j * L, B);
+        }
+        if (G == SCORE_GROUP)
+            accumulate(SCORE_GROUP, d, L, psg, F, acc);
+        else
+            for (i64 g = 0; g < G; g++)
+                accumulate(1, d, L, psg + g * d, F + g * d * L, acc);
+    }
+
+    for (i64 j = 0; j < d; j++)
+        for (i64 l = 0; l < L; l++)
+            th[j * L + l] = omega[j];
+    eliminate(d, L, acc, gamma, th, w->M, w->best, w->piv, w->f, w->singular);
+    for (i64 l = 0; l < B; l++)
+        if (w->singular[l])
+            return l + 1;
+    for (i64 i = 0; i < d; i++)  /* Psi v^{pi_t} = Psi Phi_pi theta^{pi_t} into F */
+        lane_dots(d, L, acc + i * d * L, th, F + i * L);
+    lane_dots(d, L, f0, th, vs);
+    for (i64 l = 0; l < B; l++) {
+        double *row = out + l * (2 * d + 1);
+        for (i64 j = 0; j < d; j++) {
+            row[j] = th[j * L + l];
+            row[d + j] = F[j * L + l];
+        }
+        row[2 * d] = (1.0 - gamma) * vs[l];
+    }
+    return 0;
+}
+
+/* The second pass of a block, once w->th holds its theta^{pi_t}:
+ * lambda_v[:, x] (d, X) gets sum_{l < B} lambda_l v^{pi_l}(x), with
+ * v^{pi_l}(x) = <Phi_pi(x), theta^{pi_l}>. */
+SCORE_CLONES
+static void value_block(i64 X, i64 A, i64 d, i64 L, i64 B, const double *phi,
+                        const struct lanes *w, double *lambda_v)
+{
+    L &= -SCORE_PAD;
+    for (i64 x = 0; x < X; x++) {
+        policy_features(A, d, L, phi + x * A * d, w->par, w->e, w->s, w->F);
+        lane_dots(d, L, w->F, w->th, w->vs);
+        for (i64 i = 0; i < d; i++)
+            lambda_v[i * X + x] += dot(w->lam + i * L, w->vs, B);
+    }
+}
+
+/* The exact scores of T softmax policies, pi_t the softmax of <phi(x, a),
+ * params[t]> with params (T, d), in blocks of L lanes (a multiple of
+ * SCORE_PAD), the iterate innermost. phi is (X * A, d) state-major and psi
+ * (d, X), both row-major. Row t of out (T, 2d + 1) receives theta^{pi_t},
+ * Psi v^{pi_t} and rho(pi_t), from the flow system of Psi Phi_pi with rhs
+ * omega and start Phi_pi(x0).
+ *
+ * With thetas and lambdas (T, d each), v_sum (X) receives sum_t v_{theta_t,
+ * pi_t} and lambda_v (d, X) sum_t lambda_t (v^{pi_t})^T, the latter in a
+ * second pass over the states once a block's theta^{pi_t} are known. Without
+ * them (NULL) neither is touched. work holds L fogas_score_lane_floats(A, d)
+ * + SCORE_PAD floats (struct lanes).
+ *
+ * Returns 0, or 1 + the first t whose I - gamma Psi Phi_pi is singular. */
+i64 fogas_score_iterates(i64 T, i64 X, i64 A, i64 d, i64 L, const double *phi,
+                         const double *psi, const double *omega, double gamma, i64 x0,
+                         const double *params, double *work, double *out,
+                         const double *thetas, const double *lambdas, double *v_sum,
+                         double *lambda_v)
+{
+    /* Every L-long array of w starts 64-byte aligned, so no vector loop
+     * peels a lane off to align. */
+    struct lanes w = lanes_in((double *)(((uintptr_t)work + 63) & ~(uintptr_t)63), A, d, L);
+
+    for (i64 t0 = 0; t0 < T; t0 += L) {
+        i64 B = T - t0 < L ? T - t0 : L;
+        lanes_of(B, L, d, params + t0 * d, w.par);
+        if (v_sum)
+            lanes_of(B, L, d, thetas + t0 * d, w.th);
+        i64 singular = flow_block(X, A, d, L, B, phi, psi, omega, gamma, x0, &w,
+                                  out + t0 * (2 * d + 1), v_sum);
+        if (singular)
+            return t0 + singular;
+        if (v_sum) {
+            lanes_of(B, L, d, lambdas + t0 * d, w.lam);
+            value_block(X, A, d, L, B, phi, &w, lambda_v);
+        }
     }
     return 0;
 }

@@ -1,6 +1,6 @@
 """The compiled kernels of ``_kernel.c`` (the ascent loop, the d x d flow
-solves and the next-state search), built on first use, never at import, and
-loaded once per process."""
+solves, the iterate scorer and the next-state search), built on first use,
+never at import, and loaded once per process."""
 
 import ctypes
 import os
@@ -11,7 +11,10 @@ _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 _COMPILER = "cc"
 # Plain -O3: -ffast-math would let the compiler drop the loop's isfinite test
 # and reorder its sums, and -march=native would tie a cached build to one CPU.
-_CFLAGS = ("-O3", "-fPIC", "-shared", "-fopenmp-simd")
+# The scorer's clones (target_clones in _kernel.c) pick their instruction set
+# at load time instead; -ffp-contract=off keeps every clone from fusing a
+# multiply-add, so each rounds every product and sum as the default build does.
+_CFLAGS = ("-O3", "-fPIC", "-shared", "-fopenmp-simd", "-ffp-contract=off")
 _kernel_handle = None  # the loaded library
 
 
@@ -51,8 +54,10 @@ def _build_kernel(source: bytes, path: Path) -> None:
 
 
 def _kernel() -> ctypes.CDLL:
-    """The library, with the signatures of ``fogas_ascend``,
-    ``fogas_solve_flow`` and ``fogas_next_states`` set, kept for the process.
+    """The library, with the signatures of its entries (``fogas_ascend``,
+    ``fogas_solve_flow``, ``fogas_score_iterates`` with
+    ``fogas_score_lane_floats``, and ``fogas_next_states``) set, kept for the
+    process.
 
     The build goes to the package's ``__pycache__``, named by ``_kernel_path``;
     a process that finds it there starts no compiler. Where that directory
@@ -77,6 +82,10 @@ def _kernel() -> ctypes.CDLL:
         lib.fogas_ascend.restype = i64
         lib.fogas_solve_flow.argtypes = [i64, i64, ptr, f64] + [ptr] * 3
         lib.fogas_solve_flow.restype = i64
+        lib.fogas_score_iterates.argtypes = [i64] * 5 + [ptr] * 3 + [f64, i64] + [ptr] * 7
+        lib.fogas_score_iterates.restype = i64
+        lib.fogas_score_lane_floats.argtypes = [i64] * 2
+        lib.fogas_score_lane_floats.restype = i64
         lib.fogas_next_states.argtypes = [i64] * 3 + [ptr] * 4
         lib.fogas_next_states.restype = None
         _kernel_handle = lib

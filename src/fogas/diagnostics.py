@@ -3,11 +3,11 @@ gap-estimation error, together with the exact decomposition identities.
 
 Unlike the solver, these tools touch the whole state space, but every score
 they need of the T iterate policies is a reduction over the states with d or
-fewer columns per iterate. ``score_iterates`` streams the iterates in blocks
-of t and the states in chunks of x, so its scratch stays within about
-``SAMPLE_CHUNK_BYTES`` and it keeps O(T*d + X*d) results; no array has both
-the T axis and the X axis. The reduced Lagrangian is affine in theta and in
-lambda, so the sums over iterates are array algebra on these reductions.
+fewer columns per iterate. ``score_iterates`` computes them in the C kernel,
+in blocks of iterates whose scratch stays within about ``SAMPLE_CHUNK_BYTES``,
+and keeps O(T*d + X*d) results; no array has both the T axis and the X axis.
+The reduced Lagrangian is affine in theta and in lambda, so the sums over
+iterates are array algebra on these reductions.
 """
 
 from __future__ import annotations
@@ -16,19 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .data import OfflineDataset, PsiHat, estimate_psi
-from .linmdp import (
-    SAMPLE_CHUNK_BYTES,
-    LinearMdp,
-    TabularPolicy,
-    action_major_phi,
-    action_major_softmax,
-)
-from .oracle import solve_flow
+from .linmdp import SAMPLE_CHUNK_BYTES, LinearMdp, TabularPolicy
 from .solver import FogasRun, FogasTrajectory
 
 DECOMPOSITION_TOL = 1e-8
 IDENTITY_TOL = 1e-8
+# The scorer's lane blocks are multiples of SCORE_PAD (as in _kernel.c), so
+# every exp runs in a full vector of the widest build, and at most
+# SCORE_LANES long: a block's scratch then stays within a core's L2 cache.
+SCORE_PAD = 8
+SCORE_LANES = 128
 
 
 def v_of_theta_policy(mdp: LinearMdp, probs: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -53,59 +52,41 @@ def score_iterates(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Exact evaluation of every iterate policy, reduced over the states.
 
-    Per block of iterates and chunk of states, one GEMM forms the logits and
-    one GEMM against K[(a,x)] = psi(x) phi(x,a)^T adds to Psi Phi_pi; one
-    ``solve_flow`` call per block gives theta^{pi_t}, rho(pi_t) and
-    Psi v^{pi_t}, and a second pass over the chunks reads v^{pi_t}. K takes at
-    most a quarter of ``SAMPLE_CHUNK_BYTES``, and a block's two action-major
-    (A, states, B) tables and its (B, d, d) stacks at most half. Returns
-    theta^{pi_t} (T, d), rho(pi_t) (T,), Psi v^{pi_t} (T, d),
-    sum_t v_{theta_t, pi_t} (X,) and sum_t lambda_t (v^{pi_t})^T (d, X).
-    With ``values=False`` the last two are None, and neither their products
-    nor the second pass are made; the first three do not change.
+    One call of the C kernel ``fogas_score_iterates`` (``_kernel.c``) walks
+    the iterates in blocks of lanes (see ``SCORE_PAD``), whose scratch stays
+    within about ``SAMPLE_CHUNK_BYTES``. Per block and state it forms each
+    iterate's softmax and Phi_pi(x), and adds psi(x) Phi_pi(x)^T to its
+    Psi Phi_pi; the elimination of ``oracle.solve_flow`` then gives each
+    iterate's scores. Its specification is ``reference_score_iterates`` in
+    ``tests/conftest.py``. Returns theta^{pi_t} (T, d), rho(pi_t) (T,),
+    Psi v^{pi_t} (T, d), sum_t v_{theta_t, pi_t} (X,) and
+    sum_t lambda_t (v^{pi_t})^T (d, X). With ``values=False`` the last two are
+    None, and neither they nor the kernel's second pass over the states are
+    made; the first three do not change. An exactly singular
+    I - gamma Psi Phi_pi raises ``np.linalg.LinAlgError``.
     """
     X, A, d = mdp.num_states, mdp.num_actions, mdp.dim
     T = len(trajectory.thetas)
-    states = max(1, min(X, SAMPLE_CHUNK_BYTES // (32 * A * d * d)))
-    block = max(1, min(T, SAMPLE_CHUNK_BYTES // (32 * (states * A + 2 * d * d))))
-    chunks = [slice(lo, min(lo + states, X)) for lo in range(0, X, states)]
+    kernel = _native._kernel()
+    lane_floats = kernel.fogas_score_lane_floats(A, d)
+    lanes = SCORE_PAD * max(1, min(-(-T // SCORE_PAD), SCORE_LANES // SCORE_PAD,
+                                   SAMPLE_CHUNK_BYTES // (8 * SCORE_PAD * lane_floats)))
     params = np.vstack([np.zeros(d), alpha * trajectory.theta_bars[:-1]])  # pi_1 uniform
-    theta_stars, psi_vs, rho_ts = np.empty((T, d)), np.empty((T, d)), np.empty(T)
-    v_sum, lambda_v = (np.zeros(X), np.zeros((d, X))) if values else (None, None)
-
-    # Each table-sized array is dropped before the next one is made.
-    for lo in range(0, T, block):
-        t = slice(lo, min(lo + block, T))
-        B = t.stop - lo
-        psi_phi = np.zeros((B, d * d))
-        for c in chunks:
-            probs = None
-            phi_c = action_major_phi(mdp, c)
-            probs = action_major_softmax(phi_c, params[t])  # (A, states of c, B)
-            phi_c = phi_c.reshape(-1, d)  # row a * (states of c) + x
-            rows = probs.reshape(-1, B)
-            kernel = np.tile(mdp.psi[:, c].T, (A, 1))[:, :, None] * phi_c[:, None, :]
-            psi_phi += rows.T @ kernel.reshape(-1, d * d)
-            del kernel
-            if values:
-                weighted = rows @ trajectory.thetas[t]  # sum_t pi_t theta_t
-                v_sum[c] += np.einsum("kd,kd->k", phi_c, weighted).reshape(A, -1).sum(axis=0)
-            if c.start <= mdp.x0 < c.stop:  # Phi_pi[x0], (B, d)
-                phi_x0 = probs[:, mdp.x0 - c.start].T @ mdp.phi_by_state[mdp.x0]
-        theta, rho_ts[t], psi_vs[t] = solve_flow(mdp, psi_phi.reshape(B, d, d), phi_x0)
-        theta_stars[t] = theta
-        for c in chunks if values else ():
-            phi_c = action_major_phi(mdp, c)
-            if len(chunks) > 1:
-                probs = None
-                probs = action_major_softmax(phi_c, params[t])
-            q = phi_c.reshape(-1, d) @ theta.T  # (A * states of c, B)
-            q *= probs.reshape(-1, B)
-            v = q.reshape(A, -1, B).sum(axis=0)  # v^{pi_t} on c, (states of c, B)
-            lambda_v[:, c] += trajectory.lambdas[t].T @ v.T
-            del q, v
-        del probs
-    return theta_stars, rho_ts, psi_vs, v_sum, lambda_v
+    out = np.empty((T, 2 * d + 1))  # rows (theta^{pi_t}, Psi v^{pi_t}, rho(pi_t))
+    work = np.empty(lanes * lane_floats + SCORE_PAD)
+    v_sum = lambda_v = None
+    value_args = [None] * 4  # thetas, lambdas, v_sum and lambda_v, or NULL
+    if values:
+        thetas, lambdas = (np.ascontiguousarray(a, dtype=np.float64)
+                           for a in (trajectory.thetas, trajectory.lambdas))
+        v_sum, lambda_v = np.zeros(X), np.zeros((d, X))
+        value_args = [a.ctypes.data for a in (thetas, lambdas, v_sum, lambda_v)]
+    singular = kernel.fogas_score_iterates(
+        T, X, A, d, lanes, mdp.phi.ctypes.data, mdp.psi.ctypes.data, mdp.omega.ctypes.data,
+        mdp.gamma, mdp.x0, params.ctypes.data, work.ctypes.data, out.ctypes.data, *value_args)
+    if singular:
+        raise np.linalg.LinAlgError(f"Singular matrix: I - gamma Psi Phi_pi of pi_{singular}")
+    return out[:, :d], out[:, 2 * d], out[:, d:2 * d], v_sum, lambda_v
 
 
 @dataclass(frozen=True)

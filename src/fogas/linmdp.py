@@ -257,34 +257,6 @@ def _stable_softmax_rows(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return logits
 
 
-def action_major_phi(mdp: LinearMdp, states) -> np.ndarray:
-    """phi at ``states`` (indices or a slice), action-major: shape (A, k, d).
-
-    A policy's softmax and its weighted sums then reduce over the action axis
-    as a middle axis, which numpy runs much faster than a trailing axis of
-    length A. The rows are gathered straight into this layout, with no
-    state-major copy first.
-    """
-    if isinstance(states, slice):
-        states = np.arange(*states.indices(mdp.num_states))
-    A = mdp.num_actions
-    return mdp.phi[A * np.asarray(states) + np.arange(A)[:, None]]
-
-
-def action_major_softmax(phi_states: np.ndarray, scaled_param: np.ndarray) -> np.ndarray:
-    """pi(a|x) at the states of ``phi_states`` (A, k, d, from ``action_major_phi``),
-    pi the softmax of <phi(x,a), scaled_param>.
-
-    One GEMM forms the logits. A ``scaled_param`` of shape (..., d) gives one
-    policy per row and a result of shape (A, k, ...): the softmax then runs
-    over A rows of contiguous floats.
-    """
-    A, k, d = phi_states.shape
-    batch = scaled_param.shape[:-1]
-    logits = phi_states.reshape(A * k, d) @ scaled_param.reshape(-1, d).T
-    return _stable_softmax_rows(logits.reshape(A, -1), axis=0).reshape((A, k) + batch)
-
-
 def softmax_from_logit_param(mdp: LinearMdp, scaled_param: np.ndarray) -> TabularPolicy:
     """The softmax policy pi(a|x) proportional to exp(<phi(x,a), scaled_param>).
 

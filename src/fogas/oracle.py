@@ -13,9 +13,10 @@ X x X array is ever formed.
 elimination with partial pivoting. Its specification, numpy's LAPACK solve,
 is ``reference_solve_flow`` in ``tests/conftest.py``. ``evaluate_policy``
 scores one policy with one call (theta_pi on M, lambda_pi on M^T); the
-iterates of a run are scored in blocks by ``diagnostics.score_iterates``, one
-call per block. ``solve_optimal`` finds the optimal policy by policy
-iteration, one ``evaluate_policy`` and one greedy step per round.
+iterates of a run are scored by ``diagnostics.score_iterates``, whose kernel
+solves their systems with the same elimination. ``solve_optimal`` finds the
+optimal policy by policy iteration, one ``evaluate_policy`` and one greedy
+step per round.
 """
 
 from __future__ import annotations

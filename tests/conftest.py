@@ -11,7 +11,10 @@ the specification of the compiled loop in ``fogas/_kernel.c``: the tests
 compare its recorded steps against them.
 
 The flow solve of ``fogas_solve_flow``, which ``fogas.oracle.solve_flow``
-calls, is stated here too: ``reference_solve_flow``, numpy's LAPACK solve."""
+calls, is stated here too: ``reference_solve_flow``, numpy's LAPACK solve.
+So is the iterate scorer ``fogas_score_iterates``, which
+``fogas.diagnostics.score_iterates`` calls: ``reference_score_iterates``,
+numpy GEMMs over action-major feature tables."""
 
 import warnings
 from dataclasses import fields
@@ -22,8 +25,8 @@ import pytest
 import fogas
 from fogas.data import estimate_psi
 from fogas.diagnostics import eval_f, v_of_theta_policy
-from fogas.linmdp import _stable_softmax_rows, softmax_from_logit_param
-from fogas.oracle import evaluate_policy
+from fogas.linmdp import SAMPLE_CHUNK_BYTES, _stable_softmax_rows, softmax_from_logit_param
+from fogas.oracle import evaluate_policy, solve_flow
 from fogas.solver import BEST_RESPONSE_TIE_TOL, FogasRun, FogasTrajectory
 
 # Auto-tuned short runs deliberately sit below the theoretical minimum
@@ -141,6 +144,78 @@ def reference_solve_flow(operators, phi_x0, gamma, rhs):
         rhs, phi_x0.shape)[..., None])[..., 0]
     return (theta, (1.0 - gamma) * np.einsum("bd,bd->b", phi_x0, theta),
             (operators @ theta[..., None])[..., 0])
+
+
+def action_major_phi(mdp, states):
+    """phi at ``states`` (indices or a slice), action-major: shape (A, k, d).
+
+    A policy's softmax and its weighted sums then reduce over the action axis
+    as a middle axis, which numpy runs much faster than a trailing axis of
+    length A.
+    """
+    if isinstance(states, slice):
+        states = np.arange(*states.indices(mdp.num_states))
+    A = mdp.num_actions
+    return mdp.phi[A * np.asarray(states) + np.arange(A)[:, None]]
+
+
+def action_major_softmax(phi_states, scaled_param):
+    """pi(a|x) at the states of ``phi_states`` (A, k, d, from ``action_major_phi``),
+    pi the softmax of <phi(x,a), scaled_param>.
+
+    One GEMM forms the logits. A ``scaled_param`` of shape (..., d) gives one
+    policy per row and a result of shape (A, k, ...).
+    """
+    A, k, d = phi_states.shape
+    batch = scaled_param.shape[:-1]
+    logits = phi_states.reshape(A * k, d) @ scaled_param.reshape(-1, d).T
+    return _stable_softmax_rows(logits.reshape(A, -1), axis=0).reshape((A, k) + batch)
+
+
+def reference_score_iterates(mdp, trajectory, alpha, values=True, budget=SAMPLE_CHUNK_BYTES):
+    """Reference for ``diagnostics.score_iterates``, in numpy, with the same
+    returns: the iterates in blocks of t and the states in chunks of x, with
+    about ``budget`` bytes of scratch.
+
+    Per block and chunk, one GEMM forms the logits and one GEMM against
+    K[(a,x)] = psi(x) phi(x,a)^T adds to Psi Phi_pi; one ``solve_flow`` call
+    per block gives theta^{pi_t}, rho(pi_t) and Psi v^{pi_t}, and a second
+    pass over the chunks reads v^{pi_t}.
+    """
+    X, A, d = mdp.num_states, mdp.num_actions, mdp.dim
+    T = len(trajectory.thetas)
+    states = max(1, min(X, budget // (32 * A * d * d)))
+    block = max(1, min(T, budget // (32 * (states * A + 2 * d * d))))
+    chunks = [slice(lo, min(lo + states, X)) for lo in range(0, X, states)]
+    params = iterate_params(trajectory, alpha)
+    theta_stars, psi_vs, rho_ts = np.empty((T, d)), np.empty((T, d)), np.empty(T)
+    v_sum, lambda_v = (np.zeros(X), np.zeros((d, X))) if values else (None, None)
+    for lo in range(0, T, block):
+        t = slice(lo, min(lo + block, T))
+        B = t.stop - lo
+        psi_phi = np.zeros((B, d * d))
+        for c in chunks:
+            phi_c = action_major_phi(mdp, c)
+            probs = action_major_softmax(phi_c, params[t])  # (A, states of c, B)
+            phi_c = phi_c.reshape(-1, d)  # row a * (states of c) + x
+            rows = probs.reshape(-1, B)
+            kernel = np.tile(mdp.psi[:, c].T, (A, 1))[:, :, None] * phi_c[:, None, :]
+            psi_phi += rows.T @ kernel.reshape(-1, d * d)
+            if values:
+                weighted = rows @ trajectory.thetas[t]  # sum_t pi_t theta_t
+                v_sum[c] += np.einsum("kd,kd->k", phi_c, weighted).reshape(A, -1).sum(axis=0)
+            if c.start <= mdp.x0 < c.stop:  # Phi_pi[x0], (B, d)
+                phi_x0 = probs[:, mdp.x0 - c.start].T @ mdp.phi_by_state[mdp.x0]
+        theta, rho_ts[t], psi_vs[t] = solve_flow(mdp, psi_phi.reshape(B, d, d), phi_x0)
+        theta_stars[t] = theta
+        for c in chunks if values else ():
+            phi_c = action_major_phi(mdp, c)
+            probs = action_major_softmax(phi_c, params[t])
+            q = phi_c.reshape(-1, d) @ theta.T  # (A * states of c, B)
+            q *= probs.reshape(-1, B)
+            v = q.reshape(A, -1, B).sum(axis=0)  # v^{pi_t} on c, (states of c, B)
+            lambda_v[:, c] += trajectory.lambdas[t].T @ v.T
+    return theta_stars, rho_ts, psi_vs, v_sum, lambda_v
 
 
 def relaxed_lp_feasibility(mdp, policy, lam: np.ndarray | None = None) -> dict:

@@ -22,7 +22,7 @@ from fogas.diagnostics import (
     v_of_theta_policy,
 )
 from fogas.oracle import evaluate_policy, solve_optimal
-from fogas.solver import FogasConfig, run_fogas
+from fogas.solver import FogasConfig, FogasTrajectory, run_fogas
 
 from conftest import (
     eval_f_hat,
@@ -32,6 +32,7 @@ from conftest import (
     looped_gap_terms,
     random_mdp,
     random_policy,
+    reference_score_iterates,
 )
 
 
@@ -414,3 +415,90 @@ class TestScoreIterates:
                 tracemalloc.stop()
         assert peaks[2000] <= 8e6
         assert (peaks[4000] - peaks[500]) / 3500 <= 640
+
+
+def recorded(mdp, T, n=64, seed=1):
+    """An auto-tuned T-iteration run of ``mdp`` on n uniform samples, recorded."""
+    ds = collect_dataset(mdp, fogas.uniform_policy(mdp.num_states, mdp.num_actions), n=n,
+                         sampling_mode="uniform", seed=seed)
+    return run_fogas(mdp, ds, FogasConfig(T=T, seed=seed, auto_tune=True,
+                                          record_trajectory=True))
+
+
+def middle_x0_mdp():
+    """The X=7, A=3, d=4 MDP of ``test_blocks_match_one_block``, x0 = 3."""
+    base = fogas.generate_linear_mdp(7, 3, 4, 0.9, 4)
+    return fogas.LinearMdp(num_states=7, num_actions=3, dim=4, phi=base.phi, psi=base.psi,
+                           omega=base.omega, gamma=0.9, x0=3)
+
+
+class TestScoreIteratesSpec:
+    """The kernel's scores against ``reference_score_iterates``, its numpy
+    specification, within 1e-12 of each array's scale, on both paths."""
+
+    @staticmethod
+    def assert_matches_reference(mdp, trajectory, alpha):
+        for values in (True, False):
+            got = score_iterates(mdp, trajectory, alpha, values=values)
+            want = reference_score_iterates(mdp, trajectory, alpha, values=values)
+            for g, w in zip(got, want, strict=True):
+                if w is None:
+                    assert g is None
+                    continue
+                assert g.shape == w.shape
+                assert np.abs(g - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
+
+    def test_one_state_action_and_feature(self):
+        mdp = fogas.generate_linear_mdp(1, 1, 1, 0.9, 0)
+        run = recorded(mdp, T=20)
+        self.assert_matches_reference(mdp, run.trajectory, run.config.alpha)
+
+    def test_x0_in_the_middle(self):
+        mdp = middle_x0_mdp()
+        run = recorded(mdp, T=11)
+        self.assert_matches_reference(mdp, run.trajectory, run.config.alpha)
+
+    @pytest.mark.parametrize("budget", [1, None])
+    def test_T_not_a_multiple_of_the_lane_block(self, budget, default_mdp, monkeypatch):
+        """T = 131 in blocks of 8 lanes (budget 1 byte) or of SCORE_LANES = 128:
+        the last block holds 3 iterates and padding."""
+        if budget is not None:
+            monkeypatch.setattr(fogas.diagnostics, "SAMPLE_CHUNK_BYTES", budget)
+        run = recorded(default_mdp, T=131)
+        self.assert_matches_reference(default_mdp, run.trajectory, run.config.alpha)
+
+    def test_logits_past_exp_range(self, recorded_run, default_mdp):
+        """alpha scaled so that logits reach 2000: exp of an unshifted logit
+        above ~709.8 overflows, so only the max-shift keeps the softmax finite."""
+        traj = recorded_run.trajectory
+        logits = np.abs(default_mdp.phi @ traj.theta_bars.T).max()
+        alpha = 2000.0 / logits
+        assert alpha * logits > 700
+        self.assert_matches_reference(default_mdp, traj, alpha)
+        assert np.all(np.isfinite(score_iterates(default_mdp, traj, alpha)[1]))
+
+    def test_singular_flow_system_raises(self):
+        """X = A = d = 1 with phi = 1, psi = 2 and gamma = 1/2: every policy's
+        I - gamma Psi Phi_pi is exactly 0."""
+        mdp = fogas.LinearMdp(num_states=1, num_actions=1, dim=1, phi=np.ones((1, 1)),
+                              psi=np.full((1, 1), 2.0), omega=np.ones(1), gamma=0.5, x0=0)
+        traj = FogasTrajectory(*[np.zeros((3, 1))] * 5, grad_sq_norms=np.zeros(3))
+        for values in (True, False):
+            with pytest.raises(np.linalg.LinAlgError, match="pi_1$"):
+                score_iterates(mdp, traj, 1.0, values=values)
+
+    @pytest.mark.parametrize("budget", [1, 3072, "24 lanes"])
+    def test_scores_independent_of_the_lane_block(self, budget, recorded_run, default_mdp,
+                                                  monkeypatch):
+        """theta^{pi_t}, rho(pi_t) and Psi v^{pi_t} of the T = 50 run are
+        bit-equal in blocks of 8 lanes (budgets 1 and 3072 bytes) or 24 lanes
+        as in one block of 56: each lane does its own iterate's arithmetic,
+        and the padded lanes send every iterate through the same vector exp."""
+        traj, alpha = recorded_run.trajectory, recorded_run.config.alpha
+        whole = score_iterates(default_mdp, traj, alpha)
+        if budget == "24 lanes":
+            budget = 24 * 8 * fogas._native._kernel().fogas_score_lane_floats(3, 4)
+        monkeypatch.setattr(fogas.diagnostics, "SAMPLE_CHUNK_BYTES", budget)
+        blocked = score_iterates(default_mdp, traj, alpha)
+        for got, want in zip(blocked[:3], whole[:3], strict=True):
+            np.testing.assert_array_equal(got, want)

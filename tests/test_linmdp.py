@@ -8,9 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fogas
-from fogas.linmdp import _stable_softmax_rows, action_major_phi, action_major_softmax
+from fogas.linmdp import _stable_softmax_rows
 
-from conftest import dense_kernel, random_mdp, read_archive, softmax_features
+from conftest import (
+    action_major_phi,
+    action_major_softmax,
+    dense_kernel,
+    random_mdp,
+    read_archive,
+    softmax_features,
+)
 
 
 class TestGenerator:
