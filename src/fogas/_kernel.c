@@ -1,7 +1,6 @@
 /* The compiled kernels of fogas: the FOGAS ascent loop of one run (all T
- * iterations in one call), the d x d flow solves of a block of policies, the
- * exact scores of a run's T iterate policies and the next-state search of
- * dataset collection.
+ * iterations in one call), the exact scores of a run's T iterate policies
+ * and the next-state search of dataset collection.
  *
  * fogas._native builds this file on first use with -O3 -fPIC -shared
  * -ffp-contract=off and loads it through ctypes. fogas.solver calls
@@ -9,16 +8,16 @@
  * of tests/conftest.py, one per step (the best response, mu-hat's features,
  * the lambda-gradient, the lambda step with g^T Lambda g), which
  * reference_ascend chains into the loop the tests compare this one against.
- * fogas.oracle.solve_flow calls fogas_solve_flow once per block of policies;
- * its specification is reference_solve_flow in tests/conftest.py, numpy's
- * LAPACK solve. fogas.diagnostics.score_iterates calls fogas_score_iterates
- * once per run; its specification is reference_score_iterates there, numpy
- * GEMMs and the same flow solves. Both solve their d x d systems with one
- * Gaussian elimination, eliminate. fogas.data calls fogas_next_states once
- * per dataset for the next states and, in occupancy sampling, once more for
- * the state-action pairs: with d = 1, features of ones and psi_cum the
- * occupancy's normalized CDF, x_next[i] counts the CDF entries <= u[i],
- * which is numpy's searchsorted(side="right") and so Generator.choice(p=...).
+ * fogas.diagnostics.score_iterates calls fogas_score_iterates once per run;
+ * its specification is reference_score_iterates there, numpy GEMMs and
+ * numpy's LAPACK solve. It solves a block of iterates' d x d flow systems
+ * by one lane-parallel Gaussian elimination, eliminate; a single tabular
+ * policy (fogas.oracle.evaluate_policy) is solved by numpy instead.
+ * fogas.data calls fogas_next_states once per dataset for the next states
+ * and, in occupancy sampling, once more for the state-action pairs: with
+ * d = 1, features of ones and psi_cum the occupancy's normalized CDF,
+ * x_next[i] counts the CDF entries <= u[i], which is numpy's
+ * searchsorted(side="right") and so Generator.choice(p=...).
  *
  * Layout of the loop: the sites (x0, then the run's observed next states)
  * are innermost. phi is (A, d, m) and W = gamma C is (d, m) with a zero
@@ -202,7 +201,6 @@ i64 fogas_ascend(i64 T, i64 A, i64 d, i64 m, const double *phi, const double *W,
     return 0;
 }
 
-
 /* x[:, l] = (I - gamma P_l)^{-1} x[:, l] for each lane l < L, P_l the (d, d)
  * matrix P[(i * d + j) * L + l] and x (d, L), by Gaussian elimination with
  * partial pivoting. The lanes run in step: each lane's pivot search, row swap
@@ -271,29 +269,6 @@ eliminate(i64 d, i64 L, const double *P, double gamma, double *x, double *M, dou
         for (i64 l = 0; l < L; l++)
             x[k * L + l] /= M[(k * d + k) * L + l];
     }
-}
-
-/* For each b < B, with P_b the row-major (d, d) block b of P: theta_b =
- * (I - gamma P_b)^{-1} rhs_b by eliminate, psi_v_b = P_b theta_b and rho_b =
- * (1 - gamma) <start_b, theta_b>. out holds B rows (theta_b, psi_v_b, rho_b)
- * of 2d + 1 floats, then d * d floats of scratch. Returns 0, or 1 + the
- * first b whose I - gamma P_b is singular. */
-i64 fogas_solve_flow(i64 B, i64 d, const double *P, double gamma, const double *rhs,
-                     const double *start, double *out)
-{
-    double *M = out + B * (2 * d + 1), best, piv, f, singular;
-    for (i64 b = 0; b < B; b++) {
-        const double *Pb = P + b * d * d;
-        double *x = out + b * (2 * d + 1);
-        memcpy(x, rhs + b * d, d * sizeof *x);
-        eliminate(d, 1, Pb, gamma, x, M, &best, &piv, &f, &singular);
-        if (singular)
-            return b + 1;
-        for (i64 i = 0; i < d; i++)
-            x[d + i] = dot(Pb + i * d, x, d);
-        x[2 * d] = (1.0 - gamma) * dot(start + b * d, x, d);
-    }
-    return 0;
 }
 
 /* The scorer's lanes are padded to a multiple of SCORE_PAD, so every exp runs

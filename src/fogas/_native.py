@@ -1,6 +1,6 @@
-"""The compiled kernels of ``_kernel.c`` (the ascent loop, the d x d flow
-solves, the iterate scorer and the next-state search), built on first use,
-never at import, and loaded once per process."""
+"""The compiled kernels of ``_kernel.c`` (the ascent loop, the iterate
+scorer with its lane-parallel d x d flow solves, and the next-state search),
+built on first use, never at import, and loaded once per process."""
 
 import ctypes
 import os
@@ -55,9 +55,8 @@ def _build_kernel(source: bytes, path: Path) -> None:
 
 def _kernel() -> ctypes.CDLL:
     """The library, with the signatures of its entries (``fogas_ascend``,
-    ``fogas_solve_flow``, ``fogas_score_iterates`` with
-    ``fogas_score_lane_floats``, and ``fogas_next_states``) set, kept for the
-    process.
+    ``fogas_score_iterates`` with ``fogas_score_lane_floats``, and
+    ``fogas_next_states``) set, kept for the process.
 
     The build goes to the package's ``__pycache__``, named by ``_kernel_path``;
     a process that finds it there starts no compiler. Where that directory
@@ -80,8 +79,6 @@ def _kernel() -> ctypes.CDLL:
         i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
         lib.fogas_ascend.argtypes = [i64] * 4 + [ptr] * 4 + [f64] * 6 + [i64] * 2 + [ptr] * 4
         lib.fogas_ascend.restype = i64
-        lib.fogas_solve_flow.argtypes = [i64, i64, ptr, f64] + [ptr] * 3
-        lib.fogas_solve_flow.restype = i64
         lib.fogas_score_iterates.argtypes = [i64] * 5 + [ptr] * 3 + [f64, i64] + [ptr] * 7
         lib.fogas_score_iterates.restype = i64
         lib.fogas_score_lane_floats.argtypes = [i64] * 2

@@ -56,14 +56,16 @@ def score_iterates(
     the iterates in blocks of lanes (see ``SCORE_PAD``), whose scratch stays
     within about ``SAMPLE_CHUNK_BYTES``. Per block and state it forms each
     iterate's softmax and Phi_pi(x), and adds psi(x) Phi_pi(x)^T to its
-    Psi Phi_pi; the elimination of ``oracle.solve_flow`` then gives each
-    iterate's scores. Its specification is ``reference_score_iterates`` in
-    ``tests/conftest.py``. Returns theta^{pi_t} (T, d), rho(pi_t) (T,),
-    Psi v^{pi_t} (T, d), sum_t v_{theta_t, pi_t} (X,) and
-    sum_t lambda_t (v^{pi_t})^T (d, X). With ``values=False`` the last two are
-    None, and neither they nor the kernel's second pass over the states are
-    made; the first three do not change. An exactly singular
-    I - gamma Psi Phi_pi raises ``np.linalg.LinAlgError``.
+    Psi Phi_pi; one Gaussian elimination over all lanes of the block then
+    solves each iterate's flow system (one tabular policy is solved by numpy
+    in ``oracle.evaluate_policy`` instead). Its specification is
+    ``reference_score_iterates`` in ``tests/conftest.py``. Returns
+    theta^{pi_t} (T, d), rho(pi_t) (T,), Psi v^{pi_t} (T, d),
+    sum_t v_{theta_t, pi_t} (X,) and sum_t lambda_t (v^{pi_t})^T (d, X).
+    With ``values=False`` the last two are None, and neither they nor the
+    kernel's second pass over the states are made; the first three do not
+    change. An exactly singular I - gamma Psi Phi_pi raises
+    ``np.linalg.LinAlgError``.
     """
     X, A, d = mdp.num_states, mdp.num_actions, mdp.dim
     T = len(trajectory.thetas)

@@ -110,8 +110,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        with open(path) as f:
-            doc = json.load(f)
+        try:
+            with open(path, encoding="utf-8") as f:
+                doc = json.load(f)
+        except ValueError as e:  # a JSON or UTF-8 decoding error
+            raise ValueError(f"{path}: not a JSON file: {e}") from e
         if not isinstance(doc, dict):
             raise ValueError(f"a sweep config must be a JSON object, got {type(doc).__name__}")
         unknown = set(doc) - {f.name for f in fields(cls)}

@@ -10,11 +10,11 @@ The FOGAS step is stated here once, in numpy, one function per step:
 the specification of the compiled loop in ``fogas/_kernel.c``: the tests
 compare its recorded steps against them.
 
-The flow solve of ``fogas_solve_flow``, which ``fogas.oracle.solve_flow``
-calls, is stated here too: ``reference_solve_flow``, numpy's LAPACK solve.
-So is the iterate scorer ``fogas_score_iterates``, which
-``fogas.diagnostics.score_iterates`` calls: ``reference_score_iterates``,
-numpy GEMMs over action-major feature tables."""
+The iterate scorer ``fogas_score_iterates``, which
+``fogas.diagnostics.score_iterates`` calls, is stated here too:
+``reference_score_iterates``, numpy GEMMs over action-major feature tables
+and, for the flow systems the kernel solves by its own elimination,
+``reference_solve_flow``, numpy's LAPACK solve. It runs no kernel code."""
 
 import warnings
 from dataclasses import fields
@@ -26,7 +26,7 @@ import fogas
 from fogas.data import estimate_psi
 from fogas.diagnostics import eval_f, v_of_theta_policy
 from fogas.linmdp import SAMPLE_CHUNK_BYTES, _stable_softmax_rows, softmax_from_logit_param
-from fogas.oracle import evaluate_policy, solve_flow
+from fogas.oracle import evaluate_policy
 from fogas.solver import BEST_RESPONSE_TIE_TOL, FogasRun, FogasTrajectory
 
 # Auto-tuned short runs deliberately sit below the theoretical minimum
@@ -135,10 +135,10 @@ def dense_evaluate_policy(mdp, probs):
 
 
 def reference_solve_flow(operators, phi_x0, gamma, rhs):
-    """Reference for ``oracle.solve_flow``: per b, theta_b = (I - gamma P_b)^{-1}
-    rhs_b by ``np.linalg.solve``, rho_b = (1-gamma) <phi_x0_b, theta_b> and
-    P_b theta_b, for operators (B, d, d), phi_x0 (B, d) and rhs (B, d), or
-    (d,) for one right-hand side in every row."""
+    """The flow solves of ``reference_score_iterates``: per b, theta_b =
+    (I - gamma P_b)^{-1} rhs_b by ``np.linalg.solve``, rho_b = (1-gamma)
+    <phi_x0_b, theta_b> and P_b theta_b, for operators (B, d, d), phi_x0
+    (B, d) and rhs (B, d), or (d,) for one right-hand side in every row."""
     d = operators.shape[-1]
     theta = np.linalg.solve(np.eye(d) - gamma * operators, np.broadcast_to(
         rhs, phi_x0.shape)[..., None])[..., 0]
@@ -178,8 +178,8 @@ def reference_score_iterates(mdp, trajectory, alpha, values=True, budget=SAMPLE_
     about ``budget`` bytes of scratch.
 
     Per block and chunk, one GEMM forms the logits and one GEMM against
-    K[(a,x)] = psi(x) phi(x,a)^T adds to Psi Phi_pi; one ``solve_flow`` call
-    per block gives theta^{pi_t}, rho(pi_t) and Psi v^{pi_t}, and a second
+    K[(a,x)] = psi(x) phi(x,a)^T adds to Psi Phi_pi; one
+    ``reference_solve_flow`` call per block gives theta^{pi_t}, rho(pi_t) and Psi v^{pi_t}, and a second
     pass over the chunks reads v^{pi_t}.
     """
     X, A, d = mdp.num_states, mdp.num_actions, mdp.dim
@@ -206,7 +206,8 @@ def reference_score_iterates(mdp, trajectory, alpha, values=True, budget=SAMPLE_
                 v_sum[c] += np.einsum("kd,kd->k", phi_c, weighted).reshape(A, -1).sum(axis=0)
             if c.start <= mdp.x0 < c.stop:  # Phi_pi[x0], (B, d)
                 phi_x0 = probs[:, mdp.x0 - c.start].T @ mdp.phi_by_state[mdp.x0]
-        theta, rho_ts[t], psi_vs[t] = solve_flow(mdp, psi_phi.reshape(B, d, d), phi_x0)
+        theta, rho_ts[t], psi_vs[t] = reference_solve_flow(
+            psi_phi.reshape(B, d, d), phi_x0, mdp.gamma, mdp.omega)
         theta_stars[t] = theta
         for c in chunks if values else ():
             phi_c = action_major_phi(mdp, c)

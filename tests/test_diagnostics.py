@@ -432,6 +432,29 @@ def middle_x0_mdp():
                            omega=base.omega, gamma=0.9, x0=3)
 
 
+def random_trajectory(rng, T, d, theta_bars=None):
+    """A trajectory of T iterates with random theta_t and lambda_t; with
+    alpha = 1, pi_1 is uniform and pi_{t+1} the softmax of <phi(x, a),
+    theta_bars[t - 1]> (random by default)."""
+    rows = rng.standard_normal((5, T, d))
+    if theta_bars is not None:
+        rows[2] = theta_bars
+    return FogasTrajectory(*rows, rng.standard_normal(T))
+
+
+def gated_mdp(psi, gamma, omega=None):
+    """X = d states and A = 2 actions, phi(x, 0) = e_x and phi(x, 1) = 0, x0 = 0.
+    The policy of parameter p has Phi_pi = diag(sigmoid(p)), so each iterate
+    has its own Psi Phi_pi = psi diag(sigmoid(p)); p = 0 gives sigmoid 1/2
+    exactly, and p = 50 gives 1 exactly (exp(-50) is below 1's last bit)."""
+    d = len(psi)
+    phi = np.zeros((d, 2, d))
+    phi[np.arange(d), 0, np.arange(d)] = 1.0
+    return fogas.LinearMdp(num_states=d, num_actions=2, dim=d, phi=phi.reshape(2 * d, d),
+                           psi=psi, omega=np.ones(d) if omega is None else omega,
+                           gamma=gamma, x0=0)
+
+
 class TestScoreIteratesSpec:
     """The kernel's scores against ``reference_score_iterates``, its numpy
     specification, within 1e-12 of each array's scale, on both paths."""
@@ -447,6 +470,51 @@ class TestScoreIteratesSpec:
                     continue
                 assert g.shape == w.shape
                 assert np.abs(g - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
+
+    @pytest.mark.parametrize("X, A, d, T", [
+        (4, 2, 1, 1), (4, 2, 1, 6), (5, 3, 4, 1), (5, 3, 4, 40), (12, 3, 8, 25),
+        (30, 4, 8, 3),
+    ])
+    def test_policy_operators_match_reference(self, X, A, d, T):
+        """Generated MDPs and T random softmax iterates, T = 1 and d = 1 included."""
+        rng = np.random.default_rng(X * 100 + d * 10 + T)
+        for seed in range(3):
+            mdp = fogas.generate_linear_mdp(X, A, d, gamma=0.9, seed=seed)
+            self.assert_matches_reference(mdp, random_trajectory(rng, T, d), 1.0)
+
+    def test_general_matrices_match_reference(self):
+        """psi = (I - M0) / gamma with M0 standard normal, so a lane's
+        M = I - gamma psi diag(sigmoid(p)) is not diagonally dominant: its
+        pivots move, and lanes of one block pick different rows (in the
+        first column, at four or more of the seven d > 1)."""
+        rng = np.random.default_rng(0)
+        gamma, T = 0.9, 50
+        first_pivots = []  # per d, the rows the lanes' first pivots are in
+        for d in range(1, 9):
+            mdp = gated_mdp((np.eye(d) - rng.standard_normal((d, d))) / gamma, gamma,
+                            rng.standard_normal(d))
+            traj = random_trajectory(rng, T, d, 3.0 * rng.standard_normal((T, d)))
+            self.assert_matches_reference(mdp, traj, 1.0)
+            sigmoid = 1.0 / (1.0 + np.exp(-iterate_params(traj, 1.0)))  # (T, d)
+            M = np.eye(d) - gamma * mdp.psi * sigmoid[:, None, :]
+            first_pivots.append(set(np.abs(M[:, :, 0]).argmax(axis=1)))
+        assert sum(len(rows) > 1 for rows in first_pivots) >= 4
+
+    def test_zero_first_pivot_swaps_rows(self):
+        """gamma = 1/2, psi = [[4, -4], [-4, 4]] and p = 0 give M = [[0, 1],
+        [1, 0]] exactly in pi_1's lane: its first pivot is in row 1. The
+        other lanes' p_0 within 1e-8 of 0 leave a first pivot M_00 = 1 -
+        2 sigmoid(p_0) of at most 1e-8, which only a row swap keeps from
+        costing them their match with the reference."""
+        rng = np.random.default_rng(1)
+        mdp = gated_mdp(np.array([[4.0, -4.0], [-4.0, 4.0]]), 0.5, np.array([3.0, 5.0]))
+        theta_bars = np.column_stack([rng.uniform(-1e-8, 1e-8, 9), rng.standard_normal(9)])
+        traj = random_trajectory(rng, 9, 2, theta_bars)
+        theta, rho, psi_v, _, _ = score_iterates(mdp, traj, 1.0)
+        assert np.array_equal(theta[0], [5.0, 3.0])
+        assert rho[0] == 1.25  # (1 - gamma) <Phi_pi(x0), theta> = 1/2 * 1/2 * 5
+        assert np.array_equal(psi_v[0], [4.0, -4.0])
+        self.assert_matches_reference(mdp, traj, 1.0)
 
     def test_one_state_action_and_feature(self):
         mdp = fogas.generate_linear_mdp(1, 1, 1, 0.9, 0)
@@ -486,6 +554,21 @@ class TestScoreIteratesSpec:
         for values in (True, False):
             with pytest.raises(np.linalg.LinAlgError, match="pi_1$"):
                 score_iterates(mdp, traj, 1.0, values=values)
+
+    def test_singular_lane_is_named(self):
+        """psi = 2 and gamma = 1/2 in the gated form: M = 1 - sigmoid(p) is
+        exactly 0 where p = 50, here in the lanes of pi_5 and pi_7 among
+        regular ones. The error names pi_5, and the reference raises too."""
+        rng = np.random.default_rng(2)
+        mdp = gated_mdp(np.full((1, 1), 2.0), 0.5)
+        theta_bars = rng.uniform(-3.0, 3.0, (9, 1))
+        theta_bars[[3, 5]] = 50.0
+        traj = random_trajectory(rng, 9, 1, theta_bars)
+        for values in (True, False):
+            with pytest.raises(np.linalg.LinAlgError, match="pi_5$"):
+                score_iterates(mdp, traj, 1.0, values=values)
+            with pytest.raises(np.linalg.LinAlgError):
+                reference_score_iterates(mdp, traj, 1.0, values=values)
 
     @pytest.mark.parametrize("budget", [1, 3072, "24 lanes"])
     def test_scores_independent_of_the_lane_block(self, budget, recorded_run, default_mdp,

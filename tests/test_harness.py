@@ -728,6 +728,17 @@ class TestCli:
             assert capsys.readouterr().err == message + "\n"
             assert not out.exists()
 
+    def test_sweep_non_json_config_names_its_file(self, tmp_path, capsys):
+        """An empty or non-UTF-8 config is refused with exit 2, its path and
+        the decoder's reason."""
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "results.csv"
+        for content, reason in ((b"", "Expecting value: line 1 column 1 (char 0)"),
+                                (b"\xff{}", "'utf-8' codec can't decode byte 0xff")):
+            cfg_path.write_bytes(content)
+            assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(f"{cfg_path}: not a JSON file: {reason}")
+            assert not out.exists()
+
     def test_sweep_reports_failed_cells(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
