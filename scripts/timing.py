@@ -217,6 +217,7 @@ SUITES = {
     "loop": (loop_side, None, {
         "S4_X5_A3_d4": dict(seeds=4, states=5, actions=3, dim=4, n=16384, T=2000),
         "S1_X100_A4_d8": dict(seeds=1, states=100, actions=4, dim=8, n=50000, T=2000),
+        "S1_X1000_A4_d8": dict(seeds=1, states=1000, actions=4, dim=8, n=20000, T=2000),
         "S1_X10000_A4_d8": dict(seeds=1, states=10000, actions=4, dim=8, n=20000, T=200),
     }),
     "io": (io_side, equal_datasets, {

@@ -22,9 +22,12 @@
  * Layout of the loop: the sites (x0, then the run's observed next states)
  * are innermost. phi is (A, d, m) and W = gamma C is (d, m) with a zero
  * column at x0, so every per-site loop runs over m contiguous floats without
- * reassociating a sum, and -O3 vectorizes it without -ffast-math. The two
- * m-long reductions keep 8 fixed partial sums, so every call sums in the
- * same order.
+ * reassociating a sum, and -O3 vectorizes it without -ffast-math. The
+ * caller pads the sites with zero columns to a multiple of VECTOR_PAD (phi = 0
+ * and W = 0 there), so the site loops have no remainders. A padded site's
+ * logits are 0, so its softmax is finite and its F_pi column exactly 0; it
+ * adds only +-0 to the two m-long reductions, which keep 8 fixed partial
+ * sums, each adding the real sites in the same order at any padding.
  *
  * No d x d occupancy operator is formed: with F_pi (d, m), row j holding
  * sum_a pi(a|x_i) phi_j(x_i, a), mu-hat's features are F_pi (W^T lambda)
@@ -34,11 +37,11 @@
  * Layout of the scorer: the iterates are innermost, L lanes to a block. Per
  * state, each lane's logits, softmax, Phi_pi(x) and psi(x) Phi_pi(x)^T run
  * over L contiguous floats, and so does the elimination, every lane's pivot
- * a select. Its two passes over the states are built for AVX-512F, AVX2 and
- * the baseline (target_clones on x86-64 glibc, picked at load time), and no
- * clone fuses a multiply-add (-ffp-contract=off). The ascent loop stays
- * uncloned: at the sweep shapes its m is about 6 sites, and a wider build of
- * it measured slower there.
+ * a select.
+ *
+ * The loop and the scorer's two passes over the states are built for
+ * AVX-512F, AVX2 and the baseline (target_clones on x86-64 glibc, picked at
+ * load time), and no clone fuses a multiply-add (-ffp-contract=off).
  */
 #include <math.h>
 #include <stdint.h>
@@ -51,7 +54,23 @@ double exp(double) __attribute__((simd("notinbranch")));
 
 typedef int64_t i64;
 
-/* Inlined, so each caller's build (a scorer clone too) runs its own copy. */
+/* The loop's sites and the scorer's lanes are padded to a multiple of
+ * VECTOR_PAD, a full vector of the widest clone (8 doubles), so their loops
+ * run whole vectors. Each site or lane does its own arithmetic in a fixed
+ * order, and -ffp-contract=off keeps every clone from fusing a multiply-add,
+ * so it rounds as the default build does (but for the last bits of exp, which
+ * each instruction set's libmvec computes). Everything a clone calls but exp
+ * is inlined into it (always_inline): a 4 x 4 solve in baseline code, called
+ * from the AVX-512 clone, measured about 3x slower than in a baseline build,
+ * from mixing SSE and AVX code. */
+#define VECTOR_PAD 8
+#if defined(__x86_64__) && defined(__GLIBC__)
+#define CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#else
+#define CLONES
+#endif
+
+/* Inlined, so each clone of a caller runs its own copy. */
 static inline __attribute__((always_inline)) double dot(const double *x, const double *y, i64 m)
 {
     double acc[8] = {0.0};
@@ -64,7 +83,7 @@ static inline __attribute__((always_inline)) double dot(const double *x, const d
     return ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
 }
 
-static int all_finite(const double *x, i64 d)
+static inline __attribute__((always_inline)) int all_finite(const double *x, i64 d)
 {
     for (i64 j = 0; j < d; j++)
         if (!isfinite(x[j]))
@@ -72,8 +91,10 @@ static int all_finite(const double *x, i64 d)
     return 1;
 }
 
-/* Runs iterations 1..T from lambda_1 = theta_bar_0 = 0. The softmax skips its
- * max-shift in iterations 1..shift_free. work holds (A + d + 2) m floats.
+/* Runs iterations 1..T from lambda_1 = theta_bar_0 = 0 over m sites, m a
+ * multiple of VECTOR_PAD (x0 first, then the observed next states, then zero
+ * columns of phi and W). The softmax skips its max-shift in iterations
+ * 1..shift_free. work holds (A + d + 2) m floats.
  * out receives lambda_{T+1}, theta_bar_T and alpha theta_bar_{J-1}, d each.
  * With a table, its row t (5d + 1 floats) receives lambda_{t+1}, theta_bar_t,
  * theta_t, mu-hat's features and g_t, d each, then g_t^T Lambda g_t.
@@ -81,6 +102,7 @@ static int all_finite(const double *x, i64 d)
  * Returns 0, or the iteration t whose lambda_{t+1} or theta_bar_t left the
  * finite numbers; finite[0..2] then say whether lambda_{t+1}, theta_bar_t
  * and g_t are finite. */
+CLONES
 i64 fogas_ascend(i64 T, i64 A, i64 d, i64 m, const double *phi, const double *W,
                  const double *omega, const double *lambda_mat, double x0_weight,
                  double alpha, double eta, double contraction, double d_theta,
@@ -89,6 +111,7 @@ i64 fogas_ascend(i64 T, i64 A, i64 d, i64 m, const double *phi, const double *W,
 {
     double *L = work, *F = L + A * m, *u = F + d * m, *s = u + m;
     double lam[d], theta_bar[d], scaled[d], phimu[d], theta[d], g[d], lg[d];
+    m &= -VECTOR_PAD;  /* a no-op that lets the site loops drop their remainders */
     memset(lam, 0, sizeof lam);
     memset(theta_bar, 0, sizeof theta_bar);
 
@@ -271,24 +294,10 @@ eliminate(i64 d, i64 L, const double *P, double gamma, double *x, double *M, dou
     }
 }
 
-/* The scorer's lanes are padded to a multiple of SCORE_PAD, so every exp runs
- * in a full vector of the widest clone (8 doubles) and no iterate's scores
- * depend on how T splits into blocks. Its two passes are built per
- * instruction set, picked at load time; each lane does its own iterate's
- * arithmetic in a fixed order, and -ffp-contract=off keeps every clone from
- * fusing a multiply-add, so a lane rounds as the default build does (but for
- * the last bits of exp, which each instruction set's libmvec computes).
- * Everything the passes call but exp is inlined into them (always_inline):
- * a 4 x 4 solve in baseline code, called from the AVX-512 clone, measured
- * about 3x slower than in a baseline build, from mixing SSE and AVX code. */
-#define SCORE_PAD 8
-/* The states that flow_block's pass takes at a time. */
+/* The states that flow_block's pass takes at a time. (Its lanes are a multiple
+ * of VECTOR_PAD, so every exp runs in a full vector and no iterate's scores
+ * depend on how T splits into blocks.) */
 #define SCORE_GROUP 4
-#if defined(__x86_64__) && defined(__GLIBC__)
-#define SCORE_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
-#else
-#define SCORE_CLONES
-#endif
 
 /* F[j][l] = sum_a pi_l(a|x) phi_j(x, a) at one state x, for the L lanes of
  * par (d, L), pi_l the softmax of <phi(x, a), par[:, l]>, shifted by its
@@ -312,9 +321,9 @@ policy_features(i64 A, i64 d, i64 L, const double *phx, const double *par, doubl
     for (i64 a = 0; a < A; a++)
         for (i64 l = 0; l < L; l++)
             e[a * L + l] -= s[l];
-    for (i64 i = 0; i < A * L; i += SCORE_PAD) {
+    for (i64 i = 0; i < A * L; i += VECTOR_PAD) {
 #pragma omp simd
-        for (int k = 0; k < SCORE_PAD; k++)
+        for (int k = 0; k < VECTOR_PAD; k++)
             e[i + k] = exp(e[i + k]);
     }
     memcpy(s, e, L * sizeof *s);
@@ -414,14 +423,14 @@ accumulate(i64 G, i64 d, i64 L, const double *psg, const double *restrict F,
  * by eliminate, and rows l < B of out (theta^{pi_t}, Psi v^{pi_t},
  * rho(pi_t)). Returns 0, or 1 + the first lane l < B whose
  * I - gamma Psi Phi_pi is singular. */
-SCORE_CLONES
+CLONES
 static i64 flow_block(i64 X, i64 A, i64 d, i64 L, i64 B, const double *phi, const double *psi,
                       const double *omega, double gamma, i64 x0, const struct lanes *w,
                       double *out, double *v_sum)
 {
     double *th = w->th, *F = w->F, *f0 = w->f0, *acc = w->acc, *vs = w->vs;
     double psg[SCORE_GROUP * d];
-    L &= -SCORE_PAD;  /* a no-op that lets the lane loops drop their remainders */
+    L &= -VECTOR_PAD;  /* a no-op that lets the lane loops drop their remainders */
 
     memset(acc, 0, d * d * L * sizeof *acc);
     for (i64 x = 0; x < X; x += SCORE_GROUP) {
@@ -467,11 +476,11 @@ static i64 flow_block(i64 X, i64 A, i64 d, i64 L, i64 B, const double *phi, cons
 /* The second pass of a block, once w->th holds its theta^{pi_t}:
  * lambda_v[:, x] (d, X) gets sum_{l < B} lambda_l v^{pi_l}(x), with
  * v^{pi_l}(x) = <Phi_pi(x), theta^{pi_l}>. */
-SCORE_CLONES
+CLONES
 static void value_block(i64 X, i64 A, i64 d, i64 L, i64 B, const double *phi,
                         const struct lanes *w, double *lambda_v)
 {
-    L &= -SCORE_PAD;
+    L &= -VECTOR_PAD;
     for (i64 x = 0; x < X; x++) {
         policy_features(A, d, L, phi + x * A * d, w->par, w->e, w->s, w->F);
         lane_dots(d, L, w->F, w->th, w->vs);
@@ -482,7 +491,7 @@ static void value_block(i64 X, i64 A, i64 d, i64 L, i64 B, const double *phi,
 
 /* The exact scores of T softmax policies, pi_t the softmax of <phi(x, a),
  * params[t]> with params (T, d), in blocks of L lanes (a multiple of
- * SCORE_PAD), the iterate innermost. phi is (X * A, d) state-major and psi
+ * VECTOR_PAD), the iterate innermost. phi is (X * A, d) state-major and psi
  * (d, X), both row-major. Row t of out (T, 2d + 1) receives theta^{pi_t},
  * Psi v^{pi_t} and rho(pi_t), from the flow system of Psi Phi_pi with rhs
  * omega and start Phi_pi(x0).
@@ -491,7 +500,7 @@ static void value_block(i64 X, i64 A, i64 d, i64 L, i64 B, const double *phi,
  * pi_t} and lambda_v (d, X) sum_t lambda_t (v^{pi_t})^T, the latter in a
  * second pass over the states once a block's theta^{pi_t} are known. Without
  * them (NULL) neither is touched. work holds L fogas_score_lane_floats(A, d)
- * + SCORE_PAD floats (struct lanes).
+ * + VECTOR_PAD floats (struct lanes).
  *
  * Returns 0, or 1 + the first t whose I - gamma Psi Phi_pi is singular. */
 i64 fogas_score_iterates(i64 T, i64 X, i64 A, i64 d, i64 L, const double *phi,

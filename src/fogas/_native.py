@@ -11,10 +11,14 @@ _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 _COMPILER = "cc"
 # Plain -O3: -ffast-math would let the compiler drop the loop's isfinite test
 # and reorder its sums, and -march=native would tie a cached build to one CPU.
-# The scorer's clones (target_clones in _kernel.c) pick their instruction set
-# at load time instead; -ffp-contract=off keeps every clone from fusing a
-# multiply-add, so each rounds every product and sum as the default build does.
+# The loop and the scorer are built per instruction set instead (target_clones
+# in _kernel.c), picked at load time; -ffp-contract=off keeps every clone from
+# fusing a multiply-add, so each rounds every product and sum as the default
+# build does.
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-fopenmp-simd", "-ffp-contract=off")
+# VECTOR_PAD of _kernel.c: the loop's sites and the scorer's lanes come in
+# multiples of it, a full vector of the widest build (8 doubles).
+VECTOR_PAD = 8
 _kernel_handle = None  # the loaded library
 
 

@@ -23,10 +23,8 @@ from .solver import FogasRun, FogasTrajectory
 
 DECOMPOSITION_TOL = 1e-8
 IDENTITY_TOL = 1e-8
-# The scorer's lane blocks are multiples of SCORE_PAD (as in _kernel.c), so
-# every exp runs in a full vector of the widest build, and at most
+# The scorer's lane blocks are multiples of _native.VECTOR_PAD, and at most
 # SCORE_LANES long: a block's scratch then stays within a core's L2 cache.
-SCORE_PAD = 8
 SCORE_LANES = 128
 
 
@@ -53,7 +51,7 @@ def score_iterates(
     """Exact evaluation of every iterate policy, reduced over the states.
 
     One call of the C kernel ``fogas_score_iterates`` (``_kernel.c``) walks
-    the iterates in blocks of lanes (see ``SCORE_PAD``), whose scratch stays
+    the iterates in blocks of lanes (see ``SCORE_LANES``), whose scratch stays
     within about ``SAMPLE_CHUNK_BYTES``. Per block and state it forms each
     iterate's softmax and Phi_pi(x), and adds psi(x) Phi_pi(x)^T to its
     Psi Phi_pi; one Gaussian elimination over all lanes of the block then
@@ -71,11 +69,12 @@ def score_iterates(
     T = len(trajectory.thetas)
     kernel = _native._kernel()
     lane_floats = kernel.fogas_score_lane_floats(A, d)
-    lanes = SCORE_PAD * max(1, min(-(-T // SCORE_PAD), SCORE_LANES // SCORE_PAD,
-                                   SAMPLE_CHUNK_BYTES // (8 * SCORE_PAD * lane_floats)))
+    pad = _native.VECTOR_PAD
+    lanes = pad * max(1, min(-(-T // pad), SCORE_LANES // pad,
+                             SAMPLE_CHUNK_BYTES // (8 * pad * lane_floats)))
     params = np.vstack([np.zeros(d), alpha * trajectory.theta_bars[:-1]])  # pi_1 uniform
     out = np.empty((T, 2 * d + 1))  # rows (theta^{pi_t}, Psi v^{pi_t}, rho(pi_t))
-    work = np.empty(lanes * lane_floats + SCORE_PAD)
+    work = np.empty(lanes * lane_floats + pad)
     v_sum = lambda_v = None
     value_args = [None] * 4  # thetas, lambdas, v_sum and lambda_v, or NULL
     if values:

@@ -240,16 +240,20 @@ def _ascend(mdp: LinearMdp, cfg: FogasConfig, psi_hat: PsiHat, chosen: int,
             out: np.ndarray, finite, table: np.ndarray | None) -> int:
     """The run's one kernel call; returns the iteration that failed, or 0.
 
-    The m = 1+k sites are x0 and the observed next states. Their features are
+    The 1+k sites are x0 and the observed next states, padded with zero
+    columns to m, a multiple of ``_native.VECTOR_PAD``. Their features are
     gathered straight into the kernel's (A, d, m) layout, and the estimator
-    columns into W = gamma C, (d, m), zero at x0.
+    columns into W = gamma C, (d, m), zero at x0 and in the padding.
     """
     A, d = mdp.num_actions, mdp.dim
-    sites = np.concatenate(([mdp.x0], psi_hat.observed_states))
-    m = len(sites)
+    k = len(psi_hat.observed_states)
+    m = -(-(1 + k) // _native.VECTOR_PAD) * _native.VECTOR_PAD
+    sites = np.full(m, mdp.x0)
+    sites[1:1 + k] = psi_hat.observed_states
     phi_sites = mdp.phi[(A * sites + np.arange(A)[:, None])[:, None], np.arange(d)[:, None]]
+    phi_sites[:, :, 1 + k:] = 0.0
     weights = np.zeros((d, m))
-    np.multiply(psi_hat.columns, mdp.gamma, out=weights[:, 1:])
+    np.multiply(psi_hat.columns, mdp.gamma, out=weights[:, 1:1 + k])
     work = np.empty((A + d + 2) * m)
     omega, lambda_mat = (np.ascontiguousarray(a, dtype=np.float64)
                          for a in (mdp.omega, psi_hat.covariance.lambda_mat))

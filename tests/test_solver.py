@@ -361,10 +361,11 @@ class TestRunFogas:
 
 class TestLoopMemory:
     def test_peak_is_bounded(self):
-        """At X=1e4 (k=8386 observed next states) the loop holds one (A, d, 1+k)
-        copy of the site features, 2.1 MB, W = gamma C, 0.5 MB, and the
-        kernel's (A + d + 2)(1+k) work floats, 0.9 MB; the estimator and its
-        groups take about 2 MB."""
+        """At X=1e4 (k=8386 observed next states, so m = 8392: the 1+k sites
+        padded to a multiple of 8) the loop holds one (A, d, m) copy of the
+        site features, 2.1 MB, W = gamma C, (d, m), 0.5 MB, and the kernel's
+        (A + d + 2) m work floats, 0.9 MB; the estimator and its groups take
+        about 2 MB."""
         mdp = fogas.generate_linear_mdp(10_000, 4, 8, gamma=0.9, seed=0)
         ds = collect_dataset(mdp, fogas.uniform_policy(10_000, 4), n=20_000,
                              sampling_mode="uniform", seed=0)
@@ -510,6 +511,12 @@ def uniform_datasets(mdp, n, seeds):
             for s in seeds]
 
 
+def pad_boundary_case(num_states):
+    """An (X, 3, 4) MDP and 4096 uniform samples, enough to observe every state."""
+    mdp = fogas.generate_linear_mdp(num_states, 3, 4, 0.9, 0)
+    return mdp, uniform_datasets(mdp, 4096, [0])[0]
+
+
 def reference_error(error_type, mdp, dataset, config):
     with pytest.raises(error_type) as error:
         reference_ascend(mdp, dataset, config)
@@ -568,6 +575,28 @@ class TestReferenceLoop:
         for s in (0, 2):
             assert_runs_close(run_fogas(default_mdp, datasets[s], configs[s]),
                               reference_ascend(default_mdp, datasets[s], configs[s]))
+
+    @pytest.mark.parametrize("num_states", [6, 7, 8, 15, 16])
+    def test_matches_reference_at_pad_boundaries(self, num_states):
+        """With every state observed, the m = 1 + X sites fall just below, on
+        and just above a multiple of the kernel's pad (8): the zero columns
+        the loop is padded with change no recorded value."""
+        mdp, ds = pad_boundary_case(num_states)
+        assert len(np.unique(ds.x_nexts)) == num_states  # m = 1 + X
+        cfg = FogasConfig(T=40, seed=0, auto_tune=True, record_trajectory=True)
+        run = run_fogas(mdp, ds, cfg)
+        assert_runs_close(run, reference_ascend(mdp, ds, cfg, follow=run.trajectory))
+
+    def test_nonfinite_padded_run_matches_reference(self):
+        """At m = 9 sites, padded to 16, a run that leaves the finite numbers
+        names the reference's iteration and finite flags."""
+        mdp, ds = pad_boundary_case(8)
+        cfg = FogasConfig(T=50, seed=0, auto_tune=True, eta=1e250, d_theta=1e100)
+        with pytest.raises(FloatingPointError) as error:
+            run_fogas(mdp, ds, cfg)
+        with pytest.warns(RuntimeWarning, match="overflow"):  # numpy's lambda step
+            reference = reference_error(FloatingPointError, mdp, ds, cfg)
+        assert str(error.value) == str(reference)
 
 
 def shift_free_counts(monkeypatch):
