@@ -5,10 +5,12 @@ Suites, each at fixed shapes:
 - loop: ``run_fogas`` without (plain) and with (recorded) the trajectory; S
   seeds are S calls, timed together. ``setup_us`` is a one-iteration run, and
   ``us_per_iter`` a T-iteration run less it, over T - 1.
-- io: ``collect_dataset`` at the round's seed, and the save and load of each
-  file the CLI writes (named as the benchmark names them, whatever their
-  format). One collect call's tracemalloc peak, and each file's size and one
-  load's peak, are taken once.
+- io: ``collect_dataset`` at the round's seed, ``estimate_psi`` (at beta =
+  ESTIMATE_BETA) on that fresh dataset, so it groups the next states and forms
+  the Gram matrix too, and the save and load of each file the CLI writes
+  (named as the benchmark names them, whatever their format). One collect
+  call's tracemalloc peak, and each file's size and one load's peak, are
+  taken once.
 - score: ``diagnostics.score_iterates`` of one recorded run, both ways each
   round: ``score_ms`` without the value reductions (``values=False``, as
   every sweep cell scores) and ``score_full_ms`` with them (the full pass of
@@ -29,8 +31,9 @@ once in a pair, so the ratio does not carry the advantage of the side
 measured first, and with two sides the rounds must be even. With two sides
 the io suite raises unless both draw equal datasets at each round's seed,
 the sweep suite raises unless both write the same records but for their wall
-times, and the score suite records the largest relative difference of
-rho(pi_t) between them.
+times, and the score suite records the largest relative difference, entry by
+entry, of rho(pi_t), sum_t v_{theta_t, pi_t} and sum_t lambda_t (v^{pi_t})^T
+between them.
 
 The numbers go to the ``--label`` entry of the ``timing`` section of ``--out``
 (default BENCH_<suite>.json); the rest of the file is kept as it is.
@@ -59,6 +62,7 @@ METHOD = (
     "quantity gives its `rounds`, `min` and `median`, and `ratio` this / against per pair of "
     "rounds (each side first once in a pair; the pair's summed times); quantities without "
     "rounds are taken once per side")
+ESTIMATE_BETA = 1e-3  # the io suite's ridge; the estimator's time does not depend on it
 
 
 def timed(func, *args):
@@ -132,6 +136,7 @@ def io_side(fogas, shape: dict, workdir: str):
         if "n" in shape:
             dataset, seconds = timed(collect, seed)
             out["collect_ms"] = 1e3 * seconds
+            out["estimate_ms"] = 1e3 * timed(fogas.estimate_psi, dataset, ESTIMATE_BETA)[1]
             # Hashes, not the dataset: a dataset kept to the round's end would
             # leave the side measured next in the round another heap to allocate from.
             drawn = {column: hashlib.sha256(getattr(dataset, column).astype(float).tobytes())
@@ -173,13 +178,17 @@ def score_side(fogas, shape: dict, workdir: str):
             scores, seconds = timed(lambda: fogas.diagnostics.score_iterates(
                 mdp, run.trajectory, run.config.alpha, values=values))
             out[quantity] = 1e3 * seconds
-        return out, scores[1]
+        _, rho, _, v_sum, lambda_v = scores  # the full pass's
+        return out, {"rho": rho, "v_sum": v_sum, "lambda_v": lambda_v}
 
     return measure, {}
 
 
-def rho_difference(this, against, seed: int) -> dict:
-    return {"rho_max_rel_diff": float((abs(this - against) / abs(against)).max())}
+def score_differences(this, against, seed: int) -> dict:
+    """The largest relative difference, entry by entry, of each full-pass score."""
+    return {f"{name}_max_rel_diff": float((abs(this[name] - against[name])
+                                           / abs(against[name])).max())
+            for name in this}
 
 
 def sweep_side(fogas, shape: dict, workdir: str):
@@ -226,7 +235,7 @@ SUITES = {
                             sampling_mode="occupancy"),
         "large_mdp": dict(states=100000, actions=4, dim=8),
     }),
-    "score": (score_side, rho_difference, {
+    "score": (score_side, score_differences, {
         "X5_A3_d4": dict(states=5, actions=3, dim=4, n=16384, T=7235),
         "X100_A4_d8": dict(states=100, actions=4, dim=8, n=50000, T=2000),
         "X1000_A4_d8": dict(states=1000, actions=4, dim=8, n=20000, T=20),

@@ -1,6 +1,9 @@
 /* The compiled kernels of fogas: the FOGAS ascent loop of one run (all T
- * iterations in one call), the exact scores of a run's T iterate policies
- * and the next-state search of dataset collection.
+ * iterations in one call), the exact scores of a run's T iterate policies,
+ * the next-state search of dataset collection and the per-next-state feature
+ * sums of the estimator. The entries are fogas_ascend, fogas_score_iterates
+ * (with fogas_score_lane_floats), fogas_next_states and
+ * fogas_group_next_states.
  *
  * fogas._native builds this file on first use with -O3 -fPIC -shared
  * -ffp-contract=off and loads it through ctypes. fogas.solver calls
@@ -18,6 +21,8 @@
  * d = 1, features of ones and psi_cum the occupancy's normalized CDF,
  * x_next[i] counts the CDF entries <= u[i], which is numpy's
  * searchsorted(side="right") and so Generator.choice(p=...).
+ * OfflineDataset.next_state_groups calls fogas_group_next_states once per
+ * dataset: one pass over the samples in order, adding as np.bincount does.
  *
  * Layout of the loop: the sites (x0, then the run's observed next states)
  * are innermost. phi is (A, d, m) and W = gamma C is (d, m) with a zero
@@ -37,7 +42,9 @@
  * Layout of the scorer: the iterates are innermost, L lanes to a block. Per
  * state, each lane's logits, softmax, Phi_pi(x) and psi(x) Phi_pi(x)^T run
  * over L contiguous floats, and so does the elimination, every lane's pivot
- * a select.
+ * a select. Each softmax is formed once per iterate and state: with the
+ * value reductions, the flow pass keeps every state's Phi_pi(x) (X d L
+ * floats) and the value pass reads it back.
  *
  * The loop and the scorer's two passes over the states are built for
  * AVX-512F, AVX2 and the baseline (target_clones on x86-64 glibc, picked at
@@ -366,9 +373,12 @@ static void lanes_of(i64 B, i64 L, i64 d, const double *rows, double *cols)
 
 /* The scorer's work, fogas_score_lane_floats(A, d) floats per lane: the
  * lanes' softmax parameters, theta_t (then theta^{pi_t}) and lambda_t, (d, L)
- * each, and the scratch of policy_features, the flow pass and eliminate. */
+ * each, and the scratch of policy_features, the flow pass and eliminate.
+ * With the value reductions, X d floats more per lane follow them: Phi,
+ * every state's Phi_pi(x) (X, d, L), kept from the flow pass for the value
+ * pass. */
 struct lanes {
-    double *par, *th, *lam, *e, *F, *f0, *acc, *M, *s, *vs, *best, *piv, *f, *singular;
+    double *par, *th, *lam, *e, *F, *f0, *acc, *M, *s, *vs, *best, *piv, *f, *singular, *Phi;
 };
 
 i64 fogas_score_lane_floats(i64 A, i64 d)
@@ -393,6 +403,7 @@ static struct lanes lanes_in(double *work, i64 A, i64 d, i64 L)
     w.piv = w.best + L;
     w.f = w.piv + L;
     w.singular = w.f + L;
+    w.Phi = w.singular + L;
     return w;
 }
 
@@ -418,11 +429,11 @@ accumulate(i64 G, i64 d, i64 L, const double *psg, const double *restrict F,
 
 /* One block of L lanes, B of them iterates, in w. One pass over the states,
  * SCORE_GROUP at a time, forms every lane's Psi Phi_pi and Phi_pi(x0), and
- * with v_sum adds sum_{l < B} <Phi_pi(x), theta_l> to v_sum[x], w->th
- * holding the lanes' theta_t. Then w->th receives the lanes' theta^{pi_t}
- * by eliminate, and rows l < B of out (theta^{pi_t}, Psi v^{pi_t},
- * rho(pi_t)). Returns 0, or 1 + the first lane l < B whose
- * I - gamma Psi Phi_pi is singular. */
+ * with v_sum keeps each Phi_pi(x) in w->Phi and adds sum_{l < B}
+ * <Phi_pi(x), theta_l> to v_sum[x], w->th holding the lanes' theta_t. Then
+ * w->th receives the lanes' theta^{pi_t} by eliminate, and rows l < B of out
+ * (theta^{pi_t}, Psi v^{pi_t}, rho(pi_t)). Returns 0, or 1 + the first lane
+ * l < B whose I - gamma Psi Phi_pi is singular. */
 CLONES
 static i64 flow_block(i64 X, i64 A, i64 d, i64 L, i64 B, const double *phi, const double *psi,
                       const double *omega, double gamma, i64 x0, const struct lanes *w,
@@ -435,8 +446,10 @@ static i64 flow_block(i64 X, i64 A, i64 d, i64 L, i64 B, const double *phi, cons
     memset(acc, 0, d * d * L * sizeof *acc);
     for (i64 x = 0; x < X; x += SCORE_GROUP) {
         i64 G = X - x < SCORE_GROUP ? X - x : SCORE_GROUP;
+        /* With v_sum, the group's Phi_pi(x) go straight to where they are kept. */
+        double *Fx = v_sum ? w->Phi + x * d * L : F;
         for (i64 g = 0; g < G; g++) {
-            double *Fg = F + g * d * L;
+            double *Fg = Fx + g * d * L;
             policy_features(A, d, L, phi + (x + g) * A * d, w->par, w->e, w->s, Fg);
             if (x + g == x0)
                 memcpy(f0, Fg, d * L * sizeof *Fg);
@@ -446,10 +459,10 @@ static i64 flow_block(i64 X, i64 A, i64 d, i64 L, i64 B, const double *phi, cons
                 v_sum[x + g] += dot(Fg + j * L, th + j * L, B);
         }
         if (G == SCORE_GROUP)
-            accumulate(SCORE_GROUP, d, L, psg, F, acc);
+            accumulate(SCORE_GROUP, d, L, psg, Fx, acc);
         else
             for (i64 g = 0; g < G; g++)
-                accumulate(1, d, L, psg + g * d, F + g * d * L, acc);
+                accumulate(1, d, L, psg + g * d, Fx + g * d * L, acc);
     }
 
     for (i64 j = 0; j < d; j++)
@@ -475,15 +488,14 @@ static i64 flow_block(i64 X, i64 A, i64 d, i64 L, i64 B, const double *phi, cons
 
 /* The second pass of a block, once w->th holds its theta^{pi_t}:
  * lambda_v[:, x] (d, X) gets sum_{l < B} lambda_l v^{pi_l}(x), with
- * v^{pi_l}(x) = <Phi_pi(x), theta^{pi_l}>. */
+ * v^{pi_l}(x) = <Phi_pi(x), theta^{pi_l}> and Phi_pi(x) read from w->Phi,
+ * where flow_block kept it, so no softmax is formed twice. */
 CLONES
-static void value_block(i64 X, i64 A, i64 d, i64 L, i64 B, const double *phi,
-                        const struct lanes *w, double *lambda_v)
+static void value_block(i64 X, i64 d, i64 L, i64 B, const struct lanes *w, double *lambda_v)
 {
     L &= -VECTOR_PAD;
     for (i64 x = 0; x < X; x++) {
-        policy_features(A, d, L, phi + x * A * d, w->par, w->e, w->s, w->F);
-        lane_dots(d, L, w->F, w->th, w->vs);
+        lane_dots(d, L, w->Phi + x * d * L, w->th, w->vs);
         for (i64 i = 0; i < d; i++)
             lambda_v[i * X + x] += dot(w->lam + i * L, w->vs, B);
     }
@@ -498,9 +510,10 @@ static void value_block(i64 X, i64 A, i64 d, i64 L, i64 B, const double *phi,
  *
  * With thetas and lambdas (T, d each), v_sum (X) receives sum_t v_{theta_t,
  * pi_t} and lambda_v (d, X) sum_t lambda_t (v^{pi_t})^T, the latter in a
- * second pass over the states once a block's theta^{pi_t} are known. Without
- * them (NULL) neither is touched. work holds L fogas_score_lane_floats(A, d)
- * + VECTOR_PAD floats (struct lanes).
+ * second pass over the states, once a block's theta^{pi_t} are known, that
+ * reads the Phi_pi(x) the first pass kept. Without them (NULL) neither is
+ * touched. work holds L fogas_score_lane_floats(A, d) + VECTOR_PAD floats
+ * (struct lanes), and L X d floats more with the value reductions.
  *
  * Returns 0, or 1 + the first t whose I - gamma Psi Phi_pi is singular. */
 i64 fogas_score_iterates(i64 T, i64 X, i64 A, i64 d, i64 L, const double *phi,
@@ -524,7 +537,7 @@ i64 fogas_score_iterates(i64 T, i64 X, i64 A, i64 d, i64 L, const double *phi,
             return t0 + singular;
         if (v_sum) {
             lanes_of(B, L, d, lambdas + t0 * d, w.lam);
-            value_block(X, A, d, L, B, phi, &w, lambda_v);
+            value_block(X, d, L, B, &w, lambda_v);
         }
     }
     return 0;
@@ -567,5 +580,19 @@ void fogas_next_states(i64 n, i64 X, i64 d, const double *features, const double
                              x_next + i);
         else
             next_state_lanes(n - i, X, d, top, features + i * d, psi_cum, u + i, x_next + i);
+    }
+}
+
+/* summed[:, slot[x_next[i]]] += features[i] for i = 0, ..., n - 1 in turn,
+ * features (n, d) and summed (d, k) row-major, so each entry of summed adds
+ * its samples in their order, as np.bincount(slot[x_next], weights=column)
+ * does per column. */
+void fogas_group_next_states(i64 n, i64 d, i64 k, const double *features, const i64 *x_next,
+                             const i64 *slot, double *summed)
+{
+    for (i64 i = 0; i < n; i++) {
+        double *column = summed + slot[x_next[i]];
+        for (i64 j = 0; j < d; j++)
+            column[j * k] += features[i * d + j];
     }
 }

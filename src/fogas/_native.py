@@ -1,5 +1,6 @@
 """The compiled kernels of ``_kernel.c`` (the ascent loop, the iterate
-scorer with its lane-parallel d x d flow solves, and the next-state search),
+scorer with its lane-parallel d x d flow solves and one softmax per iterate
+and state, the next-state search, and the per-next-state feature sums),
 built on first use, never at import, and loaded once per process."""
 
 import ctypes
@@ -59,8 +60,9 @@ def _build_kernel(source: bytes, path: Path) -> None:
 
 def _kernel() -> ctypes.CDLL:
     """The library, with the signatures of its entries (``fogas_ascend``,
-    ``fogas_score_iterates`` with ``fogas_score_lane_floats``, and
-    ``fogas_next_states``) set, kept for the process.
+    ``fogas_score_iterates`` with ``fogas_score_lane_floats``,
+    ``fogas_next_states`` and ``fogas_group_next_states``) set, kept for the
+    process.
 
     The build goes to the package's ``__pycache__``, named by ``_kernel_path``;
     a process that finds it there starts no compiler. Where that directory
@@ -89,5 +91,7 @@ def _kernel() -> ctypes.CDLL:
         lib.fogas_score_lane_floats.restype = i64
         lib.fogas_next_states.argtypes = [i64] * 3 + [ptr] * 4
         lib.fogas_next_states.restype = None
+        lib.fogas_group_next_states.argtypes = [i64] * 3 + [ptr] * 4
+        lib.fogas_group_next_states.restype = None
         _kernel_handle = lib
     return _kernel_handle

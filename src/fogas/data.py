@@ -6,7 +6,9 @@ phi(x,a)^T cumsum(Psi), so each next state is found by bisection over the
 rows of cumsum(Psi)^T in O(d log X), in the compiled kernel (``_native``); the
 same search with d = 1 draws the occupancy pairs from their CDF. The
 estimator aggregates transitions by next state before solving, so building it
-costs at most min(n, X) SPD solves.
+costs one SPD solve with at most min(n, X) columns; the per-next-state feature
+sums take one pass over the samples in the compiled kernel, adding in sample
+order as ``np.add.at`` does.
 """
 
 from __future__ import annotations
@@ -69,14 +71,17 @@ class OfflineDataset:
         """(unique observed next states, summed features).
 
         ``summed_features`` column j is the sum of phi_i over samples whose
-        next state is ``observed_states[j]``.
+        next state is ``observed_states[j]``, added in sample order (as
+        ``np.add.at`` adds them) by one pass of ``fogas_group_next_states``.
         """
         counts = np.bincount(self.x_nexts, minlength=self.num_states)
         observed = np.flatnonzero(counts)
-        # Sample i's position: the number of observed states below x_nexts[i].
-        inverse = (np.cumsum(counts > 0) - 1)[self.x_nexts]
-        summed = np.array([np.bincount(inverse, weights=column, minlength=len(observed))
-                           for column in self.features.T])  # same order as np.add.at
+        # State x's column: the number of observed states below x.
+        slot = np.cumsum(counts > 0, dtype=np.int64) - 1
+        summed = np.zeros((self.features.shape[1], len(observed)))
+        _native._kernel().fogas_group_next_states(
+            len(self), summed.shape[0], summed.shape[1], self.features.ctypes.data,
+            self.x_nexts.ctypes.data, slot.ctypes.data, summed.ctypes.data)
         return observed, _readonly(summed)
 
     @cached_property

@@ -5,7 +5,8 @@ Unlike the solver, these tools touch the whole state space, but every score
 they need of the T iterate policies is a reduction over the states with d or
 fewer columns per iterate. ``score_iterates`` computes them in the C kernel,
 in blocks of iterates whose scratch stays within about ``SAMPLE_CHUNK_BYTES``,
-and keeps O(T*d + X*d) results; no array has both the T axis and the X axis.
+and keeps O(T*d + X*d) results; no array has both the T axis and the X axis
+(a block's scratch has the X axis and at most ``SCORE_LANES`` iterates).
 The reduced Lagrangian is affine in theta and in lambda, so the sums over
 iterates are array algebra on these reductions.
 """
@@ -24,7 +25,8 @@ from .solver import FogasRun, FogasTrajectory
 DECOMPOSITION_TOL = 1e-8
 IDENTITY_TOL = 1e-8
 # The scorer's lane blocks are multiples of _native.VECTOR_PAD, and at most
-# SCORE_LANES long: a block's scratch then stays within a core's L2 cache.
+# SCORE_LANES long: a block's scratch, but for the Phi_pi(x) kept with the
+# values, then stays within a core's L2 cache.
 SCORE_LANES = 128
 
 
@@ -51,9 +53,8 @@ def score_iterates(
     """Exact evaluation of every iterate policy, reduced over the states.
 
     One call of the C kernel ``fogas_score_iterates`` (``_kernel.c``) walks
-    the iterates in blocks of lanes (see ``SCORE_LANES``), whose scratch stays
-    within about ``SAMPLE_CHUNK_BYTES``. Per block and state it forms each
-    iterate's softmax and Phi_pi(x), and adds psi(x) Phi_pi(x)^T to its
+    the iterates in blocks of lanes. Per block and state it forms each
+    iterate's softmax and Phi_pi(x), once, and adds psi(x) Phi_pi(x)^T to its
     Psi Phi_pi; one Gaussian elimination over all lanes of the block then
     solves each iterate's flow system (one tabular policy is solved by numpy
     in ``oracle.evaluate_policy`` instead). Its specification is
@@ -62,13 +63,22 @@ def score_iterates(
     sum_t v_{theta_t, pi_t} (X,) and sum_t lambda_t (v^{pi_t})^T (d, X).
     With ``values=False`` the last two are None, and neither they nor the
     kernel's second pass over the states are made; the first three do not
-    change. An exactly singular I - gamma Psi Phi_pi raises
-    ``np.linalg.LinAlgError``.
+    change, and no lane's arithmetic depends on the block it is in.
+
+    The lanes: a multiple of ``_native.VECTOR_PAD``, at most ``SCORE_LANES``
+    and at most T rounded up, and as many as keep the block's scratch within
+    ``SAMPLE_CHUNK_BYTES``, but never fewer than ``VECTOR_PAD``. A lane's
+    scratch is ``fogas_score_lane_floats(A, d)`` floats, plus X d with the
+    values: the second pass reads every state's Phi_pi(x) as the first pass
+    kept it. So where X d > 65536 the scratch exceeds ``SAMPLE_CHUNK_BYTES``
+    at 8 lanes, 8 X d floats (8/A of phi's size). An exactly singular
+    I - gamma Psi Phi_pi raises ``np.linalg.LinAlgError``.
     """
     X, A, d = mdp.num_states, mdp.num_actions, mdp.dim
     T = len(trajectory.thetas)
     kernel = _native._kernel()
-    lane_floats = kernel.fogas_score_lane_floats(A, d)
+    # With the values, each lane also keeps every state's Phi_pi(x), X d floats.
+    lane_floats = kernel.fogas_score_lane_floats(A, d) + (X * d if values else 0)
     pad = _native.VECTOR_PAD
     lanes = pad * max(1, min(-(-T // pad), SCORE_LANES // pad,
                              SAMPLE_CHUNK_BYTES // (8 * pad * lane_floats)))

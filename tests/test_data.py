@@ -399,7 +399,7 @@ class TestNextStateGroups:
     )
     @settings(max_examples=40, deadline=None)
     def test_equals_add_at_reference(self, n, X, d, seed):
-        """Per-column bincount adds in the same order as np.add.at: bit-identical."""
+        """The kernel adds in the same order as np.add.at: bit-identical."""
         rng = np.random.default_rng(seed)
         features = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-8, 8, size=(n, d))
         ds = OfflineDataset(
@@ -425,6 +425,24 @@ class TestNextStateGroups:
         assert observed.tolist() == [1, 4, 5]
         for got, want in ((observed, np.unique(x_nexts)), (summed, add_at_groups(ds)[1])):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n, X, d, states", [
+        (50000, 100, 8, "all"), (1000, 1, 4, "all"), (300, 9, 3, "last"),
+    ])
+    def test_fixed_cases_equal_add_at_reference(self, n, X, d, states):
+        """cli-chain's n=50000, X=100, d=8; one state; and only state X - 1
+        observed, the last column of the slots. Bit-identical to np.add.at."""
+        rng = np.random.default_rng(n + X + d)
+        x_nexts = (rng.integers(0, X, size=n) if states == "all"
+                   else np.full(n, X - 1))
+        ds = OfflineDataset(
+            xs=np.zeros(n, dtype=int), actions=np.zeros(n, dtype=int),
+            rewards=np.zeros(n), x_nexts=x_nexts,
+            features=rng.normal(size=(n, d)), num_states=X, num_actions=1,
+        )
+        for got, want in zip(ds.next_state_groups, add_at_groups(ds), strict=True):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
 
 
 class TestApplyPsiHat:

@@ -396,6 +396,46 @@ class TestScoreIterates:
         for got, want in zip(scores, full[:3], strict=True):
             np.testing.assert_array_equal(got, want)
 
+    @pytest.fixture(scope="class")
+    def kept_phi_run(self):
+        """X=1000, A=4, d=8 and T=131, where the kept Phi_pi (X d = 8000 floats
+        per lane) shrinks the lanes of ``values=True`` below the 128 of
+        ``values=False``: to 56 at the default budget."""
+        mdp = fogas.generate_linear_mdp(1000, 4, 8, 0.9, 0)
+        lane_floats = fogas._native._kernel().fogas_score_lane_floats(4, 8)
+        pad = fogas._native.VECTOR_PAD
+        assert pad * (fogas.diagnostics.SAMPLE_CHUNK_BYTES
+                      // (8 * pad * (lane_floats + 1000 * 8))) < 128
+        return mdp, recorded(mdp, T=131)
+
+    def test_kept_phi_pi_matches_recomputed(self, kept_phi_run):
+        """Where the kept Phi_pi shrinks the lanes, theta^{pi_t}, rho(pi_t) and
+        Psi v^{pi_t} are bit-equal between the two modes, and v_sum and
+        lambda_v match the reference within 1e-12 of their scale."""
+        mdp, run = kept_phi_run
+        full = score_iterates(mdp, run.trajectory, run.config.alpha)
+        scores = score_iterates(mdp, run.trajectory, run.config.alpha, values=False)
+        for got, want in zip(scores[:3], full[:3], strict=True):
+            np.testing.assert_array_equal(got, want)
+        want = reference_score_iterates(mdp, run.trajectory, run.config.alpha)
+        for got, ref in zip(full[3:], want[3:], strict=True):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+    def test_kept_phi_pi_within_the_budget(self, kept_phi_run):
+        """The tracemalloc peak of ``values=True`` at that shape stays within
+        SAMPLE_CHUNK_BYTES + 128 KiB: its 56 lanes' scratch is 3.69 MB, where
+        128 lanes' would be 8.43 MB."""
+        mdp, run = kept_phi_run
+        score_iterates(mdp, run.trajectory, run.config.alpha)  # one-time allocations first
+        tracemalloc.start()
+        try:
+            score_iterates(mdp, run.trajectory, run.config.alpha)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= fogas.diagnostics.SAMPLE_CHUNK_BYTES + (128 << 10)
+
     def test_report_memory_bounded_in_T(self):
         """At X=100, A=4, d=8 the report's tracemalloc peak stays under 8 MB at
         T=2000 and grows by at most 640 bytes per iterate from T=500 to 4000;
