@@ -17,6 +17,10 @@ Suites, each at fixed shapes:
   ``fogas diagnose``).
 - sweep: one ``harness.run_sweep`` of an MDP file, a grid of n values x S
   seeds (the benchmark's sweep workloads' shapes, seeds 0..S-1).
+- cli: the ``collect -> solve -> diagnose`` chain through ``fogas.cli.main``
+  at the cli-chain workload's shape, each command timed (``collect_ms``,
+  ``solve_ms``, ``diagnose_ms``) with the round's seed as ``--seed``, in
+  one process, so the argument parser and the file reads and writes count.
 
 One side is the package on PYTHONPATH, "this". ``--against TREE`` imports the
 package of another source tree (TREE/src/fogas) beside it as
@@ -31,9 +35,10 @@ once in a pair, so the ratio does not carry the advantage of the side
 measured first, and with two sides the rounds must be even. With two sides
 the io suite raises unless both draw equal datasets at each round's seed,
 the sweep suite raises unless both write the same records but for their wall
-times, and the score suite records the largest relative difference, entry by
-entry, of rho(pi_t), sum_t v_{theta_t, pi_t} and sum_t lambda_t (v^{pi_t})^T
-between them.
+times, the cli suite raises unless both write byte-identical data, run and
+gap files at each round's seed, and the score suite records the largest
+relative difference, entry by entry, of rho(pi_t), sum_t v_{theta_t, pi_t}
+and sum_t lambda_t (v^{pi_t})^T between them.
 
 The numbers go to the ``--label`` entry of the ``timing`` section of ``--out``
 (default BENCH_<suite>.json); the rest of the file is kept as it is.
@@ -41,9 +46,11 @@ The numbers go to the ``--label`` entry of the ``timing`` section of ``--out``
 """
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import platform
@@ -219,6 +226,50 @@ def equal_records(this, against, seed: int) -> dict:
     return {}
 
 
+def cli_side(fogas, shape: dict, workdir: str):
+    """The cli suite's measure of one side: its own ``cli.main`` on its own
+    files, the MDP generated once."""
+    cli = importlib.import_module(fogas.__name__ + ".cli")
+    mdp, data, run, gap = (os.path.join(workdir, name)
+                           for name in ("mdp.npz", "data.npz", "run.npz", "gap.csv"))
+
+    def command(*argv) -> float:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code, seconds = timed(cli.main, [str(arg) for arg in argv])
+        if code != 0:
+            raise RuntimeError(f"{argv[0]} exited with {code}")
+        return 1e3 * seconds
+
+    command("generate", "--states", shape["states"], "--actions", shape["actions"],
+            "--dim", shape["dim"], "--gamma", 0.9, "--out", mdp)
+
+    def measure(seed):
+        out = {
+            "collect_ms": command("collect", "--mdp", mdp, "--n", shape["n"], "--seed", seed,
+                                  "--out", data),
+            "solve_ms": command("solve", "--mdp", mdp, "--data", data, "--auto-tune",
+                                "--T", shape["T"], "--seed", seed, "--record-trajectory",
+                                "--out", run),
+            "diagnose_ms": command("diagnose", "--mdp", mdp, "--data", data, "--run", run,
+                                   "--out", gap),
+        }
+        written = {}
+        for path in (data, run, gap):
+            with open(path, "rb") as f:
+                written[os.path.basename(path)] = hashlib.sha256(f.read()).hexdigest()
+        return out, written
+
+    return measure, {}
+
+
+def equal_files(this, against, seed: int) -> dict:
+    """Raises unless both sides wrote byte-identical files."""
+    for name, digest in this.items():
+        if digest != against[name]:
+            raise AssertionError(f"the two trees wrote different {name} at seed {seed}")
+    return {}
+
+
 # Per suite: the side builder, the check of two sides' round outputs, and the
 # shapes: an (X, A, d) MDP with n samples, S seeds and T iterations where the
 # suite uses them. --tiny caps the TINY keys of every shape.
@@ -246,6 +297,9 @@ SUITES = {
                             sampling_mode="uniform", n=(256, 16384), seeds=4, T_cap=20000),
         "sweep_large_state": dict(states=1000, actions=4, dim=8, behavior="eps:0.5",
                                   sampling_mode="occupancy", n=(20000,), seeds=2, T=20),
+    }),
+    "cli": (cli_side, equal_files, {
+        "cli_chain": dict(states=100, actions=4, dim=8, n=50000, T=2000),
     }),
 }
 TINY = {"states": 30, "n": 256, "T": 10}

@@ -33,6 +33,10 @@
  * logits are 0, so its softmax is finite and its F_pi column exactly 0; it
  * adds only +-0 to the two m-long reductions, which keep 8 fixed partial
  * sums, each adding the real sites in the same order at any padding.
+ * The caller passes phi, W and work 64-byte aligned (fogas._native.empty),
+ * so with m a multiple of VECTOR_PAD every row of them, and every block of
+ * work, starts a cache line. The loop assumes no alignment: a misaligned
+ * array gives the same bits, only slower.
  *
  * No d x d occupancy operator is formed: with F_pi (d, m), row j holding
  * sum_a pi(a|x_i) phi_j(x_i, a), mu-hat's features are F_pi (W^T lambda)

@@ -1,12 +1,20 @@
 """The compiled kernels of ``_kernel.c`` (the ascent loop, the iterate
 scorer with its lane-parallel d x d flow solves and one softmax per iterate
 and state, the next-state search, and the per-next-state feature sums),
-built on first use, never at import, and loaded once per process."""
+built on first use, never at import, and loaded once per process.
+
+Callers pass the loop's phi, W and work arrays 64-byte aligned (``empty``):
+misaligned, its vectors straddle cache lines, and a run measured up to 1.5x
+slower. The kernel assumes no alignment, so a misaligned array is only slower.
+"""
 
 import ctypes
+import math
 import os
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 _COMPILER = "cc"
@@ -21,6 +29,15 @@ _CFLAGS = ("-O3", "-fPIC", "-shared", "-fopenmp-simd", "-ffp-contract=off")
 # multiples of it, a full vector of the widest build (8 doubles).
 VECTOR_PAD = 8
 _kernel_handle = None  # the loaded library
+
+
+def empty(shape: tuple) -> np.ndarray:
+    """An uninitialized C-contiguous float64 array of ``shape`` whose data start
+    at a multiple of 64 bytes: a slice of a buffer 8 floats longer."""
+    size = math.prod(shape)
+    buffer = np.empty(size + VECTOR_PAD)
+    start = (-buffer.ctypes.data % 64) // 8
+    return buffer[start:start + size].reshape(shape)
 
 
 def _kernel_path(source: bytes, directory: Path) -> Path:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 import time
@@ -16,7 +17,10 @@ from . import diagnostics, harness, linmdp, solver
 from .data import SAMPLING_MODES, collect_dataset, load_dataset, save_dataset
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first ``main`` call and kept
+    for the process: parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="fogas",
         description="Feature-occupancy gradient ascent for offline RL in linear MDPs",

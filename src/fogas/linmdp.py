@@ -9,6 +9,8 @@ construction.
 
 from __future__ import annotations
 
+import io
+import math
 import os
 import zipfile
 from contextlib import contextmanager
@@ -297,15 +299,48 @@ def write_arrays(path, kind: str, **arrays) -> None:
                 np.lib.format.write_array(f, np.asarray(value), allow_pickle=False)
 
 
+def _read_members(f) -> dict:
+    """The bytes of each member of the zip archive ``f``, by its name without
+    ".npy", each read whole and once, which checks its CRC-32. The archive's
+    records are freed on return, before the caller parses the members."""
+    with zipfile.ZipFile(f) as archive:
+        return {info.filename.removesuffix(".npy"): archive.read(info)
+                for info in archive.infolist()}
+
+
+def _npy_view(name: str, raw: bytes) -> np.ndarray:
+    """The array of the .npy bytes ``raw`` (member ``name``), as a read-only
+    view of them: the data are not copied."""
+    header = io.BytesIO(raw)  # shares raw's buffer
+    version = np.lib.format.read_magic(header)
+    read_header = {(1, 0): np.lib.format.read_array_header_1_0,
+                   (2, 0): np.lib.format.read_array_header_2_0}.get(version)
+    if read_header is None:
+        raise ValueError(f"{name} has .npy format version {version}, expected 1.0 or 2.0")
+    shape, fortran_order, dtype = read_header(header)
+    if dtype.hasobject:
+        raise ValueError("Object arrays cannot be loaded when allow_pickle=False")
+    count, offset = math.prod(shape), header.tell()
+    if len(raw) - offset != count * dtype.itemsize:
+        raise ValueError(f"{name} holds {len(raw) - offset} bytes of data, but its header "
+                         f"promises {count * dtype.itemsize}")
+    return np.ndarray(shape, dtype, buffer=raw, offset=offset,
+                      order="F" if fortran_order else "C")
+
+
 @contextmanager
 def read_arrays(path, kind: str, spec: dict):
     """Read an archive written by ``write_arrays(path, kind, ...)`` and yield its
     arrays, a dict without the kind entry.
 
+    Each member is read whole, once (``_read_members``), and its array is a
+    read-only view of those bytes (``_npy_view``), not a copy.
     ``spec`` maps each entry name to its exact dtype and number of dimensions.
     Anything else raises ValueError with ``path`` in the message: a ``path``
     that is not a file path (``_check_path``), a file that
-    is not a zip archive (such as a text file), a truncated archive, a pickled
+    is not a zip archive (such as a text file), a truncated archive, a member
+    that fails its CRC-32, is not .npy or holds other than the bytes its
+    header promises, a pickled
     or object array, another kind, a missing or unexpected entry, a wrong dtype
     (an index stored as float is not cast), a wrong number of dimensions and a
     non-finite float. A ValueError raised in the ``with`` block, where the
@@ -318,11 +353,10 @@ def read_arrays(path, kind: str, spec: dict):
             if f.read(4) != b"PK\x03\x04":  # the zip magic
                 raise ValueError(f"not a {expected} archive (files of earlier versions "
                                  "are text and must be written again)")
-            f.seek(0)
-            with np.load(f, allow_pickle=False) as archive:
-                arrays = {name: archive[name] for name in archive.files}
-        if not all(isinstance(arr, np.ndarray) for arr in arrays.values()):
+            members = _read_members(f)
+        if not all(raw.startswith(np.lib.format.MAGIC_PREFIX) for raw in members.values()):
             raise ValueError(f"not a {expected} archive: a member is not an .npy array")
+        arrays = {name: _npy_view(name, raw) for name, raw in members.items()}
         kind_entry = arrays.pop("kind", None)
         found = None if kind_entry is None or kind_entry.ndim else kind_entry.item()
         if found != expected:

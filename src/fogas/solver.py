@@ -243,18 +243,24 @@ def _ascend(mdp: LinearMdp, cfg: FogasConfig, psi_hat: PsiHat, chosen: int,
     The 1+k sites are x0 and the observed next states, padded with zero
     columns to m, a multiple of ``_native.VECTOR_PAD``. Their features are
     gathered straight into the kernel's (A, d, m) layout, and the estimator
-    columns into W = gamma C, (d, m), zero at x0 and in the padding.
+    columns into W = gamma C, (d, m), zero at x0 and in the padding. Both,
+    and the kernel's work, are parts of one 64-byte-aligned block
+    (``_native.empty``).
     """
     A, d = mdp.num_actions, mdp.dim
     k = len(psi_hat.observed_states)
     m = -(-(1 + k) // _native.VECTOR_PAD) * _native.VECTOR_PAD
     sites = np.full(m, mdp.x0)
     sites[1:1 + k] = psi_hat.observed_states
-    phi_sites = mdp.phi[(A * sites + np.arange(A)[:, None])[:, None], np.arange(d)[:, None]]
+    # m is a multiple of 8, so each part starts a cache line.
+    block = _native.empty(((A * d + d + A + d + 2) * m,))
+    phi_sites = block[:A * d * m].reshape(A, d, m)
+    weights = block[A * d * m:(A + 1) * d * m].reshape(d, m)
+    work = block[(A + 1) * d * m:]
+    phi_sites[...] = mdp.phi[(A * sites + np.arange(A)[:, None])[:, None], np.arange(d)[:, None]]
     phi_sites[:, :, 1 + k:] = 0.0
-    weights = np.zeros((d, m))
+    weights.fill(0.0)
     np.multiply(psi_hat.columns, mdp.gamma, out=weights[:, 1:1 + k])
-    work = np.empty((A + d + 2) * m)
     omega, lambda_mat = (np.ascontiguousarray(a, dtype=np.float64)
                          for a in (mdp.omega, psi_hat.covariance.lambda_mat))
     return _native._kernel().fogas_ascend(

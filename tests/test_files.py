@@ -1,9 +1,11 @@
 """The three file kinds the CLI writes and reads back (MDP, dataset, run):
 exact round trips, exact paths, and one rejection per kind of malformed file,
-both from the loaders and from the CLI commands that read them."""
+both from the loaders and from the CLI commands that read them; and the
+archive reader against numpy's own on archives numpy writes."""
 
 import json
 import re
+import zipfile
 from dataclasses import replace
 
 import numpy as np
@@ -11,8 +13,9 @@ import pytest
 
 import fogas
 from fogas.cli import main as cli_main
+from fogas.linmdp import read_arrays
 
-from conftest import edit_archive
+from conftest import edit_archive, read_archive
 
 KINDS = ("mdp", "dataset", "run")
 SAVE = {"mdp": fogas.save_mdp, "dataset": fogas.save_dataset, "run": fogas.save_run}
@@ -40,6 +43,34 @@ def set_nan(entries, name):
     entries[name].flat[0] = np.nan
 
 
+def edit_members(path, edit) -> None:
+    """Apply ``edit`` to the archive's members, a dict of name to stored bytes,
+    and write them back as a new archive, whose CRCs match the new bytes."""
+    with zipfile.ZipFile(path) as archive:
+        members = {info.filename: archive.read(info) for info in archive.infolist()}
+    edit(members)
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, raw in members.items():
+            archive.writestr(name, raw)
+
+
+def flip_bit(path, kind) -> None:
+    """Flip the lowest bit of the last float of a float entry in place, so the
+    array stays valid and finite but its member no longer matches its CRC."""
+    name = ENTRIES[kind]["nan"] + ".npy"
+    with zipfile.ZipFile(path) as archive:
+        raw = archive.read(name)
+    data = bytearray(path.read_bytes())
+    data[data.find(raw) + len(raw) - 8] ^= 1
+    path.write_bytes(data)
+
+
+def drop_last_item(members, kind) -> None:
+    """One entry's member loses its last 8 bytes, and its header still counts them."""
+    name = ENTRIES[kind]["shape"] + ".npy"
+    members[name] = members[name][:-8]
+
+
 CORRUPTIONS = {
     "text": lambda path, kind: path.write_text(OLD_TEXT[kind]),
     "truncated": lambda path, kind: path.write_bytes(path.read_bytes()[:-200]),
@@ -60,6 +91,11 @@ CORRUPTIONS = {
                                   e[ENTRIES[kind]["objects"]].astype(object)})),
     "extra-entry": lambda path, kind: edit_archive(
         path, lambda e: e.update({ENTRIES[kind]["extra"]: np.array(False)})),
+    "bad-crc": flip_bit,
+    "short-member": lambda path, kind: edit_members(
+        path, lambda m: drop_last_item(m, kind)),
+    "not-npy": lambda path, kind: edit_members(
+        path, lambda m: m.update({ENTRIES[kind]["missing"] + ".npy": b"not an array\n"})),
 }
 
 
@@ -69,6 +105,8 @@ REASONS = {
     "missing-entry": "lacks the entry", "float-index": "has dtype float64, expected int64",
     "wrong-shape": "shape|same length", "nan": "is not finite",
     "object-array": "Object arrays cannot be loaded", "extra-entry": "unexpected entries",
+    "bad-crc": "Bad CRC-32", "short-member": "but its header promises",
+    "not-npy": "a member is not an .npy array",
 }
 
 
@@ -183,3 +221,64 @@ def test_written_at_exact_path(default_mdp, default_dataset, recorded_run, tmp_p
     SAVE[kind](obj, tmp_path / name)
     assert [p.name for p in tmp_path.iterdir()] == [name]
     load(kind, tmp_path / name, default_mdp)
+
+
+# Archives that numpy writes, each with a fogas-test/1 kind entry: np.savez,
+# np.savez_compressed, a Fortran-ordered member and a version 2.0 header.
+ARRAYS = {
+    "phi": np.arange(24.0).reshape(4, 6) / 7.0,
+    "cube": np.linspace(-1.0, 1.0, 60).reshape(3, 4, 5),
+    "index": np.arange(9, dtype=np.int64) - 4,
+    "flag": np.array(True),
+    "gamma": np.array(0.9),
+    "empty": np.empty((0, 3)),
+}
+SPEC = {name: (arr.dtype.type, arr.ndim) for name, arr in ARRAYS.items()}
+
+
+def write_version_2(path, **arrays) -> None:
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, arr in arrays.items():
+            with archive.open(name + ".npy", "w") as f:
+                np.lib.format.write_array(f, arr, version=(2, 0))
+
+
+WRITERS = {
+    "savez": lambda path, **arrays: np.savez(path, **arrays),
+    "savez_compressed": lambda path, **arrays: np.savez_compressed(path, **arrays),
+    "fortran": lambda path, **arrays: np.savez(
+        path, **{name: np.asfortranarray(arr) if arr.ndim > 1 else arr
+                 for name, arr in arrays.items()}),
+    "version_2": write_version_2,
+}
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_reader_matches_numpy(tmp_path, writer):
+    """``read_arrays`` returns numpy's arrays bit for bit, in numpy's memory
+    order, each read-only and aligned."""
+    path = tmp_path / "archive.npz"
+    WRITERS[writer](path, kind=np.array("fogas-test/1"), **ARRAYS)
+    want = read_archive(path)
+    if writer == "fortran":
+        assert want["phi"].flags.f_contiguous and not want["phi"].flags.c_contiguous
+    with read_arrays(path, "test", SPEC) as arrays:
+        assert sorted(arrays) == sorted(ARRAYS)
+        for name, arr in arrays.items():
+            assert arr.dtype == want[name].dtype and arr.shape == want[name].shape
+            assert arr.tobytes() == want[name].tobytes()
+            assert arr.flags.f_contiguous == want[name].flags.f_contiguous
+            assert arr.flags.aligned and not arr.flags.writeable
+
+
+def test_reader_refuses_other_npy_versions(tmp_path):
+    """A version 3.0 header (utf-8 field names) is refused, naming the member."""
+    path = tmp_path / "archive.npz"
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, arr in {"kind": np.array("fogas-test/1"), "gamma": ARRAYS["gamma"]}.items():
+            with archive.open(name + ".npy", "w") as f:
+                np.lib.format.write_array(f, arr, version=(3, 0) if name == "gamma" else None)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: gamma has .npy format version (3, 0), expected 1.0 or 2.0")):
+        with read_arrays(path, "test", {"gamma": SPEC["gamma"]}):
+            pass

@@ -1,5 +1,6 @@
 """Experiment harness and command-line interface, end to end."""
 
+import argparse
 import json
 from dataclasses import fields, replace
 from pathlib import Path
@@ -271,6 +272,30 @@ class TestCli:
         assert "R = " in out and "d = 4" in out
         assert cli_main(["validate", "--mdp", str(mdp_path)]) == 0
         assert "ok" in capsys.readouterr().out
+
+    def test_calls_share_a_parser_without_state(self, tmp_path, monkeypatch):
+        """Two commands in one process parse with one parser, and the second
+        keeps none of the first's options: a collect without --mode, after one
+        with --mode occupancy, writes the uniform dataset."""
+        mdp_path = self.generate(tmp_path)
+        parsers, parse_args = [], argparse.ArgumentParser.parse_args
+
+        def recording(parser, *args, **kwargs):
+            parsers.append(parser)
+            return parse_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+        occupancy, uniform = tmp_path / "occupancy.npz", tmp_path / "uniform.npz"
+        for mode, out in ((["--mode", "occupancy"], occupancy), ([], uniform)):
+            assert cli_main(["collect", "--mdp", str(mdp_path), "--n", "64", "--seed", "3",
+                             *mode, "--out", str(out)]) == 0
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
+        mdp = fogas.load_mdp(mdp_path)
+        expected = tmp_path / "expected.npz"
+        fogas.save_dataset(fogas.collect_dataset(
+            mdp, harness.behavior_policy(mdp, "uniform"), 64, "uniform", 3), expected)
+        assert uniform.read_bytes() == expected.read_bytes()
+        assert occupancy.read_bytes() != expected.read_bytes()
 
     def test_generate_deterministic_bytes(self, tmp_path):
         a = tmp_path / "a.npz"

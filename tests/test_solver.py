@@ -3,6 +3,7 @@ of conftest checked against dense materializations, finite differences and
 random feasible points, and the compiled loop checked against them."""
 
 import ctypes
+import math
 import os
 import shutil
 import subprocess
@@ -376,6 +377,68 @@ class TestLoopMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 8e6
+
+
+class TestLoopAlignment:
+    @pytest.mark.parametrize("shape", [(13,), (3, 5), (4, 8, 104)])
+    def test_empty_is_aligned(self, shape):
+        for _ in range(20):  # fresh buffers land at different offsets
+            arr = _native.empty(shape)
+            assert arr.shape == shape
+            assert arr.dtype == np.float64 and arr.flags.c_contiguous
+            assert arr.ctypes.data % 64 == 0
+
+    @staticmethod
+    def recorded_ascend_args(monkeypatch, calls):
+        """Run ``calls`` with ``_native._kernel()`` behind a proxy that records
+        the arguments of every ``fogas_ascend`` call; returns them."""
+        lib, recorded = _native._kernel(), []
+
+        class Recording:
+            def __getattr__(self, name):
+                return getattr(lib, name)
+
+            def fogas_ascend(self, *args):
+                recorded.append(args)
+                return lib.fogas_ascend(*args)
+
+        monkeypatch.setattr(_native, "_kernel", Recording)
+        calls()
+        return recorded
+
+    def test_loop_arrays_are_aligned(self, monkeypatch):
+        """At X=100, phi, W and work reach the kernel at multiples of 64 bytes."""
+        mdp = fogas.generate_linear_mdp(100, 4, 8, gamma=0.9, seed=0)
+        datasets = [collect_dataset(mdp, fogas.uniform_policy(100, 4), n=n,
+                                    sampling_mode="uniform", seed=n) for n in (50, 300, 5000)]
+        recorded = self.recorded_ascend_args(monkeypatch, lambda: [
+            run_fogas(mdp, ds, FogasConfig(T=5, seed=s, auto_tune=True, record_trajectory=rec))
+            for ds in datasets for s in range(3) for rec in (False, True)])
+        assert len(recorded) == 18
+        for args in recorded:
+            phi, weights, work = args[4], args[5], args[16]
+            assert (phi % 64, weights % 64, work % 64) == (0, 0, 0)
+
+    def test_misaligned_arrays_give_the_same_bits(self, default_mdp, default_dataset,
+                                                  monkeypatch):
+        """The kernel assumes no alignment: with phi, W and work 8 bytes off a
+        multiple of 64, a recorded run keeps every bit."""
+        config = FogasConfig(T=50, seed=3, auto_tune=True, record_trajectory=True)
+        aligned = run_fogas(default_mdp, default_dataset, config)
+        empty = _native.empty
+
+        def misaligned(shape):
+            arr = empty((math.prod(shape) + 1,))[1:].reshape(shape)
+            assert arr.ctypes.data % 64 == 8
+            return arr
+
+        monkeypatch.setattr(_native, "empty", misaligned)
+        moved = run_fogas(default_mdp, default_dataset, config)
+        for name in ("lambda_final", "theta_bar_final", "output_param"):
+            assert getattr(moved, name).tobytes() == getattr(aligned, name).tobytes()
+        for f in fields(FogasTrajectory):
+            assert (getattr(moved.trajectory, f.name).tobytes()
+                    == getattr(aligned.trajectory, f.name).tobytes())
 
 
 @pytest.fixture(scope="session")
