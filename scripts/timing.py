@@ -25,12 +25,17 @@ Suites, each at fixed shapes:
 One side is the package on PYTHONPATH, "this". ``--against TREE`` imports the
 package of another source tree (TREE/src/fogas) beside it as
 ``fogas_against``; both share one numpy and one allocator, so this compares
-the two versions' code, not their installs. After a warm-up of each side,
-every round measures each side once in CPU time (``time.process_time``), in
-an order reversed every round, with one BLAS thread. Each quantity reports
-per side its rounds, minimum and median, and with two sides the ratio this /
-against the same way, one per pair of rounds: the sum of the pair's two
-rounds on this side over the same sum on the other. Each side goes first
+the two versions' code, not their installs. It cannot compare two allocator
+settings: both trees run in one process, with the malloc thresholds of
+whichever side loaded its kernel first (``fogas._native``); time such a change
+with ``benchmarks/run.py`` pairs, one process per side. After a warm-up of
+each side, every round measures each side once in CPU time
+(``time.process_time``), in an order reversed every round, with one BLAS
+thread, and counts the minor page faults of its whole measure
+(``minor_faults``, ``ru_minflt``). Each quantity reports per side its rounds,
+minimum and median, and with two sides (but for the fault counts) the ratio
+this / against the same way, one per pair of rounds: the sum of the pair's
+two rounds on this side over the same sum on the other. Each side goes first
 once in a pair, so the ratio does not carry the advantage of the side
 measured first, and with two sides the rounds must be even. With two sides
 the io suite raises unless both draw equal datasets at each round's seed,
@@ -54,6 +59,7 @@ import io
 import json
 import os
 import platform
+import resource
 import statistics
 import sys
 import tempfile
@@ -64,12 +70,15 @@ import warnings
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 METHOD = (
     "scripts/timing.py SUITE: this tree's fogas and, with --against, another tree's in one "
-    "process; after a warm-up of each side, every round measures each side once in CPU time "
-    "(time.process_time), in an order reversed every round, one BLAS thread; per side each "
-    "quantity gives its `rounds`, `min` and `median`, and `ratio` this / against per pair of "
-    "rounds (each side first once in a pair; the pair's summed times); quantities without "
-    "rounds are taken once per side")
+    "process, so with one allocator: it cannot compare two allocator settings (those take "
+    "benchmarks/run.py pairs); after a warm-up of each side, every round measures each side "
+    "once in CPU time (time.process_time), in an order reversed every round, one BLAS thread, "
+    "and counts the minor page faults (ru_minflt) of the side's whole measure as "
+    "`minor_faults`; per side each quantity gives its `rounds`, `min` and `median`, and each "
+    "time `ratio` this / against per pair of rounds (each side first once in a pair; the "
+    "pair's summed times); quantities without rounds are taken once per side")
 ESTIMATE_BETA = 1e-3  # the io suite's ridge; the estimator's time does not depend on it
+FAULTS = "minor_faults"  # a count per round, with no ratio: either side may read 0
 
 
 def timed(func, *args):
@@ -318,9 +327,10 @@ def summary(values: list) -> dict:
 
 
 def run_rounds(sides: dict, rounds: int, check=None) -> dict:
-    """Per quantity, each side's rounds summarized (and their ratio this /
-    against), and the largest value of each disagreement that ``check(this
-    output, against output, seed)`` returns. ``sides`` maps "this" (and
+    """Per quantity, each side's rounds summarized (and, for the times, their
+    ratio this / against), each side's minor faults per round as
+    ``minor_faults``, and the largest value of each disagreement that
+    ``check(this output, against output, seed)`` returns. ``sides`` maps "this" (and
     "against") to a call that takes the round's seed and returns its
     quantities and its output."""
     for measure in sides.values():
@@ -329,14 +339,16 @@ def run_rounds(sides: dict, rounds: int, check=None) -> dict:
     for r in range(rounds):
         outputs = {}
         for name in (names if r % 2 == 0 else names[::-1]):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             values, outputs[name] = sides[name](r)
+            values[FAULTS] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
             for quantity, value in values.items():
                 series.setdefault(quantity, {}).setdefault(name, []).append(value)
         if check is not None and len(sides) == 2:
             for key, value in check(outputs["this"], outputs["against"], r).items():
                 worst[key] = max(worst.get(key, value), value)
-    for by_side in series.values():
-        if len(by_side) == 2:
+    for quantity, by_side in series.items():
+        if len(by_side) == 2 and quantity != FAULTS:
             this, against = by_side["this"], by_side["against"]
             by_side["ratio"] = [(this[r] + this[r + 1]) / (against[r] + against[r + 1])
                                 for r in range(0, len(this) - 1, 2)]

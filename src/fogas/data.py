@@ -51,6 +51,8 @@ class OfflineDataset:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "rewards", _readonly(self.rewards))
         object.__setattr__(self, "features", _readonly(self.features))
+        if self.features.ndim != 2:
+            raise ValueError(f"features must be (n, d), got shape {self.features.shape}")
         if not (
             len(self.actions) == len(self.rewards) == len(self.x_nexts) == n
             and self.features.shape[0] == n

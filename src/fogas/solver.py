@@ -201,7 +201,15 @@ def run_fogas(mdp: LinearMdp, dataset: OfflineDataset, config: FogasConfig) -> F
     A recorded run writes one (T+1, 5d+1) table: row t holds lambda_{t+1},
     theta_bar_t, theta_t, mu-hat's features, g_t and g_t^T Lambda g_t; row 0
     holds lambda_1 = theta_bar_0 = 0. The trajectory is read-only views into it.
+
+    A dataset whose state count, action count or feature width differs from
+    the MDP's raises ValueError before anything reaches the kernel.
     """
+    for name, theirs, ours in (("num_states", dataset.num_states, mdp.num_states),
+                               ("num_actions", dataset.num_actions, mdp.num_actions),
+                               ("feature width", dataset.features.shape[1], mdp.dim)):
+        if theirs != ours:
+            raise ValueError(f"the dataset's {name} is {theirs}, but the MDP's is {ours}")
     cfg = config.resolved(mdp, len(dataset))
     psi_hat = estimate_psi(dataset, cfg.beta)
     T, d = cfg.T, mdp.dim

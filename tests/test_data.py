@@ -2,6 +2,7 @@
 estimator, checked against naive accumulation and generic least squares."""
 
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -266,6 +267,18 @@ class TestCollect:
             collect_dataset(default_mdp, fogas.uniform_policy(5, 3), n=n,
                             sampling_mode="uniform", seed=seed)
         assert str(excinfo.value) == message
+
+
+class TestOfflineDataset:
+    @pytest.mark.parametrize("shape", [(6,), (6, 4, 1)])
+    def test_features_must_be_two_dimensional(self, shape):
+        """A feature array that is not (n, d) is refused, even where its first
+        axis has the n rows."""
+        with pytest.raises(ValueError, match=re.escape(
+                f"features must be (n, d), got shape {shape}")):
+            OfflineDataset(xs=np.zeros(6, dtype=int), actions=np.zeros(6, dtype=int),
+                           rewards=np.zeros(6), x_nexts=np.zeros(6, dtype=int),
+                           features=np.zeros(shape), num_states=5, num_actions=3)
 
 
 class TestCovariance:

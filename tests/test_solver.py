@@ -5,6 +5,7 @@ random feasible points, and the compiled loop checked against them."""
 import ctypes
 import math
 import os
+import resource
 import shutil
 import subprocess
 import tempfile
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 import fogas
 from fogas.data import build_covariance, collect_dataset, estimate_psi
-from fogas import _native, solver
+from fogas import _native, harness, solver
 from fogas.solver import (
     FogasConfig,
     FogasTrajectory,
@@ -311,6 +312,24 @@ class TestRunFogas:
         with pytest.raises(FloatingPointError, match="iteration"):
             run_fogas(default_mdp, default_dataset, cfg)
 
+    @pytest.mark.parametrize("name, value", [
+        ("num_states", 7), ("num_actions", 2), ("feature width", 1)])
+    def test_mismatched_dataset_is_refused(self, default_mdp, default_dataset, name, value):
+        """A dataset of another MDP's shape raises before the kernel reads it:
+        the kernel would read d x d floats of a 1 x 1 covariance, and a 7-state
+        dataset would index past the MDP's features."""
+        if name == "feature width":
+            dataset = replace(default_dataset, features=default_dataset.features[:, :1])
+        else:
+            X, A = (7, 3) if name == "num_states" else (5, 2)
+            other = fogas.generate_linear_mdp(X, A, 4, gamma=0.9, seed=1)
+            dataset = collect_dataset(other, fogas.uniform_policy(X, A), n=512,
+                                      sampling_mode="uniform", seed=7)
+        ours = {"num_states": 5, "num_actions": 3, "feature width": 4}[name]
+        with pytest.raises(ValueError, match=f"dataset's {name} is {value}, but the MDP's "
+                                             f"is {ours}"):
+            run_fogas(default_mdp, dataset, FogasConfig(T=5, auto_tune=True))
+
     def test_bandit_auto_tune_prefers_rewarding_arm(self):
         """At the theoretical schedule the policy improves on uniform for
         every seed; the stabilizer keeps the improvement modest."""
@@ -439,6 +458,28 @@ class TestLoopAlignment:
         for f in fields(FogasTrajectory):
             assert (getattr(moved.trajectory, f.name).tobytes()
                     == getattr(aligned.trajectory, f.name).tobytes())
+
+
+@pytest.mark.skipif(not _native._on_glibc(), reason="the thresholds are set only under glibc")
+class TestFreedMemoryReuse:
+    def test_cells_reuse_freed_pages(self):
+        """Once the kernel has loaded, a sweep cell at sweep-large-state's shape
+        allocates from the heap the cell before it freed instead of mapping
+        fresh pages: at most 64 minor faults per cell, where the default
+        thresholds take about 600."""
+        mdp = fogas.generate_linear_mdp(1000, 4, 8, gamma=0.9, seed=0)
+        behavior = harness.behavior_policy(mdp, "eps:0.5")
+
+        def cell(seed):
+            harness.run_cell(mdp, behavior, "occupancy", 20_000, seed, {"T": 20})
+
+        for seed in range(2):
+            cell(seed)
+        for seed in range(2, 5):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            cell(seed)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+            assert faults <= 64, f"the cell of seed {seed} took {faults} minor faults"
 
 
 @pytest.fixture(scope="session")
