@@ -11,13 +11,9 @@ from .data import (
     save_dataset,
 )
 from .diagnostics import (
-    Comparators,
     GapReport,
     build_comparators,
     duality_gap_report,
-    eval_f,
-    gap_estimation_error,
-    player_regrets,
 )
 from .linmdp import (
     LinearMdp,
@@ -39,7 +35,6 @@ from .solver import (
     FogasRun,
     FogasTrajectory,
     canonical_d_theta,
-    gradient_norm_bound,
     load_run,
     run_fogas,
     save_run,

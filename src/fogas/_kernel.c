@@ -48,7 +48,10 @@
  * over L contiguous floats, and so does the elimination, every lane's pivot
  * a select. Each softmax is formed once per iterate and state: with the
  * value reductions, the flow pass keeps every state's Phi_pi(x) (X d L
- * floats) and the value pass reads it back.
+ * floats) and the value pass reads it back. The caller passes work 64-byte
+ * aligned (fogas._native.empty), so with L a multiple of VECTOR_PAD every
+ * L-long array of it starts a cache line; as in the loop, a misaligned work
+ * gives the same bits, only slower.
  *
  * The loop and the scorer's two passes over the states are built for
  * AVX-512F, AVX2 and the baseline (target_clones on x86-64 glibc, picked at
@@ -375,19 +378,19 @@ static void lanes_of(i64 B, i64 L, i64 d, const double *rows, double *cols)
             cols[j * L + l] = l < B ? rows[l * d + j] : 0.0;
 }
 
-/* The scorer's work, fogas_score_lane_floats(A, d) floats per lane: the
- * lanes' softmax parameters, theta_t (then theta^{pi_t}) and lambda_t, (d, L)
- * each, and the scratch of policy_features, the flow pass and eliminate.
- * With the value reductions, X d floats more per lane follow them: Phi,
- * every state's Phi_pi(x) (X, d, L), kept from the flow pass for the value
- * pass. */
+/* The scorer's work, fogas_score_lane_floats(X, A, d, values) floats per
+ * lane: the lanes' softmax parameters, theta_t (then theta^{pi_t}) and
+ * lambda_t, (d, L) each, and the scratch of policy_features, the flow pass and
+ * eliminate. With the value reductions, X d floats more per lane follow them:
+ * Phi, every state's Phi_pi(x) (X, d, L), kept from the flow pass for the
+ * value pass. */
 struct lanes {
     double *par, *th, *lam, *e, *F, *f0, *acc, *M, *s, *vs, *best, *piv, *f, *singular, *Phi;
 };
 
-i64 fogas_score_lane_floats(i64 A, i64 d)
+i64 fogas_score_lane_floats(i64 X, i64 A, i64 d, i64 values)
 {
-    return 2 * d * d + (4 + SCORE_GROUP) * d + A + 6;
+    return 2 * d * d + (4 + SCORE_GROUP) * d + A + 6 + (values ? X * d : 0);
 }
 
 static struct lanes lanes_in(double *work, i64 A, i64 d, i64 L)
@@ -516,8 +519,8 @@ static void value_block(i64 X, i64 d, i64 L, i64 B, const struct lanes *w, doubl
  * pi_t} and lambda_v (d, X) sum_t lambda_t (v^{pi_t})^T, the latter in a
  * second pass over the states, once a block's theta^{pi_t} are known, that
  * reads the Phi_pi(x) the first pass kept. Without them (NULL) neither is
- * touched. work holds L fogas_score_lane_floats(A, d) + VECTOR_PAD floats
- * (struct lanes), and L X d floats more with the value reductions.
+ * touched. work holds L fogas_score_lane_floats(X, A, d, values) floats
+ * (struct lanes).
  *
  * Returns 0, or 1 + the first t whose I - gamma Psi Phi_pi is singular. */
 i64 fogas_score_iterates(i64 T, i64 X, i64 A, i64 d, i64 L, const double *phi,
@@ -526,9 +529,7 @@ i64 fogas_score_iterates(i64 T, i64 X, i64 A, i64 d, i64 L, const double *phi,
                          const double *thetas, const double *lambdas, double *v_sum,
                          double *lambda_v)
 {
-    /* Every L-long array of w starts 64-byte aligned, so no vector loop
-     * peels a lane off to align. */
-    struct lanes w = lanes_in((double *)(((uintptr_t)work + 63) & ~(uintptr_t)63), A, d, L);
+    struct lanes w = lanes_in(work, A, d, L);
 
     for (i64 t0 = 0; t0 < T; t0 += L) {
         i64 B = T - t0 < L ? T - t0 : L;

@@ -3,9 +3,9 @@ scorer with its lane-parallel d x d flow solves and one softmax per iterate
 and state, the next-state search, and the per-next-state feature sums),
 built on first use, never at import, and loaded once per process.
 
-Callers pass the loop's phi, W and work arrays 64-byte aligned (``empty``):
-misaligned, its vectors straddle cache lines, and a run measured up to 1.5x
-slower. The kernel assumes no alignment, so a misaligned array is only slower.
+Callers pass the loop's phi, W and work and the scorer's work 64-byte aligned
+(``empty``): misaligned, a run measured up to 1.5x slower. The kernel assumes
+no alignment, so a misaligned array is only slower.
 
 Under glibc, the first load also sets malloc's mmap threshold to 32 MiB and
 its trim threshold to 64 MiB, once per process. By default an array of
@@ -126,7 +126,7 @@ def _kernel() -> ctypes.CDLL:
         lib.fogas_ascend.restype = i64
         lib.fogas_score_iterates.argtypes = [i64] * 5 + [ptr] * 3 + [f64, i64] + [ptr] * 7
         lib.fogas_score_iterates.restype = i64
-        lib.fogas_score_lane_floats.argtypes = [i64] * 2
+        lib.fogas_score_lane_floats.argtypes = [i64] * 4
         lib.fogas_score_lane_floats.restype = i64
         lib.fogas_next_states.argtypes = [i64] * 3 + [ptr] * 4
         lib.fogas_next_states.restype = None

@@ -181,12 +181,6 @@ def _cmd_diagnose(args) -> int:
     mdp = linmdp.load_mdp(args.mdp)
     dataset = load_dataset(args.data, mdp)
     run = solver.load_run(args.run, mdp)
-    if run.trajectory is None:
-        print(
-            "run file has no trajectory; re-run solve with --record-trajectory",
-            file=sys.stderr,
-        )
-        return 1
     report = diagnostics.duality_gap_report(run, mdp, dataset, check_identities=False)
     with open(args.out, "w") as f:
         f.write(f"{diagnostics.GapReport.CSV_COLUMNS}\n{report.csv_row()}\n")

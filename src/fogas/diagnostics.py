@@ -48,7 +48,7 @@ def eval_f(mdp: LinearMdp, lam: np.ndarray, policy, theta: np.ndarray) -> float:
 
 
 def score_iterates(
-    mdp: LinearMdp, trajectory: FogasTrajectory, alpha: float, *, values: bool = True
+    mdp: LinearMdp, trajectory: FogasTrajectory | None, alpha: float, *, values: bool = True
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Exact evaluation of every iterate policy, reduced over the states.
 
@@ -67,24 +67,27 @@ def score_iterates(
 
     The lanes: a multiple of ``_native.VECTOR_PAD``, at most ``SCORE_LANES``
     and at most T rounded up, and as many as keep the block's scratch within
-    ``SAMPLE_CHUNK_BYTES``, but never fewer than ``VECTOR_PAD``. A lane's
-    scratch is ``fogas_score_lane_floats(A, d)`` floats, plus X d with the
-    values: the second pass reads every state's Phi_pi(x) as the first pass
-    kept it. So where X d > 65536 the scratch exceeds ``SAMPLE_CHUNK_BYTES``
-    at 8 lanes, 8 X d floats (8/A of phi's size). An exactly singular
-    I - gamma Psi Phi_pi raises ``np.linalg.LinAlgError``.
+    ``SAMPLE_CHUNK_BYTES``, but never fewer than ``VECTOR_PAD``. The scratch
+    comes from ``_native.empty``, ``fogas_score_lane_floats(X, A, d, values)``
+    floats per lane; with the values they include X d for every state's
+    Phi_pi(x), so where X d > 65536 the scratch exceeds ``SAMPLE_CHUNK_BYTES``
+    at 8 lanes, 8 X d floats (8/A of phi's size). A run without a trajectory
+    (None) raises ValueError, and an exactly singular I - gamma Psi Phi_pi
+    ``np.linalg.LinAlgError``.
     """
+    if trajectory is None:
+        raise ValueError("the run was not recorded: solve it with record_trajectory "
+                         "(fogas solve --record-trajectory)")
     X, A, d = mdp.num_states, mdp.num_actions, mdp.dim
     T = len(trajectory.thetas)
     kernel = _native._kernel()
-    # With the values, each lane also keeps every state's Phi_pi(x), X d floats.
-    lane_floats = kernel.fogas_score_lane_floats(A, d) + (X * d if values else 0)
+    lane_floats = kernel.fogas_score_lane_floats(X, A, d, values)
     pad = _native.VECTOR_PAD
     lanes = pad * max(1, min(-(-T // pad), SCORE_LANES // pad,
                              SAMPLE_CHUNK_BYTES // (8 * pad * lane_floats)))
     params = np.vstack([np.zeros(d), alpha * trajectory.theta_bars[:-1]])  # pi_1 uniform
     out = np.empty((T, 2 * d + 1))  # rows (theta^{pi_t}, Psi v^{pi_t}, rho(pi_t))
-    work = np.empty(lanes * lane_floats + pad)
+    work = _native.empty((lanes * lane_floats,))
     v_sum = lambda_v = None
     value_args = [None] * 4  # thetas, lambdas, v_sum and lambda_v, or NULL
     if values:
@@ -115,12 +118,11 @@ class Comparators:
     lambda_v: np.ndarray  # (d, X), sum_t lambda_t (v^{pi_t})^T
 
 
-def build_comparators(mdp: LinearMdp, trajectory: FogasTrajectory, alpha: float) -> Comparators:
+def build_comparators(mdp: LinearMdp, trajectory: FogasTrajectory | None,
+                      alpha: float) -> Comparators:
+    scores = score_iterates(mdp, trajectory, alpha)  # first: an unrecorded run raises there
     pi_star, star_eval = mdp.optimal
-    return Comparators(
-        pi_star, star_eval.lambda_pi, star_eval.return_value,
-        *score_iterates(mdp, trajectory, alpha),
-    )
+    return Comparators(pi_star, star_eval.lambda_pi, star_eval.return_value, *scores)
 
 
 def player_regrets(
@@ -201,8 +203,6 @@ def duality_gap_report(
     every theta (lambda* meets pi*'s flow constraint) and
     f(lambda_t, pi_t, theta^{pi_t}) = rho(pi_t) for every lambda_t.
     """
-    if run.trajectory is None:
-        raise ValueError("run was not recorded with record_trajectory")
     cfg = run.config
     trajectory = run.trajectory
     comp = build_comparators(mdp, trajectory, cfg.alpha)

@@ -151,8 +151,6 @@ class ExperimentRecord:
 
 def mean_iterate_suboptimality(mdp: LinearMdp, run: FogasRun, rho_star: float) -> float:
     """(1/T) sum_t (rho(pi*) - rho(pi_t)), exact returns from the oracle."""
-    if run.trajectory is None:
-        raise ValueError("run was not recorded with record_trajectory")
     rho_ts = score_iterates(mdp, run.trajectory, run.config.alpha, values=False)[1]
     return float(np.mean(rho_star - rho_ts))
 

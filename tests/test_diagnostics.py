@@ -2,6 +2,7 @@
 player regrets against oracle comparators, and the exact decomposition and
 gap/suboptimality identities on recorded runs."""
 
+import math
 import tracemalloc
 from dataclasses import asdict, replace
 
@@ -302,12 +303,6 @@ class TestGapReport:
         assert report.decomposition_residual <= 1e-8
         assert report.identity_residual <= 1e-8
 
-    def test_missing_trajectory_rejected(self, default_mdp, default_dataset):
-        run = run_fogas(default_mdp, default_dataset,
-                        FogasConfig(T=5, seed=0, auto_tune=True))
-        with pytest.raises(ValueError, match="record_trajectory"):
-            duality_gap_report(run, default_mdp, default_dataset)
-
     def test_suboptimality_side_of_identity(self, recorded_run, default_mdp,
                                             default_dataset):
         report = duality_gap_report(recorded_run, default_mdp, default_dataset)
@@ -396,16 +391,60 @@ class TestScoreIterates:
         for got, want in zip(scores, full[:3], strict=True):
             np.testing.assert_array_equal(got, want)
 
+    def test_scratch_is_aligned(self, recorded_run, default_mdp, monkeypatch):
+        """Over 20 calls each way, each after a kept array of another size has
+        moved the heap, the work array reaches ``fogas_score_iterates`` at a
+        multiple of 64 bytes. The kernel assumes no alignment: 8 bytes off
+        one, every score keeps its bits."""
+        traj, alpha = recorded_run.trajectory, recorded_run.config.alpha
+        modes = (True, False)
+        want = {values: score_iterates(default_mdp, traj, alpha, values=values)
+                for values in modes}
+        lib, works = fogas._native._kernel(), []
+
+        class Recording:
+            def __getattr__(self, name):
+                return getattr(lib, name)
+
+            def fogas_score_iterates(self, *args):
+                works.append(args[11])
+                return lib.fogas_score_iterates(*args)
+
+        monkeypatch.setattr(fogas._native, "_kernel", Recording)
+        kept = []
+        for values in modes:
+            for i in range(20):
+                kept.append(np.empty(1000 + 2 * i + values))
+                score_iterates(default_mdp, traj, alpha, values=values)
+        assert len(works) == 40
+        assert all(work % 64 == 0 for work in works)
+
+        empty = fogas._native.empty
+
+        def misaligned(shape):
+            arr = empty((math.prod(shape) + 1,))[1:].reshape(shape)
+            assert arr.ctypes.data % 64 == 8
+            return arr
+
+        monkeypatch.setattr(fogas._native, "empty", misaligned)
+        for values in modes:
+            got = score_iterates(default_mdp, traj, alpha, values=values)
+            for a, b in zip(got, want[values], strict=True):
+                if b is None:
+                    assert a is None
+                else:
+                    np.testing.assert_array_equal(a, b)
+        assert len(works) == 42 and all(work % 64 == 8 for work in works[40:])
+
     @pytest.fixture(scope="class")
     def kept_phi_run(self):
         """X=1000, A=4, d=8 and T=131, where the kept Phi_pi (X d = 8000 floats
         per lane) shrinks the lanes of ``values=True`` below the 128 of
         ``values=False``: to 56 at the default budget."""
         mdp = fogas.generate_linear_mdp(1000, 4, 8, 0.9, 0)
-        lane_floats = fogas._native._kernel().fogas_score_lane_floats(4, 8)
+        lane_floats = fogas._native._kernel().fogas_score_lane_floats(1000, 4, 8, True)
         pad = fogas._native.VECTOR_PAD
-        assert pad * (fogas.diagnostics.SAMPLE_CHUNK_BYTES
-                      // (8 * pad * (lane_floats + 1000 * 8))) < 128
+        assert pad * (fogas.diagnostics.SAMPLE_CHUNK_BYTES // (8 * pad * lane_floats)) < 128
         return mdp, recorded(mdp, T=131)
 
     def test_kept_phi_pi_matches_recomputed(self, kept_phi_run):
@@ -620,7 +659,7 @@ class TestScoreIteratesSpec:
         traj, alpha = recorded_run.trajectory, recorded_run.config.alpha
         whole = score_iterates(default_mdp, traj, alpha)
         if budget == "24 lanes":
-            budget = 24 * 8 * fogas._native._kernel().fogas_score_lane_floats(3, 4)
+            budget = 24 * 8 * fogas._native._kernel().fogas_score_lane_floats(5, 3, 4, True)
         monkeypatch.setattr(fogas.diagnostics, "SAMPLE_CHUNK_BYTES", budget)
         blocked = score_iterates(default_mdp, traj, alpha)
         for got, want in zip(blocked[:3], whole[:3], strict=True):

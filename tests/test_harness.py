@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fogas
-from fogas import harness
+from fogas import diagnostics, harness
 from fogas.cli import main as cli_main
 from fogas.oracle import evaluate_policy, solve_optimal
 from fogas.solver import FogasConfig, canonical_d_theta, theoretical_min_iterations
@@ -507,13 +507,39 @@ class TestCli:
         assert [row.split(",")[2] for row in rows[:-1]] == ["0", "1"]
         assert all(len(row.split(",")) == len(header.split(",")) for row in rows[:-1])
 
-    def test_diagnose_without_trajectory_advises(self, tmp_path, capsys):
+    @pytest.mark.parametrize("reader", ["score_iterates", "mean_iterate_suboptimality",
+                                        "duality_gap_report", "diagnose"])
+    def test_unrecorded_run_refused(self, reader, tmp_path, capsys, monkeypatch):
+        """Every reader of an unrecorded run's trajectory raises score_iterates'
+        one ValueError, which names record_trajectory and --record-trajectory
+        (``fogas diagnose`` prints it and exits 1), before pi* is solved."""
         mdp_path, data_path, run_path = self.pipeline(tmp_path)
-        code = cli_main(["diagnose", "--mdp", str(mdp_path), "--data",
-                         str(data_path), "--run", str(run_path),
-                         "--out", str(tmp_path / "gap.csv")])
-        assert code == 1
-        assert "--record-trajectory" in capsys.readouterr().err
+        mdp = fogas.load_mdp(mdp_path)
+        with pytest.raises(ValueError) as info:
+            diagnostics.score_iterates(mdp, None, 1.0)
+        message = str(info.value)
+        assert "record_trajectory" in message and "--record-trajectory" in message
+        if reader == "diagnose":
+            loaded = []
+            monkeypatch.setattr(fogas.linmdp, "load_mdp",
+                                lambda path: loaded.append(fogas.load_mdp(path)) or loaded[-1])
+            assert self.diagnose(tmp_path, mdp_path, data_path, run_path) == 1
+            assert capsys.readouterr().err == message + "\n"
+            (mdp,) = loaded
+        else:
+            run = fogas.load_run(run_path, mdp)
+            call = {
+                "score_iterates": lambda: diagnostics.score_iterates(
+                    mdp, run.trajectory, run.config.alpha, values=False),
+                "mean_iterate_suboptimality": lambda: harness.mean_iterate_suboptimality(
+                    mdp, run, 0.0),
+                "duality_gap_report": lambda: diagnostics.duality_gap_report(
+                    run, mdp, fogas.load_dataset(data_path, mdp)),
+            }[reader]
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+        assert "optimal" not in mdp.__dict__
 
     def diagnose(self, tmp_path, mdp_path, data_path, run_path):
         return cli_main(["diagnose", "--mdp", str(mdp_path), "--data",
